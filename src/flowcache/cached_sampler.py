@@ -28,6 +28,7 @@ from .errors import (
     NumericDomainError,
 )
 from .fields import Condition, VelocityField
+from .schedule import skip_intervals
 from .solver import TrajectoryRecord, euler_step
 
 # Residual-norm fraction below which a direction anchor counts as parallel.
@@ -44,15 +45,6 @@ class CompensationToggles:
 
     use_mi: bool = True
     use_di: bool = True
-
-
-@dataclass(eq=False)
-class SkipState:
-    """Mutable per-interval state of the reconstruction recursion."""
-
-    anchor_dir: np.ndarray | None
-    v_hat: np.ndarray
-    interval_pos: int = 0
 
 
 def init_direction(v_prev: np.ndarray, v_curr: np.ndarray) -> np.ndarray:
@@ -124,9 +116,9 @@ def sample_cached(
 ) -> TrajectoryRecord:
     """Run the skip schedule: anchor evaluations plus reconstructed steps.
 
-    The first step is always evaluated. A step whose effective interval
-    length is 1 performs a standard evaluate-and-update; a longer interval
-    performs one anchor evaluation, then advances through the interval with
+    Walks the intervals of ``skip_intervals``. An interval of length 1
+    performs a standard evaluate-and-update; a longer interval performs
+    one anchor evaluation, then advances through the interval with
     reconstructed velocities and zero oracle calls, consuming the indicator
     entries of each absolute step index. Evaluated flags and the oracle call
     count reflect exactly the anchor evaluations.
@@ -146,16 +138,13 @@ def sample_cached(
     states[0] = x0
 
     last_eval_velocity: np.ndarray | None = None
-    n = 0
-    while n < n_steps:
-        h = min(int(bundle.schedule[n]), n_steps - n)
+    for n, h in skip_intervals(bundle.schedule, n_steps):
         v = field.evaluate(states[n], float(grid.times[n]), condition)
         evaluated[n] = True
-        if h == 1 or n == 0:
+        if h == 1:
             velocities[n] = v
             states[n + 1] = euler_step(states[n], v, float(dt[n]))
             last_eval_velocity = v
-            n += 1
             continue
 
         # interval opening: extract the turning anchor from the most recent
@@ -166,20 +155,17 @@ def sample_cached(
             anchor = init_direction(last_eval_velocity, v)
         except DegenerateVelocityError:
             anchor = None
-        skip = SkipState(anchor_dir=anchor, v_hat=v)
-        for j in range(h):
-            m = n + j
+        v_hat = v
+        for m in range(n, n + h):
             u_hat: np.ndarray | None = None
-            if skip.anchor_dir is not None:
+            if anchor is not None:
                 try:
-                    u_hat = reorthogonalize(skip.anchor_dir, skip.v_hat)
+                    u_hat = reorthogonalize(anchor, v_hat)
                 except (DegenerateDirectionError, DegenerateVelocityError):
                     u_hat = None
-            velocities[m] = skip.v_hat
-            states[m + 1] = euler_step(states[m], skip.v_hat, float(dt[m]))
-            skip.v_hat = skip_update(skip.v_hat, u_hat, float(k_tilde[m]), float(d_tilde[m]), float(dt[m]), toggles)
-            skip.interval_pos = j + 1
+            velocities[m] = v_hat
+            states[m + 1] = euler_step(states[m], v_hat, float(dt[m]))
+            v_hat = skip_update(v_hat, u_hat, float(k_tilde[m]), float(d_tilde[m]), float(dt[m]), toggles)
         last_eval_velocity = v
-        n += h
 
     return TrajectoryRecord(grid, states, velocities, evaluated)

@@ -10,7 +10,7 @@ reused across every inference call on the same grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -219,11 +219,6 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
         seeds=tuple(int(s) for s in _require(data, "seeds")),
         created_by=str(_require(data, "created_by")),
     )
-
-
-def with_schedule(bundle: ScheduleBundle, schedule: np.ndarray, tau_k: float, tau_d: float, h_max: int) -> ScheduleBundle:
-    """Copy of a bundle with a different schedule/threshold block."""
-    return replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d, h_max=h_max)
 
 
 def bundles_equal(a: ScheduleBundle, b: ScheduleBundle) -> bool:

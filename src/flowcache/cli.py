@@ -20,6 +20,7 @@ from .cached_sampler import sample_cached
 from .calibration import read_bundle, write_bundle, write_indicator_csv
 from .diagnostics import (
     ExperimentConfig,
+    _mean_stderr,
     make_bundle,
     run_experiment,
     run_threshold_sweep,
@@ -179,7 +180,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         resolved["sweep_taus"] = [[a, b] for a, b in sweep_taus]
 
     result = run_experiment(config)
-    trunc = truncation_drifts(config, result.cached_nfe)
+    trunc_mean, trunc_stderr = _mean_stderr(truncation_drifts(result, result.cached_nfe))
     n = config.n_steps
     rows = [
         ("full", n, 1.0, 0.0, 0.0, 0.0),
@@ -195,9 +196,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "truncated",
             result.cached_nfe,
             result.speedup,
-            float(trunc.mean()),
-            float(trunc.std(ddof=1) / np.sqrt(trunc.size)) if trunc.size > 1 else 0.0,
-            1.0 - result.cached_nfe / n,
+            trunc_mean,
+            trunc_stderr,
+            result.skip_ratio,
         ),
     ]
     outputs = ["summary.csv", "per_seed.csv", "drift_profile.csv", "cos_theta.csv", "bundle.json"]
@@ -208,16 +209,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_bundle(result.bundle, out / "bundle.json")
 
     if ablation:
-        write_ablation_csv(run_toggle_ablation(config), out / "ablation.csv")
+        write_ablation_csv(run_toggle_ablation(result), out / "ablation.csv")
         outputs.append("ablation.csv")
     if sweep_taus:
-        write_sweep_csv(run_threshold_sweep(config, sweep_taus), out / "sweep.csv")
+        write_sweep_csv(run_threshold_sweep(result, sweep_taus), out / "sweep.csv")
         outputs.append("sweep.csv")
 
     _write_manifest(out, "bench", resolved, outputs)
     print(
         f"bench: nfe {result.cached_nfe}/{n}, speedup {result.speedup:.2f}x, "
-        f"cached drift {result.mean_final_drift:.3e} vs truncated {float(trunc.mean()):.3e}"
+        f"cached drift {result.mean_final_drift:.3e} vs truncated {trunc_mean:.3e}"
     )
     return EXIT_OK
 

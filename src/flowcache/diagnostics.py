@@ -6,13 +6,14 @@ the cached/evaluated split of velocity drift, terminal drift, and the
 cosine alignment between the reconstructed turning direction and the oracle
 direction recovered from the full record's consecutive velocities. The
 experiment runner wires the whole pipeline together (calibrate, schedule,
-sample both ways, compare) deterministically from a config.
+sample both ways, compare) deterministically from a config; the ablation,
+sweep and truncation experiments reuse its calibration and references.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        for key in ("use_mi", "use_di"):
+            if not isinstance(data.get(key, True), bool):
+                raise InvalidArgumentError(f"experiment config key {key!r} must be true or false, got {data[key]!r}")
         try:
             return cls(
                 field=FieldSpec.from_dict(data["field"]),
@@ -213,34 +217,67 @@ class ExperimentConfig:
                 tau_k=float(data.get("tau_k", DEFAULT_TAU_K)),
                 tau_d=float(data.get("tau_d", DEFAULT_TAU_D)),
                 h_max=int(data.get("h_max", DEFAULT_H_MAX)),
-                use_mi=bool(data.get("use_mi", True)),
-                use_di=bool(data.get("use_di", True)),
+                use_mi=data.get("use_mi", True),
+                use_di=data.get("use_di", True),
             )
         except KeyError as exc:
             raise InvalidArgumentError(f"experiment config missing key {exc.args[0]!r}") from None
-
-
-@dataclass(eq=False)
-class ExperimentResult:
-    """Bundle plus per-seed reports and cross-seed aggregates."""
-
-    config: ExperimentConfig
-    bundle: ScheduleBundle
-    reports: tuple[DriftReport, ...]
-    cached_nfe: int
-    skip_ratio: float
-    speedup: float
-    mean_final_drift: float
-    stderr_final_drift: float
-    mean_cached_vel_drift: float
-    mean_evaluated_vel_drift: float
-    per_seed_rows: list[tuple] = field(default_factory=list)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return mean, stderr
+
+
+def _nanmean(values: list[float]) -> float:
+    arr = np.array(values)
+    return float(np.nanmean(arr)) if not np.isnan(arr).all() else math.nan
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentResult:
+    """The offline stage of one experiment and its cached runs.
+
+    ``references`` holds the full-step run of every evaluation seed, in seed
+    order. Follow-up experiments compare their cached runs against these
+    rather than sampling them again. The summary figures are derived from
+    the bundle's schedule and the per-seed ``reports``.
+    """
+
+    config: ExperimentConfig
+    velocity_field: VelocityField
+    bundle: ScheduleBundle
+    references: tuple[TrajectoryRecord, ...]
+    reports: tuple[DriftReport, ...] = ()
+
+    @property
+    def cached_nfe(self) -> int:
+        return len(schedule_coverage(self.bundle.schedule, self.bundle.grid.n_steps)[1])
+
+    @property
+    def skip_ratio(self) -> float:
+        return 1.0 - self.cached_nfe / self.bundle.grid.n_steps
+
+    @property
+    def speedup(self) -> float:
+        return count_speedup(self.bundle.grid.n_steps, self.cached_nfe)
+
+    @property
+    def mean_final_drift(self) -> float:
+        return _mean_stderr(np.array([r.final_state_drift for r in self.reports]))[0]
+
+    @property
+    def stderr_final_drift(self) -> float:
+        return _mean_stderr(np.array([r.final_state_drift for r in self.reports]))[1]
+
+    @property
+    def mean_cached_vel_drift(self) -> float:
+        return _nanmean([r.cached_vel_drift_mean for r in self.reports])
+
+    @property
+    def mean_evaluated_vel_drift(self) -> float:
+        return _nanmean([r.evaluated_vel_drift_mean for r in self.reports])
 
 
 def make_bundle(config: ExperimentConfig) -> tuple[VelocityField, TimeGrid, ScheduleBundle]:
@@ -264,56 +301,39 @@ def make_bundle(config: ExperimentConfig) -> tuple[VelocityField, TimeGrid, Sche
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Calibrate, schedule, sample full and cached per seed, and compare."""
-    velocity_field, grid, bundle = make_bundle(config)
-    skip_ratio, anchors = schedule_coverage(bundle.schedule, grid.n_steps)
-    cached_nfe = len(anchors)
+    """Calibrate, sample the full-step references, then run and compare cached sampling.
 
-    reports: list[DriftReport] = []
-    per_seed_rows: list[tuple] = []
+    This is the experiment's only calibration and its only set of reference
+    runs; the follow-up experiments take the returned result.
+    """
+    velocity_field, grid, bundle = make_bundle(config)
+    references = []
     for seed in config.evaluation_seeds:
         condition = Condition(seed)
         x0 = initial_state(condition, velocity_field.dimension)
-        full = sample_full(velocity_field, grid, x0, condition)
-        cached = sample_cached(velocity_field, bundle, x0, condition, config.toggles)
-        report = compare_trajectories(full, cached)
-        reports.append(report)
-        per_seed_rows.append(
-            (seed, report.skip_ratio, report.final_state_drift, cached.nfe, count_speedup(full.nfe, cached.nfe))
-        )
-
-    finals = np.array([r.final_state_drift for r in reports])
-    mean_final, stderr_final = _mean_stderr(finals)
-    cached_means = np.array([r.cached_vel_drift_mean for r in reports])
-    eval_means = np.array([r.evaluated_vel_drift_mean for r in reports])
-    return ExperimentResult(
-        config=config,
-        bundle=bundle,
-        reports=tuple(reports),
-        cached_nfe=cached_nfe,
-        skip_ratio=skip_ratio,
-        speedup=count_speedup(grid.n_steps, cached_nfe),
-        mean_final_drift=mean_final,
-        stderr_final_drift=stderr_final,
-        mean_cached_vel_drift=float(np.nanmean(cached_means)) if not np.isnan(cached_means).all() else math.nan,
-        mean_evaluated_vel_drift=float(np.nanmean(eval_means)) if not np.isnan(eval_means).all() else math.nan,
-        per_seed_rows=per_seed_rows,
-    )
+        references.append(sample_full(velocity_field, grid, x0, condition))
+    offline = ExperimentResult(config, velocity_field, bundle, tuple(references))
+    return replace(offline, reports=tuple(evaluate_bundle(offline, bundle, config.toggles)))
 
 
-def truncation_drifts(config: ExperimentConfig, n_truncated: int) -> np.ndarray:
-    """Terminal drift of plain step truncation against the full-step reference."""
+def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: CompensationToggles) -> list[DriftReport]:
+    """One cached run per evaluation seed, each compared against its stored reference."""
+    reports: list[DriftReport] = []
+    for seed, full in zip(result.config.evaluation_seeds, result.references):
+        cached = sample_cached(result.velocity_field, bundle, full.states[0], Condition(seed), toggles)
+        reports.append(compare_trajectories(full, cached))
+    return reports
+
+
+def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
+    """Terminal drift of plain step truncation against the full-step references."""
     if n_truncated < 1:
         raise InvalidArgumentError("truncated step count must be positive")
-    velocity_field = VelocityField(config.field)
-    grid = make_uniform_grid(config.n_steps)
     short_grid = make_uniform_grid(n_truncated)
-    drifts = np.empty(len(config.evaluation_seeds))
-    for i, seed in enumerate(config.evaluation_seeds):
-        condition = Condition(seed)
-        x0 = initial_state(condition, velocity_field.dimension)
-        reference = sample_full(velocity_field, grid, x0, condition).final_state
-        truncated = sample_full(velocity_field, short_grid, x0, condition).final_state
+    drifts = np.empty(len(result.references))
+    for i, (seed, full) in enumerate(zip(result.config.evaluation_seeds, result.references)):
+        reference = full.final_state
+        truncated = sample_full(result.velocity_field, short_grid, full.states[0], Condition(seed)).final_state
         ref_norm = float(np.linalg.norm(reference))
         drifts[i] = float(np.linalg.norm(truncated - reference)) / ref_norm if ref_norm > NORM_GUARD else 0.0
     return drifts
@@ -323,27 +343,18 @@ def truncation_drifts(config: ExperimentConfig, n_truncated: int) -> np.ndarray:
 ABLATION_ORDER = ((False, False), (True, False), (False, True), (True, True))
 
 
-def run_toggle_ablation(config: ExperimentConfig) -> list[dict]:
-    """Four-way toggle experiment on one shared bundle."""
-    velocity_field, grid, bundle = make_bundle(config)
-    _, anchors = schedule_coverage(bundle.schedule, grid.n_steps)
+def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
+    """Four-way toggle experiment on the experiment's bundle."""
     rows: list[dict] = []
     for use_mi, use_di in ABLATION_ORDER:
-        toggles = CompensationToggles(use_mi=use_mi, use_di=use_di)
-        finals = np.empty(len(config.evaluation_seeds))
-        for i, seed in enumerate(config.evaluation_seeds):
-            condition = Condition(seed)
-            x0 = initial_state(condition, velocity_field.dimension)
-            full = sample_full(velocity_field, grid, x0, condition)
-            cached = sample_cached(velocity_field, bundle, x0, condition, toggles)
-            finals[i] = compare_trajectories(full, cached).final_state_drift
-        mean_final, stderr_final = _mean_stderr(finals)
+        reports = evaluate_bundle(result, result.bundle, CompensationToggles(use_mi=use_mi, use_di=use_di))
+        mean_final, stderr_final = _mean_stderr(np.array([r.final_state_drift for r in reports]))
         rows.append(
             {
                 "use_mi": use_mi,
                 "use_di": use_di,
-                "nfe": len(anchors),
-                "speedup": count_speedup(grid.n_steps, len(anchors)),
+                "nfe": result.cached_nfe,
+                "speedup": result.speedup,
                 "mean_final_drift": mean_final,
                 "stderr_final_drift": stderr_final,
             }
@@ -351,21 +362,15 @@ def run_toggle_ablation(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_threshold_sweep(config: ExperimentConfig, taus: list[tuple[float, float]]) -> list[dict]:
-    """One summary row per (tau_k, tau_d) pair on shared indicators."""
-    velocity_field, grid, bundle = make_bundle(config)
+def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]]) -> list[dict]:
+    """One summary row per (tau_k, tau_d) pair, rescheduling the experiment's indicators."""
+    bundle = result.bundle
     rows: list[dict] = []
     for tau_k, tau_d in taus:
-        schedule = build_schedule(bundle.indicators, grid, tau_k, tau_d, config.h_max)
+        schedule = build_schedule(bundle.indicators, bundle.grid, tau_k, tau_d, result.config.h_max)
         sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
-        skip_ratio, anchors = schedule_coverage(schedule, grid.n_steps)
-        finals = np.empty(len(config.evaluation_seeds))
-        for i, seed in enumerate(config.evaluation_seeds):
-            condition = Condition(seed)
-            x0 = initial_state(condition, velocity_field.dimension)
-            full = sample_full(velocity_field, grid, x0, condition)
-            cached = sample_cached(velocity_field, sweep_bundle, x0, condition, config.toggles)
-            finals[i] = compare_trajectories(full, cached).final_state_drift
+        skip_ratio, anchors = schedule_coverage(schedule, bundle.grid.n_steps)
+        finals = np.array([r.final_state_drift for r in evaluate_bundle(result, sweep_bundle, result.config.toggles)])
         rows.append(
             {
                 "tau_k": tau_k,
@@ -396,7 +401,11 @@ def write_drift_profile_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 def write_seed_summary_csv(result: ExperimentResult, path: str | Path) -> None:
-    write_csv(path, ("seed", "skip_ratio", "final_drift", "nfe", "speedup"), result.per_seed_rows)
+    rows = [
+        (seed, r.skip_ratio, r.final_state_drift, len(r.anchors), count_speedup(full.nfe, len(r.anchors)))
+        for seed, full, r in zip(result.config.evaluation_seeds, result.references, result.reports)
+    ]
+    write_csv(path, ("seed", "skip_ratio", "final_drift", "nfe", "speedup"), rows)
 
 
 def write_cos_theta_csv(result: ExperimentResult, path: str | Path) -> None:

@@ -90,18 +90,25 @@ def build_schedule(indicators: IndicatorTable, grid: TimeGrid, tau_k: float, tau
     )
 
 
-def schedule_coverage(schedule: np.ndarray, n_steps: int) -> tuple[float, list[int]]:
-    """Skip ratio and anchor (evaluated) step indices under interval traversal.
+def skip_intervals(schedule: np.ndarray, n_steps: int) -> list[tuple[int, int]]:
+    """The ``(start, length)`` intervals the inference loop walks, in order.
 
-    Mirrors the inference loop: the first step is always evaluated, a step
-    with effective length 1 is a standard update, and an interval of length
-    h > 1 evaluates once then jumps h steps.
+    Each interval opens with one oracle evaluation at ``start``. Step 0 is
+    always a length-1 standard update, since the direction anchor of a skip
+    needs an earlier evaluated velocity; every later interval is
+    ``min(schedule[n], N - n)`` steps long, so length 1 is a standard update
+    and a longer interval reconstructs its remaining steps.
     """
-    schedule = np.asarray(schedule, dtype=int)
-    anchors: list[int] = []
+    intervals: list[tuple[int, int]] = []
     n = 0
     while n < n_steps:
-        h = min(int(schedule[n]), n_steps - n)
-        anchors.append(n)
-        n += 1 if (h == 1 or n == 0) else h
+        h = 1 if n == 0 else min(int(schedule[n]), n_steps - n)
+        intervals.append((n, h))
+        n += h
+    return intervals
+
+
+def schedule_coverage(schedule: np.ndarray, n_steps: int) -> tuple[float, list[int]]:
+    """Skip ratio and anchor (evaluated) step indices: the interval starts."""
+    anchors = [start for start, _ in skip_intervals(schedule, n_steps)]
     return 1.0 - len(anchors) / n_steps, anchors

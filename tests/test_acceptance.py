@@ -126,7 +126,7 @@ def _comparison_config() -> ExperimentConfig:
 def test_criterion_06_comparative_fidelity():
     config = _comparison_config()
     (result, elapsed_a) = _timed(run_experiment, config)
-    trunc, elapsed_b = _timed(truncation_drifts, config, result.cached_nfe)
+    trunc, elapsed_b = _timed(truncation_drifts, result, result.cached_nfe)
     elapsed = elapsed_a + elapsed_b
     assert result.skip_ratio > 0.0
     assert result.mean_final_drift < float(trunc.mean()), "cached sampling must beat step truncation"
@@ -141,7 +141,7 @@ def test_criterion_06_comparative_fidelity():
 
 
 def test_criterion_07_toggle_ablation_structure(tmp_path):
-    rows = run_toggle_ablation(_comparison_config())
+    rows = run_toggle_ablation(run_experiment(_comparison_config()))
     assert len(rows) == 4
     schedule_only = rows[0]
     full = rows[-1]
@@ -168,7 +168,7 @@ def test_criterion_08_threshold_monotonicity(tmp_path):
     )
     tks = (0.0, 0.03, 0.06, 0.12)
     tds = (0.0, 0.3, 0.6, 1.2)
-    rows = run_threshold_sweep(config, [(tk, td) for tk in tks for td in tds])
+    rows = run_threshold_sweep(run_experiment(config), [(tk, td) for tk in tks for td in tds])
     ratio = {(r["tau_k"], r["tau_d"]): r["skip_ratio"] for r in rows}
     for i, tk in enumerate(tks):
         for j, td in enumerate(tds):

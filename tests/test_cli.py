@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import numpy as np
+import pytest
 
 from flowcache import read_bundle
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -30,6 +32,17 @@ GMM_CONFIG = {
     "calibration_seeds": list(range(1000, 1010)),
     "evaluation_seeds": list(range(2000, 2004)),
 }
+
+
+# the experiment config shown in the README
+README_CONFIG = dict(
+    GMM_CONFIG,
+    n_steps=50,
+    calibration_seeds=list(range(1000, 1006)),
+    tau_k=0.06,
+    tau_d=0.6,
+    h_max=12,
+)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -225,6 +238,28 @@ class TestBench:
         for name in ("summary.csv", "per_seed.csv", "drift_profile.csv", "cos_theta.csv", "ablation.csv", "sweep.csv", "bundle.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_one_calibration_and_one_reference_set(self, tmp_path, monkeypatch):
+        calls = {"sample_full": [], "calibrate": []}
+        for module_name, attr in (("flowcache.solver", "sample_full"), ("flowcache.calibration", "calibrate")):
+            original = getattr(sys.modules[module_name], attr)
+
+            def counted(*args, _original=original, _calls=calls[attr], **kwargs):
+                _calls.append(1)
+                return _original(*args, **kwargs)
+
+            # patch every flowcache module that imported the function by name
+            for name, module in list(sys.modules.items()):
+                if name == "flowcache" or name.startswith("flowcache."):
+                    for held, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, held, counted)
+        config = _write_config(tmp_path, README_CONFIG)
+        argv = ["bench", "--config", str(config), "--out", str(tmp_path / "bench"), "--ablation"]
+        assert main(argv + ["--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == EXIT_OK
+        # 6 calibration runs, 4 references and 4 truncated runs
+        assert len(calls["sample_full"]) == 14
+        assert len(calls["calibrate"]) == 1
+
     def test_constant_field_rows(self, tmp_path):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         out = tmp_path / "bench"
@@ -275,6 +310,12 @@ class TestErrors:
         bad = dict(CONSTANT_CONFIG, evaluation_seeds=[1])
         config = _write_config(tmp_path, bad)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["use_mi", "use_di"])
+    def test_non_boolean_toggle_rejected(self, tmp_path, capsys, key):
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **{key: "false"}))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -140,7 +140,7 @@ class TestRunExperiment:
         config = _gmm_config(gmm_spec)
         result = run_experiment(config)
         assert result.skip_ratio > 0.0
-        trunc = truncation_drifts(config, result.cached_nfe)
+        trunc = truncation_drifts(result, result.cached_nfe)
         assert trunc.size == len(config.evaluation_seeds)
         assert result.mean_final_drift < float(trunc.mean())
 
@@ -168,7 +168,7 @@ class TestRunExperiment:
 
 class TestAblationAndSweep:
     def test_ablation_has_four_ordered_rows(self, gmm_spec):
-        rows = run_toggle_ablation(_gmm_config(gmm_spec, evaluation_seeds=tuple(range(2000, 2008))))
+        rows = run_toggle_ablation(run_experiment(_gmm_config(gmm_spec, evaluation_seeds=tuple(range(2000, 2008)))))
         assert [(r["use_mi"], r["use_di"]) for r in rows] == [
             (False, False),
             (True, False),
@@ -178,7 +178,7 @@ class TestAblationAndSweep:
         assert len({r["nfe"] for r in rows}) == 1  # same schedule for every row
 
     def test_full_toggles_not_worse_than_schedule_only(self, gmm_spec):
-        rows = run_toggle_ablation(_gmm_config(gmm_spec))
+        rows = run_toggle_ablation(run_experiment(_gmm_config(gmm_spec)))
         schedule_only = rows[0]
         full = rows[-1]
         assert full["mean_final_drift"] <= schedule_only["mean_final_drift"] + schedule_only["stderr_final_drift"]
@@ -187,7 +187,7 @@ class TestAblationAndSweep:
         config = _gmm_config(gmm_spec, evaluation_seeds=(2000, 2001))
         tks = (0.0, 0.03, 0.06, 0.12)
         tds = (0.0, 0.3, 0.6, 1.2)
-        rows = run_threshold_sweep(config, [(tk, td) for tk in tks for td in tds])
+        rows = run_threshold_sweep(run_experiment(config), [(tk, td) for tk in tks for td in tds])
         ratio = {(r["tau_k"], r["tau_d"]): r["skip_ratio"] for r in rows}
         for i, tk in enumerate(tks):
             for j, td in enumerate(tds):
@@ -219,13 +219,13 @@ class TestCsvWriters:
             rows = list(csv.DictReader(fh))
         assert all(set(r.keys()) == {"seed", "n", "cos_theta"} for r in rows)
 
-        sweep_rows = run_threshold_sweep(config, [(0.0, 0.0), (0.06, 0.6)])
+        sweep_rows = run_threshold_sweep(result, [(0.0, 0.0), (0.06, 0.6)])
         write_sweep_csv(sweep_rows, tmp_path / "sweep.csv")
         with open(tmp_path / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == ["tau_k", "tau_d", "cached_nfe", "final_drift"]
 
-        ablation_rows = run_toggle_ablation(config)
+        ablation_rows = run_toggle_ablation(result)
         write_ablation_csv(ablation_rows, tmp_path / "ablation.csv")
         with open(tmp_path / "ablation.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
