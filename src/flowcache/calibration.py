@@ -10,6 +10,7 @@ reused across every inference call on the same grid.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,6 +159,19 @@ def _require(data: dict, key: str) -> object:
     return data[key]
 
 
+def _column(data: dict, key: str, length: int) -> list:
+    """A required list of ``length`` finite numbers (JSON booleans excluded)."""
+    values = _require(data, key)
+    if not isinstance(values, list):
+        raise BundleFormatError(key, f"expected a list, got {type(values).__name__}")
+    if len(values) != length:
+        raise BundleFormatError(key, f"length mismatch: expected {length} entries, got {len(values)}")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise BundleFormatError(key, f"entry {i} is not a finite number: {v!r}")
+    return values
+
+
 def read_bundle(path: str | Path) -> ScheduleBundle:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -172,20 +186,12 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
 
-    times = _require(data, "times")
-    if len(times) != n + 1:
-        raise BundleFormatError("times", f"length mismatch: expected {n + 1} entries, got {len(times)}")
     try:
-        grid = TimeGrid(np.array(times, dtype=float))
+        grid = TimeGrid(np.array(_column(data, "times", n + 1), dtype=float))
     except InvalidArgumentError as exc:
         raise BundleFormatError("times", str(exc)) from None
 
-    columns = {}
-    for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h"):
-        values = _require(data, key)
-        if len(values) != n:
-            raise BundleFormatError(key, f"length mismatch: expected {n} entries, got {len(values)}")
-        columns[key] = values
+    columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
     if any(v < 0 for v in columns["d_tilde"]):
         raise BundleFormatError("d_tilde", "entries must be non-negative")
 
@@ -197,6 +203,8 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if h_max < 1:
         raise BundleFormatError("h_max", f"must be positive, got {h_max}")
     for i, h in enumerate(columns["h"]):
+        if not float(h).is_integer():
+            raise BundleFormatError("h", f"schedule entry at step {i} is not an integer: h={h}")
         if not 1 <= int(h) <= min(h_max, n - i):
             raise BundleFormatError("h", f"schedule entry out of range at step {i}: h={h}")
 

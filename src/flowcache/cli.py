@@ -33,7 +33,7 @@ from .diagnostics import (
     write_sweep_csv,
 )
 from .errors import FlowCacheError, InvalidArgumentError
-from .fields import Condition, VelocityField, initial_state
+from .fields import Condition, VelocityField, field_digest, initial_state
 from .ioutil import write_csv
 from .schedule import schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
@@ -142,6 +142,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if bundle.grid.n_steps != config.n_steps:
             raise InvalidArgumentError(
                 f"bundle grid has {bundle.grid.n_steps} steps, config asks for {config.n_steps}"
+            )
+        digest = field_digest(config.field)
+        if bundle.field_digest != digest:
+            raise InvalidArgumentError(
+                f"bundle field_digest {bundle.field_digest} does not match the config field's {digest}; "
+                "the bundle was calibrated on another field"
             )
         record = sample_cached(velocity_field, bundle, x0, condition, config.toggles)
 

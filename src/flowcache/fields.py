@@ -27,6 +27,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -183,17 +184,27 @@ def gaussian_mixture_velocity(
         raise InvalidArgumentError("mixture scales must be positive")
     if means.shape[1] != x.shape[0]:
         raise InvalidArgumentError(f"state dimension {x.shape[0]} does not match component means {means.shape[1]}")
+    return _mixture_velocity(x, t, np.log(weights), means, scales**2)
 
+
+def _mixture_velocity(
+    x: np.ndarray, t: float, log_weights: np.ndarray, means: np.ndarray, scales_sq: np.ndarray
+) -> np.ndarray:
+    """The arithmetic of ``gaussian_mixture_velocity`` on validated arrays.
+
+    ``log_weights`` and ``scales_sq`` have shape (C,), ``means`` (C, D), and
+    ``x`` shape (D,). No argument is modified.
+    """
     one_t = 1.0 - t
-    s2 = t * t + one_t * one_t * scales**2
+    s2 = t * t + one_t * one_t * scales_sq
     z = x[None, :] - one_t * means
     sq = np.einsum("cd,cd->c", z, z)
-    log_resp = np.log(weights) - 0.5 * sq / s2 - 0.5 * x.shape[0] * np.log(s2)
+    log_resp = log_weights - 0.5 * sq / s2 - 0.5 * x.shape[0] * np.log(s2)
     log_resp -= log_resp.max()
     resp = np.exp(log_resp)
     resp /= resp.sum()
 
-    coef = (t - one_t * scales**2) / s2
+    coef = (t - one_t * scales_sq) / s2
     component_vel = coef[:, None] * z - means
     return resp @ component_vel
 
@@ -203,13 +214,19 @@ class VelocityField:
 
     The counter equals exactly the number of ``evaluate`` calls since
     construction or the last ``reset_evaluations``, and is safe under
-    concurrent increments. All other state is immutable.
+    concurrent increments. All other state is immutable: the spec is
+    converted to arrays once, here, so each call runs only the velocity math.
     """
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
+        self._spec = spec
+        self._velocity = _velocity_function(spec)
         self._evaluations = 0
         self._lock = threading.Lock()
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self._spec
 
     @property
     def dimension(self) -> int:
@@ -228,33 +245,45 @@ class VelocityField:
 
         The condition is part of the evaluation contract (determinism is over
         the full argument tuple); the built-in families are unconditional, so
-        it does not enter the arithmetic.
+        it does not enter the arithmetic. The result is always a fresh array.
         """
         state = np.asarray(state, dtype=float)
-        if state.shape != (self.spec.dimension,):
+        if state.shape != (self._spec.dimension,):
             raise InvalidArgumentError(
-                f"state shape {state.shape} does not match field dimension {self.spec.dimension}"
+                f"state shape {state.shape} does not match field dimension {self._spec.dimension}"
             )
         if not 0.0 <= t <= 1.0:
             raise InvalidArgumentError(f"time must lie in [0, 1], got {t}")
         with self._lock:
             self._evaluations += 1
-        return _velocity(self.spec, state, t)
+        return self._velocity(state, t)
 
 
-def _velocity(spec: FieldSpec, state: np.ndarray, t: float) -> np.ndarray:
+def _velocity_function(spec: FieldSpec) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Convert ``spec`` to arrays once; return ``(state, t) -> velocity``.
+
+    The arrays stay private to the returned function: every call returns a
+    fresh array, so no caller can alias or modify them.
+    """
+    if spec.kind == KIND_GAUSSIAN_MIXTURE:
+        log_weights = np.log(np.array([c.weight for c in spec.components], dtype=float))
+        means = np.array([c.mean for c in spec.components], dtype=float)
+        scales_sq = np.array([c.scale for c in spec.components], dtype=float) ** 2
+        return lambda state, t: _mixture_velocity(state, t, log_weights, means, scales_sq)
+    target = np.array(spec.target, dtype=float)
     if spec.kind == KIND_CONSTANT:
-        return np.array(spec.target, dtype=float)
+        return lambda state, t: target.copy()
     if spec.kind == KIND_MAGNITUDE_DECAY:
-        return math.exp(spec.rate * (1.0 - t)) * np.array(spec.target, dtype=float)
-    if spec.kind == KIND_ROTATION:
-        v = np.array(spec.target, dtype=float)
+        return lambda state, t: math.exp(spec.rate * (1.0 - t)) * target
+    i, j = spec.plane
+
+    def rotation(state: np.ndarray, t: float) -> np.ndarray:
+        v = target.copy()
         angle = spec.rate * (1.0 - t)
         c, s = math.cos(angle), math.sin(angle)
-        i, j = spec.plane
         vi, vj = v[i], v[j]
         v[i] = c * vi - s * vj
         v[j] = s * vi + c * vj
         return v
-    components = [(c.weight, np.asarray(c.mean, dtype=float), c.scale) for c in spec.components]
-    return gaussian_mixture_velocity(state, t, components)
+
+    return rotation

@@ -26,6 +26,9 @@ from flowcache.fields import initial_state
 from flowcache.solver import sample_full
 
 
+BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "k_std", "d_std", "h")
+
+
 def _gmm_bundle(gmm_spec, n_steps=20, seeds=(1, 2, 3), tau_k=0.06, tau_d=0.6, h_max=12):
     vf = VelocityField(gmm_spec)
     grid = make_uniform_grid(n_steps)
@@ -150,6 +153,36 @@ class TestBundleRoundTrip:
         data["k_tilde"] = data["k_tilde"][:-1]
         path.write_text(json.dumps(data))
         with pytest.raises(BundleFormatError, match="k_tilde"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("column", BUNDLE_COLUMNS)
+    def test_column_not_a_list_named(self, tmp_path, gmm_spec, column):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data[column] = 5
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match=f"^{column}: expected a list"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.5", True, None])
+    @pytest.mark.parametrize("column", BUNDLE_COLUMNS)
+    def test_non_finite_entry_named(self, tmp_path, gmm_spec, column, bad):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data[column][1] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match=f"^{column}: entry 1 is not a finite number"):
+            read_bundle(path)
+
+    def test_fractional_schedule_entry_rejected(self, tmp_path, gmm_spec):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data["h"][0] = 1.5
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match="^h: schedule entry at step 0 is not an integer"):
             read_bundle(path)
 
     def test_version_mismatch_rejected(self, tmp_path, gmm_spec):

@@ -317,6 +317,36 @@ class TestErrors:
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @staticmethod
+    def _calibrate_constant(tmp_path):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == EXIT_OK
+        return config, tmp_path / "cal" / "bundle.json"
+
+    @staticmethod
+    def _sample_cached(tmp_path, config, bundle):
+        return main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", "cached", "--bundle", str(bundle)])
+
+    def test_bundle_from_another_field_rejected(self, tmp_path, capsys):
+        _, bundle = self._calibrate_constant(tmp_path)
+        other = dict(CONSTANT_CONFIG, field={"kind": "constant", "dimension": 2, "target": [1.0, -2.0]})
+        config = _write_config(tmp_path, other, name="other.json")
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert "field_digest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, bad", [("times", 5), ("k_tilde", [float("nan")] * 50)], ids=["times-int", "k_tilde-nan"]
+    )
+    def test_malformed_bundle_column_rejected(self, tmp_path, capsys, column, bad):
+        config, bundle = self._calibrate_constant(tmp_path)
+        data = json.loads(bundle.read_text())
+        data[column] = bad
+        bundle.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert column in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

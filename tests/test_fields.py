@@ -147,6 +147,48 @@ def test_evaluate_is_deterministic(gmm_spec):
     np.testing.assert_array_equal(a, b)
 
 
+def _random_mixture_spec(dim, n_comp, rng):
+    raw = rng.uniform(0.5, 2.0, size=n_comp)
+    means = rng.normal(0.0, 1.5, size=(n_comp, dim))
+    scales = rng.uniform(0.5, 1.5, size=n_comp)
+    components = tuple(
+        MixtureComponent(float(w), tuple(float(m) for m in mean), float(s))
+        for w, mean, s in zip(raw / raw.sum(), means, scales)
+    )
+    return FieldSpec(kind="gaussian-mixture", dimension=dim, components=components)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 1024])
+def test_evaluate_matches_public_mixture_function(dim):
+    # the field's pre-built arrays and the public function's per-call ones
+    # must give bit-identical velocities
+    rng = np.random.default_rng(dim)
+    spec = _random_mixture_spec(dim, 4, rng)
+    components = [(c.weight, np.asarray(c.mean), c.scale) for c in spec.components]
+    vf = VelocityField(spec)
+    for t in (0.0, 0.37, 1.0):
+        for _ in range(3):
+            x = 2.0 * rng.standard_normal(dim)
+            assert np.array_equal(vf.evaluate(x, t, Condition(0)), gaussian_mixture_velocity(x, t, components))
+
+
+@pytest.mark.parametrize("spec_name", ["constant_spec", "decay_spec", "rotation_spec"])
+def test_returned_velocity_is_not_field_state(spec_name, request):
+    vf = VelocityField(request.getfixturevalue(spec_name))
+    x = np.array([0.4, -0.3])
+    first = vf.evaluate(x, 0.6, Condition(0))
+    expected = first.copy()
+    first[:] = 99.0
+    np.testing.assert_array_equal(vf.evaluate(x, 0.6, Condition(0)), expected)
+
+
+def test_spec_is_read_only(constant_spec, gmm_spec):
+    vf = VelocityField(constant_spec)
+    with pytest.raises(AttributeError):
+        vf.spec = gmm_spec
+    assert vf.spec is constant_spec
+
+
 def test_counter_counts_and_resets(constant_spec):
     vf = VelocityField(constant_spec)
     c = Condition(0)
