@@ -12,6 +12,9 @@ previous interval skipped ahead.
 Degenerate geometry (zero velocities, turning directions that collapse onto
 the current velocity) downgrades the update to magnitude-only; it never
 aborts a run.
+
+The record keeps each step's unit direction ``u_hat`` in ``directions`` (NaN
+where the step had none); diagnostics read it there instead of re-deriving it.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def sample_cached(
     one anchor evaluation, then advances through the interval with
     reconstructed velocities and zero oracle calls, consuming the indicator
     entries of each absolute step index. Evaluated flags and the oracle call
-    count reflect exactly the anchor evaluations.
+    count reflect exactly the anchor evaluations; ``directions[m]`` is the
+    ``u_hat`` passed to ``skip_update`` at step m.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dimension,):
@@ -135,6 +139,7 @@ def sample_cached(
     states = np.empty((n_steps + 1, field.dimension))
     velocities = np.empty((n_steps, field.dimension))
     evaluated = np.zeros(n_steps, dtype=bool)
+    directions = np.full((n_steps, field.dimension), np.nan)
     states[0] = x0
 
     last_eval_velocity: np.ndarray | None = None
@@ -160,12 +165,12 @@ def sample_cached(
             u_hat: np.ndarray | None = None
             if anchor is not None:
                 try:
-                    u_hat = reorthogonalize(anchor, v_hat)
+                    u_hat = directions[m] = reorthogonalize(anchor, v_hat)
                 except (DegenerateDirectionError, DegenerateVelocityError):
-                    u_hat = None
+                    pass  # magnitude-only update; the direction row stays NaN
             velocities[m] = v_hat
             states[m + 1] = euler_step(states[m], v_hat, float(dt[m]))
             v_hat = skip_update(v_hat, u_hat, float(k_tilde[m]), float(d_tilde[m]), float(dt[m]), toggles)
         last_eval_velocity = v
 
-    return TrajectoryRecord(grid, states, velocities, evaluated)
+    return TrajectoryRecord(grid, states, velocities, evaluated, directions)

@@ -153,21 +153,56 @@ def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _require(data: dict, key: str) -> object:
+def _finite(value: object) -> bool:
+    """A finite JSON number; JSON booleans do not count as numbers."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _integral(value: object) -> bool:
+    return _finite(value) and float(value).is_integer()  # type: ignore[arg-type]
+
+
+def _integral_list(value: object) -> bool:
+    return isinstance(value, list) and all(map(_integral, value))
+
+
+# JSON value kinds: what each accepts, and the conversion of an accepted value.
+_KINDS = {
+    "int": ("an integer", _integral, int),
+    "float": ("a finite number", _finite, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "list": ("a list", lambda v: isinstance(v, list), list),
+    "ints": ("a list of integers", _integral_list, lambda v: tuple(map(int, v))),
+    "object": ("a JSON object", lambda v: isinstance(v, dict), dict),
+}
+_MISSING = object()
+
+
+def _json_value(data: dict, key: str, kind: str, default: object = _MISSING, error=BundleFormatError):
+    """``data[key]`` checked as a JSON value of ``kind`` and converted.
+
+    A missing key takes ``default`` when one is given. Every rejection raises
+    ``error(key, reason)``, so the message names the bad field.
+    """
     if key not in data:
-        raise BundleFormatError(key, "missing field")
-    return data[key]
+        if default is _MISSING:
+            raise error(key, "missing field")
+        return default
+    value = data[key]
+    expected, accepts, convert = _KINDS[kind]
+    if not accepts(value):
+        raise error(key, f"expected {expected}, got {value!r}")
+    return convert(value)
 
 
 def _column(data: dict, key: str, length: int) -> list:
-    """A required list of ``length`` finite numbers (JSON booleans excluded)."""
-    values = _require(data, key)
-    if not isinstance(values, list):
-        raise BundleFormatError(key, f"expected a list, got {type(values).__name__}")
+    """A required list of ``length`` finite numbers."""
+    values = _json_value(data, key, "list")
     if len(values) != length:
         raise BundleFormatError(key, f"length mismatch: expected {length} entries, got {len(values)}")
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        if not _finite(v):
             raise BundleFormatError(key, f"entry {i} is not a finite number: {v!r}")
     return values
 
@@ -179,10 +214,10 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
         raise BundleFormatError("document", f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BundleFormatError("document", "expected a JSON object")
-    version = _require(data, "format_version")
+    version = data.get("format_version")
     if version != BUNDLE_FORMAT:
         raise BundleFormatError("format_version", f"expected {BUNDLE_FORMAT!r}, got {version!r}")
-    n = int(_require(data, "n_steps"))
+    n = _json_value(data, "n_steps", "int")
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
 
@@ -195,11 +230,11 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if any(v < 0 for v in columns["d_tilde"]):
         raise BundleFormatError("d_tilde", "entries must be non-negative")
 
-    tau_k = float(_require(data, "tau_k"))
-    tau_d = float(_require(data, "tau_d"))
+    tau_k = _json_value(data, "tau_k", "float")
+    tau_d = _json_value(data, "tau_d", "float")
     if tau_k < 0 or tau_d < 0:
         raise BundleFormatError("tau_k" if tau_k < 0 else "tau_d", "thresholds must be non-negative")
-    h_max = int(_require(data, "h_max"))
+    h_max = _json_value(data, "h_max", "int")
     if h_max < 1:
         raise BundleFormatError("h_max", f"must be positive, got {h_max}")
     for i, h in enumerate(columns["h"]):
@@ -208,7 +243,7 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
         if not 1 <= int(h) <= min(h_max, n - i):
             raise BundleFormatError("h", f"schedule entry out of range at step {i}: h={h}")
 
-    sample_count = int(data.get("sample_count", 1))
+    sample_count = _json_value(data, "sample_count", "int", default=1)
     indicators = IndicatorTable(
         np.array(columns["k_tilde"], dtype=float),
         np.array(columns["d_tilde"], dtype=float),
@@ -223,9 +258,9 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
         tau_k=tau_k,
         tau_d=tau_d,
         h_max=h_max,
-        field_digest=str(_require(data, "field_digest")),
-        seeds=tuple(int(s) for s in _require(data, "seeds")),
-        created_by=str(_require(data, "created_by")),
+        field_digest=_json_value(data, "field_digest", "str"),
+        seeds=_json_value(data, "seeds", "ints"),
+        created_by=_json_value(data, "created_by", "str"),
     )
 
 

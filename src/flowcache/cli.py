@@ -49,11 +49,11 @@ SAMPLE_MODES = ("full", "cached", "truncated")
 
 def _load_config_dict(path: str) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise InvalidArgumentError(f"config file {path} must hold a JSON object")
-    if "config" in data and "subcommand" in data:
+    if isinstance(data, dict) and "config" in data and "subcommand" in data:
         # a manifest was passed; reuse its resolved config
         data = data["config"]
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"config file {path} must hold a JSON object")
     return data
 
 

@@ -3,11 +3,12 @@
 A drift report lines up a cached run against the full-step reference from
 the same noise initialization: per-step relative state and velocity drift,
 the cached/evaluated split of velocity drift, terminal drift, and the
-cosine alignment between the reconstructed turning direction and the oracle
-direction recovered from the full record's consecutive velocities. The
-experiment runner wires the whole pipeline together (calibrate, schedule,
-sample both ways, compare) deterministically from a config; the ablation,
-sweep and truncation experiments reuse its calibration and references.
+cosine alignment between the turning direction ``u_hat`` the cached sampler
+recorded (``TrajectoryRecord.directions``) and the oracle direction
+recovered from the full record's consecutive velocities. The experiment
+runner wires the whole pipeline together (calibrate, schedule, sample both
+ways, compare) deterministically from a config; the ablation, sweep and
+truncation experiments reuse its calibration and references.
 """
 
 from __future__ import annotations
@@ -18,14 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cached_sampler import CompensationToggles, init_direction, reorthogonalize, sample_cached
-from .calibration import ScheduleBundle, calibrate
+from .cached_sampler import CompensationToggles, sample_cached
+from .calibration import ScheduleBundle, _json_value, calibrate
 from .decomposition import decompose, discrete_accel
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateVelocityError,
-    InvalidArgumentError,
-)
+from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
 from .ioutil import write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
@@ -86,6 +83,8 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
         raise InvalidArgumentError("records start from different initial states")
     if not bool(full.evaluated.all()):
         raise InvalidArgumentError("the reference record must be fully evaluated")
+    if cached.directions is None and not bool(cached.evaluated.all()):
+        raise InvalidArgumentError("the cached record has cached steps but no recorded directions")
 
     n_steps = full.grid.n_steps
     state_drift, _ = _relative_norms(cached.states - full.states, full.states)
@@ -97,37 +96,19 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     cached_mean = float(velocity_drift[cached_mask].mean()) if cached_mask.any() else math.nan
     eval_mean = float(velocity_drift[eval_mask].mean()) if eval_mask.any() else math.nan
 
-    # alignment of the reconstructed turning direction with the oracle
-    # direction from the full record, sampled on cached steps
+    # alignment of the sampler's turning direction with the oracle direction
+    # from the full record, on cached steps that have a look-ahead velocity
     cos_values: list[float] = []
     cos_steps: list[int] = []
     degenerate = 0
-    eval_idx = np.flatnonzero(flags)
-    for pos, a in enumerate(eval_idx):
-        end = int(eval_idx[pos + 1]) if pos + 1 < eval_idx.size else n_steps
-        if end - a <= 1:
-            continue  # standard step, nothing cached inside
-        anchor: np.ndarray | None = None
-        if pos > 0:
-            try:
-                anchor = init_direction(cached.velocities[int(eval_idx[pos - 1])], cached.velocities[int(a)])
-            except DegenerateVelocityError:
-                anchor = None
-        for m in range(int(a) + 1, end):
-            if m > n_steps - 2:
-                continue  # no look-ahead velocity to define the oracle direction
-            oracle_dir = _oracle_direction(full, m)
-            u_hat: np.ndarray | None = None
-            if anchor is not None:
-                try:
-                    u_hat = reorthogonalize(anchor, cached.velocities[m])
-                except (DegenerateDirectionError, DegenerateVelocityError):
-                    u_hat = None
-            if oracle_dir is None or u_hat is None:
-                degenerate += 1
-                continue
-            cos_values.append(float(u_hat @ oracle_dir))
-            cos_steps.append(m)
+    for m in np.flatnonzero(~flags[:-1]).tolist():
+        oracle_dir = _oracle_direction(full, m)
+        u_hat = cached.directions[m]
+        if oracle_dir is None or np.isnan(u_hat).all():
+            degenerate += 1
+            continue
+        cos_values.append(float(u_hat @ oracle_dir))
+        cos_steps.append(m)
 
     cos_arr = np.array(cos_values, dtype=float)
     if cos_arr.size:
@@ -140,7 +121,7 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     return DriftReport(
         state_drift=state_drift,
         velocity_drift=velocity_drift,
-        anchors=tuple(int(i) for i in eval_idx),
+        anchors=tuple(np.flatnonzero(flags).tolist()),
         skip_ratio=1.0 - cached.nfe / n_steps,
         final_state_drift=float(state_drift[-1]),
         cached_vel_drift_mean=cached_mean,
@@ -205,23 +186,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        for key in ("use_mi", "use_di"):
-            if not isinstance(data.get(key, True), bool):
-                raise InvalidArgumentError(f"experiment config key {key!r} must be true or false, got {data[key]!r}")
-        try:
-            return cls(
-                field=FieldSpec.from_dict(data["field"]),
-                n_steps=int(data["n_steps"]),
-                calibration_seeds=tuple(int(s) for s in data["calibration_seeds"]),
-                evaluation_seeds=tuple(int(s) for s in data["evaluation_seeds"]),
-                tau_k=float(data.get("tau_k", DEFAULT_TAU_K)),
-                tau_d=float(data.get("tau_d", DEFAULT_TAU_D)),
-                h_max=int(data.get("h_max", DEFAULT_H_MAX)),
-                use_mi=data.get("use_mi", True),
-                use_di=data.get("use_di", True),
-            )
-        except KeyError as exc:
-            raise InvalidArgumentError(f"experiment config missing key {exc.args[0]!r}") from None
+        def value(key: str, kind: str, *default: object):
+            return _json_value(data, key, kind, *default, error=_config_error)
+
+        return cls(
+            field=FieldSpec.from_dict(value("field", "object")),
+            n_steps=value("n_steps", "int"),
+            calibration_seeds=value("calibration_seeds", "ints"),
+            evaluation_seeds=value("evaluation_seeds", "ints"),
+            tau_k=value("tau_k", "float", DEFAULT_TAU_K),
+            tau_d=value("tau_d", "float", DEFAULT_TAU_D),
+            h_max=value("h_max", "int", DEFAULT_H_MAX),
+            use_mi=value("use_mi", "bool", True),
+            use_di=value("use_di", "bool", True),
+        )
+
+
+def _config_error(key: str, reason: str) -> InvalidArgumentError:
+    return InvalidArgumentError(f"experiment config key {key!r}: {reason}")
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -58,24 +58,36 @@ class TrajectoryRecord:
     ``states`` has N+1 rows (one per grid node); ``velocities`` and
     ``evaluated`` have N entries (one per step). ``evaluated[n]`` is True
     where the oracle was actually called, so ``nfe`` counts true oracle work.
+    A cached run also records ``directions``, shaped like ``velocities``:
+    row n is the unit turning direction handed to the reconstruction at step
+    n, and all-NaN where the step had none. Full-step runs carry None. The
+    record makes the float arrays it is given read-only; it does not copy them.
     """
 
     grid: TimeGrid
     states: np.ndarray
     velocities: np.ndarray
     evaluated: np.ndarray
+    directions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
-        states = np.array(self.states, dtype=float)
-        velocities = np.array(self.velocities, dtype=float)
+        # the (N, D) arrays are frozen in place, not copied: the samplers hand over fresh arrays,
+        # and each copy would be one more large allocation per run
+        states = np.asarray(self.states, dtype=float)
+        velocities = np.asarray(self.velocities, dtype=float)
         evaluated = np.array(self.evaluated, dtype=bool)
+        directions = None if self.directions is None else np.asarray(self.directions, dtype=float)
         if states.shape[0] != n + 1:
             raise InvalidArgumentError(f"expected {n + 1} states, got {states.shape[0]}")
         if velocities.shape[0] != n or evaluated.shape[0] != n:
             raise InvalidArgumentError(f"expected {n} velocities and flags")
-        for arr, name in ((states, "states"), (velocities, "velocities"), (evaluated, "evaluated")):
-            arr.flags.writeable = False
+        if directions is not None and directions.shape != velocities.shape:
+            raise InvalidArgumentError("directions must be shaped like velocities")
+        arrays = {"states": states, "velocities": velocities, "evaluated": evaluated, "directions": directions}
+        for name, arr in arrays.items():
+            if arr is not None:
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property

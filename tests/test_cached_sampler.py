@@ -210,3 +210,53 @@ class TestSampleCached:
         vf, grid, bundle, condition, x0 = _experiment(constant_spec, 20, range(2), 800)
         cached = sample_cached(vf, bundle, x0, condition)
         assert np.isfinite(cached.states).all()
+
+
+class TestDirectionRecord:
+    """``directions[m]`` is the unit ``u_hat`` the sampler handed to ``skip_update`` at step m."""
+
+    def test_unit_and_orthogonal_to_velocity(self, gmm_spec):
+        vf, grid, bundle, condition, x0 = _experiment(gmm_spec, 50, range(20), 600, tau_k=0.3, tau_d=3.0)
+        cached = sample_cached(vf, bundle, x0, condition)
+        recorded = np.flatnonzero(~np.isnan(cached.directions).all(axis=1))
+        assert recorded.size > 0
+        for m in recorded:
+            u, v = cached.directions[m], cached.velocities[m]
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-10
+            assert abs(u @ v) <= 1e-10 * np.linalg.norm(v)
+
+    def test_length_one_intervals_have_no_entry(self, gmm_spec):
+        vf, grid, bundle, condition, x0 = _experiment(gmm_spec, 50, range(20), 600, tau_k=0.3, tau_d=3.0)
+        cached = sample_cached(vf, bundle, x0, condition)
+        single = [n for n, h in enumerate(bundle.schedule) if cached.evaluated[n] and h == 1]
+        assert single  # step 0 at least
+        assert np.isnan(cached.directions[single]).all()
+
+    def test_direction_term_of_reconstruction(self, gmm_spec):
+        vf, grid, bundle, condition, x0 = _experiment(gmm_spec, 50, range(20), 600, tau_k=0.3, tau_d=3.0)
+        cached = sample_cached(vf, bundle, x0, condition, CompensationToggles(use_mi=True, use_di=True))
+        k_tilde = bundle.indicators.k_tilde
+        d_tilde = bundle.indicators.d_tilde
+        dt = grid.dt
+        checked = 0
+        for m in range(grid.n_steps - 1):
+            u = cached.directions[m]
+            if cached.evaluated[m + 1] or np.isnan(u).all():
+                continue  # the next velocity is not rebuilt from step m, or no direction term
+            v_m = cached.velocities[m]
+            increment = cached.velocities[m + 1] - np.exp(k_tilde[m] * dt[m]) * v_m
+            expected = d_tilde[m] * np.linalg.norm(v_m) * u
+            np.testing.assert_allclose(increment, expected, rtol=0, atol=1e-12 * np.linalg.norm(v_m))
+            checked += 1
+        assert checked > 0
+
+    def test_constant_field_records_none(self, constant_spec):
+        vf, grid, bundle, condition, x0 = _experiment(constant_spec, 50, range(3), 100)
+        cached = sample_cached(vf, bundle, x0, condition)
+        assert cached.nfe < grid.n_steps
+        assert cached.directions.shape == cached.velocities.shape
+        assert np.isnan(cached.directions).all()
+
+    def test_full_record_carries_none(self, gmm_spec):
+        vf, grid, _, condition, x0 = _experiment(gmm_spec, 10, range(2), 700)
+        assert sample_full(vf, grid, x0, condition).directions is None

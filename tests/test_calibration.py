@@ -185,6 +185,30 @@ class TestBundleRoundTrip:
         with pytest.raises(BundleFormatError, match="^h: schedule entry at step 0 is not an integer"):
             read_bundle(path)
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("n_steps", None),
+            ("n_steps", 20.5),
+            ("tau_k", "x"),
+            ("tau_d", True),
+            ("h_max", "3"),
+            ("sample_count", [1]),
+            ("seeds", 5),
+            ("seeds", [1.5]),
+            ("field_digest", 5),
+            ("created_by", None),
+        ],
+    )
+    def test_malformed_scalar_named(self, tmp_path, gmm_spec, key, bad):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data[key] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match=f"^{key}: expected "):
+            read_bundle(path)
+
     def test_version_mismatch_rejected(self, tmp_path, gmm_spec):
         bundle = _gmm_bundle(gmm_spec)
         path = tmp_path / "bundle.json"

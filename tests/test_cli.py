@@ -347,6 +347,35 @@ class TestErrors:
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert column in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [("n_steps", None), ("seeds", 5), ("sample_count", [1]), ("tau_k", "x")])
+    def test_malformed_bundle_scalar_rejected(self, tmp_path, capsys, key, bad):
+        config, bundle = self._calibrate_constant(tmp_path)
+        bundle.write_text(json.dumps(dict(json.loads(bundle.read_text()), **{key: bad})))
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert f"{key}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("n_steps", None),
+            ("h_max", None),
+            ("evaluation_seeds", 5),
+            ("field", 5),
+            ("tau_k", "x"),
+            ("calibration_seeds", [1.5, 2]),
+        ],
+    )
+    def test_malformed_config_value_rejected(self, tmp_path, capsys, key, bad):
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **{key: bad}))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"key {key!r}: expected" in capsys.readouterr().err
+
+    def test_manifest_config_not_an_object_rejected(self, tmp_path, capsys):
+        config = _write_config(tmp_path, {"config": 5, "subcommand": "calibrate"})
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

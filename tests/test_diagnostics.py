@@ -7,19 +7,28 @@ import numpy as np
 import pytest
 
 from flowcache import (
+    CompensationToggles,
     Condition,
+    DegenerateDirectionError,
+    DegenerateVelocityError,
     ExperimentConfig,
+    FieldSpec,
     InvalidArgumentError,
+    TrajectoryRecord,
     VelocityField,
     compare_trajectories,
     count_speedup,
+    init_direction,
     initial_state,
     make_uniform_grid,
+    reorthogonalize,
     run_experiment,
     sample_cached,
     sample_full,
 )
 from flowcache.diagnostics import (
+    ABLATION_ORDER,
+    _oracle_direction,
     make_bundle,
     run_threshold_sweep,
     run_toggle_ablation,
@@ -104,6 +113,110 @@ class TestCompareTrajectories:
         cached = sample_cached(vf, bundle, x0, c)
         with pytest.raises(InvalidArgumentError):
             compare_trajectories(cached, cached)
+
+
+def _rederived_cos_theta(full, cached):
+    """cos_theta, its steps and the degenerate count, re-deriving each ``u_hat`` from the cached run.
+
+    The reference for the sampler's direction record: it walks the anchors
+    of ``cached.evaluated``, takes each interval's turning anchor from the two
+    most recent evaluated velocities and re-orthogonalises it against every
+    cached velocity, as the sampler does.
+    """
+    n_steps = full.grid.n_steps
+    cos_values, cos_steps, degenerate = [], [], 0
+    eval_idx = np.flatnonzero(cached.evaluated)
+    for pos, a in enumerate(eval_idx):
+        end = int(eval_idx[pos + 1]) if pos + 1 < eval_idx.size else n_steps
+        if end - a <= 1:
+            continue
+        anchor = None
+        if pos > 0:
+            try:
+                anchor = init_direction(cached.velocities[int(eval_idx[pos - 1])], cached.velocities[int(a)])
+            except DegenerateVelocityError:
+                anchor = None
+        for m in range(int(a) + 1, end):
+            if m > n_steps - 2:
+                continue
+            oracle_dir = _oracle_direction(full, m)
+            u_hat = None
+            if anchor is not None:
+                try:
+                    u_hat = reorthogonalize(anchor, cached.velocities[m])
+                except (DegenerateDirectionError, DegenerateVelocityError):
+                    u_hat = None
+            if oracle_dir is None or u_hat is None:
+                degenerate += 1
+                continue
+            cos_values.append(float(u_hat @ oracle_dir))
+            cos_steps.append(m)
+    return np.array(cos_values, dtype=float), tuple(cos_steps), degenerate
+
+
+# The README config and the configs of the acceptance criteria, plus a rotation field.
+EQUIVALENCE_CONFIGS = {
+    "readme": dict(
+        n_steps=50,
+        calibration_seeds=range(1000, 1006),
+        evaluation_seeds=range(2000, 2004),
+        tau_k=0.06,
+        tau_d=0.6,
+        h_max=12,
+    ),
+    "comparison": dict(n_steps=50, calibration_seeds=range(1000, 1040), evaluation_seeds=range(2000, 2020)),
+    "threshold": dict(n_steps=50, calibration_seeds=range(1000, 1040), evaluation_seeds=range(2000, 2008)),
+    "manifest": dict(n_steps=30, calibration_seeds=range(1000, 1010), evaluation_seeds=range(2000, 2006)),
+    "constant": dict(
+        field=FieldSpec(kind="constant", dimension=3, target=(0.8, -1.1, 0.4)),
+        n_steps=50,
+        calibration_seeds=(1, 2, 3),
+        evaluation_seeds=(100,),
+        h_max=12,
+    ),
+    "decay": dict(
+        field=FieldSpec(kind="magnitude-decay", dimension=2, target=(1.0, -0.5), rate=0.03),
+        n_steps=100,
+        calibration_seeds=(1, 2),
+        evaluation_seeds=(200,),
+    ),
+    "rotation": dict(
+        field=FieldSpec(kind="rotation", dimension=2, target=(1.0, 0.0), rate=2.0, plane=(0, 1)),
+        n_steps=50,
+        calibration_seeds=(1, 2, 3),
+        evaluation_seeds=(300, 301),
+    ),
+}
+
+
+class TestDirectionRecordEquivalence:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+    def test_matches_rederived_directions(self, gmm_spec, name):
+        result = run_experiment(ExperimentConfig(**{"field": gmm_spec, **EQUIVALENCE_CONFIGS[name]}))
+        cached_steps = 0
+        for use_mi, use_di in ABLATION_ORDER:
+            toggles = CompensationToggles(use_mi=use_mi, use_di=use_di)
+            for seed, full in zip(result.config.evaluation_seeds, result.references):
+                cached = sample_cached(result.velocity_field, result.bundle, full.states[0], Condition(seed), toggles)
+                report = compare_trajectories(full, cached)
+                cos_theta, steps, degenerate = _rederived_cos_theta(full, cached)
+                assert np.array_equal(report.cos_theta, cos_theta)
+                assert report.cos_theta_steps == steps
+                assert report.degenerate_direction_count == degenerate
+                cached_steps += len(steps) + degenerate
+        assert cached_steps > 0
+
+    def test_cached_record_without_directions_rejected(self, gmm_spec):
+        config = _gmm_config(gmm_spec, evaluation_seeds=(2000,), tau_k=0.3, tau_d=3.0)
+        vf, grid, bundle = make_bundle(config)
+        c = Condition(2000)
+        x0 = initial_state(c, 3)
+        full = sample_full(vf, grid, x0, c)
+        cached = sample_cached(vf, bundle, x0, c)
+        assert cached.nfe < grid.n_steps
+        bare = TrajectoryRecord(cached.grid, cached.states, cached.velocities, cached.evaluated)
+        with pytest.raises(InvalidArgumentError, match="directions"):
+            compare_trajectories(full, bare)
 
 
 class TestCountSpeedup:

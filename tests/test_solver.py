@@ -128,6 +128,14 @@ class TestTrajectoryRecord:
         with pytest.raises(InvalidArgumentError):
             TrajectoryRecord(grid, np.zeros((4, 2)), np.zeros((2, 2)), np.ones(3, dtype=bool))
 
+    def test_directions_shaped_like_velocities(self):
+        grid = make_uniform_grid(3)
+        flags = np.ones(3, dtype=bool)
+        record = TrajectoryRecord(grid, np.zeros((4, 2)), np.zeros((3, 2)), flags, np.full((3, 2), np.nan))
+        assert not record.directions.flags.writeable
+        with pytest.raises(InvalidArgumentError):
+            TrajectoryRecord(grid, np.zeros((4, 2)), np.zeros((3, 2)), flags, np.zeros((3, 3)))
+
     def test_nfe_counts_flags(self):
         grid = make_uniform_grid(4)
         flags = np.array([True, False, True, False])
