@@ -10,7 +10,6 @@ reused across every inference call on the same grid.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from .decomposition import decompose_trajectory
 from .errors import BundleFormatError, InvalidArgumentError
 from .fields import Condition, VelocityField, initial_state
-from .ioutil import write_csv
+from .ioutil import _finite, _json_value, write_csv
 from .solver import TimeGrid, sample_full
 from .version import __version__
 
@@ -151,49 +150,6 @@ def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
         "created_by": bundle.created_by,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _finite(value: object) -> bool:
-    """A finite JSON number; JSON booleans do not count as numbers."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def _integral(value: object) -> bool:
-    return _finite(value) and float(value).is_integer()  # type: ignore[arg-type]
-
-
-def _integral_list(value: object) -> bool:
-    return isinstance(value, list) and all(map(_integral, value))
-
-
-# JSON value kinds: what each accepts, and the conversion of an accepted value.
-_KINDS = {
-    "int": ("an integer", _integral, int),
-    "float": ("a finite number", _finite, float),
-    "str": ("a string", lambda v: isinstance(v, str), str),
-    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
-    "list": ("a list", lambda v: isinstance(v, list), list),
-    "ints": ("a list of integers", _integral_list, lambda v: tuple(map(int, v))),
-    "object": ("a JSON object", lambda v: isinstance(v, dict), dict),
-}
-_MISSING = object()
-
-
-def _json_value(data: dict, key: str, kind: str, default: object = _MISSING, error=BundleFormatError):
-    """``data[key]`` checked as a JSON value of ``kind`` and converted.
-
-    A missing key takes ``default`` when one is given. Every rejection raises
-    ``error(key, reason)``, so the message names the bad field.
-    """
-    if key not in data:
-        if default is _MISSING:
-            raise error(key, "missing field")
-        return default
-    value = data[key]
-    expected, accepts, convert = _KINDS[kind]
-    if not accepts(value):
-        raise error(key, f"expected {expected}, got {value!r}")
-    return convert(value)
 
 
 def _column(data: dict, key: str, length: int) -> list:

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .cached_sampler import CompensationToggles, sample_cached
-from .calibration import ScheduleBundle, _json_value, calibrate
+from .calibration import ScheduleBundle, calibrate
 from .decomposition import decompose, discrete_accel
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
-from .ioutil import write_csv
+from .ioutil import _json_value, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
 from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
 

@@ -26,6 +26,10 @@ from .ioutil import write_csv
 ORTHO_TOL = 1e-10
 # Gram-Schmidt draws with residual norm below this fraction are redrawn.
 REJECT_TOL = 1e-8
+# Draws per block of the bound sweep. Each block is one set of numpy passes
+# over (_BLOCK, dim_range[1]) arrays; blocks of 1000 add about 5 MB of peak
+# memory for little more speed.
+_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -45,27 +49,77 @@ class BoundTerms:
     rhs: float
 
 
-def _check_unit_orthogonal(name: str, u: np.ndarray, v: np.ndarray, v_norm: float) -> None:
-    u_norm = float(np.linalg.norm(u))
-    if abs(u_norm - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"{name} must be a unit vector, norm is {u_norm!r}")
-    if abs(float(u @ v)) > ORTHO_TOL * v_norm * u_norm:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(n, D)`` arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _check_unit_orthogonal(name: str, u: np.ndarray, v: np.ndarray, v_norm: np.ndarray) -> None:
+    """Row-wise check that each ``u`` row is a unit vector orthogonal to its ``v`` row."""
+    u_norm = np.linalg.norm(u, axis=1)
+    off_unit = np.abs(u_norm - 1.0) > 1e-9
+    if off_unit.any():
+        raise InvalidArgumentError(f"{name} must be a unit vector, norm is {float(u_norm[off_unit][0])!r}")
+    if (np.abs(_rowdot(u, v)) > ORTHO_TOL * v_norm * u_norm).any():
         raise InvalidArgumentError(f"{name} is not orthogonal to the velocity")
+
+
+def _velocity_norms(v: np.ndarray, what: str) -> np.ndarray:
+    v_norm = np.linalg.norm(v, axis=1)
+    if (v_norm == 0.0).any():
+        raise DegenerateVelocityError(f"{what} needs a nonzero velocity")
+    return v_norm
+
+
+def _check_dt(dt: np.ndarray) -> None:
+    if (dt <= 0).any():
+        raise InvalidArgumentError(f"dt must be positive, got {float(dt[dt <= 0][0])}")
 
 
 def oracle_update(v_n: np.ndarray, k: float, d: float, u_perp: np.ndarray, dt: float) -> np.ndarray:
     """Component-wise update with exact scalars and exact orthogonal direction."""
     v_n = np.asarray(v_n, dtype=float)
     u_perp = np.asarray(u_perp, dtype=float)
-    v_norm = float(np.linalg.norm(v_n))
-    if v_norm == 0.0:
-        raise DegenerateVelocityError("oracle update needs a nonzero velocity")
+    v_norm = _velocity_norms(v_n[None], "oracle update")
     if d < 0:
         raise InvalidArgumentError(f"orthogonal strength must be non-negative, got {d}")
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    _check_unit_orthogonal("u_perp", u_perp, v_n, v_norm)
-    return math.exp(k * dt) * v_n + d * v_norm * u_perp
+    _check_dt(np.array([dt]))
+    _check_unit_orthogonal("u_perp", u_perp[None], v_n[None], v_norm)
+    return math.exp(k * dt) * v_n + d * float(v_norm[0]) * u_perp
+
+
+def _bound_rows(
+    v: np.ndarray,
+    k: np.ndarray,
+    d: np.ndarray,
+    u_perp: np.ndarray,
+    k_t: np.ndarray,
+    d_t: np.ndarray,
+    u_hat: np.ndarray,
+    dt: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Both updates and the three-term bound for each row of ``(n, D)`` inputs.
+
+    Returns ``(c_n, mag_err, strength_err, cos_theta, lhs, rhs)``, one
+    ``(n,)`` array each, in ``BoundTerms`` field order.
+    """
+    v_norm = _velocity_norms(v, "bound evaluation")
+    if (d < 0).any() or (d_t < 0).any():
+        raise InvalidArgumentError("orthogonal strengths must be non-negative")
+    _check_dt(dt)
+    _check_unit_orthogonal("u_perp", u_perp, v, v_norm)
+    _check_unit_orthogonal("u_hat", u_hat, v, v_norm)
+
+    v_star = np.exp(k * dt)[:, None] * v + (d * v_norm)[:, None] * u_perp
+    v_hat = np.exp(k_t * dt)[:, None] * v + (d_t * v_norm)[:, None] * u_hat
+    lhs = np.linalg.norm(v_hat - v_star, axis=1) / v_norm
+
+    c_n = dt * np.exp(np.maximum(k_t, k) * dt)
+    mag_err = np.abs(k_t - k)
+    strength_err = np.abs(d_t - d)
+    cos_theta = np.clip(_rowdot(u_hat, u_perp), -1.0, 1.0)
+    rhs = np.sqrt(c_n**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
+    return c_n, mag_err, strength_err, cos_theta, lhs, rhs
 
 
 def bound_terms(
@@ -79,29 +133,9 @@ def bound_terms(
     dt: float,
 ) -> BoundTerms:
     """Evaluate both updates and the three-term bound for one configuration."""
-    v_n = np.asarray(v_n, dtype=float)
-    u_perp = np.asarray(u_perp, dtype=float)
-    u_hat = np.asarray(u_hat, dtype=float)
-    v_norm = float(np.linalg.norm(v_n))
-    if v_norm == 0.0:
-        raise DegenerateVelocityError("bound evaluation needs a nonzero velocity")
-    if d < 0 or d_t < 0:
-        raise InvalidArgumentError("orthogonal strengths must be non-negative")
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    _check_unit_orthogonal("u_perp", u_perp, v_n, v_norm)
-    _check_unit_orthogonal("u_hat", u_hat, v_n, v_norm)
-
-    v_star = math.exp(k * dt) * v_n + d * v_norm * u_perp
-    v_hat = math.exp(k_t * dt) * v_n + d_t * v_norm * u_hat
-    lhs = float(np.linalg.norm(v_hat - v_star)) / v_norm
-
-    c_n = dt * math.exp(max(k_t, k) * dt)
-    mag_err = abs(k_t - k)
-    strength_err = abs(d_t - d)
-    cos_theta = float(np.clip(u_hat @ u_perp, -1.0, 1.0))
-    rhs = math.sqrt(c_n**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
-    return BoundTerms(c_n=c_n, mag_err=mag_err, strength_err=strength_err, cos_theta=cos_theta, lhs=lhs, rhs=rhs)
+    v_n, u_perp, u_hat = (np.asarray(a, dtype=float)[None] for a in (v_n, u_perp, u_hat))
+    k, d, k_t, d_t, dt = (np.array([x], dtype=float) for x in (k, d, k_t, d_t, dt))
+    return BoundTerms(*(float(a[0]) for a in _bound_rows(v_n, k, d, u_perp, k_t, d_t, u_hat, dt)))
 
 
 def unit_orthogonal(rng: np.random.Generator, against: list[np.ndarray]) -> np.ndarray:
@@ -148,6 +182,63 @@ class BoundSweepResult:
         return not self.failures
 
 
+def _masked_normal(rng: np.random.Generator, dims: np.ndarray, width: int) -> np.ndarray:
+    """Standard normal rows of ``width`` columns, zeroed at and beyond each row's dim."""
+    g = rng.standard_normal((dims.size, width))
+    g[np.arange(width) >= dims[:, None]] = 0.0
+    return g
+
+
+def _unit_orthogonal_rows(rng: np.random.Generator, v: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Row-wise ``unit_orthogonal`` against each row of ``v``.
+
+    Rows whose residual keeps less than REJECT_TOL of their norm are redrawn,
+    all failing rows at once, until none is left.
+    """
+    vv = _rowdot(v, v)
+    u = np.empty_like(v)
+    todo = np.arange(v.shape[0])
+    while todo.size:
+        g = _masked_normal(rng, dims[todo], v.shape[1])
+        g_norm = np.linalg.norm(g, axis=1)
+        against = v[todo]
+        g -= (_rowdot(g, against) / vv[todo])[:, None] * against
+        norm = np.linalg.norm(g, axis=1)
+        kept = norm > REJECT_TOL * np.maximum(g_norm, 1.0)
+        u[todo[kept]] = g[kept] / norm[kept, None]
+        todo = todo[~kept]
+    return u
+
+
+def _draw_block(
+    rng: np.random.Generator,
+    n: int,
+    dim_range: tuple[int, int],
+    k_range: tuple[float, float],
+    d_range: tuple[float, float],
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The sweep's next ``n`` configurations as ``(dims, rows)``.
+
+    ``rows`` is ``(v, k, d, u_perp, k_t, d_t, u_hat, dt)`` in ``_bound_rows``
+    argument order, vectors ``(n, dim_range[1])`` with zeros at and beyond
+    each row's dim. The draw order is fixed, so consecutive blocks continue
+    one stream.
+    """
+    width = dim_range[1]
+    dims = rng.integers(dim_range[0], width + 1, size=n)
+    v = _masked_normal(rng, dims, width)
+    small = np.linalg.norm(v, axis=1) < 1e-6
+    while small.any():
+        v[small] = _masked_normal(rng, dims[small], width)
+        small = np.linalg.norm(v, axis=1) < 1e-6
+    u_perp = _unit_orthogonal_rows(rng, v, dims)
+    u_hat = _unit_orthogonal_rows(rng, v, dims)
+    k, k_t = rng.uniform(k_range[0], k_range[1], size=(n, 2)).T
+    d, d_t = rng.uniform(d_range[0], d_range[1], size=(n, 2)).T
+    dt = 1.0 - rng.random(n)  # (0, 1]
+    return dims, (v, k, d, u_perp, k_t, d_t, u_hat, dt)
+
+
 def run_bound_sweep(
     draws: int = 100_000,
     seed: int = 20240,
@@ -160,9 +251,14 @@ def run_bound_sweep(
 ) -> BoundSweepResult:
     """Randomized verification of the bound and its exact decompositions.
 
-    Also checks that weakening the magnitude envelope to min(k_t, k) breaks
-    the bound somewhere, confirming the max is necessary.
+    Configurations are drawn and checked in blocks of ``_BLOCK`` draws, so
+    a sweep whose draw count is a multiple of ``_BLOCK`` is the exact
+    prefix of any longer sweep at the same seed. Also checks that weakening
+    the magnitude envelope to min(k_t, k) breaks the bound somewhere,
+    confirming the max is necessary.
     """
+    if dim_range[0] < 2:
+        raise InvalidArgumentError("not enough dimensions for an orthogonal complement")
     rng = np.random.default_rng(seed)
     lhs_all = np.empty(draws)
     rhs_all = np.empty(draws)
@@ -172,56 +268,49 @@ def run_bound_sweep(
     max_qid = 0.0
     envelope_violations = 0
 
-    for i in range(draws):
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-        v = rng.standard_normal(dim)
-        while float(np.linalg.norm(v)) < 1e-6:
-            v = rng.standard_normal(dim)
-        u_perp = unit_orthogonal(rng, [v])
-        u_hat = unit_orthogonal(rng, [v])
-        k, k_t = rng.uniform(k_range[0], k_range[1], size=2)
-        d, d_t = rng.uniform(d_range[0], d_range[1], size=2)
-        dt = 1.0 - rng.random()  # (0, 1]
-
-        terms = bound_terms(v, k, d, u_perp, k_t, d_t, u_hat, dt)
-        lhs_all[i] = terms.lhs
-        rhs_all[i] = terms.rhs
-        violation = terms.lhs - terms.rhs
-        max_violation = max(max_violation, violation)
-        if violation > bound_slack:
-            failures.append(f"draw {i} (seed {seed}): lhs {terms.lhs!r} exceeds rhs {terms.rhs!r}")
+    for start in range(0, draws, _BLOCK):
+        stop = min(start + _BLOCK, draws)
+        _, rows = _draw_block(rng, stop - start, dim_range, k_range, d_range)
+        v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
+        _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
+        lhs_all[start:stop] = lhs
+        rhs_all[start:stop] = rhs
+        violation = lhs - rhs
+        max_violation = max(max_violation, float(violation.max()))
 
         # parallel/orthogonal split must be additive and the orthogonal
         # part an exact identity
-        v_norm = float(np.linalg.norm(v))
-        p = (math.exp(k_t * dt) - math.exp(k * dt)) * v
-        q = v_norm * (d_t * u_hat - d * u_perp)
-        err_sq = (terms.lhs * v_norm) ** 2
-        split_sq = float(p @ p) + float(q @ q)
-        denom = max(err_sq, split_sq, 1e-300)
-        split_err = abs(err_sq - split_sq) / denom
-        max_split = max(max_split, split_err)
-        if split_err > split_tol:
-            failures.append(f"draw {i} (seed {seed}): additive split off by {split_err!r}")
+        v_norm = np.linalg.norm(v, axis=1)
+        p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
+        q = v_norm[:, None] * (d_t[:, None] * u_hat - d[:, None] * u_perp)
+        err_sq = (lhs * v_norm) ** 2
+        q_sq = _rowdot(q, q)
+        split_sq = _rowdot(p, p) + q_sq
+        split_err = np.abs(err_sq - split_sq) / np.maximum(np.maximum(err_sq, split_sq), 1e-300)
+        max_split = max(max_split, float(split_err.max()))
 
-        q_sq = float(q @ q)
         # 2 * (1 - cos) evaluated as |u_hat - u_perp|^2, exact for unit
         # vectors and immune to cancellation near perfect alignment
         dir_gap = u_hat - u_perp
-        q_ref = v_norm**2 * ((d_t - d) ** 2 + d_t * d * float(dir_gap @ dir_gap))
-        q_denom = max(q_sq, q_ref, 1e-300)
-        q_err = abs(q_sq - q_ref) / q_denom
-        max_qid = max(max_qid, q_err)
-        if q_err > q_identity_tol:
-            failures.append(f"draw {i} (seed {seed}): orthogonal identity off by {q_err!r}")
+        q_ref = v_norm**2 * ((d_t - d) ** 2 + d_t * d * _rowdot(dir_gap, dir_gap))
+        q_err = np.abs(q_sq - q_ref) / np.maximum(np.maximum(q_sq, q_ref), 1e-300)
+        max_qid = max(max_qid, float(q_err.max()))
 
-        if k != k_t:
-            c_min = dt * math.exp(min(k_t, k) * dt)
-            rhs_min = math.sqrt(
-                c_min**2 * terms.mag_err**2 + terms.strength_err**2 + 2.0 * d_t * d * (1.0 - terms.cos_theta)
-            )
-            if terms.lhs > rhs_min + bound_slack:
-                envelope_violations += 1
+        c_min = dt * np.exp(np.minimum(k_t, k) * dt)
+        rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
+        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + bound_slack)))
+
+        over_bound = violation > bound_slack
+        split_off = split_err > split_tol
+        identity_off = q_err > q_identity_tol
+        for row in np.flatnonzero(over_bound | split_off | identity_off):
+            prefix = f"draw {start + row} (seed {seed}):"
+            if over_bound[row]:
+                failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
+            if split_off[row]:
+                failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
+            if identity_off[row]:
+                failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
 
     if envelope_violations == 0:
         failures.append(

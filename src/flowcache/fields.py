@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .ioutil import _json_value
 
 KIND_CONSTANT = "constant"
 KIND_MAGNITUDE_DECAY = "magnitude-decay"
@@ -119,24 +120,41 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSpec":
-        try:
-            kind = data["kind"]
-            dimension = int(data["dimension"])
-        except KeyError as exc:
-            raise InvalidArgumentError(f"field spec missing key {exc.args[0]!r}") from None
+        """A spec from the config's ``field`` object; a bad value names its key."""
+
+        def value(key: str, kind: str, source: dict = data, prefix: str = ""):
+            return _json_value(source, key, kind, error=lambda k, reason: _spec_error(prefix + k, reason))
+
+        kind, dimension = value("kind", "str"), value("dimension", "int")
         kwargs: dict = {}
         if "target" in data:
-            kwargs["target"] = tuple(float(v) for v in data["target"])
+            kwargs["target"] = value("target", "floats")
         if "rate" in data:
-            kwargs["rate"] = float(data["rate"])
+            kwargs["rate"] = value("rate", "float")
         if "plane" in data:
-            kwargs["plane"] = (int(data["plane"][0]), int(data["plane"][1]))
+            plane = value("plane", "ints")
+            if len(plane) != 2:
+                raise _spec_error("plane", f"expected two axis indices, got {list(plane)!r}")
+            kwargs["plane"] = plane
         if "components" in data:
-            kwargs["components"] = tuple(
-                MixtureComponent(float(c["weight"]), tuple(float(m) for m in c["mean"]), float(c["scale"]))
-                for c in data["components"]
-            )
+            components = []
+            for i, entry in enumerate(value("components", "list")):
+                prefix = f"components[{i}]."
+                if not isinstance(entry, dict):
+                    raise _spec_error(prefix[:-1], f"expected a JSON object, got {entry!r}")
+                components.append(
+                    MixtureComponent(
+                        value("weight", "float", entry, prefix),
+                        value("mean", "floats", entry, prefix),
+                        value("scale", "float", entry, prefix),
+                    )
+                )
+            kwargs["components"] = tuple(components)
         return cls(kind=kind, dimension=dimension, **kwargs)
+
+
+def _spec_error(key: str, reason: str) -> InvalidArgumentError:
+    return InvalidArgumentError(f"config key 'field.{key}': {reason}")
 
 
 def field_digest(spec: FieldSpec) -> str:

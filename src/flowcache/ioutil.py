@@ -1,15 +1,20 @@
-"""Deterministic text serialization helpers.
+"""Deterministic text serialization helpers and the JSON value checker.
 
 Every file this package writes must be byte-reproducible from the same
 inputs, so floats are always rendered as their shortest round-trip decimal
-(Python ``repr``) and CSVs use a fixed '\\n' line terminator.
+(Python ``repr``) and CSVs use a fixed '\\n' line terminator. Every JSON
+value this package reads (configs, field specs, bundles) is checked by
+``_json_value``, which names the bad key.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .errors import BundleFormatError
 
 
 def fmt(value: object) -> str:
@@ -29,3 +34,47 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+
+
+def _finite(value: object) -> bool:
+    """A finite JSON number; JSON booleans do not count as numbers."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _integral(value: object) -> bool:
+    return _finite(value) and float(value).is_integer()  # type: ignore[arg-type]
+
+
+def _list_of(accepts):
+    return lambda value: isinstance(value, list) and all(map(accepts, value))
+
+
+# JSON value kinds: what each accepts, and the conversion of an accepted value.
+_KINDS = {
+    "int": ("an integer", _integral, int),
+    "float": ("a finite number", _finite, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "list": ("a list", lambda v: isinstance(v, list), list),
+    "ints": ("a list of integers", _list_of(_integral), lambda v: tuple(map(int, v))),
+    "floats": ("a list of finite numbers", _list_of(_finite), lambda v: tuple(map(float, v))),
+    "object": ("a JSON object", lambda v: isinstance(v, dict), dict),
+}
+_MISSING = object()
+
+
+def _json_value(data: dict, key: str, kind: str, default: object = _MISSING, error=BundleFormatError):
+    """``data[key]`` checked as a JSON value of ``kind`` and converted.
+
+    A missing key takes ``default`` when one is given. Every rejection raises
+    ``error(key, reason)``, so the message names the bad field.
+    """
+    if key not in data:
+        if default is _MISSING:
+            raise error(key, "missing field")
+        return default
+    value = data[key]
+    expected, accepts, convert = _KINDS[kind]
+    if not accepts(value):
+        raise error(key, f"expected {expected}, got {value!r}")
+    return convert(value)

@@ -371,6 +371,32 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"key {key!r}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ({"kind": "constant", "dimension": None, "target": [1.0, -1.0]}, "field.dimension"),
+            ({"kind": "constant", "dimension": 2, "target": 5}, "field.target"),
+            ({"kind": "constant", "dimension": 2, "target": [1.0, "x"]}, "field.target"),
+            ({"kind": 5, "dimension": 2, "target": [1.0, -1.0]}, "field.kind"),
+            ({"kind": "magnitude-decay", "dimension": 2, "target": [1.0, -1.0], "rate": "0.1"}, "field.rate"),
+            ({"kind": "rotation", "dimension": 2, "target": [1.0, -1.0], "rate": 0.1, "plane": [0]}, "field.plane"),
+            (dict(GMM_CONFIG["field"], components=[5]), "field.components[0]"),
+            (
+                dict(GMM_CONFIG["field"], components=[dict(GMM_CONFIG["field"]["components"][0], mean=[None, 0.0, 0.0])]),
+                "field.components[0].mean",
+            ),
+            (
+                dict(GMM_CONFIG["field"], components=[GMM_CONFIG["field"]["components"][0], {"weight": "0.4"}]),
+                "field.components[1].weight",
+            ),
+        ],
+        ids=["dimension", "target", "target-entry", "kind", "rate", "plane", "component", "mean", "weight"],
+    )
+    def test_malformed_field_value_rejected(self, tmp_path, capsys, field, key):
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, field=field))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"key {key!r}: expected" in capsys.readouterr().err
+
     def test_manifest_config_not_an_object_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, {"config": 5, "subcommand": "calibrate"})
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from flowcache import DegenerateVelocityError, InvalidArgumentError, bound_terms, oracle_update, run_bound_sweep
-from flowcache.error_bound import unit_orthogonal, write_bound_audit_csv
+from flowcache import error_bound
+from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, unit_orthogonal, write_bound_audit_csv
+
+SWEEP_RANGES = ((2, 64), (-5.0, 5.0), (0.0, 2.0))  # run_bound_sweep's dim, k and d ranges
 
 
 class TestOracleUpdate:
@@ -135,3 +139,83 @@ class TestBoundSweep:
         assert len(rows) == 50
         assert list(rows[0].keys()) == ["draw", "lhs", "rhs", "slack"]
         assert all(float(r["slack"]) >= -1e-9 for r in rows)
+
+
+class TestBlockSweep:
+    def test_shorter_sweep_is_a_prefix(self):
+        short = run_bound_sweep(draws=1000, seed=47)
+        long = run_bound_sweep(draws=2000, seed=47)
+        np.testing.assert_array_equal(short.lhs, long.lhs[:1000])
+        np.testing.assert_array_equal(short.rhs, long.rhs[:1000])
+        assert short.max_bound_violation == float(np.max(long.lhs[:1000] - long.rhs[:1000]))
+
+    def test_shorter_sweep_is_a_prefix_draw_by_draw(self):
+        # zero tolerances turn every draw's split and identity error into a
+        # failure message carrying its exact value
+        tols = dict(bound_slack=-1.0, split_tol=0.0, q_identity_tol=0.0)
+        short = run_bound_sweep(draws=1000, seed=47, **tols)
+        long = run_bound_sweep(draws=2000, seed=47, **tols)
+        first = [f for f in long.failures if int(re.match(r"draw (\d+) ", f).group(1)) < 1000]
+        assert len(first) > 1000
+        assert short.failures == first
+        assert short.min_envelope_violations <= long.min_envelope_violations
+
+    @pytest.mark.parametrize("seed", [53, 59])
+    def test_rows_match_scalar_bound_terms(self, seed):
+        dims, rows = _draw_block(np.random.default_rng(seed), _BLOCK, *SWEEP_RANGES)
+        lhs, rhs = _bound_rows(*rows)[-2:]
+        sweep = run_bound_sweep(draws=_BLOCK, seed=seed)
+        np.testing.assert_array_equal(lhs, sweep.lhs)
+        np.testing.assert_array_equal(rhs, sweep.rhs)
+        v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
+        for i, dim in enumerate(dims):
+            assert not v[i, dim:].any() and not u_perp[i, dim:].any() and not u_hat[i, dim:].any()
+            terms = bound_terms(v[i, :dim], k[i], d[i], u_perp[i, :dim], k_t[i], d_t[i], u_hat[i, :dim], dt[i])
+            assert terms.lhs == pytest.approx(lhs[i], rel=1e-12)
+            assert terms.rhs == pytest.approx(rhs[i], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tols, message",
+        [
+            (dict(q_identity_tol=0.0), "orthogonal identity off by"),
+            (dict(bound_slack=-1.0), "exceeds rhs"),
+        ],
+        ids=["identity", "bound"],
+    )
+    def test_failures_name_draw_and_seed_in_order(self, tols, message):
+        result = run_bound_sweep(draws=300, seed=61, **tols)
+        assert not result.passed
+        draws = []
+        for failure in result.failures:
+            match = re.match(r"draw (\d+) \(seed 61\): (.*)$", failure)
+            assert match, failure
+            assert message in match.group(2)
+            draws.append(int(match.group(1)))
+        assert draws == sorted(set(draws))
+        assert max(draws) >= _BLOCK  # failures come from more than one block
+
+    def test_equal_rates_never_confirm_the_envelope(self):
+        result = run_bound_sweep(draws=200, seed=67, k_range=(0.0, 0.0))
+        assert result.min_envelope_violations == 0
+        assert result.failures == [
+            "seed 67: min-envelope bound never violated in 200 draws; max envelope is not confirmed necessary"
+        ]
+
+    def test_redrawn_rows_are_unit_and_orthogonal(self, monkeypatch):
+        default_rows = _draw_block(np.random.default_rng(71), _BLOCK, *SWEEP_RANGES)[1]
+        monkeypatch.setattr(error_bound, "REJECT_TOL", 0.9)
+        dims, rows = _draw_block(np.random.default_rng(71), _BLOCK, *SWEEP_RANGES)
+        v, u_perp, u_hat = rows[0], rows[3], rows[6]
+        np.testing.assert_array_equal(v, default_rows[0])  # v is drawn before any rejection
+        assert not np.array_equal(u_perp, default_rows[3])  # so some u_perp rows were redrawn
+        v_norm = np.linalg.norm(v, axis=1)
+        for u in (u_perp, u_hat):
+            assert np.all(np.abs(np.linalg.norm(u, axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(np.einsum("ij,ij->i", u, v)) <= 1e-10 * v_norm)
+            assert all(not u[i, dim:].any() for i, dim in enumerate(dims))
+        assert run_bound_sweep(draws=300, seed=71).passed
+
+    @pytest.mark.parametrize("dim_range", [(1, 8), (1, 1)])
+    def test_one_dimensional_draws_rejected(self, dim_range):
+        with pytest.raises(InvalidArgumentError):
+            run_bound_sweep(draws=10, seed=73, dim_range=dim_range)
