@@ -19,6 +19,7 @@ where the step had none); diagnostics read it there instead of re-deriving it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .fields import Condition, VelocityField
 from .schedule import skip_intervals
-from .solver import TrajectoryRecord, euler_step
+from .solver import TrajectoryRecord, _check_end, _check_start, _euler, _evaluate
 
 # Residual-norm fraction below which a direction anchor counts as parallel.
 EPS_DIR = 1e-12
@@ -62,8 +63,12 @@ def init_direction(v_prev: np.ndarray, v_curr: np.ndarray) -> np.ndarray:
     vv = float(v_prev @ v_prev)
     if vv == 0.0:
         raise DegenerateVelocityError("cannot extract a turning direction against a zero velocity")
-    dv = v_curr - v_prev
-    return dv - (float(dv @ v_prev) / vv) * v_prev
+    return _project_off(v_curr - v_prev, v_prev, vv)
+
+
+def _project_off(a: np.ndarray, v: np.ndarray, vv: float) -> np.ndarray:
+    """``a`` minus its projection on ``v``, given ``vv = v @ v`` (nonzero)."""
+    return a - (float(a.dot(v)) / vv) * v
 
 
 def reorthogonalize(anchor: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -78,11 +83,26 @@ def reorthogonalize(anchor: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     vv = float(v_hat @ v_hat)
     if vv == 0.0:
         raise DegenerateVelocityError("cannot re-orthogonalize against a zero velocity")
-    residual = anchor - (float(anchor @ v_hat) / vv) * v_hat
-    norm = float(np.linalg.norm(residual))
-    if norm == 0.0 or norm < EPS_DIR * float(np.linalg.norm(anchor)):
+    u = _unit_residual(anchor, v_hat, vv, _parallel_tol(anchor))
+    if u is None:
         raise DegenerateDirectionError("direction anchor is numerically parallel to the velocity")
-    return residual / norm
+    return u
+
+
+def _parallel_tol(anchor: np.ndarray) -> float:
+    """Residual norm below which ``anchor`` counts as parallel to a velocity."""
+    return EPS_DIR * math.sqrt(anchor.dot(anchor))
+
+
+def _unit_residual(
+    anchor: np.ndarray, v_hat: np.ndarray, vv: float, tol: float, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Unit ``anchor`` residual off ``v_hat`` (written into ``out``), or None where it is degenerate."""
+    residual = _project_off(anchor, v_hat, vv)
+    norm = math.sqrt(residual.dot(residual))
+    if norm == 0.0 or norm < tol:
+        return None
+    return np.divide(residual, norm, out=out)
 
 
 def skip_update(
@@ -103,10 +123,23 @@ def skip_update(
         raise InvalidArgumentError(f"dt must be positive, got {dt}")
     if not (np.isfinite(v_hat).all() and np.isfinite(k_t) and np.isfinite(d_t) and np.isfinite(dt)):
         raise NumericDomainError("skip_update requires finite inputs")
-    k_eff = k_t if toggles.use_mi else 0.0
-    out = np.exp(k_eff * dt) * v_hat
-    if toggles.use_di and u_perp is not None and d_t != 0.0:
-        out = out + d_t * float(np.linalg.norm(v_hat)) * np.asarray(u_perp, dtype=float)
+    growth = np.exp((k_t if toggles.use_mi else 0.0) * dt)
+    u_perp = np.asarray(u_perp, dtype=float) if toggles.use_di and u_perp is not None else None
+    return _reconstruct(v_hat, growth, d_t, float(np.linalg.norm(v_hat)), u_perp)
+
+
+def _reconstruct(
+    v_hat: np.ndarray,
+    growth: float,
+    d_t: float,
+    v_norm: float,
+    u_perp: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``growth * v_hat + d_t * v_norm * u_perp``, without the turning term where ``u_perp`` is None or ``d_t`` is 0."""
+    out = np.multiply(growth, v_hat, out=out)
+    if u_perp is not None and d_t != 0.0:
+        out += d_t * v_norm * u_perp
     return out
 
 
@@ -125,52 +158,62 @@ def sample_cached(
     reconstructed velocities and zero oracle calls, consuming the indicator
     entries of each absolute step index. Evaluated flags and the oracle call
     count reflect exactly the anchor evaluations; ``directions[m]`` is the
-    ``u_hat`` passed to ``skip_update`` at step m.
+    ``u_hat`` the reconstruction used at step m.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dimension,):
-        raise InvalidArgumentError(f"x0 shape {x0.shape} does not match field dimension {field.dimension}")
+    return _cached_kernel(field, bundle, _check_start(field, x0), condition, toggles)
+
+
+def _cached_kernel(
+    field: VelocityField, bundle: ScheduleBundle, x0: np.ndarray, condition: Condition, toggles: CompensationToggles
+) -> TrajectoryRecord:
+    """``sample_cached`` from a checked start; inputs are checked once per run, not once per step.
+
+    The oracle's outputs are checked as they arrive and the indicators once;
+    each step then runs the arithmetic of ``init_direction``,
+    ``reorthogonalize``, ``skip_update`` and ``euler_step`` on rows of the
+    run's arrays. A degenerate direction leaves its ``directions`` row NaN
+    and drops the turning term. The reconstruction after an interval's last
+    step is not computed: the next interval opens with an evaluation.
+    """
     grid = bundle.grid
     n_steps = grid.n_steps
-    dt = grid.dt
     k_tilde = bundle.indicators.k_tilde
     d_tilde = bundle.indicators.d_tilde
+    if not (np.isfinite(k_tilde).all() and np.isfinite(d_tilde).all()):
+        raise NumericDomainError("the bundle's indicators must be finite")
+    times, dt = grid.times.tolist(), grid.dt.tolist()
+    growth = np.exp(k_tilde * grid.dt).tolist() if toggles.use_mi else [1.0] * n_steps
+    turn = d_tilde.tolist() if toggles.use_di else [0.0] * n_steps
 
-    states = np.empty((n_steps + 1, field.dimension))
-    velocities = np.empty((n_steps, field.dimension))
+    block = np.empty((3 * n_steps + 1, field.dimension))  # one allocation per run, as in sample_full
+    states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1])
+    directions.fill(np.nan)
     evaluated = np.zeros(n_steps, dtype=bool)
-    directions = np.full((n_steps, field.dimension), np.nan)
     states[0] = x0
-
-    last_eval_velocity: np.ndarray | None = None
+    last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
     for n, h in skip_intervals(bundle.schedule, n_steps):
-        v = field.evaluate(states[n], float(grid.times[n]), condition)
+        velocities[n] = _evaluate(field, states[n], times[n], condition, n)
         evaluated[n] = True
-        if h == 1:
-            velocities[n] = v
-            states[n + 1] = euler_step(states[n], v, float(dt[n]))
-            last_eval_velocity = v
-            continue
-
-        # interval opening: extract the turning anchor from the most recent
+        # interval opening: the turning anchor comes from the most recent
         # evaluated velocity, which may predate t_{n-1} after a prior skip
-        assert last_eval_velocity is not None  # step 0 is always evaluated first
-        anchor: np.ndarray | None
-        try:
-            anchor = init_direction(last_eval_velocity, v)
-        except DegenerateVelocityError:
-            anchor = None
-        v_hat = v
+        anchor = tol = None
+        if h > 1:
+            v_prev = velocities[last]
+            vv_prev = float(v_prev.dot(v_prev))
+            if vv_prev != 0.0:
+                anchor = _project_off(velocities[n] - v_prev, v_prev, vv_prev)
+                tol = _parallel_tol(anchor)
         for m in range(n, n + h):
-            u_hat: np.ndarray | None = None
+            v_hat = velocities[m]
+            _euler(states[m], v_hat, dt[m], out=states[m + 1])
+            u_hat = None
+            vv = 0.0
             if anchor is not None:
-                try:
-                    u_hat = directions[m] = reorthogonalize(anchor, v_hat)
-                except (DegenerateDirectionError, DegenerateVelocityError):
-                    pass  # magnitude-only update; the direction row stays NaN
-            velocities[m] = v_hat
-            states[m + 1] = euler_step(states[m], v_hat, float(dt[m]))
-            v_hat = skip_update(v_hat, u_hat, float(k_tilde[m]), float(d_tilde[m]), float(dt[m]), toggles)
-        last_eval_velocity = v
-
+                vv = float(v_hat.dot(v_hat))
+                if vv != 0.0:
+                    u_hat = _unit_residual(anchor, v_hat, vv, tol, out=directions[m])
+            if m + 1 < n + h:
+                _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=velocities[m + 1])
+        last = n
+    _check_end(states)
     return TrajectoryRecord(grid, states, velocities, evaluated, directions)

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import decompose_trajectory
+from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, InvalidArgumentError
 from .fields import Condition, VelocityField, initial_state
-from .ioutil import _finite, _json_value, write_csv
+from .ioutil import _finite, _json_value, _known_keys, write_csv
 from .solver import TimeGrid, sample_full
 from .version import __version__
 
@@ -66,13 +66,12 @@ def calibrate(field: VelocityField, grid: TimeGrid, conditions: list[Condition])
     if not conditions:
         raise InvalidArgumentError("calibration needs at least one condition")
     n = grid.n_steps
+    dt = grid.dt[:-1]
     k_rows = np.empty((len(conditions), max(n - 1, 0)))
     d_rows = np.empty_like(k_rows)
     for row, condition in enumerate(conditions):
-        record = sample_full(field, grid, initial_state(condition, field.dimension), condition)
-        decs = decompose_trajectory(record)
-        k_rows[row] = [s.k for s in decs]
-        d_rows[row] = [s.d for s in decs]
+        v = sample_full(field, grid, initial_state(condition, field.dimension), condition).velocities
+        k_rows[row], _, d_rows[row] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
 
     k_tilde = np.zeros(n)
     d_tilde = np.zeros(n)
@@ -131,6 +130,13 @@ class ScheduleBundle:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
+# Every key a bundle document holds; ``read_bundle`` rejects any other.
+BUNDLE_KEYS = (
+    "format_version", "n_steps", "times", "k_tilde", "d_tilde", "k_std", "d_std", "h",
+    "tau_k", "tau_d", "h_max", "sample_count", "field_digest", "seeds", "created_by",
+)
+
+
 def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
     payload = {
         "format_version": BUNDLE_FORMAT,
@@ -173,6 +179,7 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     version = data.get("format_version")
     if version != BUNDLE_FORMAT:
         raise BundleFormatError("format_version", f"expected {BUNDLE_FORMAT!r}, got {version!r}")
+    _known_keys(data, BUNDLE_KEYS)
     n = _json_value(data, "n_steps", "int")
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")

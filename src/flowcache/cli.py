@@ -45,6 +45,8 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 SAMPLE_MODES = ("full", "cached", "truncated")
+# Config keys a manifest may carry besides the experiment's: sample's and bench's settings.
+SUBCOMMAND_KEYS = ("mode", "truncate_to", "bundle", "ablation", "sweep_taus")
 
 
 def _load_config_dict(path: str) -> dict:
@@ -79,7 +81,7 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
         raw["use_mi"] = False
     if getattr(args, "no_di", False):
         raw["use_di"] = False
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in SUBCOMMAND_KEYS})
     return config, config.to_dict(), raw
 
 

@@ -50,6 +50,38 @@ def decompose(v_n: np.ndarray, accel: np.ndarray, dt: float) -> StepDecompositio
     return StepDecomposition(accel=accel, k=k, r_perp=r_perp, d=d)
 
 
+def _accel_rows(v: np.ndarray, v_next: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """``discrete_accel`` of every row, in a fresh (n, D) array."""
+    accel = np.subtract(v_next, v)
+    accel /= dt[:, None]
+    return accel
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row ``a[i] @ b[i]`` of two (n, D) arrays, bit for bit the 1-d products."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _decompose_rows(v: np.ndarray, accel: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``decompose`` of every row, as ``(k, r_perp, d)``; ``r_perp`` overwrites ``accel``.
+
+    ``v`` and ``accel`` are (n, D) and ``dt`` is (n,). A zero-velocity row
+    gives ``k = d = 0`` and a zero ``r_perp`` instead of raising.
+    """
+    vv = _row_dots(v, v)
+    zero = vv == 0.0
+    vv[zero] = 1.0
+    k = _row_dots(accel, v)
+    k /= vv
+    k[zero] = 0.0
+    r_perp = np.subtract(accel, k[:, None] * v, out=accel)
+    r_perp[zero] = 0.0
+    d = np.sqrt(_row_dots(r_perp, r_perp))
+    d *= dt
+    d /= np.sqrt(vv)
+    return k, r_perp, d
+
+
 def decompose_trajectory(record: TrajectoryRecord) -> list[StepDecomposition]:
     """Per-step decompositions from a fully evaluated record, N-1 in total.
 
@@ -59,13 +91,8 @@ def decompose_trajectory(record: TrajectoryRecord) -> list[StepDecomposition]:
     """
     if not bool(record.evaluated.all()):
         raise InvalidArgumentError("decomposition needs a fully evaluated record (no cached steps)")
-    dt = record.grid.dt
-    out: list[StepDecomposition] = []
-    dim = record.velocities.shape[1]
-    for n in range(record.grid.n_steps - 1):
-        accel = discrete_accel(record.velocities[n], record.velocities[n + 1], float(dt[n]))
-        try:
-            out.append(decompose(record.velocities[n], accel, float(dt[n])))
-        except DegenerateVelocityError:
-            out.append(StepDecomposition(accel=accel, k=0.0, r_perp=np.zeros(dim), d=0.0))
-    return out
+    v = record.velocities
+    dt = record.grid.dt[:-1]
+    accel = _accel_rows(v[:-1], v[1:], dt)
+    k, r_perp, d = _decompose_rows(v[:-1], accel.copy(), dt)
+    return [StepDecomposition(accel=accel[i], k=float(k[i]), r_perp=r_perp[i], d=float(d[i])) for i in range(dt.size)]

@@ -14,17 +14,17 @@ truncation experiments reuse its calibration and references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cached_sampler import CompensationToggles, sample_cached
 from .calibration import ScheduleBundle, calibrate
-from .decomposition import decompose, discrete_accel
+from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
-from .ioutil import _json_value, write_csv
+from .ioutil import _json_value, _known_keys, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
 from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
 
@@ -61,18 +61,34 @@ def _relative_norms(diff: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.n
     return out, usable
 
 
-def _oracle_direction(full: TrajectoryRecord, m: int) -> np.ndarray | None:
-    """Unit orthogonal residual direction at step m of the full record."""
-    v = full.velocities[m]
-    if float(np.linalg.norm(v)) <= NORM_GUARD:
-        return None
-    accel = discrete_accel(v, full.velocities[m + 1], float(full.grid.dt[m]))
-    dec = decompose(v, accel, float(full.grid.dt[m]))
-    r_norm = float(np.linalg.norm(dec.r_perp))
-    accel_norm = float(np.linalg.norm(accel))
-    if r_norm == 0.0 or r_norm < 1e-12 * max(accel_norm, 1.0):
-        return None
-    return dec.r_perp / r_norm
+def _cos_theta(full: TrajectoryRecord, cached: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray, int]:
+    """Alignment of the recorded ``u_hat`` with the oracle direction on cached steps.
+
+    The oracle direction at step m is the unit orthogonal residual of the full
+    record's acceleration, all steps in one pass of the row kernel. A step
+    with a look-ahead velocity counts as degenerate where either direction is
+    missing: a near-zero velocity, a residual below 1e-12 of the acceleration
+    (or of 1), or an all-NaN ``u_hat`` row. Returns the cosines, their steps
+    and the degenerate count.
+    """
+    steps = np.flatnonzero(~cached.evaluated[:-1])
+    if not steps.size:
+        return np.empty(0), steps, 0
+    v = full.velocities[steps]
+    dt = full.grid.dt[steps]
+    accel = _accel_rows(v, full.velocities[steps + 1], dt)
+    accel_norm = np.sqrt(_row_dots(accel, accel))
+    _, r_perp, _ = _decompose_rows(v, accel, dt)
+    r_norm = np.sqrt(_row_dots(r_perp, r_perp))
+    u_hat = cached.directions[steps]
+    usable = (
+        (np.sqrt(_row_dots(v, v)) > NORM_GUARD)
+        & (r_norm != 0.0)
+        & (r_norm >= 1e-12 * np.maximum(accel_norm, 1.0))
+        & ~np.isnan(u_hat).all(axis=1)
+    )
+    oracle_dir = r_perp[usable] / r_norm[usable, None]
+    return _row_dots(u_hat[usable], oracle_dir), steps[usable], int(steps.size - np.count_nonzero(usable))
 
 
 def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> DriftReport:
@@ -96,21 +112,7 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     cached_mean = float(velocity_drift[cached_mask].mean()) if cached_mask.any() else math.nan
     eval_mean = float(velocity_drift[eval_mask].mean()) if eval_mask.any() else math.nan
 
-    # alignment of the sampler's turning direction with the oracle direction
-    # from the full record, on cached steps that have a look-ahead velocity
-    cos_values: list[float] = []
-    cos_steps: list[int] = []
-    degenerate = 0
-    for m in np.flatnonzero(~flags[:-1]).tolist():
-        oracle_dir = _oracle_direction(full, m)
-        u_hat = cached.directions[m]
-        if oracle_dir is None or np.isnan(u_hat).all():
-            degenerate += 1
-            continue
-        cos_values.append(float(u_hat @ oracle_dir))
-        cos_steps.append(m)
-
-    cos_arr = np.array(cos_values, dtype=float)
+    cos_arr, cos_steps, degenerate = _cos_theta(full, cached)
     if cos_arr.size:
         cos_mean = float(cos_arr.mean())
         cos_pos = float((cos_arr > 0).mean())
@@ -127,7 +129,7 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
         cached_vel_drift_mean=cached_mean,
         evaluated_vel_drift_mean=eval_mean,
         cos_theta=cos_arr,
-        cos_theta_steps=tuple(cos_steps),
+        cos_theta_steps=tuple(cos_steps.tolist()),
         cos_theta_mean=cos_mean,
         cos_theta_positive_fraction=cos_pos,
         cos_theta_p90=cos_p90,
@@ -189,6 +191,7 @@ class ExperimentConfig:
         def value(key: str, kind: str, *default: object):
             return _json_value(data, key, kind, *default, error=_config_error)
 
+        _known_keys(data, [f.name for f in dataclass_fields(cls)], _config_error)
         return cls(
             field=FieldSpec.from_dict(value("field", "object")),
             n_steps=value("n_steps", "int"),

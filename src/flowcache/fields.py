@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .ioutil import _json_value
+from .ioutil import _json_value, _known_keys
 
 KIND_CONSTANT = "constant"
 KIND_MAGNITUDE_DECAY = "magnitude-decay"
@@ -122,9 +122,13 @@ class FieldSpec:
     def from_dict(cls, data: dict) -> "FieldSpec":
         """A spec from the config's ``field`` object; a bad value names its key."""
 
-        def value(key: str, kind: str, source: dict = data, prefix: str = ""):
-            return _json_value(source, key, kind, error=lambda k, reason: _spec_error(prefix + k, reason))
+        def error(prefix: str = ""):
+            return lambda key, reason: _spec_error(prefix + key, reason)
 
+        def value(key: str, kind: str, source: dict = data, prefix: str = ""):
+            return _json_value(source, key, kind, error=error(prefix))
+
+        _known_keys(data, ("kind", "dimension", "target", "rate", "plane", "components"), error())
         kind, dimension = value("kind", "str"), value("dimension", "int")
         kwargs: dict = {}
         if "target" in data:
@@ -142,6 +146,7 @@ class FieldSpec:
                 prefix = f"components[{i}]."
                 if not isinstance(entry, dict):
                     raise _spec_error(prefix[:-1], f"expected a JSON object, got {entry!r}")
+                _known_keys(entry, ("weight", "mean", "scale"), error(prefix))
                 components.append(
                     MixtureComponent(
                         value("weight", "float", entry, prefix),

@@ -4,7 +4,8 @@ Every file this package writes must be byte-reproducible from the same
 inputs, so floats are always rendered as their shortest round-trip decimal
 (Python ``repr``) and CSVs use a fixed '\\n' line terminator. Every JSON
 value this package reads (configs, field specs, bundles) is checked by
-``_json_value``, which names the bad key.
+``_json_value``, which names the bad key; ``_known_keys`` rejects a config,
+field or bundle key it does not know, naming that key.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import BundleFormatError
 
@@ -78,3 +79,10 @@ def _json_value(data: dict, key: str, kind: str, default: object = _MISSING, err
     if not accepts(value):
         raise error(key, f"expected {expected}, got {value!r}")
     return convert(value)
+
+
+def _known_keys(data: dict, known: Collection[str], error=BundleFormatError) -> None:
+    """Reject the first key of ``data`` outside ``known`` with ``error(key, reason)``."""
+    for key in data:
+        if key not in known:
+            raise error(key, f"unknown key; expected one of {', '.join(sorted(known))}")

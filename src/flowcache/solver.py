@@ -8,6 +8,7 @@ cached-sampling comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,22 +110,57 @@ def euler_step(state: np.ndarray, velocity: np.ndarray, dt: float) -> np.ndarray
         raise InvalidArgumentError(f"state shape {state.shape} does not match velocity shape {velocity.shape}")
     if not (np.isfinite(state).all() and np.isfinite(velocity).all() and np.isfinite(dt)):
         raise NumericDomainError("euler_step requires finite state, velocity, and dt")
-    return state - dt * velocity
+    return _euler(state, velocity, dt)
+
+
+def _euler(state: np.ndarray, velocity: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The Euler update on checked inputs, written into ``out`` when given."""
+    return np.subtract(state, dt * velocity, out=out)
+
+
+def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
+    """``x0`` as a float array, checked to be a finite state of ``field``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (field.dimension,):
+        raise InvalidArgumentError(f"x0 shape {x0.shape} does not match field dimension {field.dimension}")
+    if not np.isfinite(x0).all():
+        raise NumericDomainError("the start state must be finite")
+    return x0
+
+
+def _evaluate(field: VelocityField, state: np.ndarray, t: float, condition: Condition, n: int) -> np.ndarray:
+    """One oracle call, its output checked for finiteness once."""
+    v = field.evaluate(state, t, condition)
+    # a finite v @ v implies finite entries; the full test runs only when it is not, e.g. on overflow
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+        raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={t})")
+    return v
+
+
+def _check_end(states: np.ndarray) -> None:
+    """Reject a run whose states overflowed; a non-finite entry persists to the final state."""
+    if not np.isfinite(states[-1]).all():
+        raise NumericDomainError("the trajectory left the finite range")
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
     """Reference run: evaluate the oracle at every step of the grid."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dimension,):
-        raise InvalidArgumentError(f"x0 shape {x0.shape} does not match field dimension {field.dimension}")
+    return _full_kernel(field, grid, _check_start(field, x0), condition)
+
+
+def _full_kernel(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
+    """``sample_full`` from a checked start: per step one oracle call, its output checked once, and the Euler update."""
     n = grid.n_steps
-    dt = grid.dt
-    states = np.empty((n + 1, field.dimension))
-    velocities = np.empty((n, field.dimension))
+    times, dt = grid.times.tolist(), grid.dt.tolist()
+    # the run's arrays share one allocation: as separate arrays, large runs
+    # were faulted in from the OS again on every run under some heap layouts
+    block = np.empty((2 * n + 1, field.dimension))
+    states, velocities = block[: n + 1], block[n + 1 :]
     states[0] = x0
     for i in range(n):
-        velocities[i] = field.evaluate(states[i], float(grid.times[i]), condition)
-        states[i + 1] = euler_step(states[i], velocities[i], float(dt[i]))
+        velocities[i] = _evaluate(field, states[i], times[i], condition, i)
+        _euler(states[i], velocities[i], dt[i], out=states[i + 1])
+    _check_end(states)
     return TrajectoryRecord(grid, states, velocities, np.ones(n, dtype=bool))
 
 

@@ -207,13 +207,17 @@ def run_suite(
 ) -> SuiteResult:
     if name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {SUITES}")
+    if cases is not None and cases < 1:
+        raise InvalidArgumentError(f"--cases must be a positive integer, got {cases}")
     kwargs: dict = {}
     if seed is not None:
         kwargs["seed"] = seed
+    if cases is not None and name != "exactness":
+        kwargs["cases"] = cases
     if name == "povd":
-        return suite_povd(cases or 10_000, **kwargs)
+        return suite_povd(**kwargs)
     if name == "ssc":
-        return suite_ssc(cases or 10_000, **kwargs)
+        return suite_ssc(**kwargs)
     if name == "bound":
-        return suite_bound(cases or 100_000, audit_path=audit_path, **kwargs)
+        return suite_bound(audit_path=audit_path, **kwargs)
     return suite_exactness(**kwargs)

@@ -33,6 +33,7 @@ GMM_CONFIG = {
     "evaluation_seeds": list(range(2000, 2004)),
 }
 
+GMM_COMPONENT = GMM_CONFIG["field"]["components"][0]
 
 # the experiment config shown in the README
 README_CONFIG = dict(
@@ -198,6 +199,23 @@ class TestVerify:
         assert main(["verify", "--suite", "bound", "--cases", "300", "--out", str(out)]) == EXIT_OK
         rows = _read_rows(out / "bound_audit.csv")
         assert len(rows) == 300
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    @pytest.mark.parametrize("suite", ["povd", "ssc", "bound"])
+    def test_non_positive_cases_rejected(self, capsys, suite, cases):
+        assert main(["verify", "--suite", suite, "--cases", cases]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_omitted_cases_take_the_suite_default(self, monkeypatch):
+        import flowcache.verify as verify_module
+
+        seen = []
+        monkeypatch.setattr(verify_module, "suite_povd", lambda **kwargs: seen.append(kwargs) or SuiteResult("povd", 1))
+        verify_module.run_suite("povd")
+        verify_module.run_suite("povd", cases=7)
+        assert seen == [{}, {"cases": 7}]
 
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
@@ -406,3 +424,28 @@ class TestErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            (dict(CONSTANT_CONFIG, colour=1), "experiment config key 'colour'"),
+            (dict(CONSTANT_CONFIG, field=dict(CONSTANT_CONFIG["field"], colour=1)), "config key 'field.colour'"),
+            (
+                dict(GMM_CONFIG, field=dict(GMM_CONFIG["field"], components=[GMM_COMPONENT, dict(GMM_COMPONENT, colour=1)])),
+                "config key 'field.components[1].colour'",
+            ),
+        ],
+        ids=["top-level", "field", "component"],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, payload, key):
+        config = _write_config(tmp_path, payload)
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key}: unknown key" in capsys.readouterr().err
+
+    def test_unknown_bundle_key_rejected(self, tmp_path, capsys):
+        config, bundle = self._calibrate_constant(tmp_path)
+        bundle.write_text(json.dumps(dict(json.loads(bundle.read_text()), colour=1)))
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert "colour: unknown key" in capsys.readouterr().err
+        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG

@@ -18,6 +18,8 @@ from flowcache import (
     VelocityField,
     compare_trajectories,
     count_speedup,
+    decompose,
+    discrete_accel,
     init_direction,
     initial_state,
     make_uniform_grid,
@@ -28,7 +30,6 @@ from flowcache import (
 )
 from flowcache.diagnostics import (
     ABLATION_ORDER,
-    _oracle_direction,
     make_bundle,
     run_threshold_sweep,
     run_toggle_ablation,
@@ -113,6 +114,19 @@ class TestCompareTrajectories:
         cached = sample_cached(vf, bundle, x0, c)
         with pytest.raises(InvalidArgumentError):
             compare_trajectories(cached, cached)
+
+
+def _oracle_direction(full, m):
+    """Unit orthogonal residual direction at step m of the full record, or None where degenerate."""
+    v = full.velocities[m]
+    if float(np.linalg.norm(v)) <= 1e-12:
+        return None
+    accel = discrete_accel(v, full.velocities[m + 1], float(full.grid.dt[m]))
+    dec = decompose(v, accel, float(full.grid.dt[m]))
+    r_norm = float(np.linalg.norm(dec.r_perp))
+    if r_norm == 0.0 or r_norm < 1e-12 * max(float(np.linalg.norm(accel)), 1.0):
+        return None
+    return dec.r_perp / r_norm
 
 
 def _rederived_cos_theta(full, cached):
