@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .fields import Condition, VelocityField
 from .schedule import skip_intervals
-from .solver import TrajectoryRecord, _check_end, _check_start, _euler, _evaluate
+from .solver import TrajectoryRecord, _batches, _check_end, _check_start, _euler, _evaluate
 
 # Residual-norm fraction below which a direction anchor counts as parallel.
 EPS_DIR = 1e-12
@@ -160,18 +161,24 @@ def sample_cached(
     count reflect exactly the anchor evaluations; ``directions[m]`` is the
     ``u_hat`` the reconstruction used at step m.
     """
-    return _cached_kernel(field, bundle, _check_start(field, x0), condition, toggles)
+    return next(_cached_kernel(field, bundle, _check_start(field, x0)[None], (condition,), toggles))
 
 
 def _cached_kernel(
-    field: VelocityField, bundle: ScheduleBundle, x0: np.ndarray, condition: Condition, toggles: CompensationToggles
-) -> TrajectoryRecord:
-    """``sample_cached`` from a checked start; inputs are checked once per run, not once per step.
+    field: VelocityField,
+    bundle: ScheduleBundle,
+    x0: np.ndarray,
+    conditions: Sequence[Condition],
+    toggles: CompensationToggles,
+) -> Iterator[TrajectoryRecord]:
+    """Cached runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
 
-    The oracle's outputs are checked as they arrive and the indicators once;
-    each step then runs the arithmetic of ``init_direction``,
-    ``reorthogonalize``, ``skip_update`` and ``euler_step`` on rows of the
-    run's arrays. A degenerate direction leaves its ``directions`` row NaN
+    The bundle's schedule is shared, so every run anchors on the same steps:
+    per anchor and batch (``_batches``), one oracle call, its output checked
+    once, and the Euler updates on the batch's rows. The indicators are
+    checked once. Each run then reconstructs its own skipped velocities with
+    the arithmetic of ``init_direction``, ``reorthogonalize`` and
+    ``skip_update``. A degenerate direction leaves its ``directions`` row NaN
     and drops the turning term. The reconstruction after an interval's last
     step is not computed: the next interval opens with an evaluation.
     """
@@ -184,36 +191,41 @@ def _cached_kernel(
     times, dt = grid.times.tolist(), grid.dt.tolist()
     growth = np.exp(k_tilde * grid.dt).tolist() if toggles.use_mi else [1.0] * n_steps
     turn = d_tilde.tolist() if toggles.use_di else [0.0] * n_steps
-
-    block = np.empty((3 * n_steps + 1, field.dimension))  # one allocation per run, as in sample_full
-    states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1])
-    directions.fill(np.nan)
+    intervals = list(skip_intervals(bundle.schedule, n_steps))
     evaluated = np.zeros(n_steps, dtype=bool)
-    states[0] = x0
-    last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
-    for n, h in skip_intervals(bundle.schedule, n_steps):
-        velocities[n] = _evaluate(field, states[n], times[n], condition, n)
-        evaluated[n] = True
-        # interval opening: the turning anchor comes from the most recent
-        # evaluated velocity, which may predate t_{n-1} after a prior skip
-        anchor = tol = None
-        if h > 1:
-            v_prev = velocities[last]
-            vv_prev = float(v_prev.dot(v_prev))
-            if vv_prev != 0.0:
-                anchor = _project_off(velocities[n] - v_prev, v_prev, vv_prev)
-                tol = _parallel_tol(anchor)
-        for m in range(n, n + h):
-            v_hat = velocities[m]
-            _euler(states[m], v_hat, dt[m], out=states[m + 1])
-            u_hat = None
-            vv = 0.0
-            if anchor is not None:
-                vv = float(v_hat.dot(v_hat))
-                if vv != 0.0:
-                    u_hat = _unit_residual(anchor, v_hat, vv, tol, out=directions[m])
-            if m + 1 < n + h:
-                _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=velocities[m + 1])
-        last = n
-    _check_end(states)
-    return TrajectoryRecord(grid, states, velocities, evaluated, directions)
+    evaluated[[n for n, _ in intervals]] = True
+
+    for batch, block, steps in _batches(x0, conditions, 3 * n_steps + 1):
+        block[:, 2 * n_steps + 1 :] = np.nan
+        states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
+        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :]) for run in block]  # velocities, directions
+        last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
+        for n, h in intervals:
+            velocities[n] = _evaluate(field, states[n], times[n], batch, n)
+            for vel, dirs in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
+                # interval opening: the turning anchor comes from the run's most recent
+                # evaluated velocity, which may predate t_{n-1} after a prior skip
+                v_prev = vel[last]
+                vv_prev = float(v_prev.dot(v_prev))
+                if vv_prev == 0.0:
+                    anchor = None
+                else:
+                    anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
+                    tol = _parallel_tol(anchor)
+                for m in range(n, n + h):
+                    v_hat = vel[m]
+                    u_hat = None
+                    vv = 0.0
+                    if anchor is not None:
+                        vv = float(v_hat.dot(v_hat))
+                        if vv != 0.0:
+                            u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
+                    if m + 1 < n + h:
+                        _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
+            # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
+            for m in range(n, n + h):
+                _euler(states[m], velocities[m], dt[m], out=states[m + 1])
+            last = n
+        _check_end(states)
+        for run, (vel, dirs) in zip(block, runs):
+            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, dirs)

@@ -19,7 +19,7 @@ from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, InvalidArgumentError
 from .fields import Condition, VelocityField, initial_state
 from .ioutil import _finite, _json_value, _known_keys, write_csv
-from .solver import TimeGrid, sample_full
+from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
 BUNDLE_FORMAT = "tacache-bundle/1"
@@ -62,33 +62,27 @@ class IndicatorTable:
 
 
 def calibrate(field: VelocityField, grid: TimeGrid, conditions: list[Condition]) -> IndicatorTable:
-    """Average per-sample decomposition scalars into indicator curves."""
+    """Average per-sample decomposition scalars into indicator curves.
+
+    The full-step runs share the grid, so they run batched over the conditions.
+    """
     if not conditions:
         raise InvalidArgumentError("calibration needs at least one condition")
     n = grid.n_steps
     dt = grid.dt[:-1]
-    k_rows = np.empty((len(conditions), max(n - 1, 0)))
-    d_rows = np.empty_like(k_rows)
-    for row, condition in enumerate(conditions):
-        v = sample_full(field, grid, initial_state(condition, field.dimension), condition).velocities
-        k_rows[row], _, d_rows[row] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
+    rows = np.empty((2, len(conditions), max(n - 1, 0)))  # per-sample k and d
+    x0 = np.array([initial_state(condition, field.dimension) for condition in conditions])
+    for row, record in enumerate(_full_kernel(field, grid, x0, conditions)):
+        v = record.velocities
+        rows[0, row], _, rows[1, row] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
 
-    k_tilde = np.zeros(n)
-    d_tilde = np.zeros(n)
-    k_std = np.zeros(n)
-    d_std = np.zeros(n)
+    curves = np.zeros((4, n))  # k_tilde, d_tilde, k_std, d_std
     if n > 1:
-        k_tilde[: n - 1] = k_rows.mean(axis=0)
-        d_tilde[: n - 1] = d_rows.mean(axis=0)
+        curves[:2, : n - 1] = rows.mean(axis=1)
         if len(conditions) > 1:
-            k_std[: n - 1] = k_rows.std(axis=0, ddof=1)
-            d_std[: n - 1] = d_rows.std(axis=0, ddof=1)
-        # hold-last boundary entry for the final step
-        k_tilde[n - 1] = k_tilde[n - 2]
-        d_tilde[n - 1] = d_tilde[n - 2]
-        k_std[n - 1] = k_std[n - 2]
-        d_std[n - 1] = d_std[n - 2]
-    return IndicatorTable(k_tilde, d_tilde, k_std, d_std, sample_count=len(conditions))
+            curves[2:, : n - 1] = rows.std(axis=1, ddof=1)
+        curves[:, n - 1] = curves[:, n - 2]  # hold-last boundary entry for the final step
+    return IndicatorTable(*curves, sample_count=len(conditions))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +112,7 @@ class ScheduleBundle:
             raise InvalidArgumentError(f"indicators cover {self.indicators.n_steps} steps, grid has {n}")
         if schedule.shape != (n,):
             raise InvalidArgumentError(f"schedule must have {n} entries")
-        if self.tau_k < 0 or self.tau_d < 0:
+        if not (self.tau_k >= 0 and self.tau_d >= 0):  # NaN fails this too
             raise InvalidArgumentError("thresholds must be non-negative")
         if self.h_max < 1:
             raise InvalidArgumentError("h_max must be positive")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,7 +167,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         audit_path = None
         if name == "bound" and args.out:
             audit_path = str(_out_dir(args) / "bound_audit.csv")
-        result = run_suite(name, cases=args.cases, seed=args.seed, audit_path=audit_path)
+        # with --suite all, --cases sizes the randomized suites; exactness has fixed checks
+        cases = None if name == "exactness" and args.suite == "all" else args.cases
+        result = run_suite(name, cases=cases, seed=args.seed, audit_path=audit_path)
         for line in result.summary_lines():
             print(line)
         ok = ok and result.passed
@@ -243,10 +246,15 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def _parse_taus(text: str) -> list[tuple[float, float]]:
     pairs: list[tuple[float, float]] = []
     for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise InvalidArgumentError(f"bad threshold pair {chunk!r}; expected tau_k:tau_d")
-        pairs.append((float(parts[0]), float(parts[1])))
+        try:
+            pair = tuple(float(part) for part in chunk.split(":"))
+        except ValueError:
+            pair = ()
+        if len(pair) != 2 or not all(math.isfinite(tau) and tau >= 0 for tau in pair):
+            raise InvalidArgumentError(
+                f"--sweep-taus: bad threshold pair {chunk!r}; expected tau_k:tau_d, two finite non-negative numbers"
+            )
+        pairs.append(pair)
     return pairs
 
 

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cached_sampler import CompensationToggles, sample_cached
+from .cached_sampler import CompensationToggles, _cached_kernel
 from .calibration import ScheduleBundle, calibrate
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
 from .ioutil import _json_value, _known_keys, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
-from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
+from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
 
 # Reference norms below this are skipped when averaging relative drifts.
 NORM_GUARD = 1e-12
@@ -292,35 +292,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs; the follow-up experiments take the returned result.
     """
     velocity_field, grid, bundle = make_bundle(config)
-    references = []
-    for seed in config.evaluation_seeds:
-        condition = Condition(seed)
-        x0 = initial_state(condition, velocity_field.dimension)
-        references.append(sample_full(velocity_field, grid, x0, condition))
-    offline = ExperimentResult(config, velocity_field, bundle, tuple(references))
+    conditions = _conditions(config)
+    x0 = np.array([initial_state(condition, velocity_field.dimension) for condition in conditions])
+    offline = ExperimentResult(config, velocity_field, bundle, tuple(_full_kernel(velocity_field, grid, x0, conditions)))
     return replace(offline, reports=tuple(evaluate_bundle(offline, bundle, config.toggles)))
 
 
+def _evaluation_batch(result: ExperimentResult) -> tuple[np.ndarray, list[Condition]]:
+    """The reference runs' start states, one row per evaluation seed, and the seeds' conditions."""
+    return np.array([full.states[0] for full in result.references]), _conditions(result.config)
+
+
+def _conditions(config: ExperimentConfig) -> list[Condition]:
+    return [Condition(seed) for seed in config.evaluation_seeds]
+
+
 def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: CompensationToggles) -> list[DriftReport]:
-    """One cached run per evaluation seed, each compared against its stored reference."""
-    reports: list[DriftReport] = []
-    for seed, full in zip(result.config.evaluation_seeds, result.references):
-        cached = sample_cached(result.velocity_field, bundle, full.states[0], Condition(seed), toggles)
-        reports.append(compare_trajectories(full, cached))
-    return reports
+    """One cached run per evaluation seed, batched, each compared against its stored reference."""
+    runs = _cached_kernel(result.velocity_field, bundle, *_evaluation_batch(result), toggles)
+    return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
 
 
 def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
     if n_truncated < 1:
         raise InvalidArgumentError("truncated step count must be positive")
-    short_grid = make_uniform_grid(n_truncated)
+    runs = _full_kernel(result.velocity_field, make_uniform_grid(n_truncated), *_evaluation_batch(result))
     drifts = np.empty(len(result.references))
-    for i, (seed, full) in enumerate(zip(result.config.evaluation_seeds, result.references)):
+    for i, (full, truncated) in enumerate(zip(result.references, runs)):
         reference = full.final_state
-        truncated = sample_full(result.velocity_field, short_grid, full.states[0], Condition(seed)).final_state
         ref_norm = float(np.linalg.norm(reference))
-        drifts[i] = float(np.linalg.norm(truncated - reference)) / ref_norm if ref_norm > NORM_GUARD else 0.0
+        drifts[i] = float(np.linalg.norm(truncated.final_state - reference)) / ref_norm if ref_norm > NORM_GUARD else 0.0
     return drifts
 
 

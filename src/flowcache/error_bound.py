@@ -138,31 +138,6 @@ def bound_terms(
     return BoundTerms(*(float(a[0]) for a in _bound_rows(v_n, k, d, u_perp, k_t, d_t, u_hat, dt)))
 
 
-def unit_orthogonal(rng: np.random.Generator, against: list[np.ndarray]) -> np.ndarray:
-    """Random unit vector orthogonal to every vector in ``against``.
-
-    Gaussian draws are Gram-Schmidt projected off the given vectors; draws
-    whose residual keeps less than REJECT_TOL of their norm are rejected so
-    the output is orthogonal to working precision, as the bound's
-    preconditions require.
-    """
-    if not against:
-        raise InvalidArgumentError("need at least one vector to orthogonalize against")
-    dim = against[0].shape[0]
-    if dim < len(against) + 1:
-        raise InvalidArgumentError("not enough dimensions for an orthogonal complement")
-    while True:
-        g = rng.standard_normal(dim)
-        g_norm = float(np.linalg.norm(g))
-        for v in against:
-            vv = float(v @ v)
-            if vv > 0:
-                g = g - (float(g @ v) / vv) * v
-        norm = float(np.linalg.norm(g))
-        if norm > REJECT_TOL * max(g_norm, 1.0):
-            return g / norm
-
-
 @dataclass
 class BoundSweepResult:
     """Aggregate of a randomized bound-verification sweep."""
@@ -190,10 +165,12 @@ def _masked_normal(rng: np.random.Generator, dims: np.ndarray, width: int) -> np
 
 
 def _unit_orthogonal_rows(rng: np.random.Generator, v: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Row-wise ``unit_orthogonal`` against each row of ``v``.
+    """A random unit vector orthogonal to each row of ``v``, zero at and beyond the row's dim.
 
-    Rows whose residual keeps less than REJECT_TOL of their norm are redrawn,
-    all failing rows at once, until none is left.
+    Gaussian draws are projected off ``v``. Rows whose residual keeps less
+    than REJECT_TOL of their norm are redrawn, all failing rows at once, until
+    none is left, so the output is orthogonal to working precision, as the
+    bound's preconditions require.
     """
     vv = _rowdot(v, v)
     u = np.empty_like(v)

@@ -27,7 +27,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -216,10 +216,23 @@ def _mixture_velocity(
     """The arithmetic of ``gaussian_mixture_velocity`` on validated arrays.
 
     ``log_weights`` and ``scales_sq`` have shape (C,), ``means`` (C, D), and
-    ``x`` shape (D,). No argument is modified.
+    ``x`` shape (D,) or (B, D); the result has the shape of ``x``. Each row of
+    a (B, D) result equals the (D,) result for that row bit for bit: the row
+    reductions keep their order. No argument is modified.
     """
     one_t = 1.0 - t
     s2 = t * t + one_t * one_t * scales_sq
+    coef = (t - one_t * scales_sq) / s2
+    if x.ndim == 2:
+        z = x[:, None, :] - one_t * means
+        log_resp = log_weights - 0.5 * np.einsum("bcd,bcd->bc", z, z) / s2 - 0.5 * x.shape[1] * np.log(s2)
+        log_resp -= log_resp.max(axis=1, keepdims=True)
+        resp = np.exp(log_resp)
+        resp /= resp.sum(axis=1, keepdims=True)
+        # in place: at large B * C * D a fresh temporary costs more in page faults than in arithmetic
+        z *= coef[:, None]
+        z -= means
+        return np.matmul(resp[:, None, :], z)[:, 0]
     z = x[None, :] - one_t * means
     sq = np.einsum("cd,cd->c", z, z)
     log_resp = log_weights - 0.5 * sq / s2 - 0.5 * x.shape[0] * np.log(s2)
@@ -227,7 +240,6 @@ def _mixture_velocity(
     resp = np.exp(log_resp)
     resp /= resp.sum()
 
-    coef = (t - one_t * scales_sq) / s2
     component_vel = coef[:, None] * z - means
     return resp @ component_vel
 
@@ -236,9 +248,10 @@ class VelocityField:
     """A synthetic velocity oracle with evaluation accounting.
 
     The counter equals exactly the number of ``evaluate`` calls since
-    construction or the last ``reset_evaluations``, and is safe under
-    concurrent increments. All other state is immutable: the spec is
-    converted to arrays once, here, so each call runs only the velocity math.
+    construction or the last ``reset_evaluations`` (a batched call counts
+    once), and is safe under concurrent increments. All other state is
+    immutable: the spec is converted to arrays once, here, so each call runs
+    only the velocity math.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -263,18 +276,26 @@ class VelocityField:
         with self._lock:
             self._evaluations = 0
 
-    def evaluate(self, state: np.ndarray, t: float, condition: Condition) -> np.ndarray:
+    def evaluate(self, state: np.ndarray, t: float, condition: Condition | Sequence[Condition]) -> np.ndarray:
         """Velocity at (state, t). Increments the evaluation counter by one.
 
-        The condition is part of the evaluation contract (determinism is over
-        the full argument tuple); the built-in families are unconditional, so
-        it does not enter the arithmetic. The result is always a fresh array.
+        ``state`` is one (D,) state with one ``condition``, or a (B, D) batch
+        with a sequence of B conditions; the result has the shape of
+        ``state``, each row equal bit for bit to the (D,) call on it. A batched
+        call is one forward pass and counts once, as NFE counts oracle
+        evaluations. The condition is part of the evaluation contract
+        (determinism is over the full argument tuple); the built-in families
+        are unconditional, so it does not enter the arithmetic. The result is
+        always a fresh array.
         """
         state = np.asarray(state, dtype=float)
         if state.shape != (self._spec.dimension,):
-            raise InvalidArgumentError(
-                f"state shape {state.shape} does not match field dimension {self._spec.dimension}"
-            )
+            if state.ndim != 2 or state.shape[0] < 1 or state.shape[1] != self._spec.dimension:
+                raise InvalidArgumentError(
+                    f"state shape {state.shape} does not match field dimension {self._spec.dimension}"
+                )
+            if not isinstance(condition, Sequence) or len(condition) != state.shape[0]:
+                raise InvalidArgumentError(f"a batch of {state.shape[0]} states needs one condition per row")
         if not 0.0 <= t <= 1.0:
             raise InvalidArgumentError(f"time must lie in [0, 1], got {t}")
         with self._lock:
@@ -295,18 +316,18 @@ def _velocity_function(spec: FieldSpec) -> Callable[[np.ndarray, float], np.ndar
         return lambda state, t: _mixture_velocity(state, t, log_weights, means, scales_sq)
     target = np.array(spec.target, dtype=float)
     if spec.kind == KIND_CONSTANT:
-        return lambda state, t: target.copy()
+        return lambda state, t: np.broadcast_to(target, state.shape).copy()
     if spec.kind == KIND_MAGNITUDE_DECAY:
-        return lambda state, t: math.exp(spec.rate * (1.0 - t)) * target
+        return lambda state, t: math.exp(spec.rate * (1.0 - t)) * np.broadcast_to(target, state.shape)
     i, j = spec.plane
+    ti, tj = float(target[i]), float(target[j])
 
     def rotation(state: np.ndarray, t: float) -> np.ndarray:
-        v = target.copy()
+        v = np.broadcast_to(target, state.shape).copy()
         angle = spec.rate * (1.0 - t)
         c, s = math.cos(angle), math.sin(angle)
-        vi, vj = v[i], v[j]
-        v[i] = c * vi - s * vj
-        v[j] = s * vi + c * vj
+        v[..., i] = c * ti - s * tj
+        v[..., j] = s * ti + c * tj
         return v
 
     return rotation

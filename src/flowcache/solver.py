@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,8 +74,8 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
-        # the (N, D) arrays are frozen in place, not copied: the samplers hand over fresh arrays,
-        # and each copy would be one more large allocation per run
+        # the (N, D) arrays are frozen in place, not copied: the samplers hand over views of a
+        # fresh batch block, and each copy would be one more large allocation per run
         states = np.asarray(self.states, dtype=float)
         velocities = np.asarray(self.velocities, dtype=float)
         evaluated = np.array(self.evaluated, dtype=bool)
@@ -128,40 +129,74 @@ def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
-def _evaluate(field: VelocityField, state: np.ndarray, t: float, condition: Condition, n: int) -> np.ndarray:
-    """One oracle call, its output checked for finiteness once."""
-    v = field.evaluate(state, t, condition)
-    # a finite v @ v implies finite entries; the full test runs only when it is not, e.g. on overflow
-    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+# Most bytes one batch's block of run arrays takes. A larger set of runs goes
+# in consecutive batches, so memory stays bounded whatever the seed count.
+_BATCH_BYTES = 1 << 20
+
+
+def _batches(
+    x0: np.ndarray, conditions: Sequence[Condition], width: int
+) -> Iterator[tuple[Sequence[Condition], np.ndarray, np.ndarray]]:
+    """The runs from the (B, D) start states ``x0`` in batches: ``(conditions, block, steps)``.
+
+    ``block`` is one allocation, (b, width, D), a contiguous row of ``width``
+    vectors per run: as separate arrays, large runs were faulted in from the
+    OS again on every run under some heap layouts. ``steps`` is its step-major
+    view with the starts in row 0. Its rows are (b, D), or (D,) for a single
+    run, which the oracle then takes as an unbatched call.
+    """
+    size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1]))
+    for start in range(0, len(conditions), size):
+        batch = conditions[start : start + size]
+        block = np.empty((len(batch), width, x0.shape[1]))
+        steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
+        steps[0] = x0[start : start + size]
+        yield batch, block, steps
+
+
+def _evaluate(
+    field: VelocityField, states: np.ndarray, t: float, conditions: Sequence[Condition], n: int
+) -> np.ndarray:
+    """One oracle call on a row of a batch's ``steps`` (see ``_batches``), its output checked for finiteness once."""
+    v = field.evaluate(states, t, conditions[0] if states.ndim == 1 else conditions)
+    flat = v if v.ndim == 1 else v.ravel()
+    # a finite sum of squares implies finite entries; the full test runs only when it is not, e.g. on overflow
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
         raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={t})")
     return v
 
 
 def _check_end(states: np.ndarray) -> None:
-    """Reject a run whose states overflowed; a non-finite entry persists to the final state."""
+    """Reject a batch whose states overflowed; a non-finite entry persists to the final states."""
     if not np.isfinite(states[-1]).all():
         raise NumericDomainError("the trajectory left the finite range")
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
     """Reference run: evaluate the oracle at every step of the grid."""
-    return _full_kernel(field, grid, _check_start(field, x0), condition)
+    return next(_full_kernel(field, grid, _check_start(field, x0)[None], (condition,)))
 
 
-def _full_kernel(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
-    """``sample_full`` from a checked start: per step one oracle call, its output checked once, and the Euler update."""
+def _full_kernel(
+    field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition]
+) -> Iterator[TrajectoryRecord]:
+    """Full runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
+
+    Per step and batch (``_batches``), one oracle call, its output checked
+    once, and the Euler update on the batch's rows. Each record's arrays are
+    one contiguous run of its batch's block.
+    """
     n = grid.n_steps
     times, dt = grid.times.tolist(), grid.dt.tolist()
-    # the run's arrays share one allocation: as separate arrays, large runs
-    # were faulted in from the OS again on every run under some heap layouts
-    block = np.empty((2 * n + 1, field.dimension))
-    states, velocities = block[: n + 1], block[n + 1 :]
-    states[0] = x0
-    for i in range(n):
-        velocities[i] = _evaluate(field, states[i], times[i], condition, i)
-        _euler(states[i], velocities[i], dt[i], out=states[i + 1])
-    _check_end(states)
-    return TrajectoryRecord(grid, states, velocities, np.ones(n, dtype=bool))
+    evaluated = np.ones(n, dtype=bool)
+    for batch, block, steps in _batches(x0, conditions, 2 * n + 1):
+        states, velocities = steps[: n + 1], steps[n + 1 :]
+        for i in range(n):
+            velocities[i] = _evaluate(field, states[i], times[i], batch, i)
+            _euler(states[i], velocities[i], dt[i], out=states[i + 1])
+        _check_end(states)
+        for run in block:
+            yield TrajectoryRecord(grid, run[: n + 1], run[n + 1 :], evaluated)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:

@@ -39,7 +39,8 @@ class SuiteResult:
 
     def summary_lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status} {self.name}: {self.cases} cases"]
+        unit = "fixed checks" if self.name == "exactness" else "cases"
+        lines = [f"{status} {self.name}: {self.cases} {unit}"]
         for key, value in self.stats.items():
             lines.append(f"  {key} = {value!r}")
         for failure in self.failures[:10]:
@@ -209,10 +210,12 @@ def run_suite(
         raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {SUITES}")
     if cases is not None and cases < 1:
         raise InvalidArgumentError(f"--cases must be a positive integer, got {cases}")
+    if cases is not None and name == "exactness":
+        raise InvalidArgumentError("--cases does not apply to the exactness suite, which runs 3 fixed checks")
     kwargs: dict = {}
     if seed is not None:
         kwargs["seed"] = seed
-    if cases is not None and name != "exactness":
+    if cases is not None:
         kwargs["cases"] = cases
     if name == "povd":
         return suite_povd(**kwargs)

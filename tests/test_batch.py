@@ -1,0 +1,218 @@
+"""Batched sampling against the single-run samplers.
+
+The samplers' kernels run a (B, D) batch of runs that share a grid and a
+schedule, with one oracle call per step for the whole batch. Every record of
+a batch must equal, bit for bit, the record ``sample_full`` or
+``sample_cached`` gives for that run alone (the B=1 case).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from flowcache import (
+    CompensationToggles,
+    Condition,
+    FieldSpec,
+    IndicatorTable,
+    InvalidArgumentError,
+    NumericDomainError,
+    ScheduleBundle,
+    VelocityField,
+    initial_state,
+    make_uniform_grid,
+    sample_cached,
+    sample_full,
+)
+from flowcache import solver
+from flowcache.cached_sampler import _cached_kernel
+from flowcache.diagnostics import ABLATION_ORDER
+from flowcache.fields import _mixture_velocity
+from flowcache.solver import _full_kernel
+
+from test_kernels import KERNEL_FIELDS, _setup
+
+
+def _starts(field, seeds):
+    conditions = [Condition(seed) for seed in seeds]
+    return np.array([initial_state(c, field.dimension) for c in conditions]), conditions
+
+
+def _assert_same_run(batched, single):
+    assert np.array_equal(batched.states, single.states)
+    assert np.array_equal(batched.velocities, single.velocities)
+    assert np.array_equal(batched.evaluated, single.evaluated)
+    if single.directions is None:
+        assert batched.directions is None
+    else:
+        assert np.array_equal(batched.directions, single.directions, equal_nan=True)
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.37])
+    @pytest.mark.parametrize("batch", [1, 4, 6, 16])
+    @pytest.mark.parametrize("components, dimension", [(2, 3), (8, 64), (16, 1024), (3, 2), (1, 5)])
+    def test_mixture_rows_match_single_calls(self, components, dimension, batch, t):
+        rng = np.random.default_rng(components * 1000 + dimension)
+        weights = rng.dirichlet(np.ones(components))
+        means = rng.normal(0.0, 1.5, (components, dimension))
+        scales_sq = rng.uniform(0.5, 1.5, components) ** 2
+        x = 3.0 * rng.standard_normal((batch, dimension))
+        out = _mixture_velocity(x, t, np.log(weights), means, scales_sq)
+        assert out.shape == x.shape
+        for row in range(batch):
+            assert np.array_equal(out[row], _mixture_velocity(x[row], t, np.log(weights), means, scales_sq))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_every_kind_returns_fresh_rows_of_single_calls(self, name):
+        field = VelocityField(KERNEL_FIELDS[name][0])
+        x, conditions = _starts(field, range(5))
+        view = np.repeat(x, 2, axis=0)[::2]  # a strided batch, as the samplers pass
+        for t in (0.0, 0.5, 1.0):
+            out = field.evaluate(view, t, conditions)
+            assert out.shape == x.shape and out.flags.c_contiguous
+            for row, condition in enumerate(conditions):
+                assert np.array_equal(out[row], field.evaluate(x[row], t, condition))
+            out[:] = 0.0  # the result is the caller's; the next call must not see this
+            assert np.array_equal(field.evaluate(x, t, conditions), field.evaluate(view, t, conditions))
+
+    def test_a_batched_call_counts_once(self):
+        field = VelocityField(KERNEL_FIELDS["mixture-d3"][0])
+        x, conditions = _starts(field, range(4))
+        field.evaluate(x, 0.5, conditions)
+        assert field.evaluations == 1
+
+    @pytest.mark.parametrize(
+        "shape, count",
+        [((3, 3), 2), ((3, 3), 4), ((2, 4), 2), ((0, 3), 0), ((2, 2, 3), 2)],
+        ids=["too-few-conditions", "too-many-conditions", "wrong-dimension", "empty", "3-d"],
+    )
+    def test_bad_batch_rejected(self, shape, count):
+        field = VelocityField(KERNEL_FIELDS["mixture-d3"][0])
+        with pytest.raises(InvalidArgumentError):
+            field.evaluate(np.zeros(shape), 0.5, [Condition(i) for i in range(count)])
+        assert field.evaluations == 0
+
+    def test_batch_with_one_condition_rejected(self):
+        field = VelocityField(KERNEL_FIELDS["mixture-d3"][0])
+        with pytest.raises(InvalidArgumentError, match="one condition per row"):
+            field.evaluate(np.zeros((2, 3)), 0.5, Condition(1))
+
+
+class TestBatchedSamplers:
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_full_rows_match_single_runs(self, name, batch):
+        field, grid, _ = _setup(name)
+        x0, conditions = _starts(field, range(100, 100 + batch))
+        field.reset_evaluations()
+        records = list(_full_kernel(field, grid, x0, conditions))
+        assert field.evaluations == grid.n_steps  # one call per step for the whole batch
+        assert len(records) == batch
+        for record, start, condition in zip(records, x0, conditions):
+            assert record.nfe == grid.n_steps
+            assert record.states.flags.c_contiguous and record.velocities.flags.c_contiguous
+            _assert_same_run(record, sample_full(field, grid, start, condition))
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("toggles", ABLATION_ORDER, ids=lambda t: f"mi{int(t[0])}-di{int(t[1])}")
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_cached_rows_match_single_runs(self, name, toggles, batch):
+        field, _, bundle = _setup(name)
+        toggles = CompensationToggles(*toggles)
+        x0, conditions = _starts(field, range(100, 100 + batch))
+        field.reset_evaluations()
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
+        assert len(records) == batch
+        assert field.evaluations == records[0].nfe < bundle.grid.n_steps
+        for record, start, condition in zip(records, x0, conditions):
+            assert record.directions.flags.c_contiguous
+            _assert_same_run(record, sample_cached(field, bundle, start, condition, toggles))
+
+    @pytest.mark.parametrize("kernel", ["full", "cached"])
+    def test_runs_beyond_the_byte_budget_span_two_batches(self, kernel):
+        field, grid, bundle = _setup("mixture-d64")
+        width = 2 * grid.n_steps + 1 if kernel == "full" else 3 * grid.n_steps + 1
+        per_batch = solver._BATCH_BYTES // (8 * width * field.dimension)
+        assert per_batch > 1
+        x0, conditions = _starts(field, range(200, 201 + per_batch))
+        field.reset_evaluations()
+        if kernel == "full":
+            records = list(_full_kernel(field, grid, x0, conditions))
+            singles = [sample_full(field, grid, x, c) for x, c in zip(x0, conditions)]
+        else:
+            records = list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles()))
+            singles = [sample_cached(field, bundle, x, c) for x, c in zip(x0, conditions)]
+        # each batch shares one block; the last run had to go in a second one
+        blocks = [record.states.base for record in records]
+        assert blocks[0] is blocks[per_batch - 1] and blocks[per_batch] is not blocks[0]
+        assert field.evaluations == 2 * records[0].nfe + sum(s.nfe for s in singles)
+        for record, single in zip(records, singles):
+            _assert_same_run(record, single)
+
+    def test_budget_holds_one_dim_1024_run_per_batch(self):
+        # a sample-d1024-shaped calibration (100 steps) runs one seed at a time
+        assert solver._BATCH_BYTES // (8 * 201 * 1024) == 0
+
+
+def _row_dependent_field(monkeypatch, fault_step=None, grid=None):
+    """A 2-d field whose rows far out on the first axis move straight, the others turn.
+
+    Straight rows have no turning direction, so their reconstruction is
+    degenerate. With ``fault_step``, straight rows return NaN from that
+    step's time on.
+    """
+    field = VelocityField(FieldSpec(kind="constant", dimension=2, target=(1.0, 0.0)))
+
+    def velocity(state, t):
+        angle = 2.0 * (1.0 - t)
+        turning = np.array([math.cos(angle), math.sin(angle)])
+        straight = np.array([1.0, 0.0])
+        if fault_step is not None and t <= grid.times[fault_step]:
+            straight = np.array([math.nan, 0.0])
+        return np.where(state[..., :1] > 100.0, straight, turning)
+
+    monkeypatch.setattr(field, "_velocity", velocity)
+    return field
+
+
+def _skipping_bundle(n_steps=20, h=4):
+    grid = make_uniform_grid(n_steps)
+    indicators = IndicatorTable(
+        np.full(n_steps, 0.1), np.full(n_steps, 0.5), np.zeros(n_steps), np.zeros(n_steps), sample_count=1
+    )
+    schedule = [1] + [min(h, n_steps - i) for i in range(1, n_steps)]
+    return ScheduleBundle(grid, indicators, schedule, 1.0, 1.0, h, "stub", (1,))
+
+
+class TestMixedRows:
+    def test_degenerate_and_turning_rows_in_one_batch(self, monkeypatch):
+        field = _row_dependent_field(monkeypatch)
+        bundle = _skipping_bundle()
+        x0 = np.array([[1000.0, 0.0], [0.0, 0.0], [2000.0, 5.0]])
+        conditions = [Condition(1), Condition(2), Condition(3)]
+        records = list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles()))
+        for record, start, condition in zip(records, x0, conditions):
+            _assert_same_run(record, sample_cached(field, bundle, start, condition))
+        recorded = [~np.isnan(r.directions).all(axis=1) for r in records]
+        assert not recorded[0].any() and not recorded[2].any()  # degenerate: all-NaN rows
+        assert recorded[1].any()  # turning
+
+    @pytest.mark.parametrize("kernel", ["full", "cached"])
+    def test_non_finite_row_names_the_step(self, monkeypatch, kernel):
+        bundle = _skipping_bundle()
+        field = _row_dependent_field(monkeypatch, fault_step=5, grid=bundle.grid)
+        x0 = np.array([[0.0, 0.0], [1000.0, 0.0]])
+        conditions = [Condition(1), Condition(2)]
+        with pytest.raises(NumericDomainError, match=r"at step 5 \("):
+            if kernel == "full":
+                list(_full_kernel(field, bundle.grid, x0, conditions))
+            else:
+                list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles()))
+        # the same fault on its own row, and none on the other
+        with pytest.raises(NumericDomainError, match=r"at step 5 \("):
+            sample_full(field, bundle.grid, x0[1], conditions[1])
+        sample_full(field, bundle.grid, x0[0], conditions[0])

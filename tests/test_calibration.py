@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +257,12 @@ class TestScheduleBundleValidation:
                 field_digest="x",
                 seeds=(0,),
             )
+
+    @pytest.mark.parametrize("taus", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)], ids=["nan-k", "nan-d", "negative-k"])
+    def test_bad_thresholds_rejected(self, gmm_spec, taus):
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        with pytest.raises(InvalidArgumentError, match="thresholds must be non-negative"):
+            replace(bundle, tau_k=taus[0], tau_d=taus[1])
 
 
 def test_indicator_csv_shape(tmp_path, gmm_spec):

@@ -217,6 +217,29 @@ class TestVerify:
         verify_module.run_suite("povd", cases=7)
         assert seen == [{}, {"cases": 7}]
 
+    def test_cases_rejected_for_the_exactness_suite(self, capsys):
+        assert main(["verify", "--suite", "exactness", "--cases", "50"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_cases_with_all_sizes_the_randomized_suites(self, capsys, monkeypatch):
+        import flowcache.cli as cli_module
+        import flowcache.verify as verify_module
+
+        seen = {}
+
+        def recorded(name, cases=None, **kwargs):
+            seen[name] = cases
+            return verify_module.run_suite(name, cases=cases, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run_suite", recorded)
+        assert main(["verify", "--suite", "all", "--cases", "40"]) == EXIT_OK
+        assert seen == {"povd": 40, "ssc": 40, "bound": 40, "exactness": None}
+        out = capsys.readouterr().out
+        assert "PASS povd: 40 cases" in out
+        assert "PASS exactness: 3 fixed checks" in out
+
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
 
@@ -257,26 +280,41 @@ class TestBench:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_one_calibration_and_one_reference_set(self, tmp_path, monkeypatch):
-        calls = {"sample_full": [], "calibrate": []}
-        for module_name, attr in (("flowcache.solver", "sample_full"), ("flowcache.calibration", "calibrate")):
-            original = getattr(sys.modules[module_name], attr)
+        runs, calibrations = [], []
+        originals = {"_full_kernel": sys.modules["flowcache.solver"]._full_kernel}
+        originals["calibrate"] = sys.modules["flowcache.calibration"].calibrate
 
-            def counted(*args, _original=original, _calls=calls[attr], **kwargs):
-                _calls.append(1)
-                return _original(*args, **kwargs)
+        def full_kernel(field, grid, x0, conditions):
+            # one entry per trajectory: the grid it runs on and its start state
+            runs.extend((grid.times.tobytes(), row.tobytes()) for row in x0)
+            return originals["_full_kernel"](field, grid, x0, conditions)
 
-            # patch every flowcache module that imported the function by name
+        def calibrate(*args, **kwargs):
+            calibrations.append(1)
+            return originals["calibrate"](*args, **kwargs)
+
+        # patch every flowcache module that imported the function by name
+        for attr, counted in (("_full_kernel", full_kernel), ("calibrate", calibrate)):
             for name, module in list(sys.modules.items()):
                 if name == "flowcache" or name.startswith("flowcache."):
                     for held, value in list(vars(module).items()):
-                        if value is original:
+                        if value is originals[attr]:
                             monkeypatch.setattr(module, held, counted)
         config = _write_config(tmp_path, README_CONFIG)
         argv = ["bench", "--config", str(config), "--out", str(tmp_path / "bench"), "--ablation"]
         assert main(argv + ["--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == EXIT_OK
-        # 6 calibration runs, 4 references and 4 truncated runs
-        assert len(calls["sample_full"]) == 14
-        assert len(calls["calibrate"]) == 1
+        # 6 calibration runs, 4 references and 4 truncated runs, none of them run twice
+        assert len(runs) == 14
+        assert len(set(runs)) == 14
+        assert len(calibrations) == 1
+
+    @pytest.mark.parametrize("taus", ["nan:0.3", "-1:0.3", "x:0.3", "0.3:inf"])
+    def test_bad_sweep_taus_rejected(self, tmp_path, capsys, taus):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(config), "--out", str(out), f"--sweep-taus={taus}"]) == EXIT_CONFIG
+        assert "--sweep-taus" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_constant_field_rows(self, tmp_path):
         config = _write_config(tmp_path, CONSTANT_CONFIG)

@@ -9,9 +9,14 @@ import pytest
 
 from flowcache import DegenerateVelocityError, InvalidArgumentError, bound_terms, oracle_update, run_bound_sweep
 from flowcache import error_bound
-from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, unit_orthogonal, write_bound_audit_csv
+from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, _unit_orthogonal_rows, write_bound_audit_csv
 
 SWEEP_RANGES = ((2, 64), (-5.0, 5.0), (0.0, 2.0))  # run_bound_sweep's dim, k and d ranges
+
+
+def _unit_orthogonal(rng, v):
+    """One random unit vector orthogonal to ``v``, drawn by the sweep's row drawer."""
+    return _unit_orthogonal_rows(rng, v[None], np.array([v.size]))[0]
 
 
 class TestOracleUpdate:
@@ -60,7 +65,7 @@ class TestBoundTerms:
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             v = rng.standard_normal(dim)
-            u = unit_orthogonal(rng, [v])
+            u = _unit_orthogonal(rng, v)
             k, k_t = rng.uniform(-3, 3, size=2)
             d, d_t = rng.uniform(0, 2, size=2)
             dt = 1.0 - rng.random()
@@ -85,8 +90,8 @@ class TestBoundTerms:
         rng = np.random.default_rng(23)
         for _ in range(200):
             v = rng.standard_normal(5)
-            u_perp = unit_orthogonal(rng, [v])
-            u_hat = unit_orthogonal(rng, [v])
+            u_perp = _unit_orthogonal(rng, v)
+            u_hat = _unit_orthogonal(rng, v)
             k, k_t = rng.uniform(-4, 4, size=2)
             d, d_t = rng.uniform(0, 2, size=2)
             dt = 1.0 - rng.random()
@@ -99,26 +104,11 @@ class TestBoundTerms:
 class TestUnitOrthogonal:
     def test_unit_and_orthogonal(self):
         rng = np.random.default_rng(29)
-        for _ in range(200):
-            v = rng.standard_normal(6)
-            u = unit_orthogonal(rng, [v])
-            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-            assert abs(u @ v) <= 1e-10 * np.linalg.norm(v)
-
-    def test_multiple_constraints(self):
-        rng = np.random.default_rng(31)
-        v = rng.standard_normal(5)
-        u1 = unit_orthogonal(rng, [v])
-        u2 = unit_orthogonal(rng, [v, u1])
-        assert abs(u2 @ v) <= 1e-10 * np.linalg.norm(v)
-        assert abs(u2 @ u1) <= 1e-10
-
-    def test_needs_spare_dimensions(self):
-        rng = np.random.default_rng(37)
-        v = rng.standard_normal(2)
-        u1 = unit_orthogonal(rng, [v])
-        with pytest.raises(InvalidArgumentError):
-            unit_orthogonal(rng, [v, u1])
+        v = rng.standard_normal((200, 6))
+        u = _unit_orthogonal_rows(rng, v, np.full(200, 6))
+        for u_row, v_row in zip(u, v):
+            assert abs(np.linalg.norm(u_row) - 1.0) <= 1e-12
+            assert abs(u_row @ v_row) <= 1e-10 * np.linalg.norm(v_row)
 
 
 class TestBoundSweep:
