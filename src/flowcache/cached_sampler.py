@@ -19,25 +19,16 @@ where the step had none); diagnostics read it there instead of re-deriving it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .calibration import ScheduleBundle
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateVelocityError,
-    InvalidArgumentError,
-    NumericDomainError,
-)
+from .errors import DegenerateDirectionError, DegenerateVelocityError, InvalidArgumentError, NumericDomainError
 from .fields import Condition, VelocityField
 from .schedule import skip_intervals
-from .solver import TrajectoryRecord, _batches, _check_end, _check_start, _euler, _evaluate
-
-# Residual-norm fraction below which a direction anchor counts as parallel.
-EPS_DIR = 1e-12
+from .solver import TrajectoryRecord, _check_start, _parallel_tol, _project_off, _reconstruct, _unit_residual, _walk
 
 
 @dataclass(frozen=True)
@@ -67,16 +58,11 @@ def init_direction(v_prev: np.ndarray, v_curr: np.ndarray) -> np.ndarray:
     return _project_off(v_curr - v_prev, v_prev, vv)
 
 
-def _project_off(a: np.ndarray, v: np.ndarray, vv: float) -> np.ndarray:
-    """``a`` minus its projection on ``v``, given ``vv = v @ v`` (nonzero)."""
-    return a - (float(a.dot(v)) / vv) * v
-
-
 def reorthogonalize(anchor: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     """Unit component of ``anchor`` orthogonal to ``v_hat``.
 
     Raises DegenerateDirectionError when the residual is numerically
-    parallel (below EPS_DIR relative to the anchor norm); callers zero the
+    parallel (below ``solver.EPS_DIR`` relative to the anchor norm); callers zero the
     directional update in that case.
     """
     anchor = np.asarray(anchor, dtype=float)
@@ -88,22 +74,6 @@ def reorthogonalize(anchor: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     if u is None:
         raise DegenerateDirectionError("direction anchor is numerically parallel to the velocity")
     return u
-
-
-def _parallel_tol(anchor: np.ndarray) -> float:
-    """Residual norm below which ``anchor`` counts as parallel to a velocity."""
-    return EPS_DIR * math.sqrt(anchor.dot(anchor))
-
-
-def _unit_residual(
-    anchor: np.ndarray, v_hat: np.ndarray, vv: float, tol: float, out: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Unit ``anchor`` residual off ``v_hat`` (written into ``out``), or None where it is degenerate."""
-    residual = _project_off(anchor, v_hat, vv)
-    norm = math.sqrt(residual.dot(residual))
-    if norm == 0.0 or norm < tol:
-        return None
-    return np.divide(residual, norm, out=out)
 
 
 def skip_update(
@@ -127,21 +97,6 @@ def skip_update(
     growth = np.exp((k_t if toggles.use_mi else 0.0) * dt)
     u_perp = np.asarray(u_perp, dtype=float) if toggles.use_di and u_perp is not None else None
     return _reconstruct(v_hat, growth, d_t, float(np.linalg.norm(v_hat)), u_perp)
-
-
-def _reconstruct(
-    v_hat: np.ndarray,
-    growth: float,
-    d_t: float,
-    v_norm: float,
-    u_perp: np.ndarray | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``growth * v_hat + d_t * v_norm * u_perp``, without the turning term where ``u_perp`` is None or ``d_t`` is 0."""
-    out = np.multiply(growth, v_hat, out=out)
-    if u_perp is not None and d_t != 0.0:
-        out += d_t * v_norm * u_perp
-    return out
 
 
 def sample_cached(
@@ -171,16 +126,11 @@ def _cached_kernel(
     conditions: Sequence[Condition],
     toggles: CompensationToggles,
 ) -> Iterator[TrajectoryRecord]:
-    """Cached runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
+    """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
-    The bundle's schedule is shared, so every run anchors on the same steps:
-    per anchor and batch (``_batches``), one oracle call, its output checked
-    once, and the Euler updates on the batch's rows. The indicators are
-    checked once. Each run then reconstructs its own skipped velocities with
-    the arithmetic of ``init_direction``, ``reorthogonalize`` and
-    ``skip_update``. A degenerate direction leaves its ``directions`` row NaN
-    and drops the turning term. The reconstruction after an interval's last
-    step is not computed: the next interval opens with an evaluation.
+    The bundle's schedule is shared, so every run anchors on the same steps.
+    The indicators are checked once and turned into the walk's per-step
+    reconstruction factors, with a disabled correction's factor neutral.
     """
     grid = bundle.grid
     n_steps = grid.n_steps
@@ -188,44 +138,6 @@ def _cached_kernel(
     d_tilde = bundle.indicators.d_tilde
     if not (np.isfinite(k_tilde).all() and np.isfinite(d_tilde).all()):
         raise NumericDomainError("the bundle's indicators must be finite")
-    times, dt = grid.times.tolist(), grid.dt.tolist()
     growth = np.exp(k_tilde * grid.dt).tolist() if toggles.use_mi else [1.0] * n_steps
     turn = d_tilde.tolist() if toggles.use_di else [0.0] * n_steps
-    intervals = list(skip_intervals(bundle.schedule, n_steps))
-    evaluated = np.zeros(n_steps, dtype=bool)
-    evaluated[[n for n, _ in intervals]] = True
-
-    for batch, block, steps in _batches(x0, conditions, 3 * n_steps + 1):
-        block[:, 2 * n_steps + 1 :] = np.nan
-        states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
-        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :]) for run in block]  # velocities, directions
-        last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
-        for n, h in intervals:
-            velocities[n] = _evaluate(field, states[n], times[n], batch, n)
-            for vel, dirs in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
-                # interval opening: the turning anchor comes from the run's most recent
-                # evaluated velocity, which may predate t_{n-1} after a prior skip
-                v_prev = vel[last]
-                vv_prev = float(v_prev.dot(v_prev))
-                if vv_prev == 0.0:
-                    anchor = None
-                else:
-                    anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
-                    tol = _parallel_tol(anchor)
-                for m in range(n, n + h):
-                    v_hat = vel[m]
-                    u_hat = None
-                    vv = 0.0
-                    if anchor is not None:
-                        vv = float(v_hat.dot(v_hat))
-                        if vv != 0.0:
-                            u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
-                    if m + 1 < n + h:
-                        _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
-            # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
-            for m in range(n, n + h):
-                _euler(states[m], velocities[m], dt[m], out=states[m + 1])
-            last = n
-        _check_end(states)
-        for run, (vel, dirs) in zip(block, runs):
-            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, dirs)
+    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), growth, turn)

@@ -10,13 +10,14 @@ reused across every inference call on the same grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .decomposition import _accel_rows, _decompose_rows
-from .errors import BundleFormatError, InvalidArgumentError
+from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, initial_state
 from .ioutil import _finite, _json_value, _known_keys, write_csv
 from .solver import TimeGrid, _full_kernel
@@ -50,9 +51,9 @@ class IndicatorTable:
             arr.flags.writeable = False
             arrays[name] = arr
         if self.sample_count < 1:
-            raise InvalidArgumentError("sample_count must be positive")
+            raise FieldError("sample_count", f"must be positive, got {self.sample_count}")
         if np.any(arrays["d_tilde"] < 0):
-            raise InvalidArgumentError("direction indicators must be non-negative")
+            raise FieldError("d_tilde", "entries must be non-negative")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
@@ -85,6 +86,19 @@ def calibrate(field: VelocityField, grid: TimeGrid, conditions: list[Condition])
     return IndicatorTable(*curves, sample_count=len(conditions))
 
 
+def _check_thresholds(error=FieldError, **values: float) -> None:
+    """The threshold rule on the given keys: ``tau_k`` and ``tau_d`` finite and >= 0, ``h_max`` >= 1.
+
+    NaN fails it. The first breach raises ``error(key, reason)``.
+    """
+    for key, value in values.items():
+        if key == "h_max":
+            if not value >= 1:
+                raise error(key, f"must be positive, got {value}")
+        elif not (math.isfinite(value) and value >= 0):
+            raise error(key, f"thresholds must be non-negative and finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleBundle:
     """The pre-computed calibration artifact: indicators + skip schedule.
@@ -112,13 +126,10 @@ class ScheduleBundle:
             raise InvalidArgumentError(f"indicators cover {self.indicators.n_steps} steps, grid has {n}")
         if schedule.shape != (n,):
             raise InvalidArgumentError(f"schedule must have {n} entries")
-        if not (self.tau_k >= 0 and self.tau_d >= 0):  # NaN fails this too
-            raise InvalidArgumentError("thresholds must be non-negative")
-        if self.h_max < 1:
-            raise InvalidArgumentError("h_max must be positive")
+        _check_thresholds(tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
         for i, h in enumerate(schedule):
             if not 1 <= h <= min(self.h_max, n - i):
-                raise InvalidArgumentError(f"schedule entry out of range at step {i}: h={h}")
+                raise FieldError("schedule", f"schedule entry out of range at step {i}: h={h}")
         schedule.flags.writeable = False
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -131,8 +142,9 @@ BUNDLE_KEYS = (
 )
 
 
-def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
-    payload = {
+def _payload(bundle: ScheduleBundle) -> dict:
+    """The bundle as the JSON document ``write_bundle`` writes."""
+    return {
         "format_version": BUNDLE_FORMAT,
         "n_steps": bundle.grid.n_steps,
         "times": [float(t) for t in bundle.grid.times],
@@ -149,7 +161,10 @@ def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
         "seeds": list(bundle.seeds),
         "created_by": bundle.created_by,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(_payload(bundle), indent=2) + "\n", encoding="utf-8")
 
 
 def _column(data: dict, key: str, length: int) -> list:
@@ -178,66 +193,40 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
 
-    try:
-        grid = TimeGrid(np.array(_column(data, "times", n + 1), dtype=float))
-    except InvalidArgumentError as exc:
-        raise BundleFormatError("times", str(exc)) from None
-
+    times = _column(data, "times", n + 1)
     columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
-    if any(v < 0 for v in columns["d_tilde"]):
-        raise BundleFormatError("d_tilde", "entries must be non-negative")
-
-    tau_k = _json_value(data, "tau_k", "float")
-    tau_d = _json_value(data, "tau_d", "float")
-    if tau_k < 0 or tau_d < 0:
-        raise BundleFormatError("tau_k" if tau_k < 0 else "tau_d", "thresholds must be non-negative")
-    h_max = _json_value(data, "h_max", "int")
-    if h_max < 1:
-        raise BundleFormatError("h_max", f"must be positive, got {h_max}")
     for i, h in enumerate(columns["h"]):
         if not float(h).is_integer():
             raise BundleFormatError("h", f"schedule entry at step {i} is not an integer: h={h}")
-        if not 1 <= int(h) <= min(h_max, n - i):
-            raise BundleFormatError("h", f"schedule entry out of range at step {i}: h={h}")
 
-    sample_count = _json_value(data, "sample_count", "int", default=1)
-    indicators = IndicatorTable(
-        np.array(columns["k_tilde"], dtype=float),
-        np.array(columns["d_tilde"], dtype=float),
-        np.array(columns["k_std"], dtype=float),
-        np.array(columns["d_std"], dtype=float),
-        sample_count=sample_count,
-    )
-    return ScheduleBundle(
-        grid=grid,
-        indicators=indicators,
-        schedule=np.array(columns["h"], dtype=int),
-        tau_k=tau_k,
-        tau_d=tau_d,
-        h_max=h_max,
-        field_digest=_json_value(data, "field_digest", "str"),
-        seeds=_json_value(data, "seeds", "ints"),
-        created_by=_json_value(data, "created_by", "str"),
-    )
+    # the value ranges are the constructors' rules: a rejection names the field, which is the
+    # document's key but for the schedule's ("h"); a type error of the values read here passes unchanged
+    try:
+        indicators = IndicatorTable(
+            np.array(columns["k_tilde"], dtype=float),
+            np.array(columns["d_tilde"], dtype=float),
+            np.array(columns["k_std"], dtype=float),
+            np.array(columns["d_std"], dtype=float),
+            sample_count=_json_value(data, "sample_count", "int", default=1),
+        )
+        return ScheduleBundle(
+            grid=TimeGrid(np.array(times, dtype=float)),
+            indicators=indicators,
+            schedule=np.array(columns["h"], dtype=int),
+            tau_k=_json_value(data, "tau_k", "float"),
+            tau_d=_json_value(data, "tau_d", "float"),
+            h_max=_json_value(data, "h_max", "int"),
+            field_digest=_json_value(data, "field_digest", "str"),
+            seeds=_json_value(data, "seeds", "ints"),
+            created_by=_json_value(data, "created_by", "str"),
+        )
+    except FieldError as exc:
+        raise BundleFormatError("h" if exc.field == "schedule" else exc.field, exc.reason) from None
 
 
 def bundles_equal(a: ScheduleBundle, b: ScheduleBundle) -> bool:
     """Field-for-field equality with exact float comparison."""
-    return (
-        np.array_equal(a.grid.times, b.grid.times)
-        and np.array_equal(a.indicators.k_tilde, b.indicators.k_tilde)
-        and np.array_equal(a.indicators.d_tilde, b.indicators.d_tilde)
-        and np.array_equal(a.indicators.k_std, b.indicators.k_std)
-        and np.array_equal(a.indicators.d_std, b.indicators.d_std)
-        and a.indicators.sample_count == b.indicators.sample_count
-        and np.array_equal(a.schedule, b.schedule)
-        and a.tau_k == b.tau_k
-        and a.tau_d == b.tau_d
-        and a.h_max == b.h_max
-        and a.field_digest == b.field_digest
-        and a.seeds == b.seeds
-        and a.created_by == b.created_by
-    )
+    return _payload(a) == _payload(b)
 
 
 def write_indicator_csv(grid: TimeGrid, indicators: IndicatorTable, path: str | Path) -> None:

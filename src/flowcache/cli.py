@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .cached_sampler import sample_cached
-from .calibration import read_bundle, write_bundle, write_indicator_csv
+from .calibration import _check_thresholds, read_bundle, write_bundle, write_indicator_csv
 from .diagnostics import (
     ExperimentConfig,
+    _config_error,
     _mean_stderr,
     make_bundle,
     run_experiment,
@@ -33,9 +33,9 @@ from .diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
-from .errors import FlowCacheError, InvalidArgumentError
+from .errors import FieldError, FlowCacheError, InvalidArgumentError
 from .fields import Condition, VelocityField, field_digest, initial_state
-from .ioutil import write_csv
+from .ioutil import _finite, _json_value, write_csv
 from .schedule import schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
 from .verify import SUITES, run_suite
@@ -118,9 +118,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     config, resolved, raw = _resolve_experiment(args)
     out = _out_dir(args)
-    mode = args.mode or raw.get("mode", "full")
+    mode = args.mode or _json_value(raw, "mode", "str", "full", error=_config_error)
     if mode not in SAMPLE_MODES:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
+        raise _config_error("mode", f"unknown mode {mode!r}; expected one of {', '.join(SAMPLE_MODES)}")
     resolved["mode"] = mode
 
     velocity_field = VelocityField(config.field)
@@ -131,13 +131,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if mode == "full":
         record = sample_full(velocity_field, make_uniform_grid(config.n_steps), x0, condition)
     elif mode == "truncated":
-        truncate_to = args.truncate_to or raw.get("truncate_to")
-        if not truncate_to:
+        truncate_to = args.truncate_to
+        if truncate_to is None:
+            truncate_to = _json_value(raw, "truncate_to", "int", None, error=_config_error)
+        if truncate_to is None:
             raise InvalidArgumentError("truncated mode needs --truncate-to")
-        resolved["truncate_to"] = int(truncate_to)
-        record = sample_full(velocity_field, make_uniform_grid(int(truncate_to)), x0, condition)
+        if truncate_to < 1:
+            raise _config_error("truncate_to", f"must be positive, got {truncate_to}")
+        resolved["truncate_to"] = truncate_to
+        record = sample_full(velocity_field, make_uniform_grid(truncate_to), x0, condition)
     else:
-        bundle_path = args.bundle or raw.get("bundle")
+        bundle_path = args.bundle or _json_value(raw, "bundle", "str", None, error=_config_error)
         if not bundle_path:
             raise InvalidArgumentError("cached mode needs --bundle")
         resolved["bundle"] = str(bundle_path)
@@ -182,10 +186,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config, resolved, raw = _resolve_experiment(args)
     out = _out_dir(args)
-    ablation = bool(args.ablation or raw.get("ablation", False))
-    sweep_taus = _parse_taus(args.sweep_taus) if args.sweep_taus else [
-        (float(a), float(b)) for a, b in raw.get("sweep_taus", [])
-    ]
+    ablation = args.ablation or _json_value(raw, "ablation", "bool", False, error=_config_error)
+    if args.sweep_taus:
+        pairs = [[_number(part) for part in chunk.split(":")] for chunk in args.sweep_taus.split(",")]
+        sweep_taus = _tau_pairs(pairs, lambda reason: InvalidArgumentError(f"--sweep-taus: {reason}"))
+    else:
+        pairs = _json_value(raw, "sweep_taus", "list", [], error=_config_error)
+        sweep_taus = _tau_pairs(pairs, lambda reason: _config_error("sweep_taus", reason))
     resolved["ablation"] = ablation
     if sweep_taus:
         resolved["sweep_taus"] = [[a, b] for a, b in sweep_taus]
@@ -243,19 +250,30 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_taus(text: str) -> list[tuple[float, float]]:
-    pairs: list[tuple[float, float]] = []
-    for chunk in text.split(","):
+def _number(text: str) -> float | str:
+    """``text`` as a float, or unchanged where it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _tau_pairs(pairs: list, error) -> list[tuple[float, float]]:
+    """Sweep pairs under the pair rule: each two finite numbers that pass the threshold rule.
+
+    A bad pair raises ``error(reason)``, which names where the pairs came from.
+    """
+    checked = []
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair))):
+            raise error(f"bad threshold pair {pair!r}; expected tau_k:tau_d, two finite non-negative numbers")
+        tau_k, tau_d = map(float, pair)
         try:
-            pair = tuple(float(part) for part in chunk.split(":"))
-        except ValueError:
-            pair = ()
-        if len(pair) != 2 or not all(math.isfinite(tau) and tau >= 0 for tau in pair):
-            raise InvalidArgumentError(
-                f"--sweep-taus: bad threshold pair {chunk!r}; expected tau_k:tau_d, two finite non-negative numbers"
-            )
-        pairs.append(pair)
-    return pairs
+            _check_thresholds(tau_k=tau_k, tau_d=tau_d)
+        except FieldError as exc:
+            raise error(f"bad threshold pair {pair!r}; {exc}") from None
+        checked.append((tau_k, tau_d))
+    return checked
 
 
 def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cached_sampler import CompensationToggles, _cached_kernel
-from .calibration import ScheduleBundle, calibrate
+from .calibration import ScheduleBundle, _check_thresholds, calibrate
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
@@ -160,12 +160,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
-            raise InvalidArgumentError("n_steps must be positive")
-        if not self.calibration_seeds or not self.evaluation_seeds:
-            raise InvalidArgumentError("calibration and evaluation seed lists must be non-empty")
+            raise _config_error("n_steps", f"must be positive, got {self.n_steps}")
+        _check_thresholds(_config_error, tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
+        for key in ("calibration_seeds", "evaluation_seeds"):
+            if not getattr(self, key):
+                raise _config_error(key, "the seed list must be non-empty")
         overlap = set(self.calibration_seeds) & set(self.evaluation_seeds)
         if overlap:
-            raise InvalidArgumentError(f"calibration and evaluation seeds must be distinct, both contain {sorted(overlap)}")
+            reason = f"must be disjoint from calibration_seeds, both contain {sorted(overlap)}"
+            raise _config_error("evaluation_seeds", reason)
         object.__setattr__(self, "calibration_seeds", tuple(int(s) for s in self.calibration_seeds))
         object.__setattr__(self, "evaluation_seeds", tuple(int(s) for s in self.evaluation_seeds))
 

@@ -27,9 +27,14 @@ class DegenerateDirectionError(FlowCacheError):
     """
 
 
-class BundleFormatError(FlowCacheError, ValueError):
-    """A calibration bundle file failed schema validation."""
+class FieldError(InvalidArgumentError):
+    """A named field holds a bad value; the message starts with the field's name."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.reason = message
+
+
+class BundleFormatError(FieldError):
+    """A calibration bundle file failed schema validation."""

@@ -92,7 +92,7 @@ class FieldSpec:
                 raise InvalidArgumentError(f"rotation plane {self.plane} invalid for dimension {self.dimension}")
         if self.kind == KIND_GAUSSIAN_MIXTURE:
             if not self.components:
-                raise InvalidArgumentError("gaussian-mixture field needs at least one component")
+                raise InvalidArgumentError("a gaussian-mixture field needs a non-empty components list")
             total = math.fsum(c.weight for c in self.components)
             if any(c.weight <= 0 for c in self.components):
                 raise InvalidArgumentError("mixture weights must be positive")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import IndicatorTable
+from .calibration import IndicatorTable, _check_thresholds
 from .errors import InvalidArgumentError
 from .solver import TimeGrid
 
@@ -69,10 +69,7 @@ def max_stable_interval(z: VariationSequence, n: int, tau: float, h_max: int) ->
 
 def build_schedule(indicators: IndicatorTable, grid: TimeGrid, tau_k: float, tau_d: float, h_max: int) -> np.ndarray:
     """Per-step skip lengths under both magnitude and direction tolerances."""
-    if tau_k < 0 or tau_d < 0:
-        raise InvalidArgumentError("thresholds must be non-negative")
-    if h_max < 1:
-        raise InvalidArgumentError(f"h_max must be positive, got {h_max}")
+    _check_thresholds(tau_k=tau_k, tau_d=tau_d, h_max=h_max)
     n = grid.n_steps
     if indicators.n_steps != n:
         raise InvalidArgumentError(f"indicators cover {indicators.n_steps} steps, grid has {n}")

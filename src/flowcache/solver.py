@@ -1,9 +1,12 @@
-"""Time grids and first-order Euler integration.
+"""Time grids, first-order Euler integration and the one sampling walk.
 
 Sampling runs from t=1 (noise) down to t=0 (data) on a strictly decreasing
-grid; each step advances the state by ``state - dt * velocity``. Full-step
-runs evaluate the oracle at every step and serve as the reference for every
-cached-sampling comparison.
+grid; each step advances the state by ``state - dt * velocity``. Every run,
+full or cached, is a walk over skip intervals: each interval opens with an
+oracle evaluation, and a cached run rebuilds the velocities of the
+interval's remaining steps. A full-step run is the walk over intervals of
+length 1; it evaluates the oracle at every step and serves as the reference
+for every cached-sampling comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError
+from .errors import FieldError, InvalidArgumentError, NumericDomainError
 from .fields import Condition, VelocityField
 from .ioutil import write_csv
 
@@ -29,11 +32,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
-            raise InvalidArgumentError("a time grid needs at least two nodes")
+            raise FieldError("times", "a time grid needs at least two nodes")
         if times[0] != 1.0 or times[-1] != 0.0:
-            raise InvalidArgumentError("grid endpoints must be exactly 1 and 0")
+            raise FieldError("times", "grid endpoints must be exactly 1 and 0")
         if not np.all(np.diff(times) < 0.0):
-            raise InvalidArgumentError("grid times must be strictly decreasing")
+            raise FieldError("times", "grid times must be strictly decreasing")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
@@ -129,47 +132,134 @@ def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
+# Residual-norm fraction below which a direction anchor counts as parallel.
+EPS_DIR = 1e-12
+
+
+def _project_off(a: np.ndarray, v: np.ndarray, vv: float) -> np.ndarray:
+    """``a`` minus its projection on ``v``, given ``vv = v @ v`` (nonzero)."""
+    return a - (float(a.dot(v)) / vv) * v
+
+
+def _parallel_tol(anchor: np.ndarray) -> float:
+    """Residual norm below which ``anchor`` counts as parallel to a velocity."""
+    return EPS_DIR * math.sqrt(anchor.dot(anchor))
+
+
+def _unit_residual(
+    anchor: np.ndarray, v_hat: np.ndarray, vv: float, tol: float, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Unit ``anchor`` residual off ``v_hat`` (written into ``out``), or None where it is degenerate."""
+    residual = _project_off(anchor, v_hat, vv)
+    norm = math.sqrt(residual.dot(residual))
+    if norm == 0.0 or norm < tol:
+        return None
+    return np.divide(residual, norm, out=out)
+
+
+def _reconstruct(
+    v_hat: np.ndarray,
+    growth: float,
+    d_t: float,
+    v_norm: float,
+    u_perp: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``growth * v_hat + d_t * v_norm * u_perp``, without the turning term where ``u_perp`` is None or ``d_t`` is 0."""
+    out = np.multiply(growth, v_hat, out=out)
+    if u_perp is not None and d_t != 0.0:
+        out += d_t * v_norm * u_perp
+    return out
+
+
 # Most bytes one batch's block of run arrays takes. A larger set of runs goes
 # in consecutive batches, so memory stays bounded whatever the seed count.
 _BATCH_BYTES = 1 << 20
 
 
-def _batches(
-    x0: np.ndarray, conditions: Sequence[Condition], width: int
-) -> Iterator[tuple[Sequence[Condition], np.ndarray, np.ndarray]]:
-    """The runs from the (B, D) start states ``x0`` in batches: ``(conditions, block, steps)``.
+def _walk(
+    field: VelocityField,
+    grid: TimeGrid,
+    x0: np.ndarray,
+    conditions: Sequence[Condition],
+    intervals: Sequence[tuple[int, int]],
+    growth: Sequence[float] | None = None,
+    turn: Sequence[float] | None = None,
+) -> Iterator[TrajectoryRecord]:
+    """Runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
 
-    ``block`` is one allocation, (b, width, D), a contiguous row of ``width``
-    vectors per run: as separate arrays, large runs were faulted in from the
-    OS again on every run under some heap layouts. ``steps`` is its step-major
-    view with the starts in row 0. Its rows are (b, D), or (D,) for a single
-    run, which the oracle then takes as an unbatched call.
+    Every run walks the ``(start, length)`` ``intervals``. The runs go in
+    batches whose block of run arrays fits in ``_BATCH_BYTES`` (at least one
+    run each). A block is one allocation, (b, width, D), a contiguous row of
+    ``width`` vectors per run: the states, the velocities and, for cached
+    runs, the directions. As separate arrays, large runs were faulted in from
+    the OS again on every run under some heap layouts. The block's
+    step-major rows are (b, D), or (D,) for a single run, which the oracle
+    then takes as an unbatched call.
+
+    Each interval opens with one oracle call per batch, its output checked
+    once. With the per-step factors ``growth`` (exp(k_tilde * dt)) and
+    ``turn`` (d_tilde), each run then rebuilds the interval's skipped
+    velocities with the arithmetic of ``init_direction``, ``reorthogonalize``
+    and ``skip_update``: a degenerate direction leaves its ``directions`` row
+    NaN and drops the turning term, and the reconstruction after an
+    interval's last step is not computed, since the next interval opens with
+    an evaluation. A full run is the walk over length-1 intervals without
+    factors; its records carry no directions. The Euler updates run on the
+    whole batch.
     """
+    n_steps = grid.n_steps
+    times, dt = grid.times.tolist(), grid.dt.tolist()
+    evaluated = np.zeros(n_steps, dtype=bool)
+    evaluated[[n for n, _ in intervals]] = True
+    width = 2 * n_steps + 1 if growth is None else 3 * n_steps + 1
     size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1]))
-    for start in range(0, len(conditions), size):
-        batch = conditions[start : start + size]
+    for first in range(0, len(conditions), size):
+        batch = conditions[first : first + size]
         block = np.empty((len(batch), width, x0.shape[1]))
+        block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
         steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
-        steps[0] = x0[start : start + size]
-        yield batch, block, steps
-
-
-def _evaluate(
-    field: VelocityField, states: np.ndarray, t: float, conditions: Sequence[Condition], n: int
-) -> np.ndarray:
-    """One oracle call on a row of a batch's ``steps`` (see ``_batches``), its output checked for finiteness once."""
-    v = field.evaluate(states, t, conditions[0] if states.ndim == 1 else conditions)
-    flat = v if v.ndim == 1 else v.ravel()
-    # a finite sum of squares implies finite entries; the full test runs only when it is not, e.g. on overflow
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
-        raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={t})")
-    return v
-
-
-def _check_end(states: np.ndarray) -> None:
-    """Reject a batch whose states overflowed; a non-finite entry persists to the final states."""
-    if not np.isfinite(states[-1]).all():
-        raise NumericDomainError("the trajectory left the finite range")
+        steps[0] = x0[first : first + size]
+        states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
+        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :]) for run in block]  # velocities, directions
+        batch_conditions = batch[0] if len(batch) == 1 else batch
+        last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
+        for n, h in intervals:
+            v = field.evaluate(states[n], times[n], batch_conditions)
+            flat = v if v.ndim == 1 else v.ravel()
+            # a finite sum of squares implies finite entries; the full test runs only when it is not, e.g. on overflow
+            if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
+                raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
+            velocities[n] = v
+            for vel, dirs in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
+                # interval opening: the turning anchor comes from the run's most recent
+                # evaluated velocity, which may predate t_{n-1} after a prior skip
+                v_prev = vel[last]
+                vv_prev = float(v_prev.dot(v_prev))
+                if vv_prev == 0.0:
+                    anchor = None
+                else:
+                    anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
+                    tol = _parallel_tol(anchor)
+                for m in range(n, n + h):
+                    v_hat = vel[m]
+                    u_hat = None
+                    vv = 0.0
+                    if anchor is not None:
+                        vv = float(v_hat.dot(v_hat))
+                        if vv != 0.0:
+                            u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
+                    if m + 1 < n + h:
+                        _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
+            # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
+            for m in range(n, n + h):
+                _euler(states[m], velocities[m], dt[m], out=states[m + 1])
+            last = n
+        # a non-finite entry persists to the final states
+        if not np.isfinite(states[-1]).all():
+            raise NumericDomainError("the trajectory left the finite range")
+        for run, (vel, dirs) in zip(block, runs):
+            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, None if growth is None else dirs)
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
@@ -180,23 +270,8 @@ def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition:
 def _full_kernel(
     field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition]
 ) -> Iterator[TrajectoryRecord]:
-    """Full runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
-
-    Per step and batch (``_batches``), one oracle call, its output checked
-    once, and the Euler update on the batch's rows. Each record's arrays are
-    one contiguous run of its batch's block.
-    """
-    n = grid.n_steps
-    times, dt = grid.times.tolist(), grid.dt.tolist()
-    evaluated = np.ones(n, dtype=bool)
-    for batch, block, steps in _batches(x0, conditions, 2 * n + 1):
-        states, velocities = steps[: n + 1], steps[n + 1 :]
-        for i in range(n):
-            velocities[i] = _evaluate(field, states[i], times[i], batch, i)
-            _euler(states[i], velocities[i], dt[i], out=states[i + 1])
-        _check_end(states)
-        for run in block:
-            yield TrajectoryRecord(grid, run[: n + 1], run[n + 1 :], evaluated)
+    """Full runs from the checked (B, D) start states ``x0``, one per condition: the walk over length-1 intervals."""
+    return _walk(field, grid, x0, conditions, [(n, 1) for n in range(grid.n_steps)])
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:

@@ -9,6 +9,7 @@ a batch must equal, bit for bit, the record ``sample_full`` or
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestBatchedSamplers:
     @pytest.mark.parametrize("batch", [1, 2, 5])
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_full_rows_match_single_runs(self, name, batch):
-        field, grid, _ = _setup(name)
+        field, grid, bundle = _setup(name)
         x0, conditions = _starts(field, range(100, 100 + batch))
         field.reset_evaluations()
         records = list(_full_kernel(field, grid, x0, conditions))
@@ -116,6 +117,15 @@ class TestBatchedSamplers:
             assert record.nfe == grid.n_steps
             assert record.states.flags.c_contiguous and record.velocities.flags.c_contiguous
             _assert_same_run(record, sample_full(field, grid, start, condition))
+        # a full run is the cached walk over an all-ones schedule
+        all_ones = replace(bundle, schedule=np.ones(grid.n_steps, dtype=int), h_max=1)
+        field.reset_evaluations()
+        cached = list(_cached_kernel(field, all_ones, x0, conditions, CompensationToggles()))
+        assert field.evaluations == grid.n_steps
+        for record, full in zip(cached, records, strict=True):
+            assert np.array_equal(record.states, full.states)
+            assert np.array_equal(record.velocities, full.velocities)
+            assert np.array_equal(record.evaluated, full.evaluated)
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     @pytest.mark.parametrize("toggles", ABLATION_ORDER, ids=lambda t: f"mi{int(t[0])}-di{int(t[1])}")

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcache import read_bundle
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -487,3 +491,73 @@ class TestErrors:
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert "colour: unknown key" in capsys.readouterr().err
         assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [
+            ("bench", {"sweep_taus": 5}, "sweep_taus"),
+            ("bench", {"sweep_taus": [[-1, 0.3]]}, "sweep_taus"),
+            ("bench", {"sweep_taus": [[0.1]]}, "sweep_taus"),
+            ("bench", {"sweep_taus": [["a", 0.3]]}, "sweep_taus"),
+            ("bench", {"ablation": "no"}, "ablation"),
+            ("sample", {"mode": "truncated", "truncate_to": "x"}, "truncate_to"),
+            ("sample", {"mode": "truncated", "truncate_to": 0}, "truncate_to"),
+            ("sample", {"mode": 5}, "mode"),
+            ("sample", {"mode": "cached", "bundle": 5}, "bundle"),
+        ],
+        ids=[
+            "sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "truncate_to", "truncate_to-0",
+            "mode", "bundle",
+        ],
+    )
+    def test_bad_subcommand_key_named(self, tmp_path, capsys, command, extra, key):
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **extra))
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"key {key!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, extra, key",
+        [(["--tau-k", "-1"], {}, "tau_k"), ([], {"tau_d": -1}, "tau_d"), (["--h-max", "0"], {}, "h_max")],
+        ids=["flag-tau_k", "config-tau_d", "flag-h_max"],
+    )
+    def test_bad_threshold_named(self, tmp_path, capsys, flags, extra, key):
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **extra))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")] + flags) == EXIT_CONFIG
+        assert f"key {key!r}: " in capsys.readouterr().err
+
+
+# A value that stands for "drop the key" among the mutations below.
+_DROP = object()
+# The keys the property test mutates: the top level (experiment and subcommand keys) and the field's.
+_BOUNDARY_CONFIG = dict(
+    README_CONFIG,
+    n_steps=5,
+    mode="full",
+    truncate_to=3,
+    bundle="bundle.json",
+    ablation=True,
+    sweep_taus=[[0.03, 0.3]],
+)
+_BOUNDARY_KEYS = [(key,) for key in _BOUNDARY_CONFIG] + [("field", key) for key in _BOUNDARY_CONFIG["field"]]
+
+
+class TestConfigBoundary:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        path=st.sampled_from(_BOUNDARY_KEYS),
+        value=st.sampled_from([_DROP, math.nan, -1, -0.5, "x", [1], None, True]),
+    )
+    def test_a_mutated_key_runs_or_is_named(self, tmp_path_factory, path, value):
+        payload = json.loads(json.dumps(_BOUNDARY_CONFIG))
+        holder = payload["field"] if len(path) == 2 else payload
+        if value is _DROP:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+        out = tmp_path_factory.mktemp("boundary")
+        config = _write_config(out, payload)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bench", "--config", str(config), "--out", str(out / "o")])
+        assert code == EXIT_OK or (code == EXIT_CONFIG and path[-1] in err.getvalue()), (code, err.getvalue())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,17 @@ class TestBuildSchedule:
         ind = self._indicators(np.zeros(4), np.zeros(4))
         with pytest.raises(InvalidArgumentError):
             build_schedule(ind, grid, -0.1, 0.0, 12)
+
+    @pytest.mark.parametrize(
+        "tau_k, tau_d, h_max, key",
+        [(math.nan, 0.3, 12, "tau_k"), (0.3, math.nan, 12, "tau_d"), (0.3, math.inf, 12, "tau_d"), (0.3, 0.3, 0, "h_max")],
+        ids=["nan-k", "nan-d", "inf-d", "h_max-0"],
+    )
+    def test_threshold_rule_names_the_key(self, tau_k, tau_d, h_max, key):
+        grid = make_uniform_grid(4)
+        ind = self._indicators(np.zeros(4), np.zeros(4))
+        with pytest.raises(InvalidArgumentError, match=f"^{key}: "):
+            build_schedule(ind, grid, tau_k, tau_d, h_max)
 
     def test_length_mismatch_rejected(self):
         grid = make_uniform_grid(5)
