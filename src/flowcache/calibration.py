@@ -171,7 +171,7 @@ def _column(data: dict, key: str, length: int) -> list:
     """A required list of ``length`` finite numbers."""
     values = _json_value(data, key, "list")
     if len(values) != length:
-        raise BundleFormatError(key, f"length mismatch: expected {length} entries, got {len(values)}")
+        raise BundleFormatError(key, f"length mismatch: expected {length} entries to match n_steps, got {len(values)}")
     for i, v in enumerate(values):
         if not _finite(v):
             raise BundleFormatError(key, f"entry {i} is not a finite number: {v!r}")
@@ -196,8 +196,8 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     times = _column(data, "times", n + 1)
     columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
     for i, h in enumerate(columns["h"]):
-        if not float(h).is_integer():
-            raise BundleFormatError("h", f"schedule entry at step {i} is not an integer: h={h}")
+        if not (float(h).is_integer() and abs(h) < 2**63):
+            raise BundleFormatError("h", f"schedule entry at step {i} is not an integer in the 64-bit range: h={h}")
 
     # the value ranges are the constructors' rules: a rejection names the field, which is the
     # document's key but for the schedule's ("h"); a type error of the values read here passes unchanged

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,49 @@ def bound_terms(
     return BoundTerms(*(float(a[0]) for a in _bound_rows(v_n, k, d, u_perp, k_t, d_t, u_hat, dt)))
 
 
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)
+
+
+def _q_identity(
+    v_norm: np.ndarray, d: np.ndarray, d_t: np.ndarray, u_perp: np.ndarray, u_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``|Q|^2`` and its reference for each row, in the inputs' number type.
+
+    Q = |v| (d_t u_hat - d u_perp). The reference is |v|^2 ((d_t - d)(d_t
+    |u_hat|^2 - d |u_perp|^2) + d_t d |u_hat - u_perp|^2), which equals
+    |Q|^2 for the drawn vectors, and for exactly unit vectors equals the
+    paper's |v|^2 ((d_t - d)^2 + 2 d_t d (1 - cos theta)).
+    """
+
+    def rowdot(a, b):  # not einsum: numpy before 1.25 has no einsum over Fraction objects
+        return (a * b).sum(axis=1)
+
+    q = v_norm[:, None] * (d_t[:, None] * u_hat - d[:, None] * u_perp)
+    gap = u_hat - u_perp
+    ref = (d_t - d) * (d_t * rowdot(u_hat, u_hat) - d * rowdot(u_perp, u_perp)) + d_t * d * rowdot(gap, gap)
+    return rowdot(q, q), v_norm**2 * ref
+
+
+# np.longdouble is 80-bit extended on x86-64 Linux but only float64 on some
+# platforms; there the rows float64 flags are re-checked in exact rationals.
+_EXTENDED = float(np.finfo(np.longdouble).eps) <= 1e-18
+
+
+def _exact_q_identity_error(*rows: np.ndarray) -> np.ndarray:
+    """``_q_identity``'s relative gap on ``rows``, free of float64 cancellation.
+
+    Near u_hat = u_perp and d = d_t, Q cancels in float64 and the gap can
+    exceed the tolerance though the identity holds; evaluated in extended
+    precision (or exactly, without it) the same rows are checked again.
+    """
+    if _EXTENDED:
+        wide = [a.astype(np.longdouble) for a in rows]
+    else:
+        wide = [np.vectorize(Fraction, otypes=[object])(a) for a in rows]
+    return _relative_gap(*_q_identity(*wide)).astype(float)
+
+
 @dataclass
 class BoundSweepResult:
     """Aggregate of a randomized bound-verification sweep."""
@@ -259,18 +303,15 @@ def run_bound_sweep(
         # part an exact identity
         v_norm = np.linalg.norm(v, axis=1)
         p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
-        q = v_norm[:, None] * (d_t[:, None] * u_hat - d[:, None] * u_perp)
         err_sq = (lhs * v_norm) ** 2
-        q_sq = _rowdot(q, q)
-        split_sq = _rowdot(p, p) + q_sq
-        split_err = np.abs(err_sq - split_sq) / np.maximum(np.maximum(err_sq, split_sq), 1e-300)
+        q_sq, q_ref = _q_identity(v_norm, d, d_t, u_perp, u_hat)
+        split_err = _relative_gap(err_sq, _rowdot(p, p) + q_sq)
         max_split = max(max_split, float(split_err.max()))
 
-        # 2 * (1 - cos) evaluated as |u_hat - u_perp|^2, exact for unit
-        # vectors and immune to cancellation near perfect alignment
-        dir_gap = u_hat - u_perp
-        q_ref = v_norm**2 * ((d_t - d) ** 2 + d_t * d * _rowdot(dir_gap, dir_gap))
-        q_err = np.abs(q_sq - q_ref) / np.maximum(np.maximum(q_sq, q_ref), 1e-300)
+        q_err = _relative_gap(q_sq, q_ref)
+        flagged = np.flatnonzero(q_err > q_identity_tol)
+        if flagged.size:
+            q_err[flagged] = _exact_q_identity_error(*(a[flagged] for a in (v_norm, d, d_t, u_perp, u_hat)))
         max_qid = max(max_qid, float(q_err.max()))
 
         c_min = dt * np.exp(np.minimum(k_t, k) * dt)

@@ -17,7 +17,10 @@ isolating one aspect of the dynamics the rest of the pipeline must handle:
   paths (coupled magnitude and direction dynamics).
 
 Evaluation is a pure function of its arguments; the only mutable observable
-is a thread-safe call counter used for evaluation accounting.
+is a thread-safe call counter used for evaluation accounting. The mixture
+oracle is two matrix-vector products against the component means per state
+plus O(components) work; its time-only constants are kept per distinct time,
+which changes no result.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import FieldError, InvalidArgumentError
 from .ioutil import _json_value, _known_keys
 
 KIND_CONSTANT = "constant"
@@ -79,29 +82,31 @@ class FieldSpec:
     components: tuple[MixtureComponent, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        """Raise ``FieldError`` naming the bad field, as ``from_dict``'s key below ``field``."""
         if self.kind not in FIELD_KINDS:
-            raise InvalidArgumentError(f"unknown field kind {self.kind!r}")
+            raise FieldError("kind", f"unknown field kind {self.kind!r}; expected one of {', '.join(FIELD_KINDS)}")
         if self.dimension < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.dimension}")
+            raise FieldError("dimension", f"must be >= 1, got {self.dimension}")
         if self.kind in (KIND_CONSTANT, KIND_MAGNITUDE_DECAY, KIND_ROTATION):
             if self.target is None or len(self.target) != self.dimension:
-                raise InvalidArgumentError(f"{self.kind} field needs a target vector of length {self.dimension}")
+                raise FieldError("target", f"a {self.kind} field needs a target vector of length {self.dimension}")
         if self.kind == KIND_ROTATION:
             i, j = self.plane
             if self.dimension < 2 or i == j or not (0 <= i < self.dimension and 0 <= j < self.dimension):
-                raise InvalidArgumentError(f"rotation plane {self.plane} invalid for dimension {self.dimension}")
+                raise FieldError("plane", f"rotation plane {self.plane} invalid for dimension {self.dimension}")
         if self.kind == KIND_GAUSSIAN_MIXTURE:
             if not self.components:
-                raise InvalidArgumentError("a gaussian-mixture field needs a non-empty components list")
+                raise FieldError("components", "a gaussian-mixture field needs a non-empty components list")
+            for i, c in enumerate(self.components):
+                for key, value in (("weight", c.weight), ("scale", c.scale)):
+                    if not 0 < value < math.inf:
+                        raise FieldError(f"components[{i}].{key}", f"must be positive and finite, got {value!r}")
+                if len(c.mean) != self.dimension:
+                    reason = f"needs {self.dimension} entries, the field dimension, got {len(c.mean)}"
+                    raise FieldError(f"components[{i}].mean", reason)
             total = math.fsum(c.weight for c in self.components)
-            if any(c.weight <= 0 for c in self.components):
-                raise InvalidArgumentError("mixture weights must be positive")
             if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                raise InvalidArgumentError(f"mixture weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
-            if any(c.scale <= 0 for c in self.components):
-                raise InvalidArgumentError("mixture component scales must be positive")
-            if any(len(c.mean) != self.dimension for c in self.components):
-                raise InvalidArgumentError("mixture component means must match the field dimension")
+                raise FieldError("components", f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "dimension": self.dimension}
@@ -155,7 +160,10 @@ class FieldSpec:
                     )
                 )
             kwargs["components"] = tuple(components)
-        return cls(kind=kind, dimension=dimension, **kwargs)
+        try:
+            return cls(kind=kind, dimension=dimension, **kwargs)
+        except FieldError as exc:
+            raise _spec_error(exc.field, exc.reason) from None
 
 
 def _spec_error(key: str, reason: str) -> InvalidArgumentError:
@@ -213,35 +221,69 @@ def gaussian_mixture_velocity(
 def _mixture_velocity(
     x: np.ndarray, t: float, log_weights: np.ndarray, means: np.ndarray, scales_sq: np.ndarray
 ) -> np.ndarray:
+    """``gaussian_mixture_velocity`` on validated arrays, through a one-call ``_Mixture``."""
+    return _Mixture(log_weights, means, scales_sq)(x, t)
+
+
+# Distinct times whose constants one ``_Mixture`` keeps; a full dict is cleared.
+_TIMES_KEPT = 1024
+
+
+class _Mixture:
     """The arithmetic of ``gaussian_mixture_velocity`` on validated arrays.
 
-    ``log_weights`` and ``scales_sq`` have shape (C,), ``means`` (C, D), and
-    ``x`` shape (D,) or (B, D); the result has the shape of ``x``. Each row of
-    a (B, D) result equals the (D,) result for that row bit for bit: the row
-    reductions keep their order. No argument is modified.
+    ``log_weights`` and ``scales_sq`` have shape (C,) and ``means`` (C, D).
+    A call takes ``x`` of shape (D,) or (B, D) and returns a fresh array of
+    that shape; a (D,) state is the one-row case of the one row-batched path.
+    With a = 1 - t, no call forms z_i = x - a * mu_i: the squared distance is
+    |x|^2 - 2a x.mu_i + a^2 |mu_i|^2, and the velocity is
+    (sum_i r_i coef_i) x - sum_i r_i (a coef_i + 1) mu_i for responsibilities
+    r_i and coef_i = (t - a sigma_i^2) / s_i^2. So a call is two stacked
+    ``np.matmul``s against ``means`` (one (1, D) row product per state) plus
+    O(C) work, and each row of a (B, D) result equals the (D,) call on that
+    row bit for bit. The (C,) constants that depend only on t are built once
+    per distinct t and kept in a private dict of at most ``_TIMES_KEPT``
+    entries; a kept entry is the same arithmetic as a fresh one, so the dict
+    changes no result, and concurrent calls that build or clear an entry
+    need no lock. No argument is modified.
     """
-    one_t = 1.0 - t
-    s2 = t * t + one_t * one_t * scales_sq
-    coef = (t - one_t * scales_sq) / s2
-    if x.ndim == 2:
-        z = x[:, None, :] - one_t * means
-        log_resp = log_weights - 0.5 * np.einsum("bcd,bcd->bc", z, z) / s2 - 0.5 * x.shape[1] * np.log(s2)
-        log_resp -= log_resp.max(axis=1, keepdims=True)
-        resp = np.exp(log_resp)
-        resp /= resp.sum(axis=1, keepdims=True)
-        # in place: at large B * C * D a fresh temporary costs more in page faults than in arithmetic
-        z *= coef[:, None]
-        z -= means
-        return np.matmul(resp[:, None, :], z)[:, 0]
-    z = x[None, :] - one_t * means
-    sq = np.einsum("cd,cd->c", z, z)
-    log_resp = log_weights - 0.5 * sq / s2 - 0.5 * x.shape[0] * np.log(s2)
-    log_resp -= log_resp.max()
-    resp = np.exp(log_resp)
-    resp /= resp.sum()
 
-    component_vel = coef[:, None] * z - means
-    return resp @ component_vel
+    def __init__(self, log_weights: np.ndarray, means: np.ndarray, scales_sq: np.ndarray):
+        self._log_weights = log_weights
+        self._means = means
+        self._means_t = np.ascontiguousarray(means.T)
+        self._means_sq = np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0]
+        self._scales_sq = scales_sq
+        self._half_dim = 0.5 * means.shape[1]
+        self._by_time: dict[float, tuple[np.ndarray, ...]] = {}
+
+    def _constants(self, t: float) -> tuple[np.ndarray, ...]:
+        """``(a / s^2, 0.5 / s^2, bias, coef as a (C, 1) column, a * coef + 1)`` at ``t``."""
+        found = self._by_time.get(t)
+        if found is None:
+            if len(self._by_time) >= _TIMES_KEPT:
+                self._by_time.clear()
+            one_t = 1.0 - t
+            s2 = t * t + one_t * one_t * self._scales_sq
+            coef = (t - one_t * self._scales_sq) / s2
+            half_inv = 0.5 / s2
+            bias = self._log_weights - (one_t * one_t) * half_inv * self._means_sq - self._half_dim * np.log(s2)
+            found = self._by_time[t] = (one_t / s2, half_inv, bias, coef[:, None], one_t * coef + 1.0)
+        return found
+
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        shift, half_inv, bias, coef, mean_coef = self._constants(float(t))
+        rows = x.reshape(-1, 1, x.shape[-1])
+        log_resp = np.matmul(rows, self._means_t)
+        log_resp *= shift
+        log_resp += bias
+        log_resp -= np.matmul(rows, rows.transpose(0, 2, 1)) * half_inv
+        log_resp -= log_resp.max(axis=-1, keepdims=True)
+        resp = np.exp(log_resp)
+        resp /= resp.sum(axis=-1, keepdims=True)
+        v = np.matmul(resp, coef) * rows
+        v -= np.matmul(resp * mean_coef, self._means)
+        return v.reshape(x.shape)
 
 
 class VelocityField:
@@ -249,9 +291,11 @@ class VelocityField:
 
     The counter equals exactly the number of ``evaluate`` calls since
     construction or the last ``reset_evaluations`` (a batched call counts
-    once), and is safe under concurrent increments. All other state is
-    immutable: the spec is converted to arrays once, here, so each call runs
-    only the velocity math.
+    once), and is safe under concurrent increments. The spec is converted to
+    arrays once, here, so each call runs only the velocity math. The one
+    other mutable state is the mixture oracle's private dict of per-time
+    constants: it is unobservable, as a kept entry is bit for bit what a
+    fresh field computes.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -313,7 +357,7 @@ def _velocity_function(spec: FieldSpec) -> Callable[[np.ndarray, float], np.ndar
         log_weights = np.log(np.array([c.weight for c in spec.components], dtype=float))
         means = np.array([c.mean for c in spec.components], dtype=float)
         scales_sq = np.array([c.scale for c in spec.components], dtype=float) ** 2
-        return lambda state, t: _mixture_velocity(state, t, log_weights, means, scales_sq)
+        return _Mixture(log_weights, means, scales_sq)
     target = np.array(spec.target, dtype=float)
     if spec.kind == KIND_CONSTANT:
         return lambda state, t: np.broadcast_to(target, state.shape).copy()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcache import read_bundle
+from flowcache.calibration import BUNDLE_KEYS
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from flowcache.verify import SuiteResult
 
@@ -407,6 +408,17 @@ class TestErrors:
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert column in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [1e308, 10**30])
+    def test_schedule_entry_beyond_64_bits_rejected(self, tmp_path, capsys, bad):
+        config, bundle = self._calibrate_constant(tmp_path)
+        data = json.loads(bundle.read_text())
+        data["h"][0] = bad
+        bundle.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert "h: schedule entry at step 0 is not an integer" in capsys.readouterr().err
+        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
     @pytest.mark.parametrize("key, bad", [("n_steps", None), ("seeds", 5), ("sample_count", [1]), ("tau_k", "x")])
     def test_malformed_bundle_scalar_rejected(self, tmp_path, capsys, key, bad):
         config, bundle = self._calibrate_constant(tmp_path)
@@ -526,6 +538,23 @@ class TestErrors:
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")] + flags) == EXIT_CONFIG
         assert f"key {key!r}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "slot, change, key",
+        [
+            (0, {"weight": -1.0}, "field.components[0].weight"),
+            (1, {"scale": -1.0}, "field.components[1].scale"),
+            (1, {"mean": [1.0]}, "field.components[1].mean"),
+            (1, {"weight": 0.5}, "field.components"),
+        ],
+        ids=["weight", "scale", "mean", "weight-sum"],
+    )
+    def test_mixture_range_error_named(self, tmp_path, capsys, slot, change, key):
+        components = [dict(c) for c in GMM_CONFIG["field"]["components"]]
+        components[slot].update(change)
+        config = _write_config(tmp_path, dict(GMM_CONFIG, field=dict(GMM_CONFIG["field"], components=components)))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config key {key!r}: " in capsys.readouterr().err
+
 
 # A value that stands for "drop the key" among the mutations below.
 _DROP = object()
@@ -561,3 +590,41 @@ class TestConfigBoundary:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["bench", "--config", str(config), "--out", str(out / "o")])
         assert code == EXIT_OK or (code == EXIT_CONFIG and path[-1] in err.getvalue()), (code, err.getvalue())
+
+
+# The bundle half of the boundary: a valid bundle of a 5-step README-field calibration.
+_BUNDLE_CONFIG = dict(README_CONFIG, n_steps=5, calibration_seeds=[1000, 1001], evaluation_seeds=[2000])
+
+
+@pytest.fixture(scope="module")
+def boundary_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    config = _write_config(out, _BUNDLE_CONFIG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["calibrate", "--config", str(config), "--out", str(out / "cal")]) == EXIT_OK
+    return config, json.loads((out / "cal" / "bundle.json").read_text())
+
+
+class TestBundleBoundary:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        key=st.sampled_from(BUNDLE_KEYS),
+        value=st.sampled_from([_DROP, math.nan, -1, "x", [1], None, True, 1e308]),
+    )
+    def test_a_mutated_key_runs_or_is_named(self, tmp_path_factory, boundary_bundle, key, value):
+        config, valid = boundary_bundle
+        payload = json.loads(json.dumps(valid))
+        if value is _DROP:
+            del payload[key]
+        else:
+            payload[key] = value
+        out = tmp_path_factory.mktemp("boundary")
+        bundle = _write_config(out, payload, name="bundle.json")
+        for argv in (
+            ["sample", "--config", str(config), "--out", str(out / "s"), "--mode", "cached", "--bundle", str(bundle)],
+            ["curves", "--bundle", str(bundle), "--out", str(out / "c")],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == EXIT_OK or (code == EXIT_CONFIG and key in err.getvalue()), (argv[0], code, err.getvalue())

@@ -209,3 +209,45 @@ class TestBlockSweep:
     def test_one_dimensional_draws_rejected(self, dim_range):
         with pytest.raises(InvalidArgumentError):
             run_bound_sweep(draws=10, seed=73, dim_range=dim_range)
+
+
+class TestOrthogonalIdentity:
+    """The |Q|^2 identity check: float64 first, flagged rows again without cancellation."""
+
+    @pytest.mark.parametrize("seed", [1009, 1012, 1023, 1039])
+    def test_cancelling_seeds_pass_at_full_size(self, seed):
+        # each of these seeds has a dim-2 draw with u_hat = u_perp and d near d_t, where Q
+        # cancels in float64; checked in float64 alone, the paper's form fails on all four
+        result = run_bound_sweep(draws=100_000, seed=seed)
+        assert result.passed, result.failures[:3]
+        assert result.max_q_identity_error <= 1e-12
+
+    @pytest.mark.parametrize("extended", [True, False], ids=["longdouble", "fraction"])
+    def test_the_flagged_draw_is_rechecked(self, monkeypatch, extended):
+        monkeypatch.setattr(error_bound, "_EXTENDED", extended)
+        recheck, rechecked = error_bound._exact_q_identity_error, []
+        monkeypatch.setattr(error_bound, "_exact_q_identity_error", lambda *rows: rechecked.append(rows) or recheck(*rows))
+        result = run_bound_sweep(draws=30_300, seed=1012)  # draw 30250 cancels in float64
+        assert len(rechecked) == 1 and rechecked[0][1].shape == (1,)
+        assert result.passed, result.failures[:3]
+        assert result.max_q_identity_error <= 1e-12
+
+    def test_the_exact_recheck_has_no_rounding(self, monkeypatch):
+        monkeypatch.setattr(error_bound, "_EXTENDED", False)
+        _, (v, _, d, u_perp, _, d_t, u_hat, _) = _draw_block(np.random.default_rng(79), 20, *SWEEP_RANGES)
+        gap = error_bound._exact_q_identity_error(np.linalg.norm(v, axis=1), d, d_t, u_perp, u_hat)
+        assert gap.dtype == float and not gap.any()
+
+    @pytest.mark.parametrize("extended", [True, False], ids=["longdouble", "fraction"])
+    def test_a_planted_reference_error_fails(self, monkeypatch, extended):
+        monkeypatch.setattr(error_bound, "_EXTENDED", extended)
+        q_identity = error_bound._q_identity
+
+        def planted(*rows):
+            q_sq, q_ref = q_identity(*rows)
+            return q_sq, q_ref + q_ref / 10**11  # exact in every number type the check uses
+
+        monkeypatch.setattr(error_bound, "_q_identity", planted)
+        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        assert sum("orthogonal identity off by" in f for f in result.failures) == _BLOCK
+        assert result.max_q_identity_error == pytest.approx(1e-11, rel=1e-3)

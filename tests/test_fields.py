@@ -243,3 +243,89 @@ def test_condition_seed_range_validated():
         Condition(-1)
     with pytest.raises(InvalidArgumentError):
         Condition(2**64)
+
+
+def _longdouble_mixture_velocity(x, t, weights, means, scales):
+    """The direct formula (z_i = x - (1 - t) mu_i formed per component) in np.longdouble."""
+    ld = np.longdouble
+    x, means, scales_sq = x.astype(ld), means.astype(ld), scales.astype(ld) ** 2
+    t = ld(t)
+    one_t = 1 - t
+    s2 = t * t + one_t * one_t * scales_sq
+    z = x - one_t * means
+    log_resp = np.log(weights.astype(ld)) - (z * z).sum(axis=1) / (2 * s2) - x.size * np.log(s2) / 2
+    resp = np.exp(log_resp - log_resp.max())
+    resp /= resp.sum()
+    coef = (t - one_t * scales_sq) / s2
+    return (resp[:, None] * (coef[:, None] * z - means)).sum(axis=0)
+
+
+class TestMixtureArithmetic:
+    """The matrix-vector form of the mixture velocity and its per-time constants."""
+
+    @pytest.mark.parametrize("dim", [3, 64, 1024])
+    @pytest.mark.parametrize("width", ["wide", "narrow", "mixed"])
+    def test_matches_a_longdouble_reference(self, dim, width):
+        rng = np.random.default_rng(dim)
+        n = 8
+        weights = rng.dirichlet(np.ones(n))
+        if width == "wide":
+            means, scales = rng.normal(0.0, 1.5, (n, dim)), rng.uniform(0.5, 3.0, n)
+        elif width == "narrow":
+            means, scales = rng.normal(0.0, 50.0, (n, dim)), 10.0 ** rng.uniform(-4.0, -2.0, n)
+        else:
+            means = rng.normal(0.0, 20.0, (n, dim))
+            scales = np.concatenate([10.0 ** rng.uniform(-4.0, -1.0, n // 2), rng.uniform(0.5, 3.0, n // 2)])
+        components = list(zip(weights, means, scales))
+        field = VelocityField(
+            FieldSpec(
+                kind="gaussian-mixture",
+                dimension=dim,
+                components=tuple(MixtureComponent(float(w), tuple(m), float(s)) for w, m, s in components),
+            )
+        )
+        # the grid ends, interior times, and each component's s^2 minimum t = sigma^2 / (1 + sigma^2)
+        times = [0.0, 1e-6, 1e-3, 0.25, 0.5, 0.9, 1.0] + list(scales**2 / (1.0 + scales**2))
+        worst = 0.0
+        for t in times:
+            # a broad state, and states drawn from the marginal of X_t near one component each
+            states = [3.0 * rng.standard_normal(dim)]
+            for i in rng.integers(0, n, size=3):
+                spread = np.sqrt(t * t + (1.0 - t) ** 2 * scales[i] ** 2)
+                states.append((1.0 - t) * means[i] + spread * rng.standard_normal(dim))
+            batch = field.evaluate(np.array(states), t, [Condition(k) for k in range(len(states))])
+            for x, row in zip(states, batch):
+                reference = _longdouble_mixture_velocity(x, t, weights, means, scales)
+                single = gaussian_mixture_velocity(x, t, components)
+                assert np.array_equal(single, row)
+                worst = max(worst, float(np.linalg.norm(single - reference) / np.linalg.norm(reference)))
+        assert worst <= 1e-12
+
+    @staticmethod
+    def _velocities(field, x, times):
+        return [field.evaluate(x, t, Condition(0)) for t in times]
+
+    def test_kept_constants_change_no_result(self, monkeypatch):
+        from flowcache import fields
+
+        monkeypatch.setattr(fields, "_TIMES_KEPT", 4)
+        rng = np.random.default_rng(5)
+        spec = _random_mixture_spec(16, 5, rng)
+        x = rng.standard_normal(16)
+        times = [0.5, 0.1, 1.0, 0.0, 0.73, 0.5, 0.1]
+        fresh = [self._velocities(VelocityField(spec), x, [t])[0] for t in times]
+        field = VelocityField(spec)
+        kept = field._velocity._by_time
+        # out of order, repeated, and past the cap, so the dict clears and refills
+        for order in (times, times[::-1], times):
+            for t, got in zip(order, self._velocities(field, x, order)):
+                assert np.array_equal(got, fresh[times.index(t)])
+                assert 1 <= len(kept) <= 4
+
+    def test_constants_are_kept_once_per_time(self):
+        rng = np.random.default_rng(6)
+        field = VelocityField(_random_mixture_spec(3, 2, rng))
+        times = np.linspace(1.0, 0.0, 11)
+        for _ in range(3):
+            self._velocities(field, rng.standard_normal(3), times)
+        assert sorted(field._velocity._by_time) == sorted(times.tolist())
