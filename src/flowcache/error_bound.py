@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,9 @@ from .ioutil import write_csv
 ORTHO_TOL = 1e-10
 # Gram-Schmidt draws with residual norm below this fraction are redrawn.
 REJECT_TOL = 1e-8
+# The sweep's drawn unit vectors have | |u|^2 - 1 | within this; seeds
+# 1000-1039 at 10^5 draws reach 3 eps.
+UNIT_NORM_TOL = 16 * np.finfo(float).eps
 # Draws per block of the bound sweep. Each block is one set of numpy passes
 # over (_BLOCK, dim_range[1]) arrays; blocks of 1000 add about 5 MB of peak
 # memory for little more speed.
@@ -143,43 +145,41 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)
 
 
-def _q_identity(
+def _q_squared(
     v_norm: np.ndarray, d: np.ndarray, d_t: np.ndarray, u_perp: np.ndarray, u_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``|Q|^2`` and its reference for each row, in the inputs' number type.
-
-    Q = |v| (d_t u_hat - d u_perp). The reference is |v|^2 ((d_t - d)(d_t
-    |u_hat|^2 - d |u_perp|^2) + d_t d |u_hat - u_perp|^2), which equals
-    |Q|^2 for the drawn vectors, and for exactly unit vectors equals the
-    paper's |v|^2 ((d_t - d)^2 + 2 d_t d (1 - cos theta)).
-    """
-
-    def rowdot(a, b):  # not einsum: numpy before 1.25 has no einsum over Fraction objects
-        return (a * b).sum(axis=1)
-
+) -> np.ndarray:
+    """|Q|^2 for each row, Q = |v| (d_t u_hat - d u_perp), in the inputs' number type."""
     q = v_norm[:, None] * (d_t[:, None] * u_hat - d[:, None] * u_perp)
-    gap = u_hat - u_perp
-    ref = (d_t - d) * (d_t * rowdot(u_hat, u_hat) - d * rowdot(u_perp, u_perp)) + d_t * d * rowdot(gap, gap)
-    return rowdot(q, q), v_norm**2 * ref
+    return (q * q).sum(axis=1)  # not einsum: numpy before 1.25 has no einsum over Fraction objects
 
 
-# np.longdouble is 80-bit extended on x86-64 Linux but only float64 on some
-# platforms; there the rows float64 flags are re-checked in exact rationals.
-_EXTENDED = float(np.finfo(np.longdouble).eps) <= 1e-18
+def _q_reference(
+    v_norm: np.ndarray, d: np.ndarray, d_t: np.ndarray, u_perp: np.ndarray, u_hat: np.ndarray
+) -> np.ndarray:
+    """|Q|^2 for each row by a form that float64 evaluates to a few ulps.
 
+    With s = u_hat + u_perp and g = u_hat - u_perp, d_t u_hat - d u_perp is
+    ((d_t - d) s + (d_t + d) g) / 2, so for any vectors
 
-def _exact_q_identity_error(*rows: np.ndarray) -> np.ndarray:
-    """``_q_identity``'s relative gap on ``rows``, free of float64 cancellation.
+        |Q|^2 = |v|^2 (((d_t - d)^2 |s|^2 + (d_t + d)^2 |g|^2) / 4
+                       + (d_t - d)(d_t + d) s.g / 2),
 
-    Near u_hat = u_perp and d = d_t, Q cancels in float64 and the gap can
-    exceed the tolerance though the identity holds; evaluated in extended
-    precision (or exactly, without it) the same rows are checked again.
+    which for unit vectors (s.g = 0, |g|^2 = 2 (1 - cos theta)) is the
+    paper's |v|^2 ((d_t - d)^2 + 2 d_t d (1 - cos theta)); the sweep checks
+    that premise separately. Where Q cancels (u_hat near u_perp, d near
+    d_t), the small factors d_t - d and g are each formed by one subtraction,
+    and the s.g term is at most a few ulps of the other two.
     """
-    if _EXTENDED:
-        wide = [a.astype(np.longdouble) for a in rows]
-    else:
-        wide = [np.vectorize(Fraction, otypes=[object])(a) for a in rows]
-    return _relative_gap(*_q_identity(*wide)).astype(float)
+    s, g = u_hat + u_perp, u_hat - u_perp
+    lo, hi = d_t - d, d_t + d
+    return v_norm**2 * ((lo * lo * _rowdot(s, s) + hi * hi * _rowdot(g, g)) / 4 + lo * hi * _rowdot(s, g) / 2)
+
+
+def _exact_q_squared(*rows: np.ndarray) -> np.ndarray:
+    """``_q_squared`` of ``rows`` in exact rationals, rounded once to float64."""
+    from fractions import Fraction  # here, not at the top: it imports decimal, about 0.5 MB, for a rare path
+
+    return _q_squared(*(np.vectorize(Fraction, otypes=[object])(a) for a in rows)).astype(float)
 
 
 @dataclass
@@ -274,9 +274,10 @@ def run_bound_sweep(
 
     Configurations are drawn and checked in blocks of ``_BLOCK`` draws, so
     a sweep whose draw count is a multiple of ``_BLOCK`` is the exact
-    prefix of any longer sweep at the same seed. Also checks that weakening
-    the magnitude envelope to min(k_t, k) breaks the bound somewhere,
-    confirming the max is necessary.
+    prefix of any longer sweep at the same seed. Also checks that the drawn
+    directions are unit vectors to within ``UNIT_NORM_TOL``, and that
+    weakening the magnitude envelope to min(k_t, k) breaks the bound
+    somewhere, confirming the max is necessary.
     """
     if dim_range[0] < 2:
         raise InvalidArgumentError("not enough dimensions for an orthogonal complement")
@@ -304,15 +305,21 @@ def run_bound_sweep(
         v_norm = np.linalg.norm(v, axis=1)
         p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
         err_sq = (lhs * v_norm) ** 2
-        q_sq, q_ref = _q_identity(v_norm, d, d_t, u_perp, u_hat)
+        q_args = (v_norm, d, d_t, u_perp, u_hat)
+        q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
         split_err = _relative_gap(err_sq, _rowdot(p, p) + q_sq)
         max_split = max(max_split, float(split_err.max()))
 
         q_err = _relative_gap(q_sq, q_ref)
         flagged = np.flatnonzero(q_err > q_identity_tol)
         if flagged.size:
-            q_err[flagged] = _exact_q_identity_error(*(a[flagged] for a in (v_norm, d, d_t, u_perp, u_hat)))
+            # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
+            # value leaves only the reference's own rounding in the gap
+            exact = _exact_q_squared(*(a[flagged] for a in q_args))
+            q_err[flagged] = _relative_gap(exact, q_ref[flagged])
         max_qid = max(max_qid, float(q_err.max()))
+        # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
+        norm_err = {name: np.abs(_rowdot(u, u) - 1.0) for name, u in (("u_perp", u_perp), ("u_hat", u_hat))}
 
         c_min = dt * np.exp(np.minimum(k_t, k) * dt)
         rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
@@ -321,7 +328,8 @@ def run_bound_sweep(
         over_bound = violation > bound_slack
         split_off = split_err > split_tol
         identity_off = q_err > q_identity_tol
-        for row in np.flatnonzero(over_bound | split_off | identity_off):
+        norm_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
+        for row in np.flatnonzero(over_bound | split_off | identity_off | norm_off):
             prefix = f"draw {start + row} (seed {seed}):"
             if over_bound[row]:
                 failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
@@ -329,6 +337,9 @@ def run_bound_sweep(
                 failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
             if identity_off[row]:
                 failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
+            for name, err in norm_err.items():
+                if err[row] > UNIT_NORM_TOL:
+                    failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
 
     if envelope_violations == 0:
         failures.append(

@@ -19,8 +19,9 @@ isolating one aspect of the dynamics the rest of the pipeline must handle:
 Evaluation is a pure function of its arguments; the only mutable observable
 is a thread-safe call counter used for evaluation accounting. The mixture
 oracle is two matrix-vector products against the component means per state
-plus O(components) work; its time-only constants are kept per distinct time,
-which changes no result.
+plus O(components) work; its time-only constants are built once per distinct
+time, for all of a sampler walk's times in one pass, and kept, which changes
+no result.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -215,14 +216,7 @@ def gaussian_mixture_velocity(
         raise InvalidArgumentError("mixture scales must be positive")
     if means.shape[1] != x.shape[0]:
         raise InvalidArgumentError(f"state dimension {x.shape[0]} does not match component means {means.shape[1]}")
-    return _mixture_velocity(x, t, np.log(weights), means, scales**2)
-
-
-def _mixture_velocity(
-    x: np.ndarray, t: float, log_weights: np.ndarray, means: np.ndarray, scales_sq: np.ndarray
-) -> np.ndarray:
-    """``gaussian_mixture_velocity`` on validated arrays, through a one-call ``_Mixture``."""
-    return _Mixture(log_weights, means, scales_sq)(x, t)
+    return _Mixture(np.log(weights), means, scales**2)(x, t)
 
 
 # Distinct times whose constants one ``_Mixture`` keeps; a full dict is cleared.
@@ -235,45 +229,74 @@ class _Mixture:
     ``log_weights`` and ``scales_sq`` have shape (C,) and ``means`` (C, D).
     A call takes ``x`` of shape (D,) or (B, D) and returns a fresh array of
     that shape; a (D,) state is the one-row case of the one row-batched path.
-    With a = 1 - t, no call forms z_i = x - a * mu_i: the squared distance is
-    |x|^2 - 2a x.mu_i + a^2 |mu_i|^2, and the velocity is
-    (sum_i r_i coef_i) x - sum_i r_i (a coef_i + 1) mu_i for responsibilities
-    r_i and coef_i = (t - a sigma_i^2) / s_i^2. So a call is two stacked
-    ``np.matmul``s against ``means`` (one (1, D) row product per state) plus
-    O(C) work, and each row of a (B, D) result equals the (D,) call on that
-    row bit for bit. The (C,) constants that depend only on t are built once
-    per distinct t and kept in a private dict of at most ``_TIMES_KEPT``
-    entries; a kept entry is the same arithmetic as a fresh one, so the dict
-    changes no result, and concurrent calls that build or clear an entry
-    need no lock. No argument is modified.
+    States and means are taken relative to m, the weights' mean of the means:
+    with a = 1 - t, y = x - a m and n_i = mu_i - m, no call forms
+    z_i = y - a n_i. The squared distance is |y|^2 - 2a y.n_i + a^2 |n_i|^2,
+    and the velocity is (sum_i r_i coef_i) y - sum_i r_i (t / s_i^2) n_i - m
+    for responsibilities r_i and coef_i = (t - a sigma_i^2) / s_i^2. So a
+    call is two stacked ``np.matmul``s against the means (one (1, D) row
+    product per state) plus O(C) work, and each row of a (B, D) result
+    equals the (D,) call on that row bit for bit.
+
+    The expansion's rounding puts an absolute error of about
+    eps |y|^2 / s_i^2 on the log-responsibilities, where the direct form has
+    eps |x| |z_i| / s_i^2. Taking states relative to m keeps |y| near |z_i|
+    while the components that share the posterior lie close to m; narrow
+    components (s_i << |y|) far from m that share it lose digits.
+
+    The (C,) constants that depend only on t are built for all the times
+    ``prepare`` announces in one pass, or for an unseen t by the call that
+    meets it, and kept in a private dict of at most ``_TIMES_KEPT``
+    entries; a kept entry is the same arithmetic as a fresh one, so the
+    dict changes no result. Concurrent calls need no lock: whichever builds
+    an entry builds the same one, and the cap is passed by at most one
+    pass per concurrent call. No argument is modified.
     """
 
     def __init__(self, log_weights: np.ndarray, means: np.ndarray, scales_sq: np.ndarray):
         self._log_weights = log_weights
-        self._means = means
-        self._means_t = np.ascontiguousarray(means.T)
-        self._means_sq = np.matmul(means[:, None, :], means[:, :, None])[:, 0, 0]
+        self._center = np.exp(log_weights) @ means
+        self._means = means - self._center
+        self._means_t = np.ascontiguousarray(self._means.T)
+        self._means_sq = np.matmul(self._means[:, None, :], self._means[:, :, None])[:, 0, 0]
         self._scales_sq = scales_sq
         self._half_dim = 0.5 * means.shape[1]
         self._by_time: dict[float, tuple[np.ndarray, ...]] = {}
 
-    def _constants(self, t: float) -> tuple[np.ndarray, ...]:
-        """``(a / s^2, 0.5 / s^2, bias, coef as a (C, 1) column, a * coef + 1)`` at ``t``."""
-        found = self._by_time.get(t)
-        if found is None:
-            if len(self._by_time) >= _TIMES_KEPT:
-                self._by_time.clear()
-            one_t = 1.0 - t
-            s2 = t * t + one_t * one_t * self._scales_sq
-            coef = (t - one_t * self._scales_sq) / s2
-            half_inv = 0.5 / s2
-            bias = self._log_weights - (one_t * one_t) * half_inv * self._means_sq - self._half_dim * np.log(s2)
-            found = self._by_time[t] = (one_t / s2, half_inv, bias, coef[:, None], one_t * coef + 1.0)
-        return found
+    def prepare(self, times: Sequence[float]) -> None:
+        """Build and keep the constants of each of ``times`` not yet kept, in one pass."""
+        new = list(dict.fromkeys(t for t in map(float, times) if t not in self._by_time))[:_TIMES_KEPT]
+        if new:
+            shift, half_inv, bias, coef, mean_coef = self._constants(np.array(new)[:, None])
+            self._keep(new, zip(shift, half_inv, bias, coef[:, :, None], mean_coef))
+
+    def _constants(self, t: float | np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(a / s^2, 0.5 / s^2, bias, coef, t / s^2)`` at a time or at a (T, 1) column of times.
+
+        Every step is elementwise float64 arithmetic on t, so row j of a
+        column's result is bit for bit the result at its time alone.
+        """
+        one_t = 1.0 - t
+        s2 = t * t + one_t * one_t * self._scales_sq
+        half_inv = 0.5 / s2
+        bias = self._log_weights - (one_t * one_t) * half_inv * self._means_sq - self._half_dim * np.log(s2)
+        return one_t / s2, half_inv, bias, (t - one_t * self._scales_sq) / s2, t / s2
+
+    def _keep(self, times: list[float], entries: Iterable[tuple[np.ndarray, ...]]) -> None:
+        """Keep ``entries`` under ``times``, first clearing a dict they would take past the cap."""
+        if len(self._by_time) + len(times) > _TIMES_KEPT:
+            self._by_time.clear()
+        self._by_time.update(zip(times, entries))
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        shift, half_inv, bias, coef, mean_coef = self._constants(float(t))
-        rows = x.reshape(-1, 1, x.shape[-1])
+        t = float(t)
+        found = self._by_time.get(t)
+        if found is None:
+            shift, half_inv, bias, coef, mean_coef = self._constants(t)
+            found = (shift, half_inv, bias, coef[:, None], mean_coef)
+            self._keep([t], [found])
+        shift, half_inv, bias, coef, mean_coef = found
+        rows = x.reshape(-1, 1, x.shape[-1]) - (1.0 - t) * self._center
         log_resp = np.matmul(rows, self._means_t)
         log_resp *= shift
         log_resp += bias
@@ -283,6 +306,7 @@ class _Mixture:
         resp /= resp.sum(axis=-1, keepdims=True)
         v = np.matmul(resp, coef) * rows
         v -= np.matmul(resp * mean_coef, self._means)
+        v -= self._center
         return v.reshape(x.shape)
 
 
@@ -294,8 +318,9 @@ class VelocityField:
     once), and is safe under concurrent increments. The spec is converted to
     arrays once, here, so each call runs only the velocity math. The one
     other mutable state is the mixture oracle's private dict of per-time
-    constants: it is unobservable, as a kept entry is bit for bit what a
-    fresh field computes.
+    constants, which ``prepare`` fills ahead of a sampler walk: it is
+    unobservable, as a kept entry is bit for bit what a fresh field
+    computes.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -319,6 +344,16 @@ class VelocityField:
     def reset_evaluations(self) -> None:
         with self._lock:
             self._evaluations = 0
+
+    def prepare(self, times: Sequence[float]) -> None:
+        """Announce the times ``evaluate`` is about to be called at.
+
+        The mixture oracle builds its per-time constants for all of them in
+        one pass rather than one time per call. No result or count changes;
+        the other kinds ignore the call.
+        """
+        if isinstance(self._velocity, _Mixture):
+            self._velocity.prepare(times)
 
     def evaluate(self, state: np.ndarray, t: float, condition: Condition | Sequence[Condition]) -> np.ndarray:
         """Velocity at (state, t). Increments the evaluation counter by one.

@@ -197,16 +197,17 @@ def _walk(
     step-major rows are (b, D), or (D,) for a single run, which the oracle
     then takes as an unbatched call.
 
-    Each interval opens with one oracle call per batch, its output checked
-    once. With the per-step factors ``growth`` (exp(k_tilde * dt)) and
-    ``turn`` (d_tilde), each run then rebuilds the interval's skipped
-    velocities with the arithmetic of ``init_direction``, ``reorthogonalize``
-    and ``skip_update``: a degenerate direction leaves its ``directions`` row
-    NaN and drops the turning term, and the reconstruction after an
-    interval's last step is not computed, since the next interval opens with
-    an evaluation. A full run is the walk over length-1 intervals without
-    factors; its records carry no directions. The Euler updates run on the
-    whole batch.
+    The field is told the walk's interval opening times first
+    (``VelocityField.prepare``). Each interval opens with one oracle call
+    per batch, its output checked once. With the per-step factors ``growth``
+    (exp(k_tilde * dt)) and ``turn`` (d_tilde), each run then rebuilds the
+    interval's skipped velocities with the arithmetic of ``init_direction``,
+    ``reorthogonalize`` and ``skip_update``: a degenerate direction leaves
+    its ``directions`` row NaN and drops the turning term, and the
+    reconstruction after an interval's last step is not computed, since the
+    next interval opens with an evaluation. A full run is the walk over
+    length-1 intervals without factors; its records carry no directions.
+    The Euler updates run on the whole batch.
     """
     n_steps = grid.n_steps
     times, dt = grid.times.tolist(), grid.dt.tolist()
@@ -214,6 +215,7 @@ def _walk(
     evaluated[[n for n, _ in intervals]] = True
     width = 2 * n_steps + 1 if growth is None else 3 * n_steps + 1
     size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1]))
+    field.prepare([times[n] for n, _ in intervals])
     for first in range(0, len(conditions), size):
         batch = conditions[first : first + size]
         block = np.empty((len(batch), width, x0.shape[1]))

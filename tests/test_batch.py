@@ -31,7 +31,7 @@ from flowcache import (
 from flowcache import solver
 from flowcache.cached_sampler import _cached_kernel
 from flowcache.diagnostics import ABLATION_ORDER
-from flowcache.fields import _mixture_velocity
+from flowcache.fields import _Mixture
 from flowcache.solver import _full_kernel
 
 from test_kernels import KERNEL_FIELDS, _setup
@@ -62,10 +62,10 @@ class TestBatchedOracle:
         means = rng.normal(0.0, 1.5, (components, dimension))
         scales_sq = rng.uniform(0.5, 1.5, components) ** 2
         x = 3.0 * rng.standard_normal((batch, dimension))
-        out = _mixture_velocity(x, t, np.log(weights), means, scales_sq)
+        out = _Mixture(np.log(weights), means, scales_sq)(x, t)
         assert out.shape == x.shape
         for row in range(batch):
-            assert np.array_equal(out[row], _mixture_velocity(x[row], t, np.log(weights), means, scales_sq))
+            assert np.array_equal(out[row], _Mixture(np.log(weights), means, scales_sq)(x[row], t))
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_every_kind_returns_fresh_rows_of_single_calls(self, name):

@@ -212,7 +212,7 @@ class TestBlockSweep:
 
 
 class TestOrthogonalIdentity:
-    """The |Q|^2 identity check: float64 first, flagged rows again without cancellation."""
+    """The |Q|^2 identity check: float64 first, flagged rows again with Q exact."""
 
     @pytest.mark.parametrize("seed", [1009, 1012, 1023, 1039])
     def test_cancelling_seeds_pass_at_full_size(self, seed):
@@ -222,32 +222,44 @@ class TestOrthogonalIdentity:
         assert result.passed, result.failures[:3]
         assert result.max_q_identity_error <= 1e-12
 
-    @pytest.mark.parametrize("extended", [True, False], ids=["longdouble", "fraction"])
-    def test_the_flagged_draw_is_rechecked(self, monkeypatch, extended):
-        monkeypatch.setattr(error_bound, "_EXTENDED", extended)
-        recheck, rechecked = error_bound._exact_q_identity_error, []
-        monkeypatch.setattr(error_bound, "_exact_q_identity_error", lambda *rows: rechecked.append(rows) or recheck(*rows))
+    def test_the_flagged_draw_is_rechecked(self, monkeypatch):
+        exact, rechecked = error_bound._exact_q_squared, []
+        monkeypatch.setattr(error_bound, "_exact_q_squared", lambda *rows: rechecked.append(rows) or exact(*rows))
         result = run_bound_sweep(draws=30_300, seed=1012)  # draw 30250 cancels in float64
         assert len(rechecked) == 1 and rechecked[0][1].shape == (1,)
         assert result.passed, result.failures[:3]
         assert result.max_q_identity_error <= 1e-12
 
-    def test_the_exact_recheck_has_no_rounding(self, monkeypatch):
-        monkeypatch.setattr(error_bound, "_EXTENDED", False)
-        _, (v, _, d, u_perp, _, d_t, u_hat, _) = _draw_block(np.random.default_rng(79), 20, *SWEEP_RANGES)
-        gap = error_bound._exact_q_identity_error(np.linalg.norm(v, axis=1), d, d_t, u_perp, u_hat)
-        assert gap.dtype == float and not gap.any()
+    @pytest.mark.parametrize("seed, draws", [(79, 20), (1012, 30_300)], ids=["random", "cancelling"])
+    def test_the_reference_matches_the_exact_square(self, seed, draws):
+        _, (v, _, d, u_perp, _, d_t, u_hat, _) = _draw_block(np.random.default_rng(seed), draws, *SWEEP_RANGES)
+        rows = (np.linalg.norm(v, axis=1), d, d_t, u_perp, u_hat)
+        reference = error_bound._q_reference(*rows)
+        worst = int(np.argmax(error_bound._relative_gap(error_bound._q_squared(*rows), reference)))
+        picked = [worst, *range(20)]
+        exact = error_bound._exact_q_squared(*(a[picked] for a in rows))
+        assert (error_bound._relative_gap(exact, reference[picked]) <= 8 * np.finfo(float).eps).all()
 
-    @pytest.mark.parametrize("extended", [True, False], ids=["longdouble", "fraction"])
-    def test_a_planted_reference_error_fails(self, monkeypatch, extended):
-        monkeypatch.setattr(error_bound, "_EXTENDED", extended)
-        q_identity = error_bound._q_identity
-
-        def planted(*rows):
-            q_sq, q_ref = q_identity(*rows)
-            return q_sq, q_ref + q_ref / 10**11  # exact in every number type the check uses
-
-        monkeypatch.setattr(error_bound, "_q_identity", planted)
+    def test_a_planted_reference_error_fails(self, monkeypatch):
+        q_reference = error_bound._q_reference
+        monkeypatch.setattr(error_bound, "_q_reference", lambda *rows: q_reference(*rows) * (1 + 1e-11))
         result = run_bound_sweep(draws=_BLOCK, seed=1012)
         assert sum("orthogonal identity off by" in f for f in result.failures) == _BLOCK
         assert result.max_q_identity_error == pytest.approx(1e-11, rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["u_perp", "u_hat"])
+    def test_a_direction_off_unit_norm_fails(self, monkeypatch, name):
+        # the reference holds for any vectors, so only this check sees the premise fail
+        draw = error_bound._draw_block
+        position = {"u_perp": 3, "u_hat": 6}[name]
+
+        def stretched(*args):
+            dims, rows = draw(*args)
+            rows = list(rows)
+            rows[position] = rows[position] * (1.0 + 1e-13)
+            return dims, tuple(rows)
+
+        monkeypatch.setattr(error_bound, "_draw_block", stretched)
+        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        assert sum(f"|{name}|^2 off 1 by" in f for f in result.failures) == _BLOCK
+        assert not any("orthogonal identity" in f for f in result.failures)

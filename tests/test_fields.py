@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -14,8 +15,11 @@ from flowcache import (
     field_digest,
     gaussian_mixture_velocity,
     initial_state,
+    sample_cached,
+    sample_full,
 )
 from mc_oracle import mc_mixture_velocity
+from test_kernels import KERNEL_FIELDS, _setup
 
 STD_NORMAL = [(1.0, np.zeros(2), 1.0)]
 
@@ -257,7 +261,7 @@ def _longdouble_mixture_velocity(x, t, weights, means, scales):
     resp = np.exp(log_resp - log_resp.max())
     resp /= resp.sum()
     coef = (t - one_t * scales_sq) / s2
-    return (resp[:, None] * (coef[:, None] * z - means)).sum(axis=0)
+    return (resp[:, None] * (coef[:, None] * z - means)).sum(axis=0), resp
 
 
 class TestMixtureArithmetic:
@@ -295,10 +299,32 @@ class TestMixtureArithmetic:
                 states.append((1.0 - t) * means[i] + spread * rng.standard_normal(dim))
             batch = field.evaluate(np.array(states), t, [Condition(k) for k in range(len(states))])
             for x, row in zip(states, batch):
-                reference = _longdouble_mixture_velocity(x, t, weights, means, scales)
+                reference, _ = _longdouble_mixture_velocity(x, t, weights, means, scales)
                 single = gaussian_mixture_velocity(x, t, components)
                 assert np.array_equal(single, row)
                 worst = max(worst, float(np.linalg.norm(single - reference) / np.linalg.norm(reference)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 64, 1024])
+    def test_overlapping_components_off_the_origin(self, dim):
+        # narrow components about 1e-3 apart at 100 in every coordinate, so states share
+        # the posterior; expanding |x - (1 - t) mu_i|^2 about the origin rather than the
+        # means' weighted mean would lose digits in proportion to |x|^2 / s^2
+        rng = np.random.default_rng(dim + 7)
+        weights = rng.dirichlet(np.ones(4))
+        scales = np.array([1e-3, 1e-3, 2e-3, 5e-4])
+        means = 100.0 + 1e-3 / np.sqrt(dim) * rng.standard_normal((4, dim))
+        components = list(zip(weights, means, scales))
+        worst, shared = 0.0, 0.0
+        for t in (0.0, 1e-4, 5e-4, 1e-3, 0.01):
+            for i in range(4):
+                spread = np.sqrt(t * t + (1.0 - t) ** 2 * scales[i] ** 2)
+                x = (1.0 - t) * means[i] + spread * rng.standard_normal(dim)
+                reference, resp = _longdouble_mixture_velocity(x, t, weights, means, scales)
+                got = gaussian_mixture_velocity(x, t, components)
+                worst = max(worst, float(np.linalg.norm(got - reference) / np.linalg.norm(reference)))
+                shared = max(shared, float(np.sort(resp)[-2]))
+        assert shared > 0.05  # the case is not one-hot
         assert worst <= 1e-12
 
     @staticmethod
@@ -329,3 +355,80 @@ class TestMixtureArithmetic:
         for _ in range(3):
             self._velocities(field, rng.standard_normal(3), times)
         assert sorted(field._velocity._by_time) == sorted(times.tolist())
+
+    def test_prepared_constants_equal_one_time_builds(self):
+        rng = np.random.default_rng(8)
+        spec = _random_mixture_spec(64, 6, rng)
+        times = np.linspace(1.0, 0.0, 101).tolist() + rng.uniform(0.0, 1.0, 50).tolist() + [5e-324, 0.5]
+        field = VelocityField(spec)
+        field.prepare(times)
+        kept = field._velocity._by_time
+        assert len(kept) == len(set(times))
+        x = rng.standard_normal(64)
+        for t in times:
+            alone = VelocityField(spec)
+            alone.evaluate(x, t, Condition(0))  # builds the constants of t alone
+            assert all(np.array_equal(a, b) for a, b in zip(kept[t], alone._velocity._by_time[t], strict=True))
+
+    def test_prepare_past_the_cap_keeps_a_bounded_dict(self, monkeypatch):
+        from flowcache import fields
+
+        monkeypatch.setattr(fields, "_TIMES_KEPT", 4)
+        rng = np.random.default_rng(9)
+        spec = _random_mixture_spec(3, 2, rng)
+        x = rng.standard_normal(3)
+        times = np.linspace(1.0, 0.0, 11).tolist()
+        field = VelocityField(spec)
+        field.prepare(times)
+        assert list(field._velocity._by_time) == times[:4]
+        for t, got in zip(times, self._velocities(field, x, times)):
+            assert np.array_equal(got, self._velocities(VelocityField(spec), x, [t])[0])
+            assert len(field._velocity._by_time) <= 4
+
+    def test_a_walk_builds_its_times_in_one_pass(self, monkeypatch):
+        _, grid, bundle = _setup("mixture-d3")
+        spec = KERNEL_FIELDS["mixture-d3"][0]
+        assert (bundle.schedule > 1).any()
+        x0 = initial_state(Condition(100), spec.dimension)
+        for run in (
+            lambda field: sample_full(field, grid, x0, Condition(100)),
+            lambda field: sample_cached(field, bundle, x0, Condition(100)),
+        ):
+            field = VelocityField(spec)
+            build, passes = field._velocity._constants, []
+            monkeypatch.setattr(field._velocity, "_constants", lambda t: passes.append(np.ravel(t).tolist()) or build(t))
+            record = run(field)
+            # one pass over the times the walk opens at, and no oracle call builds its own
+            assert passes == [grid.times[:-1][record.evaluated].tolist()]
+
+    def test_threads_sharing_the_kept_constants_get_fresh_results(self, monkeypatch):
+        from flowcache import fields
+
+        monkeypatch.setattr(fields, "_TIMES_KEPT", 4)
+        rng = np.random.default_rng(11)
+        spec = _random_mixture_spec(16, 5, rng)
+        x = rng.standard_normal(16)
+        times = np.linspace(1.0, 0.0, 13).tolist()
+        expected = {t: self._velocities(VelocityField(spec), x, [t])[0] for t in times}
+        field = VelocityField(spec)
+        wrong, done = [], []
+
+        def worker(k):
+            for t in (times[k:] + times[:k]) * 20:
+                if not np.array_equal(field.evaluate(x, t, Condition(k)), expected[t]):
+                    wrong.append(t)
+            done.append(k)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(done) == list(range(8)) and not wrong
+        assert len(field._velocity._by_time) <= 4 + 8  # a clear and a build may interleave once per thread
+        assert field.evaluations == 8 * 20 * len(times)
