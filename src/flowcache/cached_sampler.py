@@ -124,13 +124,14 @@ def _cached_kernel(
     bundle: ScheduleBundle,
     x0: np.ndarray,
     conditions: Sequence[Condition],
-    toggles: CompensationToggles,
+    toggles: CompensationToggles | Sequence[CompensationToggles],
 ) -> Iterator[TrajectoryRecord]:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
     The bundle's schedule is shared, so every run anchors on the same steps.
-    The indicators are checked once and turned into the walk's per-step
-    reconstruction factors, with a disabled correction's factor neutral.
+    ``toggles`` is one setting for all runs or one per run. The indicators
+    are checked once and turned into the walk's per-step reconstruction
+    factors, with a disabled correction's factor neutral.
     """
     grid = bundle.grid
     n_steps = grid.n_steps
@@ -138,6 +139,8 @@ def _cached_kernel(
     d_tilde = bundle.indicators.d_tilde
     if not (np.isfinite(k_tilde).all() and np.isfinite(d_tilde).all()):
         raise NumericDomainError("the bundle's indicators must be finite")
-    growth = np.exp(k_tilde * grid.dt).tolist() if toggles.use_mi else [1.0] * n_steps
-    turn = d_tilde.tolist() if toggles.use_di else [0.0] * n_steps
-    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), growth, turn)
+    growth, turn = np.exp(k_tilde * grid.dt).tolist(), d_tilde.tolist()
+    if isinstance(toggles, CompensationToggles):
+        toggles = [toggles] * len(conditions)
+    factors = [(growth if t.use_mi else [1.0] * n_steps, turn if t.use_di else [0.0] * n_steps) for t in toggles]
+    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors)

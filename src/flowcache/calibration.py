@@ -130,6 +130,10 @@ class ScheduleBundle:
         for i, h in enumerate(schedule):
             if not 1 <= h <= min(self.h_max, n - i):
                 raise FieldError("schedule", f"schedule entry out of range at step {i}: h={h}")
+        # compared with the largest finite exponent, not exponentiated, so no warning; dt <= 1 keeps it finite
+        for i in np.flatnonzero(self.indicators.k_tilde * self.grid.dt > math.log(np.finfo(float).max))[:1]:
+            k = float(self.indicators.k_tilde[i])
+            raise FieldError("k_tilde", f"exp(k_tilde * dt) overflows at step {i}: k_tilde={k!r}")
         schedule.flags.writeable = False
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))

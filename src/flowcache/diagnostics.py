@@ -8,7 +8,8 @@ recorded (``TrajectoryRecord.directions``) and the oracle direction
 recovered from the full record's consecutive velocities. The experiment
 runner wires the whole pipeline together (calibrate, schedule, sample both
 ways, compare) deterministically from a config; the ablation, sweep and
-truncation experiments reuse its calibration and references.
+truncation experiments reuse its calibration, its references and, where
+they would repeat them, its cached runs; their own runs yield terminal drift only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -252,12 +254,16 @@ class ExperimentResult:
         return count_speedup(self.bundle.grid.n_steps, self.cached_nfe)
 
     @property
+    def final_drifts(self) -> np.ndarray:
+        return np.array([r.final_state_drift for r in self.reports])
+
+    @property
     def mean_final_drift(self) -> float:
-        return _mean_stderr(np.array([r.final_state_drift for r in self.reports]))[0]
+        return _mean_stderr(self.final_drifts)[0]
 
     @property
     def stderr_final_drift(self) -> float:
-        return _mean_stderr(np.array([r.final_state_drift for r in self.reports]))[1]
+        return _mean_stderr(self.final_drifts)[1]
 
     @property
     def mean_cached_vel_drift(self) -> float:
@@ -316,6 +322,13 @@ def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: C
     return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
 
 
+def _final_drifts(result: ExperimentResult, runs: Iterable[TrajectoryRecord]) -> np.ndarray:
+    """Terminal drift of ``runs`` cycling through the evaluation seeds, bit for bit a report's ``final_state_drift``."""
+    final = np.array([run.final_state for run in runs])
+    reference = np.tile([full.final_state for full in result.references], (len(final) // len(result.references), 1))
+    return _relative_norms(final - reference, reference)[0]  # compare_trajectories' arithmetic, on the final rows
+
+
 def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
     if n_truncated < 1:
@@ -334,11 +347,19 @@ ABLATION_ORDER = ((False, False), (True, False), (False, True), (True, True))
 
 
 def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
-    """Four-way toggle experiment on the experiment's bundle."""
+    """Four-way toggle experiment on the experiment's bundle.
+
+    The config's own toggles take the drifts of ``result.reports``; the other
+    three run as one walk of 3×B rows (B evaluation seeds), terminal drift only.
+    """
+    others = [setting for setting in ABLATION_ORDER if setting != (result.config.use_mi, result.config.use_di)]
+    x0, conditions = _evaluation_batch(result)
+    toggles = [CompensationToggles(*setting) for setting in others for _ in conditions]
+    runs = _cached_kernel(result.velocity_field, result.bundle, np.tile(x0, (3, 1)), conditions * 3, toggles)
+    finals = dict(zip(others, _final_drifts(result, runs).reshape(3, -1)))
     rows: list[dict] = []
     for use_mi, use_di in ABLATION_ORDER:
-        reports = evaluate_bundle(result, result.bundle, CompensationToggles(use_mi=use_mi, use_di=use_di))
-        mean_final, stderr_final = _mean_stderr(np.array([r.final_state_drift for r in reports]))
+        mean_final, stderr_final = _mean_stderr(finals.get((use_mi, use_di), result.final_drifts))
         rows.append(
             {
                 "use_mi": use_mi,
@@ -353,14 +374,22 @@ def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
 
 
 def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]]) -> list[dict]:
-    """One summary row per (tau_k, tau_d) pair, rescheduling the experiment's indicators."""
+    """One summary row per (tau_k, tau_d) pair, rescheduling the experiment's indicators.
+
+    A pair that rebuilds the experiment's schedule takes the drifts of
+    ``result.reports``; any other pair runs its walk, terminal drift only.
+    """
     bundle = result.bundle
     rows: list[dict] = []
     for tau_k, tau_d in taus:
         schedule = build_schedule(bundle.indicators, bundle.grid, tau_k, tau_d, result.config.h_max)
-        sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
         skip_ratio, anchors = schedule_coverage(schedule, bundle.grid.n_steps)
-        finals = np.array([r.final_state_drift for r in evaluate_bundle(result, sweep_bundle, result.config.toggles)])
+        if np.array_equal(schedule, bundle.schedule):
+            finals = result.final_drifts
+        else:
+            sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
+            runs = _cached_kernel(result.velocity_field, sweep_bundle, *_evaluation_batch(result), result.config.toggles)
+            finals = _final_drifts(result, runs)
         rows.append(
             {
                 "tau_k": tau_k,

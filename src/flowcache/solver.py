@@ -183,8 +183,7 @@ def _walk(
     x0: np.ndarray,
     conditions: Sequence[Condition],
     intervals: Sequence[tuple[int, int]],
-    growth: Sequence[float] | None = None,
-    turn: Sequence[float] | None = None,
+    factors: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
 ) -> Iterator[TrajectoryRecord]:
     """Runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
 
@@ -199,21 +198,23 @@ def _walk(
 
     The field is told the walk's interval opening times first
     (``VelocityField.prepare``). Each interval opens with one oracle call
-    per batch, its output checked once. With the per-step factors ``growth``
-    (exp(k_tilde * dt)) and ``turn`` (d_tilde), each run then rebuilds the
-    interval's skipped velocities with the arithmetic of ``init_direction``,
-    ``reorthogonalize`` and ``skip_update``: a degenerate direction leaves
-    its ``directions`` row NaN and drops the turning term, and the
-    reconstruction after an interval's last step is not computed, since the
-    next interval opens with an evaluation. A full run is the walk over
-    length-1 intervals without factors; its records carry no directions.
-    The Euler updates run on the whole batch.
+    per batch, its output checked once. With its own per-step ``factors``
+    ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), indexed by absolute
+    run, each run then rebuilds the interval's skipped velocities with the
+    arithmetic of ``init_direction``, ``reorthogonalize`` and
+    ``skip_update``: a degenerate direction leaves its ``directions`` row
+    NaN and drops the turning term, and the reconstruction after an
+    interval's last step is not computed, since the next interval opens with
+    an evaluation. A full run is the walk over length-1 intervals without
+    factors; its records carry no directions. The Euler updates run on the
+    whole batch. A run that leaves the finite range fails naming its first
+    non-finite state's step.
     """
     n_steps = grid.n_steps
     times, dt = grid.times.tolist(), grid.dt.tolist()
     evaluated = np.zeros(n_steps, dtype=bool)
     evaluated[[n for n, _ in intervals]] = True
-    width = 2 * n_steps + 1 if growth is None else 3 * n_steps + 1
+    width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
     size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1]))
     field.prepare([times[n] for n, _ in intervals])
     for first in range(0, len(conditions), size):
@@ -223,7 +224,9 @@ def _walk(
         steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
         steps[0] = x0[first : first + size]
         states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
-        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :]) for run in block]  # velocities, directions
+        # velocities, directions and factors; a full run's are never read, as its intervals have length 1
+        run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
+        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :], *f) for run, f in zip(block, run_factors)]
         batch_conditions = batch[0] if len(batch) == 1 else batch
         last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
         for n, h in intervals:
@@ -233,7 +236,7 @@ def _walk(
             if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
                 raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
             velocities[n] = v
-            for vel, dirs in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
+            for vel, dirs, growth, turn in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
                 # interval opening: the turning anchor comes from the run's most recent
                 # evaluated velocity, which may predate t_{n-1} after a prior skip
                 v_prev = vel[last]
@@ -259,9 +262,10 @@ def _walk(
             last = n
         # a non-finite entry persists to the final states
         if not np.isfinite(states[-1]).all():
-            raise NumericDomainError("the trajectory left the finite range")
-        for run, (vel, dirs) in zip(block, runs):
-            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, None if growth is None else dirs)
+            n = int(np.argmin(np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)))
+            raise NumericDomainError(f"the trajectory left the finite range at step {n} (t={times[n]})")
+        for run, (vel, dirs, *_) in zip(block, runs):
+            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, None if factors is None else dirs)
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:

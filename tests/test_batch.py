@@ -163,6 +163,31 @@ class TestBatchedSamplers:
         for record, single in zip(records, singles):
             _assert_same_run(record, single)
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_per_row_toggles_match_single_runs(self, name):
+        field, _, bundle = _setup(name)
+        # every setting on every seed, in an order where neighbouring rows differ
+        x0, conditions = _starts(field, [100, 101, 102] * 4)
+        toggles = [CompensationToggles(*ABLATION_ORDER[i % 4]) for i in range(len(conditions))]
+        field.reset_evaluations()
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
+        assert field.evaluations == records[0].nfe  # one oracle call per anchor for every setting
+        assert len(records) == len(conditions)
+        for record, start, condition, setting in zip(records, x0, conditions, toggles):
+            _assert_same_run(record, sample_cached(field, bundle, start, condition, setting))
+
+    def test_per_row_toggles_span_two_batches(self):
+        field, _, bundle = _setup("mixture-d64")
+        per_batch = solver._BATCH_BYTES // (8 * (3 * bundle.grid.n_steps + 1) * field.dimension)
+        # the second batch's first row has another setting than the first batch's first row
+        assert per_batch % 4 != 0
+        x0, conditions = _starts(field, range(300, 303 + per_batch))
+        toggles = [CompensationToggles(*ABLATION_ORDER[i % 4]) for i in range(len(conditions))]
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
+        assert records[per_batch].states.base is not records[0].states.base
+        for record, start, condition, setting in zip(records, x0, conditions, toggles, strict=True):
+            _assert_same_run(record, sample_cached(field, bundle, start, condition, setting))
+
     def test_budget_holds_one_dim_1024_run_per_batch(self):
         # a sample-d1024-shaped calibration (100 steps) runs one seed at a time
         assert solver._BATCH_BYTES // (8 * 201 * 1024) == 0

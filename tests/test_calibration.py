@@ -24,6 +24,7 @@ from flowcache import (
 )
 from flowcache.calibration import bundles_equal, write_indicator_csv
 from flowcache.decomposition import decompose_trajectory
+from flowcache.errors import FieldError
 from flowcache.fields import initial_state
 from flowcache.solver import sample_full
 
@@ -264,6 +265,23 @@ class TestScheduleBundleValidation:
         with pytest.raises(InvalidArgumentError, match="thresholds must be non-negative"):
             replace(bundle, tau_k=taus[0], tau_d=taus[1])
 
+    def test_growth_factor_overflow_rejected_at_its_edge(self, gmm_spec):
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        dt, log_max = float(bundle.grid.dt[3]), math.log(np.finfo(float).max)
+        accepted = log_max / dt  # the largest step-3 entry whose growth factor is finite, then the next float up
+        while accepted * dt > log_max:
+            accepted = np.nextafter(accepted, 0.0)
+        rejected = np.nextafter(accepted, np.inf)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.exp(accepted * dt)) and np.isinf(np.exp(rejected * dt))
+
+        def with_entry(k):
+            return replace(bundle, indicators=replace(bundle.indicators, k_tilde=np.where(np.arange(6) == 3, k, 0.0)))
+
+        with_entry(accepted)
+        for k in (rejected, 1e308, np.inf):
+            with pytest.raises(FieldError, match=r"^k_tilde: exp\(k_tilde \* dt\) overflows at step 3"):
+                with_entry(k)
 
 def test_indicator_csv_shape(tmp_path, gmm_spec):
     bundle = _gmm_bundle(gmm_spec, n_steps=15)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -628,3 +629,23 @@ class TestBundleBoundary:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code == EXIT_OK or (code == EXIT_CONFIG and key in err.getvalue()), (argv[0], code, err.getvalue())
+
+    @pytest.mark.parametrize(
+        "key, named",
+        [("k_tilde", "k_tilde: exp(k_tilde * dt) overflows at step 1"), ("d_tilde", "left the finite range at step 4")],
+    )
+    def test_a_huge_indicator_entry_is_named(self, tmp_path, boundary_bundle, key, named):
+        # one finite entry of 1e308 on a reconstructed step; k_tilde has a range rule, d_tilde has none
+        config, valid = boundary_bundle
+        payload = dict(valid, h=[5, 4, 3, 2, 1], **{key: [1e308 if i == 1 else v for i, v in enumerate(valid[key])]})
+        bundle = _write_config(tmp_path, payload, name="bundle.json")
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code == EXIT_CONFIG and named in err.getvalue(), err.getvalue()
+        if key == "k_tilde":
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert "RuntimeWarning" not in err.getvalue()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,11 @@ from flowcache import (
     sample_cached,
     sample_full,
 )
+from flowcache import solver
 from flowcache.diagnostics import (
     ABLATION_ORDER,
+    _mean_stderr,
+    evaluate_bundle,
     make_bundle,
     run_threshold_sweep,
     run_toggle_ablation,
@@ -40,6 +44,9 @@ from flowcache.diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
+from flowcache.schedule import build_schedule
+
+from test_kernels import _mixture
 
 
 def _gmm_config(gmm_spec, **kwargs):
@@ -322,6 +329,83 @@ class TestAblationAndSweep:
                     assert ratio[(tks[i + 1], td)] >= ratio[(tk, td)]
                 if j + 1 < len(tds):
                     assert ratio[(tk, tds[j + 1])] >= ratio[(tk, td)]
+
+
+def _readme_config(spec, **kwargs):
+    """The README's experiment config, on ``spec``."""
+    thresholds = dict(tau_k=0.06, tau_d=0.6, h_max=12)
+    thresholds.update(kwargs)
+    return _gmm_config(
+        spec, calibration_seeds=tuple(range(1000, 1006)), evaluation_seeds=tuple(range(2000, 2004)), **thresholds
+    )
+
+
+def _reference_finals(result, bundle, toggles):
+    """Terminal drifts the way the follow-ups once found them: a full report per run."""
+    return np.array([r.final_state_drift for r in evaluate_bundle(result, bundle, toggles)])
+
+
+def _batches(result, runs):
+    """Batches a cached walk of ``runs`` runs takes under the byte budget (one run each at dim 1024)."""
+    per_batch = solver._BATCH_BYTES // (8 * (3 * result.config.n_steps + 1) * result.velocity_field.dimension)
+    return math.ceil(runs / max(1, per_batch))
+
+
+# the README field, and larger mixtures whose terminal-drift norms sum more than a few entries
+_FOLLOW_UP_FIELDS = {
+    "readme-d3": (None, {}),
+    "mixture-d64": (_mixture(64, 8, 2), dict(tau_k=0.3, tau_d=3.0)),
+    "mixture-d1024": (_mixture(1024, 4, 3), dict(tau_k=0.3, tau_d=3.0)),
+}
+
+
+class TestFollowUps:
+    """The ablation and sweep reuse the experiment's runs and compute terminal drift only; rows stay exact."""
+
+    @pytest.mark.parametrize("own", ABLATION_ORDER, ids=lambda t: f"mi{int(t[0])}-di{int(t[1])}")
+    @pytest.mark.parametrize("name", sorted(_FOLLOW_UP_FIELDS))
+    def test_ablation_rows_equal_per_toggle_reports(self, gmm_spec, name, own):
+        spec, thresholds = _FOLLOW_UP_FIELDS[name]
+        result = run_experiment(_readme_config(spec or gmm_spec, use_mi=own[0], use_di=own[1], **thresholds))
+        assert result.cached_nfe < result.bundle.grid.n_steps
+        result.velocity_field.reset_evaluations()
+        rows = run_toggle_ablation(result)
+        # the config's own row reuses the experiment's runs; one walk serves the other three settings
+        calls = result.velocity_field.evaluations
+        assert calls == _batches(result, 3 * len(result.references)) * result.cached_nfe
+        if name == "readme-d3":
+            assert calls == result.cached_nfe
+        for row, toggles in zip(rows, ABLATION_ORDER, strict=True):
+            reference = _reference_finals(result, result.bundle, CompensationToggles(*toggles))
+            assert (row["use_mi"], row["use_di"]) == toggles
+            assert (row["mean_final_drift"], row["stderr_final_drift"]) == _mean_stderr(reference)
+        assert len({row["mean_final_drift"] for row in rows}) == 4
+
+    @pytest.mark.parametrize("name", sorted(_FOLLOW_UP_FIELDS))
+    def test_sweep_rows_equal_per_pair_reports(self, gmm_spec, name):
+        spec, thresholds = _FOLLOW_UP_FIELDS[name]
+        config = _readme_config(spec or gmm_spec, **thresholds)
+        result = run_experiment(config)
+        taus = [(0.03, 0.3), (config.tau_k, config.tau_d), (0.0, 0.0), (0.5, 5.0), (0.04, 0.4)]
+        result.velocity_field.reset_evaluations()
+        rows = run_threshold_sweep(result, taus)
+        sweep_calls = result.velocity_field.evaluations
+        calls = 0
+        for row, (tau_k, tau_d) in zip(rows, taus, strict=True):
+            schedule = build_schedule(result.bundle.indicators, result.bundle.grid, tau_k, tau_d, config.h_max)
+            bundle = replace(result.bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
+            assert row["final_drift"] == float(_reference_finals(result, bundle, config.toggles).mean())
+            if not np.array_equal(schedule, result.bundle.schedule):
+                calls += row["cached_nfe"]
+        # a pair that rebuilds the experiment's schedule runs nothing; any other pair runs one walk
+        assert calls > 0 and sweep_calls == _batches(result, len(result.references)) * calls
+
+    def test_sweep_of_the_configs_own_pair_calls_no_oracle(self, gmm_spec):
+        result = run_experiment(_readme_config(gmm_spec))
+        result.velocity_field.reset_evaluations()
+        (row,) = run_threshold_sweep(result, [(0.06, 0.6)])
+        assert result.velocity_field.evaluations == 0
+        assert row["cached_nfe"] == result.cached_nfe and row["final_drift"] == result.mean_final_drift
 
 
 class TestCsvWriters:
