@@ -9,13 +9,7 @@ fields with known closed forms stand in for an expensive learned model so
 every component is verifiable at desk scale.
 """
 
-from .cached_sampler import (
-    CompensationToggles,
-    init_direction,
-    reorthogonalize,
-    sample_cached,
-    skip_update,
-)
+from .cached_sampler import CompensationToggles, sample_cached
 from .calibration import (
     IndicatorTable,
     ScheduleBundle,
@@ -23,7 +17,6 @@ from .calibration import (
     read_bundle,
     write_bundle,
 )
-from .decomposition import StepDecomposition, decompose, decompose_trajectory, discrete_accel
 from .diagnostics import (
     DriftReport,
     ExperimentConfig,
@@ -34,7 +27,6 @@ from .diagnostics import (
 from .error_bound import BoundTerms, bound_terms, oracle_update, run_bound_sweep
 from .errors import (
     BundleFormatError,
-    DegenerateDirectionError,
     DegenerateVelocityError,
     FlowCacheError,
     InvalidArgumentError,
@@ -46,7 +38,6 @@ from .fields import (
     MixtureComponent,
     VelocityField,
     field_digest,
-    gaussian_mixture_velocity,
     initial_state,
 )
 from .schedule import (
@@ -58,7 +49,7 @@ from .schedule import (
     max_stable_interval,
     schedule_coverage,
 )
-from .solver import TimeGrid, TrajectoryRecord, euler_step, make_uniform_grid, sample_full
+from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
 from .version import __version__
 
 __all__ = [
@@ -69,7 +60,6 @@ __all__ = [
     "DEFAULT_H_MAX",
     "DEFAULT_TAU_D",
     "DEFAULT_TAU_K",
-    "DegenerateDirectionError",
     "DegenerateVelocityError",
     "DriftReport",
     "ExperimentConfig",
@@ -80,7 +70,6 @@ __all__ = [
     "MixtureComponent",
     "NumericDomainError",
     "ScheduleBundle",
-    "StepDecomposition",
     "TimeGrid",
     "TrajectoryRecord",
     "VariationSequence",
@@ -91,24 +80,16 @@ __all__ = [
     "calibrate",
     "compare_trajectories",
     "count_speedup",
-    "decompose",
-    "decompose_trajectory",
-    "discrete_accel",
-    "euler_step",
     "field_digest",
-    "gaussian_mixture_velocity",
-    "init_direction",
     "initial_state",
     "make_uniform_grid",
     "max_stable_interval",
     "oracle_update",
     "read_bundle",
-    "reorthogonalize",
     "run_bound_sweep",
     "run_experiment",
     "sample_cached",
     "sample_full",
     "schedule_coverage",
-    "skip_update",
     "write_bundle",
 ]

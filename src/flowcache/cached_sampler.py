@@ -25,10 +25,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .calibration import ScheduleBundle
-from .errors import DegenerateDirectionError, DegenerateVelocityError, InvalidArgumentError, NumericDomainError
+from .errors import NumericDomainError
 from .fields import Condition, VelocityField
 from .schedule import skip_intervals
-from .solver import TrajectoryRecord, _check_start, _parallel_tol, _project_off, _reconstruct, _unit_residual, _walk
+from .solver import TrajectoryRecord, _check_start, _walk
 
 
 @dataclass(frozen=True)
@@ -41,62 +41,6 @@ class CompensationToggles:
 
     use_mi: bool = True
     use_di: bool = True
-
-
-def init_direction(v_prev: np.ndarray, v_curr: np.ndarray) -> np.ndarray:
-    """Turning direction from the last two evaluated velocities.
-
-    The velocity increment is projected off ``v_prev``; the result is
-    orthogonal to ``v_prev`` and anchors the directional updates of the
-    upcoming skip interval.
-    """
-    v_prev = np.asarray(v_prev, dtype=float)
-    v_curr = np.asarray(v_curr, dtype=float)
-    vv = float(v_prev @ v_prev)
-    if vv == 0.0:
-        raise DegenerateVelocityError("cannot extract a turning direction against a zero velocity")
-    return _project_off(v_curr - v_prev, v_prev, vv)
-
-
-def reorthogonalize(anchor: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """Unit component of ``anchor`` orthogonal to ``v_hat``.
-
-    Raises DegenerateDirectionError when the residual is numerically
-    parallel (below ``solver.EPS_DIR`` relative to the anchor norm); callers zero the
-    directional update in that case.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    v_hat = np.asarray(v_hat, dtype=float)
-    vv = float(v_hat @ v_hat)
-    if vv == 0.0:
-        raise DegenerateVelocityError("cannot re-orthogonalize against a zero velocity")
-    u = _unit_residual(anchor, v_hat, vv, _parallel_tol(anchor))
-    if u is None:
-        raise DegenerateDirectionError("direction anchor is numerically parallel to the velocity")
-    return u
-
-
-def skip_update(
-    v_hat: np.ndarray,
-    u_perp: np.ndarray | None,
-    k_t: float,
-    d_t: float,
-    dt: float,
-    toggles: CompensationToggles = CompensationToggles(),
-) -> np.ndarray:
-    """One reconstruction step: exp(k*dt) magnitude scaling plus turning term.
-
-    ``u_perp`` may be None for a degenerate direction, which zeroes the
-    directional term regardless of the toggles.
-    """
-    v_hat = np.asarray(v_hat, dtype=float)
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    if not (np.isfinite(v_hat).all() and np.isfinite(k_t) and np.isfinite(d_t) and np.isfinite(dt)):
-        raise NumericDomainError("skip_update requires finite inputs")
-    growth = np.exp((k_t if toggles.use_mi else 0.0) * dt)
-    u_perp = np.asarray(u_perp, dtype=float) if toggles.use_di and u_perp is not None else None
-    return _reconstruct(v_hat, growth, d_t, float(np.linalg.norm(v_hat)), u_perp)
 
 
 def sample_cached(

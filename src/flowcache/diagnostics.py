@@ -334,12 +334,7 @@ def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     if n_truncated < 1:
         raise InvalidArgumentError("truncated step count must be positive")
     runs = _full_kernel(result.velocity_field, make_uniform_grid(n_truncated), *_evaluation_batch(result))
-    drifts = np.empty(len(result.references))
-    for i, (full, truncated) in enumerate(zip(result.references, runs)):
-        reference = full.final_state
-        ref_norm = float(np.linalg.norm(reference))
-        drifts[i] = float(np.linalg.norm(truncated.final_state - reference)) / ref_norm if ref_norm > NORM_GUARD else 0.0
-    return drifts
+    return _final_drifts(result, runs)
 
 
 # (use_mi, use_di) rows of the toggle ablation, schedule-only baseline first.

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decomposition import _row_dots
 from .errors import DegenerateVelocityError, InvalidArgumentError
 from .ioutil import write_csv
 
@@ -52,18 +53,13 @@ class BoundTerms:
     rhs: float
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two ``(n, D)`` arrays."""
-    return np.einsum("ij,ij->i", a, b)
-
-
 def _check_unit_orthogonal(name: str, u: np.ndarray, v: np.ndarray, v_norm: np.ndarray) -> None:
     """Row-wise check that each ``u`` row is a unit vector orthogonal to its ``v`` row."""
     u_norm = np.linalg.norm(u, axis=1)
     off_unit = np.abs(u_norm - 1.0) > 1e-9
     if off_unit.any():
         raise InvalidArgumentError(f"{name} must be a unit vector, norm is {float(u_norm[off_unit][0])!r}")
-    if (np.abs(_rowdot(u, v)) > ORTHO_TOL * v_norm * u_norm).any():
+    if (np.abs(_row_dots(u, v)) > ORTHO_TOL * v_norm * u_norm).any():
         raise InvalidArgumentError(f"{name} is not orthogonal to the velocity")
 
 
@@ -120,7 +116,7 @@ def _bound_rows(
     c_n = dt * np.exp(np.maximum(k_t, k) * dt)
     mag_err = np.abs(k_t - k)
     strength_err = np.abs(d_t - d)
-    cos_theta = np.clip(_rowdot(u_hat, u_perp), -1.0, 1.0)
+    cos_theta = np.clip(_row_dots(u_hat, u_perp), -1.0, 1.0)
     rhs = np.sqrt(c_n**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
     return c_n, mag_err, strength_err, cos_theta, lhs, rhs
 
@@ -172,7 +168,7 @@ def _q_reference(
     """
     s, g = u_hat + u_perp, u_hat - u_perp
     lo, hi = d_t - d, d_t + d
-    return v_norm**2 * ((lo * lo * _rowdot(s, s) + hi * hi * _rowdot(g, g)) / 4 + lo * hi * _rowdot(s, g) / 2)
+    return v_norm**2 * ((lo * lo * _row_dots(s, s) + hi * hi * _row_dots(g, g)) / 4 + lo * hi * _row_dots(s, g) / 2)
 
 
 def _exact_q_squared(*rows: np.ndarray) -> np.ndarray:
@@ -216,14 +212,14 @@ def _unit_orthogonal_rows(rng: np.random.Generator, v: np.ndarray, dims: np.ndar
     none is left, so the output is orthogonal to working precision, as the
     bound's preconditions require.
     """
-    vv = _rowdot(v, v)
+    vv = _row_dots(v, v)
     u = np.empty_like(v)
     todo = np.arange(v.shape[0])
     while todo.size:
         g = _masked_normal(rng, dims[todo], v.shape[1])
         g_norm = np.linalg.norm(g, axis=1)
         against = v[todo]
-        g -= (_rowdot(g, against) / vv[todo])[:, None] * against
+        g -= (_row_dots(g, against) / vv[todo])[:, None] * against
         norm = np.linalg.norm(g, axis=1)
         kept = norm > REJECT_TOL * np.maximum(g_norm, 1.0)
         u[todo[kept]] = g[kept] / norm[kept, None]
@@ -307,7 +303,7 @@ def run_bound_sweep(
         err_sq = (lhs * v_norm) ** 2
         q_args = (v_norm, d, d_t, u_perp, u_hat)
         q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
-        split_err = _relative_gap(err_sq, _rowdot(p, p) + q_sq)
+        split_err = _relative_gap(err_sq, _row_dots(p, p) + q_sq)
         max_split = max(max_split, float(split_err.max()))
 
         q_err = _relative_gap(q_sq, q_ref)
@@ -319,7 +315,7 @@ def run_bound_sweep(
             q_err[flagged] = _relative_gap(exact, q_ref[flagged])
         max_qid = max(max_qid, float(q_err.max()))
         # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
-        norm_err = {name: np.abs(_rowdot(u, u) - 1.0) for name, u in (("u_perp", u_perp), ("u_hat", u_hat))}
+        norm_err = {name: np.abs(_row_dots(u, u) - 1.0) for name, u in (("u_perp", u_perp), ("u_hat", u_hat))}
 
         c_min = dt * np.exp(np.minimum(k_t, k) * dt)
         rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))

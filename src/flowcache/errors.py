@@ -19,14 +19,6 @@ class DegenerateVelocityError(FlowCacheError):
     """A zero-norm velocity where a reference direction is needed."""
 
 
-class DegenerateDirectionError(FlowCacheError):
-    """Orthogonal residual too small to define a unit direction.
-
-    Callers treat this as a signal to zero the directional update rather
-    than as a failure.
-    """
-
-
 class FieldError(InvalidArgumentError):
     """A named field holds a bad value; the message starts with the field's name."""
 

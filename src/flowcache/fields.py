@@ -183,11 +183,11 @@ def initial_state(condition: Condition, dimension: int) -> np.ndarray:
     return rng.standard_normal(dimension)
 
 
-def gaussian_mixture_velocity(
-    x: np.ndarray,
-    t: float,
-    components: list[tuple[float, np.ndarray, float]],
-) -> np.ndarray:
+# Distinct times whose constants one ``_Mixture`` keeps; a full dict is cleared.
+_TIMES_KEPT = 1024
+
+
+class _Mixture:
     """Exact marginal velocity for straight-path transport onto a Gaussian mixture.
 
     For the interpolation X_t = t * X1 + (1 - t) * X0 with X1 standard normal
@@ -205,27 +205,8 @@ def gaussian_mixture_velocity(
     w_i * N(x; (1 - t) * mu_i, s_i^2 I). Responsibilities are evaluated in
     log space so extreme states never underflow to an all-zero posterior.
     At t = 0 the formula is its own analytic limit since s_i^2(0) = sigma_i^2.
-    """
-    x = np.asarray(x, dtype=float)
-    weights = np.array([w for w, _, _ in components], dtype=float)
-    means = np.stack([np.asarray(m, dtype=float) for _, m, _ in components])
-    scales = np.array([s for _, _, s in components], dtype=float)
-    if np.any(weights <= 0) or abs(math.fsum(weights.tolist()) - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidArgumentError("mixture weights must be positive and sum to 1")
-    if np.any(scales <= 0):
-        raise InvalidArgumentError("mixture scales must be positive")
-    if means.shape[1] != x.shape[0]:
-        raise InvalidArgumentError(f"state dimension {x.shape[0]} does not match component means {means.shape[1]}")
-    return _Mixture(np.log(weights), means, scales**2)(x, t)
 
-
-# Distinct times whose constants one ``_Mixture`` keeps; a full dict is cleared.
-_TIMES_KEPT = 1024
-
-
-class _Mixture:
-    """The arithmetic of ``gaussian_mixture_velocity`` on validated arrays.
-
+    The arrays come from a spec that ``FieldSpec`` has validated.
     ``log_weights`` and ``scales_sq`` have shape (C,) and ``means`` (C, D).
     A call takes ``x`` of shape (D,) or (B, D) and returns a fresh array of
     that shape; a (D,) state is the one-row case of the one row-batched path.

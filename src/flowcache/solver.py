@@ -104,24 +104,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def euler_step(state: np.ndarray, velocity: np.ndarray, dt: float) -> np.ndarray:
-    """One explicit Euler update toward the data end: state - dt * velocity."""
-    state = np.asarray(state, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    if state.shape != velocity.shape:
-        raise InvalidArgumentError(f"state shape {state.shape} does not match velocity shape {velocity.shape}")
-    if not (np.isfinite(state).all() and np.isfinite(velocity).all() and np.isfinite(dt)):
-        raise NumericDomainError("euler_step requires finite state, velocity, and dt")
-    return _euler(state, velocity, dt)
-
-
-def _euler(state: np.ndarray, velocity: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The Euler update on checked inputs, written into ``out`` when given."""
-    return np.subtract(state, dt * velocity, out=out)
-
-
 def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
     """``x0`` as a float array, checked to be a finite state of ``field``."""
     x0 = np.asarray(x0, dtype=float)
@@ -200,15 +182,23 @@ def _walk(
     (``VelocityField.prepare``). Each interval opens with one oracle call
     per batch, its output checked once. With its own per-step ``factors``
     ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), indexed by absolute
-    run, each run then rebuilds the interval's skipped velocities with the
-    arithmetic of ``init_direction``, ``reorthogonalize`` and
-    ``skip_update``: a degenerate direction leaves its ``directions`` row
-    NaN and drops the turning term, and the reconstruction after an
+    run, each run then rebuilds the interval's skipped velocities. An
+    interval opening at step n takes the turning anchor
+    p = (v_n - v_p) - ((v_n - v_p).v_p / v_p.v_p) v_p from the run's previous
+    evaluated velocity v_p, and has none where v_p = 0. At each step m of the
+    interval, ``directions[m]`` is u_hat, the residual of p off the velocity
+    v_m divided by its norm; the row stays NaN where the direction is
+    degenerate: no anchor, v_m = 0, or a residual norm of 0 or below
+    ``EPS_DIR`` |p|. The next velocity is
+    v_{m+1} = growth_m v_m + turn_m |v_m| u_hat, without the turning term
+    where u_hat is degenerate or turn_m = 0. The reconstruction after an
     interval's last step is not computed, since the next interval opens with
     an evaluation. A full run is the walk over length-1 intervals without
-    factors; its records carry no directions. The Euler updates run on the
-    whole batch. A run that leaves the finite range fails naming its first
-    non-finite state's step.
+    factors; its records carry no directions. The Euler updates
+    state_{m+1} = state_m - dt_m v_m run on the whole batch. A run that
+    leaves the finite range fails naming its first non-finite state's step;
+    numpy's overflow and invalid-value warnings are silenced while a batch
+    is walked, as that error says more.
     """
     n_steps = grid.n_steps
     times, dt = grid.times.tolist(), grid.dt.tolist()
@@ -229,37 +219,38 @@ def _walk(
         runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :], *f) for run, f in zip(block, run_factors)]
         batch_conditions = batch[0] if len(batch) == 1 else batch
         last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
-        for n, h in intervals:
-            v = field.evaluate(states[n], times[n], batch_conditions)
-            flat = v if v.ndim == 1 else v.ravel()
-            # a finite sum of squares implies finite entries; the full test runs only when it is not, e.g. on overflow
-            if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
-                raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
-            velocities[n] = v
-            for vel, dirs, growth, turn in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
-                # interval opening: the turning anchor comes from the run's most recent
-                # evaluated velocity, which may predate t_{n-1} after a prior skip
-                v_prev = vel[last]
-                vv_prev = float(v_prev.dot(v_prev))
-                if vv_prev == 0.0:
-                    anchor = None
-                else:
-                    anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
-                    tol = _parallel_tol(anchor)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
+            for n, h in intervals:
+                v = field.evaluate(states[n], times[n], batch_conditions)
+                flat = v if v.ndim == 1 else v.ravel()
+                # a finite sum of squares implies finite entries; the full test runs only if not, e.g. on overflow
+                if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
+                    raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
+                velocities[n] = v
+                for vel, dirs, growth, turn in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
+                    # interval opening: the turning anchor comes from the run's most recent
+                    # evaluated velocity, which may predate t_{n-1} after a prior skip
+                    v_prev = vel[last]
+                    vv_prev = float(v_prev.dot(v_prev))
+                    if vv_prev == 0.0:
+                        anchor = None
+                    else:
+                        anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
+                        tol = _parallel_tol(anchor)
+                    for m in range(n, n + h):
+                        v_hat = vel[m]
+                        u_hat = None
+                        vv = 0.0
+                        if anchor is not None:
+                            vv = float(v_hat.dot(v_hat))
+                            if vv != 0.0:
+                                u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
+                        if m + 1 < n + h:
+                            _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
+                # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
                 for m in range(n, n + h):
-                    v_hat = vel[m]
-                    u_hat = None
-                    vv = 0.0
-                    if anchor is not None:
-                        vv = float(v_hat.dot(v_hat))
-                        if vv != 0.0:
-                            u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
-                    if m + 1 < n + h:
-                        _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
-            # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
-            for m in range(n, n + h):
-                _euler(states[m], velocities[m], dt[m], out=states[m + 1])
-            last = n
+                    np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
+                last = n
         # a non-finite entry persists to the final states
         if not np.isfinite(states[-1]).all():
             n = int(np.argmin(np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)))

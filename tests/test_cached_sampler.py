@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,70 +9,87 @@ import pytest
 from flowcache import (
     CompensationToggles,
     Condition,
-    DegenerateDirectionError,
-    DegenerateVelocityError,
     InvalidArgumentError,
     NumericDomainError,
-    init_direction,
+    TimeGrid,
+    VelocityField,
     initial_state,
-    reorthogonalize,
     sample_cached,
     sample_full,
     schedule_coverage,
-    skip_update,
 )
 from flowcache.diagnostics import ExperimentConfig, make_bundle
+from flowcache.errors import FieldError
+from flowcache.schedule import skip_intervals
+
+from test_kernels import KERNEL_FIELDS, _reference_cached, _setup, ref_anchor, ref_direction, ref_reconstruct
+
+
+# The rules below are stated on the test-local reference, which the samplers'
+# records equal bit for bit (test_kernels); the boundary cases go through
+# sample_cached and the bundle.
 
 
 class TestInitDirection:
     def test_removes_parallel_component(self):
-        np.testing.assert_allclose(init_direction(np.array([1.0, 0.0]), np.array([1.0, 1.0])), [0.0, 1.0])
+        np.testing.assert_allclose(ref_anchor(np.array([1.0, 0.0]), np.array([1.0, 1.0])), [0.0, 1.0])
 
     def test_parallel_change_gives_zero(self):
-        out = init_direction(np.array([2.0, 0.0]), np.array([5.0, 0.0]))
+        out = ref_anchor(np.array([2.0, 0.0]), np.array([5.0, 0.0]))
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-15)
 
     def test_axis_projection(self):
-        np.testing.assert_allclose(init_direction(np.array([0.0, 2.0]), np.array([1.0, 2.0])), [1.0, 0.0])
+        np.testing.assert_allclose(ref_anchor(np.array([0.0, 2.0]), np.array([1.0, 2.0])), [1.0, 0.0])
 
     def test_zero_previous_velocity(self):
-        with pytest.raises(DegenerateVelocityError):
-            init_direction(np.zeros(2), np.ones(2))
+        # the oracle returns a zero velocity at one anchor: that interval and the next have no direction
+        field, grid, bundle = _setup("rotation")
+        intervals = skip_intervals(bundle.schedule, grid.n_steps)
+        j = next(j for j in range(1, len(intervals) - 1) if intervals[j][1] > 1 and intervals[j + 1][1] > 1)
+        zero_t = float(grid.times[intervals[j][0]])
+        field = VelocityField(KERNEL_FIELDS["rotation"][0])
+        clean = field._velocity
+        field._velocity = lambda state, t: 0.0 * clean(state, t) if t == zero_t else clean(state, t)
+        condition = Condition(100)
+        x0 = initial_state(condition, field.dimension)
+        record = sample_cached(field, bundle, x0, condition)
+        assert ref_anchor(np.zeros(2), np.ones(2)) is None
+        states, velocities, directions, _ = _reference_cached(field, bundle, x0, condition, CompensationToggles())
+        assert np.array_equal(record.states, states) and np.array_equal(record.velocities, velocities)
+        assert np.array_equal(record.directions, directions, equal_nan=True)
+        (n, h), (n_next, h_next) = intervals[j], intervals[j + 1]
+        assert np.isnan(record.directions[n : n_next + h_next]).all()
+        assert not np.isnan(record.directions[intervals[j + 2][0] :]).all()  # turning again afterwards
+        assert np.isfinite(record.states).all()
 
     def test_output_orthogonal_to_previous(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             v_prev = rng.standard_normal(6)
             v_curr = rng.standard_normal(6)
-            p = init_direction(v_prev, v_curr)
+            p = ref_anchor(v_prev, v_curr)
             assert abs(p @ v_prev) <= 1e-10 * np.linalg.norm(p) * np.linalg.norm(v_prev) + 1e-300
 
 
 class TestReorthogonalize:
     def test_already_orthogonal(self):
-        np.testing.assert_allclose(reorthogonalize(np.array([0.0, 1.0]), np.array([1.0, 0.0])), [0.0, 1.0])
+        np.testing.assert_allclose(ref_direction(np.array([0.0, 1.0]), np.array([1.0, 0.0])), [0.0, 1.0])
 
     def test_projection_removed_and_normalized(self):
-        np.testing.assert_allclose(reorthogonalize(np.array([1.0, 1.0]), np.array([1.0, 0.0])), [0.0, 1.0])
+        np.testing.assert_allclose(ref_direction(np.array([1.0, 1.0]), np.array([1.0, 0.0])), [0.0, 1.0])
 
     def test_parallel_anchor_signals_degenerate(self):
-        with pytest.raises(DegenerateDirectionError):
-            reorthogonalize(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+        assert ref_direction(np.array([2.0, 0.0]), np.array([1.0, 0.0])) is None
 
     def test_zero_anchor_signals_degenerate(self):
-        with pytest.raises(DegenerateDirectionError):
-            reorthogonalize(np.zeros(2), np.array([1.0, 0.0]))
-
-    def test_zero_velocity_raises(self):
-        with pytest.raises(DegenerateVelocityError):
-            reorthogonalize(np.ones(2), np.zeros(2))
+        assert ref_direction(np.zeros(2), np.array([1.0, 0.0])) is None
 
     def test_unit_norm_and_orthogonality(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             anchor = rng.standard_normal(8)
             v = rng.standard_normal(8)
-            u = reorthogonalize(anchor, v)
+            u = ref_direction(anchor, v)
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
             assert abs(u @ v) <= 1e-10 * np.linalg.norm(v)
 
@@ -79,38 +97,59 @@ class TestReorthogonalize:
 class TestSkipUpdate:
     def test_identity_when_no_statistics(self):
         v = np.array([0.4, -0.7])
-        np.testing.assert_array_equal(skip_update(v, np.array([0.0, 1.0]), 0.0, 0.0, 0.3), v)
+        np.testing.assert_array_equal(ref_reconstruct(v, np.array([0.0, 1.0]), 0.0, 0.0, 0.3), v)
 
     def test_pure_direction_update(self):
-        out = skip_update(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.3, 0.8)
+        out = ref_reconstruct(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.3, 0.8)
         np.testing.assert_allclose(out, [1.0, 0.3])
 
     def test_pure_magnitude_update(self):
-        out = skip_update(np.array([1.0, 0.0]), None, math.log(2.0), 0.0, 1.0)
+        out = ref_reconstruct(np.array([1.0, 0.0]), None, math.log(2.0), 0.0, 1.0)
         np.testing.assert_allclose(out, [2.0, 0.0])
 
     def test_toggles_zero_terms(self):
         v = np.array([1.0, 0.0])
         u = np.array([0.0, 1.0])
-        off_mi = skip_update(v, u, math.log(2.0), 0.3, 1.0, CompensationToggles(use_mi=False, use_di=True))
-        np.testing.assert_allclose(off_mi, [1.0, 0.3])
-        off_di = skip_update(v, u, math.log(2.0), 0.3, 1.0, CompensationToggles(use_mi=True, use_di=False))
-        np.testing.assert_allclose(off_di, [2.0, 0.0])
+        np.testing.assert_allclose(ref_reconstruct(v, u, 0.0, 0.3, 1.0), [1.0, 0.3])  # use_mi off: k = 0
+        np.testing.assert_allclose(ref_reconstruct(v, u, math.log(2.0), 0.0, 1.0), [2.0, 0.0])  # use_di off: d = 0
+        # a disabled correction is the run whose bundle holds k_tilde = 0 or d_tilde = 0 there
+        field, _, bundle = _setup("mixture-d3")
+        condition = Condition(100)
+        x0 = initial_state(condition, field.dimension)
+        zeros = np.zeros(bundle.grid.n_steps)
+        settings = ((CompensationToggles(use_mi=False), "k_tilde"), (CompensationToggles(use_di=False), "d_tilde"))
+        for toggles, column in settings:
+            neutral = replace(bundle, indicators=replace(bundle.indicators, **{column: zeros}))
+            off = sample_cached(field, bundle, x0, condition, toggles)
+            on = sample_cached(field, neutral, x0, condition)
+            assert np.array_equal(off.states, on.states) and np.array_equal(off.velocities, on.velocities)
+            assert not np.array_equal(off.states, sample_cached(field, bundle, x0, condition).states)
 
     def test_degenerate_direction_downgrades(self):
         v = np.array([1.0, 0.0])
-        out = skip_update(v, None, 0.0, 0.5, 1.0)
+        out = ref_reconstruct(v, None, 0.0, 0.5, 1.0)
         np.testing.assert_array_equal(out, v)
 
     def test_non_finite_rejected(self):
+        # the bundle owns finite indicators: sample_cached rejects a NaN or infinite entry before any oracle call
+        field, _, bundle = _setup("mixture-d3")
+        condition = Condition(100)
+        x0 = initial_state(condition, field.dimension)
+        for column, value in (("k_tilde", np.nan), ("d_tilde", np.inf)):
+            entries = getattr(bundle.indicators, column).copy()
+            entries[3] = value
+            bad = replace(bundle, indicators=replace(bundle.indicators, **{column: entries}))
+            field.reset_evaluations()
+            with pytest.raises(NumericDomainError):
+                sample_cached(field, bad, x0, condition)
+            assert field.evaluations == 0
         with pytest.raises(NumericDomainError):
-            skip_update(np.array([np.nan, 0.0]), None, 0.0, 0.0, 0.5)
-        with pytest.raises(NumericDomainError):
-            skip_update(np.ones(2), None, np.inf, 0.0, 0.5)
+            sample_cached(field, bundle, np.full(field.dimension, np.nan), condition)
 
     def test_bad_dt(self):
-        with pytest.raises(InvalidArgumentError):
-            skip_update(np.ones(2), None, 0.0, 0.0, 0.0)
+        # the time grid owns dt > 0: a grid whose times rise has a negative step and is rejected
+        with pytest.raises(FieldError, match="times"):
+            TimeGrid(np.array([1.0, 0.4, 0.6, 0.0]))
 
 
 def _experiment(spec, n_steps, cal_seeds, eval_seed, **kwargs):
@@ -213,7 +252,7 @@ class TestSampleCached:
 
 
 class TestDirectionRecord:
-    """``directions[m]`` is the unit ``u_hat`` the sampler handed to ``skip_update`` at step m."""
+    """``directions[m]`` is the unit ``u_hat`` the reconstruction used at step m."""
 
     def test_unit_and_orthogonal_to_velocity(self, gmm_spec):
         vf, grid, bundle, condition, x0 = _experiment(gmm_spec, 50, range(20), 600, tau_k=0.3, tau_d=3.0)

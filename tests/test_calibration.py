@@ -23,10 +23,11 @@ from flowcache import (
     write_bundle,
 )
 from flowcache.calibration import bundles_equal, write_indicator_csv
-from flowcache.decomposition import decompose_trajectory
 from flowcache.errors import FieldError
 from flowcache.fields import initial_state
 from flowcache.solver import sample_full
+
+from test_kernels import ref_split
 
 
 BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "k_std", "d_std", "h")
@@ -49,6 +50,12 @@ def _gmm_bundle(gmm_spec, n_steps=20, seeds=(1, 2, 3), tau_k=0.06, tau_d=0.6, h_
     )
 
 
+def _own_splits(record):
+    """``(k, r_perp, d)`` of each step of a full record with its look-ahead velocity, by the reference split."""
+    v, dt = record.velocities, record.grid.dt
+    return [ref_split(v[i], (v[i + 1] - v[i]) / dt[i], dt[i]) for i in range(len(v) - 1)]
+
+
 class TestCalibrate:
     def test_constant_field_all_zero(self, constant_spec):
         vf = VelocityField(constant_spec)
@@ -64,7 +71,7 @@ class TestCalibrate:
         conditions = [Condition(s) for s in range(4)]
         ind = calibrate(vf, grid, conditions)
         record = sample_full(vf, grid, initial_state(conditions[0], 2), conditions[0])
-        per_sample_k = [d.k for d in decompose_trajectory(record)]
+        per_sample_k = [k for k, _, _ in _own_splits(record)]
         np.testing.assert_allclose(ind.k_tilde[:-1], per_sample_k, atol=1e-12)
         np.testing.assert_allclose(ind.k_tilde, ind.k_tilde[0], rtol=1e-12)  # constant across steps
         np.testing.assert_allclose(ind.d_tilde, np.zeros(25), atol=1e-10)
@@ -75,9 +82,9 @@ class TestCalibrate:
         condition = Condition(77)
         ind = calibrate(vf, grid, [condition])
         record = sample_full(vf, grid, initial_state(condition, 3), condition)
-        decs = decompose_trajectory(record)
-        np.testing.assert_array_equal(ind.k_tilde[:-1], [d.k for d in decs])
-        np.testing.assert_array_equal(ind.d_tilde[:-1], [d.d for d in decs])
+        splits = _own_splits(record)
+        np.testing.assert_array_equal(ind.k_tilde[:-1], [k for k, _, _ in splits])
+        np.testing.assert_array_equal(ind.d_tilde[:-1], [d for _, _, d in splits])
         np.testing.assert_array_equal(ind.k_std, np.zeros(12))
 
     def test_hold_last_boundary_entry(self, gmm_spec):

@@ -10,8 +10,6 @@ import pytest
 from flowcache import (
     CompensationToggles,
     Condition,
-    DegenerateDirectionError,
-    DegenerateVelocityError,
     ExperimentConfig,
     FieldSpec,
     InvalidArgumentError,
@@ -19,12 +17,8 @@ from flowcache import (
     VelocityField,
     compare_trajectories,
     count_speedup,
-    decompose,
-    discrete_accel,
-    init_direction,
     initial_state,
     make_uniform_grid,
-    reorthogonalize,
     run_experiment,
     sample_cached,
     sample_full,
@@ -46,7 +40,7 @@ from flowcache.diagnostics import (
 )
 from flowcache.schedule import build_schedule
 
-from test_kernels import _mixture
+from test_kernels import _mixture, ref_anchor, ref_direction, ref_split
 
 
 def _gmm_config(gmm_spec, **kwargs):
@@ -128,12 +122,13 @@ def _oracle_direction(full, m):
     v = full.velocities[m]
     if float(np.linalg.norm(v)) <= 1e-12:
         return None
-    accel = discrete_accel(v, full.velocities[m + 1], float(full.grid.dt[m]))
-    dec = decompose(v, accel, float(full.grid.dt[m]))
-    r_norm = float(np.linalg.norm(dec.r_perp))
+    dt = full.grid.dt[m]
+    accel = (full.velocities[m + 1] - v) / dt
+    _, r_perp, _ = ref_split(v, accel, dt)
+    r_norm = float(np.linalg.norm(r_perp))
     if r_norm == 0.0 or r_norm < 1e-12 * max(float(np.linalg.norm(accel)), 1.0):
         return None
-    return dec.r_perp / r_norm
+    return r_perp / r_norm
 
 
 def _rederived_cos_theta(full, cached):
@@ -153,20 +148,12 @@ def _rederived_cos_theta(full, cached):
             continue
         anchor = None
         if pos > 0:
-            try:
-                anchor = init_direction(cached.velocities[int(eval_idx[pos - 1])], cached.velocities[int(a)])
-            except DegenerateVelocityError:
-                anchor = None
+            anchor = ref_anchor(cached.velocities[int(eval_idx[pos - 1])], cached.velocities[int(a)])
         for m in range(int(a) + 1, end):
             if m > n_steps - 2:
                 continue
             oracle_dir = _oracle_direction(full, m)
-            u_hat = None
-            if anchor is not None:
-                try:
-                    u_hat = reorthogonalize(anchor, cached.velocities[m])
-                except (DegenerateDirectionError, DegenerateVelocityError):
-                    u_hat = None
+            u_hat = ref_direction(anchor, cached.velocities[m])
             if oracle_dir is None or u_hat is None:
                 degenerate += 1
                 continue

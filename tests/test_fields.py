@@ -13,7 +13,6 @@ from flowcache import (
     MixtureComponent,
     VelocityField,
     field_digest,
-    gaussian_mixture_velocity,
     initial_state,
     sample_cached,
     sample_full,
@@ -22,6 +21,14 @@ from mc_oracle import mc_mixture_velocity
 from test_kernels import KERNEL_FIELDS, _setup
 
 STD_NORMAL = [(1.0, np.zeros(2), 1.0)]
+
+
+def _mixture_velocity(x, t, components):
+    """The velocity at ``(x, t)`` of a fresh gaussian-mixture field of ``(weight, mean, scale)`` components."""
+    x = np.asarray(x, dtype=float)
+    components = tuple(MixtureComponent(float(w), tuple(np.asarray(m, dtype=float).tolist()), float(s)) for w, m, s in components)
+    spec = FieldSpec(kind="gaussian-mixture", dimension=x.size, components=components)
+    return VelocityField(spec).evaluate(x, t, Condition(0))
 
 
 class TestFieldSpecValidation:
@@ -82,29 +89,30 @@ def test_single_standard_component_closed_form():
         x = rng.standard_normal(2)
         s2 = t * t + (1.0 - t) ** 2
         expected = (2.0 * t - 1.0) * x / s2
-        got = gaussian_mixture_velocity(x, t, STD_NORMAL)
+        got = _mixture_velocity(x, t, STD_NORMAL)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_single_standard_component_at_noise_end():
     x = np.array([0.7, -1.2])
-    np.testing.assert_allclose(gaussian_mixture_velocity(x, 1.0, STD_NORMAL), x, rtol=1e-14)
+    np.testing.assert_allclose(_mixture_velocity(x, 1.0, STD_NORMAL), x, rtol=1e-14)
 
 
 def test_symmetric_pair_cancels_at_origin():
     comps = [(0.5, np.array([1.5, 0.0]), 1.0), (0.5, np.array([-1.5, 0.0]), 1.0)]
-    v = gaussian_mixture_velocity(np.zeros(2), 0.5, comps)
+    v = _mixture_velocity(np.zeros(2), 0.5, comps)
     np.testing.assert_allclose(v, 0.0, atol=1e-14)
 
 
 def test_mixture_weights_validated_in_velocity():
+    # the spec owns the weights: a field whose weights sum to 0.7 is never built
     with pytest.raises(InvalidArgumentError):
-        gaussian_mixture_velocity(np.zeros(1), 0.5, [(0.7, np.zeros(1), 1.0)])
+        _mixture_velocity(np.zeros(1), 0.5, [(0.7, np.zeros(1), 1.0)])
 
 
 def test_log_space_responsibilities_survive_extreme_states():
     comps = [(0.5, np.zeros(2), 1.0), (0.5, np.full(2, 3.0), 0.5)]
-    v = gaussian_mixture_velocity(np.full(2, 60.0), 0.4, comps)
+    v = _mixture_velocity(np.full(2, 60.0), 0.4, comps)
     assert np.isfinite(v).all()
 
 
@@ -113,7 +121,7 @@ def test_matches_mc_oracle_at_million_samples():
     rng = np.random.default_rng(42)
     x = np.array([0.9, -0.4])
     t = 0.7
-    closed = gaussian_mixture_velocity(x, t, STD_NORMAL)
+    closed = _mixture_velocity(x, t, STD_NORMAL)
     estimate, stderr = mc_mixture_velocity(x, t, STD_NORMAL, 1_000_000, rng)
     assert np.all(np.abs(closed - estimate) <= 3.0 * np.maximum(stderr, 1e-12))
 
@@ -137,7 +145,7 @@ def test_mc_oracle_agreement_over_random_specs():
         x0 = comps[i][1] + comps[i][2] * rng.standard_normal(dim)
         x = t * rng.standard_normal(dim) + (1.0 - t) * x0
 
-        closed = gaussian_mixture_velocity(x, t, comps)
+        closed = _mixture_velocity(x, t, comps)
         estimate, stderr = mc_mixture_velocity(x, t, comps, 100_000, rng)
         assert np.all(np.abs(closed - estimate) <= 4.0 * np.maximum(stderr, 1e-12))
 
@@ -160,20 +168,6 @@ def _random_mixture_spec(dim, n_comp, rng):
         for w, mean, s in zip(raw / raw.sum(), means, scales)
     )
     return FieldSpec(kind="gaussian-mixture", dimension=dim, components=components)
-
-
-@pytest.mark.parametrize("dim", [1, 3, 1024])
-def test_evaluate_matches_public_mixture_function(dim):
-    # the field's pre-built arrays and the public function's per-call ones
-    # must give bit-identical velocities
-    rng = np.random.default_rng(dim)
-    spec = _random_mixture_spec(dim, 4, rng)
-    components = [(c.weight, np.asarray(c.mean), c.scale) for c in spec.components]
-    vf = VelocityField(spec)
-    for t in (0.0, 0.37, 1.0):
-        for _ in range(3):
-            x = 2.0 * rng.standard_normal(dim)
-            assert np.array_equal(vf.evaluate(x, t, Condition(0)), gaussian_mixture_velocity(x, t, components))
 
 
 @pytest.mark.parametrize("spec_name", ["constant_spec", "decay_spec", "rotation_spec"])
@@ -300,7 +294,7 @@ class TestMixtureArithmetic:
             batch = field.evaluate(np.array(states), t, [Condition(k) for k in range(len(states))])
             for x, row in zip(states, batch):
                 reference, _ = _longdouble_mixture_velocity(x, t, weights, means, scales)
-                single = gaussian_mixture_velocity(x, t, components)
+                single = _mixture_velocity(x, t, components)
                 assert np.array_equal(single, row)
                 worst = max(worst, float(np.linalg.norm(single - reference) / np.linalg.norm(reference)))
         assert worst <= 1e-12
@@ -321,7 +315,7 @@ class TestMixtureArithmetic:
                 spread = np.sqrt(t * t + (1.0 - t) ** 2 * scales[i] ** 2)
                 x = (1.0 - t) * means[i] + spread * rng.standard_normal(dim)
                 reference, resp = _longdouble_mixture_velocity(x, t, weights, means, scales)
-                got = gaussian_mixture_velocity(x, t, components)
+                got = _mixture_velocity(x, t, components)
                 worst = max(worst, float(np.linalg.norm(got - reference) / np.linalg.norm(reference)))
                 shared = max(shared, float(np.sort(resp)[-2]))
         assert shared > 0.05  # the case is not one-hot

@@ -11,12 +11,13 @@ from flowcache import (
     NumericDomainError,
     TimeGrid,
     TrajectoryRecord,
+    FieldSpec,
     VelocityField,
-    euler_step,
     initial_state,
     make_uniform_grid,
     sample_full,
 )
+from flowcache.errors import FieldError
 from flowcache.solver import write_trajectory_csv
 
 
@@ -62,26 +63,35 @@ class TestTimeGrid:
             assert abs(float(grid.dt.sum()) - 1.0) <= 1e-12
 
 
+def _constant_run(target, x0, n_steps=2):
+    """``sample_full`` on a constant field, whose Euler steps are x_{m+1} = x_m - dt * target."""
+    field = VelocityField(FieldSpec(kind="constant", dimension=len(target), target=tuple(target)))
+    return sample_full(field, make_uniform_grid(n_steps), np.array(x0), Condition(0))
+
+
 class TestEulerStep:
     def test_zero_velocity_keeps_state(self):
-        np.testing.assert_array_equal(euler_step(np.array([1.0, 1.0]), np.zeros(2), 0.5), [1.0, 1.0])
+        np.testing.assert_array_equal(_constant_run([0.0, 0.0], [1.0, 1.0]).states, [[1.0, 1.0]] * 3)
 
     def test_hand_computed_step(self):
-        np.testing.assert_array_equal(euler_step(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 0.5), [0.0, 0.0])
+        states = _constant_run([2.0, 0.0], [1.0, 0.0]).states  # dt = 0.5
+        np.testing.assert_array_equal(states, [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
 
     def test_bad_dt(self):
-        with pytest.raises(InvalidArgumentError):
-            euler_step(np.zeros(2), np.zeros(2), 0.0)
+        # the time grid owns dt > 0: a repeated time is a zero step and is rejected
+        with pytest.raises(FieldError, match="times"):
+            TimeGrid(np.array([1.0, 0.5, 0.5, 0.0]))
 
     def test_shape_mismatch(self):
+        # the walk takes one checked (D,) start state; a (2, D) batch is not one
         with pytest.raises(InvalidArgumentError):
-            euler_step(np.zeros(2), np.zeros(3), 0.1)
+            _constant_run([1.0, 0.0], np.zeros((2, 2)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericDomainError):
-            euler_step(np.array([np.nan, 0.0]), np.zeros(2), 0.1)
+            _constant_run([1.0, 0.0], [np.inf, 0.0])
         with pytest.raises(NumericDomainError):
-            euler_step(np.zeros(2), np.array([np.inf, 0.0]), 0.1)
+            _constant_run([1e308, 0.0], [-1e308, 0.0])  # finite velocities; the second Euler step overflows
 
 
 class TestSampleFull:
