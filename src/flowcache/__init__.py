@@ -24,10 +24,9 @@ from .diagnostics import (
     count_speedup,
     run_experiment,
 )
-from .error_bound import BoundTerms, bound_terms, oracle_update, run_bound_sweep
+from .error_bound import run_bound_sweep
 from .errors import (
     BundleFormatError,
-    DegenerateVelocityError,
     FlowCacheError,
     InvalidArgumentError,
     NumericDomainError,
@@ -53,14 +52,12 @@ from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
 from .version import __version__
 
 __all__ = [
-    "BoundTerms",
     "BundleFormatError",
     "CompensationToggles",
     "Condition",
     "DEFAULT_H_MAX",
     "DEFAULT_TAU_D",
     "DEFAULT_TAU_K",
-    "DegenerateVelocityError",
     "DriftReport",
     "ExperimentConfig",
     "FieldSpec",
@@ -75,7 +72,6 @@ __all__ = [
     "VariationSequence",
     "VelocityField",
     "__version__",
-    "bound_terms",
     "build_schedule",
     "calibrate",
     "compare_trajectories",
@@ -84,7 +80,6 @@ __all__ = [
     "initial_state",
     "make_uniform_grid",
     "max_stable_interval",
-    "oracle_update",
     "read_bundle",
     "run_bound_sweep",
     "run_experiment",

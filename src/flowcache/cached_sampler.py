@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .calibration import ScheduleBundle
-from .errors import NumericDomainError
 from .fields import Condition, VelocityField
 from .schedule import skip_intervals
 from .solver import TrajectoryRecord, _check_start, _walk
@@ -73,17 +72,13 @@ def _cached_kernel(
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
     The bundle's schedule is shared, so every run anchors on the same steps.
-    ``toggles`` is one setting for all runs or one per run. The indicators
-    are checked once and turned into the walk's per-step reconstruction
-    factors, with a disabled correction's factor neutral.
+    ``toggles`` is one setting for all runs or one per run. The indicators,
+    finite by ``IndicatorTable``'s rule, become the walk's per-step
+    reconstruction factors, with a disabled correction's factor neutral.
     """
     grid = bundle.grid
     n_steps = grid.n_steps
-    k_tilde = bundle.indicators.k_tilde
-    d_tilde = bundle.indicators.d_tilde
-    if not (np.isfinite(k_tilde).all() and np.isfinite(d_tilde).all()):
-        raise NumericDomainError("the bundle's indicators must be finite")
-    growth, turn = np.exp(k_tilde * grid.dt).tolist(), d_tilde.tolist()
+    growth, turn = np.exp(bundle.indicators.k_tilde * grid.dt).tolist(), bundle.indicators.d_tilde.tolist()
     if isinstance(toggles, CompensationToggles):
         toggles = [toggles] * len(conditions)
     factors = [(growth if t.use_mi else [1.0] * n_steps, turn if t.use_di else [0.0] * n_steps) for t in toggles]

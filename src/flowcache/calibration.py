@@ -48,6 +48,8 @@ class IndicatorTable:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size != np.asarray(self.k_tilde).shape[0]:
                 raise InvalidArgumentError("indicator arrays must be 1-d and equally long")
+            for i in np.flatnonzero(~np.isfinite(arr))[:1]:
+                raise FieldError(name, f"entry {i} is not finite: {float(arr[i])!r}")
             arr.flags.writeable = False
             arrays[name] = arr
         if self.sample_count < 1:

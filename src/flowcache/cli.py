@@ -77,7 +77,10 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
     if getattr(args, "h_max", None) is not None:
         raw["h_max"] = args.h_max
     if getattr(args, "seeds", None):
-        raw["evaluation_seeds"] = [int(s) for s in args.seeds.split(",")]
+        try:
+            raw["evaluation_seeds"] = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise InvalidArgumentError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
     if getattr(args, "no_mi", False):
         raw["use_mi"] = False
     if getattr(args, "no_di", False):

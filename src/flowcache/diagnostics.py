@@ -167,6 +167,11 @@ class ExperimentConfig:
         for key in ("calibration_seeds", "evaluation_seeds"):
             if not getattr(self, key):
                 raise _config_error(key, "the seed list must be non-empty")
+            for i, seed in enumerate(getattr(self, key)):
+                try:
+                    Condition(seed)  # the seed rule is the condition's
+                except InvalidArgumentError as exc:
+                    raise _config_error(key, f"entry {i}: {exc}") from None
         overlap = set(self.calibration_seeds) & set(self.evaluation_seeds)
         if overlap:
             reason = f"must be disjoint from calibration_seeds, both contain {sorted(overlap)}"

@@ -7,8 +7,9 @@ C^2 * (k_t - k)^2 with C = dt * exp(max(k_t, k) * dt), an orthogonal
 strength term (d_t - d)^2, and an alignment term 2 * d_t * d * (1 - cos
 theta). The parallel and orthogonal error components are mutually
 orthogonal, so their squares add exactly, and the orthogonal part is an
-identity rather than a bound. The verification sweep checks all of this on
-random configurations and emits a per-draw audit CSV.
+identity rather than a bound. The verification sweep, the module's one
+entry point, checks all of this on random configurations and emits a
+per-draw audit CSV.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import _row_dots
-from .errors import DegenerateVelocityError, InvalidArgumentError
 from .ioutil import write_csv
 
 # |<u, v>| <= ORTHO_TOL * |u| * |v| qualifies as orthogonal input.
@@ -30,61 +30,20 @@ REJECT_TOL = 1e-8
 # The sweep's drawn unit vectors have | |u|^2 - 1 | within this; seeds
 # 1000-1039 at 10^5 draws reach 3 eps.
 UNIT_NORM_TOL = 16 * np.finfo(float).eps
+# The sweep's draw ranges: dimension (both ends included; 2 leaves an
+# orthogonal complement), k and k_t, d and d_t.
+DIM_RANGE = (2, 64)
+K_RANGE = (-5.0, 5.0)
+D_RANGE = (0.0, 2.0)
+# The sweep's tolerances: lhs - rhs, the additive split's and the |Q|^2
+# identity's relative errors.
+BOUND_SLACK = 1e-9
+SPLIT_TOL = 1e-10
+Q_IDENTITY_TOL = 1e-12
 # Draws per block of the bound sweep. Each block is one set of numpy passes
-# over (_BLOCK, dim_range[1]) arrays; blocks of 1000 add about 5 MB of peak
+# over (_BLOCK, DIM_RANGE[1]) arrays; blocks of 1000 add about 5 MB of peak
 # memory for little more speed.
 _BLOCK = 100
-
-
-@dataclass(frozen=True)
-class BoundTerms:
-    """One configuration's bound evaluation.
-
-    ``lhs`` is the normalized reconstruction error |v_hat - v_star| / |v|;
-    ``rhs`` is the bound sqrt(c_n^2 * mag_err^2 + strength_err^2 +
-    2 * d_t * d * (1 - cos_theta)).
-    """
-
-    c_n: float
-    mag_err: float
-    strength_err: float
-    cos_theta: float
-    lhs: float
-    rhs: float
-
-
-def _check_unit_orthogonal(name: str, u: np.ndarray, v: np.ndarray, v_norm: np.ndarray) -> None:
-    """Row-wise check that each ``u`` row is a unit vector orthogonal to its ``v`` row."""
-    u_norm = np.linalg.norm(u, axis=1)
-    off_unit = np.abs(u_norm - 1.0) > 1e-9
-    if off_unit.any():
-        raise InvalidArgumentError(f"{name} must be a unit vector, norm is {float(u_norm[off_unit][0])!r}")
-    if (np.abs(_row_dots(u, v)) > ORTHO_TOL * v_norm * u_norm).any():
-        raise InvalidArgumentError(f"{name} is not orthogonal to the velocity")
-
-
-def _velocity_norms(v: np.ndarray, what: str) -> np.ndarray:
-    v_norm = np.linalg.norm(v, axis=1)
-    if (v_norm == 0.0).any():
-        raise DegenerateVelocityError(f"{what} needs a nonzero velocity")
-    return v_norm
-
-
-def _check_dt(dt: np.ndarray) -> None:
-    if (dt <= 0).any():
-        raise InvalidArgumentError(f"dt must be positive, got {float(dt[dt <= 0][0])}")
-
-
-def oracle_update(v_n: np.ndarray, k: float, d: float, u_perp: np.ndarray, dt: float) -> np.ndarray:
-    """Component-wise update with exact scalars and exact orthogonal direction."""
-    v_n = np.asarray(v_n, dtype=float)
-    u_perp = np.asarray(u_perp, dtype=float)
-    v_norm = _velocity_norms(v_n[None], "oracle update")
-    if d < 0:
-        raise InvalidArgumentError(f"orthogonal strength must be non-negative, got {d}")
-    _check_dt(np.array([dt]))
-    _check_unit_orthogonal("u_perp", u_perp[None], v_n[None], v_norm)
-    return math.exp(k * dt) * v_n + d * float(v_norm[0]) * u_perp
 
 
 def _bound_rows(
@@ -99,16 +58,15 @@ def _bound_rows(
 ) -> tuple[np.ndarray, ...]:
     """Both updates and the three-term bound for each row of ``(n, D)`` inputs.
 
-    Returns ``(c_n, mag_err, strength_err, cos_theta, lhs, rhs)``, one
-    ``(n,)`` array each, in ``BoundTerms`` field order.
+    The oracle update is v* = exp(k dt) v + d |v| u_perp and the
+    reconstruction v_hat the same with (k_t, d_t, u_hat). Returns
+    ``(c_n, mag_err, strength_err, cos_theta, lhs, rhs)``, one ``(n,)``
+    array each: ``lhs`` is |v_hat - v*| / |v| and ``rhs`` the bound
+    sqrt(c_n^2 mag_err^2 + strength_err^2 + 2 d_t d (1 - cos_theta)). The
+    rows are ``_draw_block``'s, so ``v`` is nonzero, ``dt`` in (0, 1] and the
+    strengths non-negative; the sweep checks the directions' premises.
     """
-    v_norm = _velocity_norms(v, "bound evaluation")
-    if (d < 0).any() or (d_t < 0).any():
-        raise InvalidArgumentError("orthogonal strengths must be non-negative")
-    _check_dt(dt)
-    _check_unit_orthogonal("u_perp", u_perp, v, v_norm)
-    _check_unit_orthogonal("u_hat", u_hat, v, v_norm)
-
+    v_norm = np.linalg.norm(v, axis=1)
     v_star = np.exp(k * dt)[:, None] * v + (d * v_norm)[:, None] * u_perp
     v_hat = np.exp(k_t * dt)[:, None] * v + (d_t * v_norm)[:, None] * u_hat
     lhs = np.linalg.norm(v_hat - v_star, axis=1) / v_norm
@@ -119,22 +77,6 @@ def _bound_rows(
     cos_theta = np.clip(_row_dots(u_hat, u_perp), -1.0, 1.0)
     rhs = np.sqrt(c_n**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
     return c_n, mag_err, strength_err, cos_theta, lhs, rhs
-
-
-def bound_terms(
-    v_n: np.ndarray,
-    k: float,
-    d: float,
-    u_perp: np.ndarray,
-    k_t: float,
-    d_t: float,
-    u_hat: np.ndarray,
-    dt: float,
-) -> BoundTerms:
-    """Evaluate both updates and the three-term bound for one configuration."""
-    v_n, u_perp, u_hat = (np.asarray(a, dtype=float)[None] for a in (v_n, u_perp, u_hat))
-    k, d, k_t, d_t, dt = (np.array([x], dtype=float) for x in (k, d, k_t, d_t, dt))
-    return BoundTerms(*(float(a[0]) for a in _bound_rows(v_n, k, d, u_perp, k_t, d_t, u_hat, dt)))
 
 
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,22 +169,16 @@ def _unit_orthogonal_rows(rng: np.random.Generator, v: np.ndarray, dims: np.ndar
     return u
 
 
-def _draw_block(
-    rng: np.random.Generator,
-    n: int,
-    dim_range: tuple[int, int],
-    k_range: tuple[float, float],
-    d_range: tuple[float, float],
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _draw_block(rng: np.random.Generator, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The sweep's next ``n`` configurations as ``(dims, rows)``.
 
     ``rows`` is ``(v, k, d, u_perp, k_t, d_t, u_hat, dt)`` in ``_bound_rows``
-    argument order, vectors ``(n, dim_range[1])`` with zeros at and beyond
+    argument order, vectors ``(n, DIM_RANGE[1])`` with zeros at and beyond
     each row's dim. The draw order is fixed, so consecutive blocks continue
     one stream.
     """
-    width = dim_range[1]
-    dims = rng.integers(dim_range[0], width + 1, size=n)
+    width = DIM_RANGE[1]
+    dims = rng.integers(DIM_RANGE[0], width + 1, size=n)
     v = _masked_normal(rng, dims, width)
     small = np.linalg.norm(v, axis=1) < 1e-6
     while small.any():
@@ -250,33 +186,23 @@ def _draw_block(
         small = np.linalg.norm(v, axis=1) < 1e-6
     u_perp = _unit_orthogonal_rows(rng, v, dims)
     u_hat = _unit_orthogonal_rows(rng, v, dims)
-    k, k_t = rng.uniform(k_range[0], k_range[1], size=(n, 2)).T
-    d, d_t = rng.uniform(d_range[0], d_range[1], size=(n, 2)).T
+    k, k_t = rng.uniform(K_RANGE[0], K_RANGE[1], size=(n, 2)).T
+    d, d_t = rng.uniform(D_RANGE[0], D_RANGE[1], size=(n, 2)).T
     dt = 1.0 - rng.random(n)  # (0, 1]
     return dims, (v, k, d, u_perp, k_t, d_t, u_hat, dt)
 
 
-def run_bound_sweep(
-    draws: int = 100_000,
-    seed: int = 20240,
-    dim_range: tuple[int, int] = (2, 64),
-    k_range: tuple[float, float] = (-5.0, 5.0),
-    d_range: tuple[float, float] = (0.0, 2.0),
-    bound_slack: float = 1e-9,
-    split_tol: float = 1e-10,
-    q_identity_tol: float = 1e-12,
-) -> BoundSweepResult:
+def run_bound_sweep(draws: int = 100_000, seed: int = 20240) -> BoundSweepResult:
     """Randomized verification of the bound and its exact decompositions.
 
     Configurations are drawn and checked in blocks of ``_BLOCK`` draws, so
     a sweep whose draw count is a multiple of ``_BLOCK`` is the exact
-    prefix of any longer sweep at the same seed. Also checks that the drawn
-    directions are unit vectors to within ``UNIT_NORM_TOL``, and that
-    weakening the magnitude envelope to min(k_t, k) breaks the bound
-    somewhere, confirming the max is necessary.
+    prefix of any longer sweep at the same seed. Also checks the bound's
+    premises on every draw: both directions unit vectors to within
+    ``UNIT_NORM_TOL`` and orthogonal to ``v`` to within ``ORTHO_TOL``. And
+    it checks that weakening the magnitude envelope to min(k_t, k) breaks
+    the bound somewhere, confirming the max is necessary.
     """
-    if dim_range[0] < 2:
-        raise InvalidArgumentError("not enough dimensions for an orthogonal complement")
     rng = np.random.default_rng(seed)
     lhs_all = np.empty(draws)
     rhs_all = np.empty(draws)
@@ -288,7 +214,7 @@ def run_bound_sweep(
 
     for start in range(0, draws, _BLOCK):
         stop = min(start + _BLOCK, draws)
-        _, rows = _draw_block(rng, stop - start, dim_range, k_range, d_range)
+        _, rows = _draw_block(rng, stop - start)
         v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
         _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
         lhs_all[start:stop] = lhs
@@ -307,7 +233,7 @@ def run_bound_sweep(
         max_split = max(max_split, float(split_err.max()))
 
         q_err = _relative_gap(q_sq, q_ref)
-        flagged = np.flatnonzero(q_err > q_identity_tol)
+        flagged = np.flatnonzero(q_err > Q_IDENTITY_TOL)
         if flagged.size:
             # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
             # value leaves only the reference's own rounding in the gap
@@ -315,17 +241,23 @@ def run_bound_sweep(
             q_err[flagged] = _relative_gap(exact, q_ref[flagged])
         max_qid = max(max_qid, float(q_err.max()))
         # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
-        norm_err = {name: np.abs(_row_dots(u, u) - 1.0) for name, u in (("u_perp", u_perp), ("u_hat", u_hat))}
+        # orthogonal to v; the cosine to v is measured against |u| as drawn
+        norm_err, cos_v = {}, {}
+        for name, u in (("u_perp", u_perp), ("u_hat", u_hat)):
+            uu = _row_dots(u, u)
+            norm_err[name] = np.abs(uu - 1.0)
+            cos_v[name] = np.abs(_row_dots(u, v)) / (v_norm * np.sqrt(uu))
 
         c_min = dt * np.exp(np.minimum(k_t, k) * dt)
         rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
-        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + bound_slack)))
+        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + BOUND_SLACK)))
 
-        over_bound = violation > bound_slack
-        split_off = split_err > split_tol
-        identity_off = q_err > q_identity_tol
-        norm_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
-        for row in np.flatnonzero(over_bound | split_off | identity_off | norm_off):
+        over_bound = violation > BOUND_SLACK
+        split_off = split_err > SPLIT_TOL
+        identity_off = q_err > Q_IDENTITY_TOL
+        premise_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
+        premise_off |= (cos_v["u_perp"] > ORTHO_TOL) | (cos_v["u_hat"] > ORTHO_TOL)
+        for row in np.flatnonzero(over_bound | split_off | identity_off | premise_off):
             prefix = f"draw {start + row} (seed {seed}):"
             if over_bound[row]:
                 failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
@@ -336,6 +268,8 @@ def run_bound_sweep(
             for name, err in norm_err.items():
                 if err[row] > UNIT_NORM_TOL:
                     failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
+                if cos_v[name][row] > ORTHO_TOL:
+                    failures.append(f"{prefix} {name} not orthogonal to v, cosine {float(cos_v[name][row])!r}")
 
     if envelope_violations == 0:
         failures.append(

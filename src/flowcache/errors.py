@@ -15,10 +15,6 @@ class NumericDomainError(FlowCacheError, ValueError):
     """Non-finite values were passed where finite reals are required."""
 
 
-class DegenerateVelocityError(FlowCacheError):
-    """A zero-norm velocity where a reference direction is needed."""
-
-
 class FieldError(InvalidArgumentError):
     """A named field holds a bad value; the message starts with the field's name."""
 

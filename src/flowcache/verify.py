@@ -237,6 +237,8 @@ def run_suite(
         raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {SUITES}")
     if cases is not None and cases < 1:
         raise InvalidArgumentError(f"--cases must be a positive integer, got {cases}")
+    if seed is not None and seed < 0:
+        raise InvalidArgumentError(f"--seed must be a non-negative integer, got {seed}")
     if cases is not None and name == "exactness":
         raise InvalidArgumentError("--cases does not apply to the exactness suite, which runs 3 fixed checks")
     kwargs: dict = {}

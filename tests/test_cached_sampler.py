@@ -131,18 +131,15 @@ class TestSkipUpdate:
         np.testing.assert_array_equal(out, v)
 
     def test_non_finite_rejected(self):
-        # the bundle owns finite indicators: sample_cached rejects a NaN or infinite entry before any oracle call
+        # the indicator table owns finite entries: a NaN or infinite entry is rejected where the table is
+        # built, naming its column and step, so no bundle that sample_cached could run holds one
         field, _, bundle = _setup("mixture-d3")
         condition = Condition(100)
-        x0 = initial_state(condition, field.dimension)
         for column, value in (("k_tilde", np.nan), ("d_tilde", np.inf)):
             entries = getattr(bundle.indicators, column).copy()
             entries[3] = value
-            bad = replace(bundle, indicators=replace(bundle.indicators, **{column: entries}))
-            field.reset_evaluations()
-            with pytest.raises(NumericDomainError):
-                sample_cached(field, bad, x0, condition)
-            assert field.evaluations == 0
+            with pytest.raises(FieldError, match=rf"^{column}: entry 3 is not finite: {value!r}$"):
+                replace(bundle.indicators, **{column: entries})
         with pytest.raises(NumericDomainError):
             sample_cached(field, bundle, np.full(field.dimension, np.nan), condition)
 

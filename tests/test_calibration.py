@@ -128,6 +128,14 @@ class TestIndicatorTable:
         with pytest.raises(InvalidArgumentError):
             IndicatorTable(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1)
 
+    @pytest.mark.parametrize("column", ["k_tilde", "d_tilde", "k_std", "d_std"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_named(self, column, bad):
+        columns = {name: np.zeros(4) for name in ("k_tilde", "d_tilde", "k_std", "d_std")}
+        columns[column][2] = bad
+        with pytest.raises(FieldError, match=rf"^{column}: entry 2 is not finite: {bad!r}$"):
+            IndicatorTable(**columns, sample_count=1)
+
 
 class TestBundleRoundTrip:
     def test_roundtrip_identity(self, tmp_path, gmm_spec):
@@ -286,9 +294,11 @@ class TestScheduleBundleValidation:
             return replace(bundle, indicators=replace(bundle.indicators, k_tilde=np.where(np.arange(6) == 3, k, 0.0)))
 
         with_entry(accepted)
-        for k in (rejected, 1e308, np.inf):
+        for k in (rejected, 1e308):
             with pytest.raises(FieldError, match=r"^k_tilde: exp\(k_tilde \* dt\) overflows at step 3"):
                 with_entry(k)
+        with pytest.raises(FieldError, match=r"^k_tilde: entry 3 is not finite: inf$"):  # the table's own rule
+            with_entry(np.inf)
 
 def test_indicator_csv_shape(tmp_path, gmm_spec):
     bundle = _gmm_bundle(gmm_spec, n_steps=15)

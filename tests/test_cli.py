@@ -246,6 +246,13 @@ class TestVerify:
         assert "PASS povd: 40 cases" in out
         assert "PASS exactness: 3 fixed checks" in out
 
+    @pytest.mark.parametrize("suite", ["povd", "ssc", "bound", "exactness"])
+    def test_negative_seed_named(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--seed must be a non-negative integer, got -1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
 
@@ -372,6 +379,22 @@ class TestErrors:
         bad = dict(CONSTANT_CONFIG, evaluation_seeds=[1])
         config = _write_config(tmp_path, bad)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key, seeds", [("evaluation_seeds", [-3]), ("calibration_seeds", [-1]), ("evaluation_seeds", [100, 2**64])]
+    )
+    def test_seed_outside_the_condition_range_named(self, tmp_path, capsys, key, seeds):
+        # the condition's seed rule, applied when the config is read: nothing is written
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **{key: seeds}))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"key {key!r}: entry {len(seeds) - 1}: condition seed must be a 64-bit unsigned integer" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_non_integer_seeds_flag_named(self, tmp_path, capsys):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o"), "--seeds", "5,x"]) == EXIT_CONFIG
+        assert "--seeds: expected comma-separated integers, got '5,x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["use_mi", "use_di"])
     def test_non_boolean_toggle_rejected(self, tmp_path, capsys, key):

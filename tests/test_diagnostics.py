@@ -245,6 +245,13 @@ class TestExperimentConfig:
                 field=gmm_spec, n_steps=10, calibration_seeds=(1, 2), evaluation_seeds=(2, 3)
             )
 
+    @pytest.mark.parametrize("key", ["calibration_seeds", "evaluation_seeds"])
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_seed_outside_the_condition_range_named(self, gmm_spec, key, bad):
+        seeds = {"calibration_seeds": (1, 2), "evaluation_seeds": (3,), key: (5, bad)}
+        with pytest.raises(InvalidArgumentError, match=rf"key {key!r}: entry 1: condition seed must be"):
+            ExperimentConfig(field=gmm_spec, n_steps=10, **seeds)
+
     def test_dict_roundtrip(self, gmm_spec):
         config = _gmm_config(gmm_spec, tau_k=0.04, use_di=False)
         assert ExperimentConfig.from_dict(config.to_dict()) == config

@@ -3,15 +3,15 @@ from __future__ import annotations
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from flowcache import DegenerateVelocityError, InvalidArgumentError, bound_terms, oracle_update, run_bound_sweep
-from flowcache import error_bound
+from flowcache import error_bound, run_bound_sweep
 from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, _unit_orthogonal_rows, write_bound_audit_csv
 
-SWEEP_RANGES = ((2, 64), (-5.0, 5.0), (0.0, 2.0))  # run_bound_sweep's dim, k and d ranges
+TERMS = ("c_n", "mag_err", "strength_err", "cos_theta", "lhs", "rhs")  # _bound_rows' outputs in order
 
 
 def _unit_orthogonal(rng, v):
@@ -19,42 +19,42 @@ def _unit_orthogonal(rng, v):
     return _unit_orthogonal_rows(rng, v[None], np.array([v.size]))[0]
 
 
+def _one_row(v, k, d, u_perp, k_t, d_t, u_hat, dt):
+    """``_bound_rows`` on one unpadded configuration, its outputs by name."""
+    rows = [np.array([a], dtype=float) for a in (v, k, d, u_perp, k_t, d_t, u_hat, dt)]
+    return SimpleNamespace(**{name: float(a[0]) for name, a in zip(TERMS, _bound_rows(*rows))})
+
+
 class TestOracleUpdate:
+    """The oracle update v* = exp(k dt) v + d |v| u_perp, seen through lhs = |v_hat - v*| / |v|."""
+
     def test_identity(self):
         v = np.array([0.3, 0.9])
         u = np.array([-0.9486832980505138, 0.31622776601683794])  # unit, orthogonal to v
-        np.testing.assert_array_equal(oracle_update(v, 0.0, 0.0, u, 0.5), v)
+        # k = d = 0 leaves v unchanged, and so does the same reconstruction, to the bit
+        assert _one_row(v, 0.0, 0.0, u, 0.0, 0.0, u, 0.5).lhs == 0.0
 
     def test_pure_direction(self):
-        out = oracle_update(np.array([1.0, 0.0]), 0.0, 0.5, np.array([0.0, 1.0]), 0.7)
-        np.testing.assert_allclose(out, [1.0, 0.5])
+        # v* = [1, 0.5]; the reconstruction without correction stays at v
+        terms = _one_row(np.array([1.0, 0.0]), 0.0, 0.5, np.array([0.0, 1.0]), 0.0, 0.0, np.array([0.0, 1.0]), 0.7)
+        assert terms.lhs == pytest.approx(0.5, rel=1e-15)
+        assert terms.rhs == pytest.approx(0.5, rel=1e-15)
 
     def test_exponential_doubling(self):
-        out = oracle_update(np.array([3.0, 0.0]), math.log(2.0), 0.0, np.array([0.0, 1.0]), 1.0)
-        np.testing.assert_allclose(out, [6.0, 0.0])
-
-    def test_non_orthogonal_direction_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            oracle_update(np.array([1.0, 0.0]), 0.0, 0.5, np.array([1.0, 0.0]), 1.0)
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            oracle_update(np.array([1.0, 0.0]), 0.0, 0.5, np.array([0.0, 2.0]), 1.0)
-
-    def test_zero_velocity_rejected(self):
-        with pytest.raises(DegenerateVelocityError):
-            oracle_update(np.zeros(2), 0.0, 0.0, np.array([0.0, 1.0]), 1.0)
-
-    def test_negative_strength_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            oracle_update(np.array([1.0, 0.0]), 0.0, -0.1, np.array([0.0, 1.0]), 1.0)
+        # v* = 2 v; the reconstruction at k_t = 0 stays at v, the one at k_t = k doubles too
+        v, u = np.array([3.0, 0.0]), np.array([0.0, 1.0])
+        kept = _one_row(v, math.log(2.0), 0.0, u, 0.0, 0.0, u, 1.0)
+        assert kept.lhs == pytest.approx(1.0, rel=1e-15)
+        assert kept.c_n == pytest.approx(2.0, rel=1e-15)
+        assert kept.rhs == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        assert _one_row(v, math.log(2.0), 0.0, u, math.log(2.0), 0.0, u, 1.0).lhs == 0.0
 
 
 class TestBoundTerms:
     def test_perfect_substitution_is_zero(self):
         v = np.array([2.0, 0.0, 0.0])
         u = np.array([0.0, 1.0, 0.0])
-        terms = bound_terms(v, 0.4, 0.3, u, 0.4, 0.3, u, 0.5)
+        terms = _one_row(v, 0.4, 0.3, u, 0.4, 0.3, u, 0.5)
         assert terms.lhs == 0.0
         assert terms.rhs == 0.0
         assert terms.cos_theta == 1.0
@@ -69,7 +69,7 @@ class TestBoundTerms:
             k, k_t = rng.uniform(-3, 3, size=2)
             d, d_t = rng.uniform(0, 2, size=2)
             dt = 1.0 - rng.random()
-            terms = bound_terms(v, k, d, u, k_t, d_t, u, dt)
+            terms = _one_row(v, k, d, u, k_t, d_t, u, dt)
             scalar_rhs = math.sqrt(terms.c_n**2 * (k_t - k) ** 2 + (d_t - d) ** 2)
             assert terms.lhs <= scalar_rhs + 1e-9
             assert terms.rhs == pytest.approx(scalar_rhs, rel=1e-12)
@@ -81,7 +81,7 @@ class TestBoundTerms:
         u_perp = np.array([0.0, 1.0, 0.0])
         u_hat = np.array([0.0, 0.0, 1.0])
         delta = 0.7
-        terms = bound_terms(v, 0.3, delta, u_perp, 0.3, delta, u_hat, 0.5)
+        terms = _one_row(v, 0.3, delta, u_perp, 0.3, delta, u_hat, 0.5)
         assert terms.cos_theta == 0.0
         assert terms.lhs == pytest.approx(delta * math.sqrt(2.0), rel=1e-14)
         assert terms.rhs == pytest.approx(math.sqrt(2.0 * delta**2), rel=1e-14)
@@ -95,7 +95,7 @@ class TestBoundTerms:
             k, k_t = rng.uniform(-4, 4, size=2)
             d, d_t = rng.uniform(0, 2, size=2)
             dt = 1.0 - rng.random()
-            terms = bound_terms(v, k, d, u_perp, k_t, d_t, u_hat, dt)
+            terms = _one_row(v, k, d, u_perp, k_t, d_t, u_hat, dt)
             rhs_sq = terms.c_n**2 * terms.mag_err**2 + terms.strength_err**2 + 2 * d_t * d * (1 - terms.cos_theta)
             assert terms.rhs**2 == pytest.approx(rhs_sq, rel=1e-12, abs=1e-300)
             assert terms.lhs <= terms.rhs + 1e-9
@@ -139,12 +139,13 @@ class TestBlockSweep:
         np.testing.assert_array_equal(short.rhs, long.rhs[:1000])
         assert short.max_bound_violation == float(np.max(long.lhs[:1000] - long.rhs[:1000]))
 
-    def test_shorter_sweep_is_a_prefix_draw_by_draw(self):
+    def test_shorter_sweep_is_a_prefix_draw_by_draw(self, monkeypatch):
         # zero tolerances turn every draw's split and identity error into a
         # failure message carrying its exact value
-        tols = dict(bound_slack=-1.0, split_tol=0.0, q_identity_tol=0.0)
-        short = run_bound_sweep(draws=1000, seed=47, **tols)
-        long = run_bound_sweep(draws=2000, seed=47, **tols)
+        for name, value in (("BOUND_SLACK", -1.0), ("SPLIT_TOL", 0.0), ("Q_IDENTITY_TOL", 0.0)):
+            monkeypatch.setattr(error_bound, name, value)
+        short = run_bound_sweep(draws=1000, seed=47)
+        long = run_bound_sweep(draws=2000, seed=47)
         first = [f for f in long.failures if int(re.match(r"draw (\d+) ", f).group(1)) < 1000]
         assert len(first) > 1000
         assert short.failures == first
@@ -152,7 +153,7 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("seed", [53, 59])
     def test_rows_match_scalar_bound_terms(self, seed):
-        dims, rows = _draw_block(np.random.default_rng(seed), _BLOCK, *SWEEP_RANGES)
+        dims, rows = _draw_block(np.random.default_rng(seed), _BLOCK)
         lhs, rhs = _bound_rows(*rows)[-2:]
         sweep = run_bound_sweep(draws=_BLOCK, seed=seed)
         np.testing.assert_array_equal(lhs, sweep.lhs)
@@ -160,20 +161,21 @@ class TestBlockSweep:
         v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
         for i, dim in enumerate(dims):
             assert not v[i, dim:].any() and not u_perp[i, dim:].any() and not u_hat[i, dim:].any()
-            terms = bound_terms(v[i, :dim], k[i], d[i], u_perp[i, :dim], k_t[i], d_t[i], u_hat[i, :dim], dt[i])
+            terms = _one_row(v[i, :dim], k[i], d[i], u_perp[i, :dim], k_t[i], d_t[i], u_hat[i, :dim], dt[i])
             assert terms.lhs == pytest.approx(lhs[i], rel=1e-12)
             assert terms.rhs == pytest.approx(rhs[i], rel=1e-12)
 
     @pytest.mark.parametrize(
         "tols, message",
         [
-            (dict(q_identity_tol=0.0), "orthogonal identity off by"),
-            (dict(bound_slack=-1.0), "exceeds rhs"),
+            (("Q_IDENTITY_TOL", 0.0), "orthogonal identity off by"),
+            (("BOUND_SLACK", -1.0), "exceeds rhs"),
         ],
         ids=["identity", "bound"],
     )
-    def test_failures_name_draw_and_seed_in_order(self, tols, message):
-        result = run_bound_sweep(draws=300, seed=61, **tols)
+    def test_failures_name_draw_and_seed_in_order(self, monkeypatch, tols, message):
+        monkeypatch.setattr(error_bound, *tols)
+        result = run_bound_sweep(draws=300, seed=61)
         assert not result.passed
         draws = []
         for failure in result.failures:
@@ -184,17 +186,18 @@ class TestBlockSweep:
         assert draws == sorted(set(draws))
         assert max(draws) >= _BLOCK  # failures come from more than one block
 
-    def test_equal_rates_never_confirm_the_envelope(self):
-        result = run_bound_sweep(draws=200, seed=67, k_range=(0.0, 0.0))
+    def test_equal_rates_never_confirm_the_envelope(self, monkeypatch):
+        monkeypatch.setattr(error_bound, "K_RANGE", (0.0, 0.0))
+        result = run_bound_sweep(draws=200, seed=67)
         assert result.min_envelope_violations == 0
         assert result.failures == [
             "seed 67: min-envelope bound never violated in 200 draws; max envelope is not confirmed necessary"
         ]
 
     def test_redrawn_rows_are_unit_and_orthogonal(self, monkeypatch):
-        default_rows = _draw_block(np.random.default_rng(71), _BLOCK, *SWEEP_RANGES)[1]
+        default_rows = _draw_block(np.random.default_rng(71), _BLOCK)[1]
         monkeypatch.setattr(error_bound, "REJECT_TOL", 0.9)
-        dims, rows = _draw_block(np.random.default_rng(71), _BLOCK, *SWEEP_RANGES)
+        dims, rows = _draw_block(np.random.default_rng(71), _BLOCK)
         v, u_perp, u_hat = rows[0], rows[3], rows[6]
         np.testing.assert_array_equal(v, default_rows[0])  # v is drawn before any rejection
         assert not np.array_equal(u_perp, default_rows[3])  # so some u_perp rows were redrawn
@@ -204,11 +207,6 @@ class TestBlockSweep:
             assert np.all(np.abs(np.einsum("ij,ij->i", u, v)) <= 1e-10 * v_norm)
             assert all(not u[i, dim:].any() for i, dim in enumerate(dims))
         assert run_bound_sweep(draws=300, seed=71).passed
-
-    @pytest.mark.parametrize("dim_range", [(1, 8), (1, 1)])
-    def test_one_dimensional_draws_rejected(self, dim_range):
-        with pytest.raises(InvalidArgumentError):
-            run_bound_sweep(draws=10, seed=73, dim_range=dim_range)
 
 
 class TestOrthogonalIdentity:
@@ -232,7 +230,7 @@ class TestOrthogonalIdentity:
 
     @pytest.mark.parametrize("seed, draws", [(79, 20), (1012, 30_300)], ids=["random", "cancelling"])
     def test_the_reference_matches_the_exact_square(self, seed, draws):
-        _, (v, _, d, u_perp, _, d_t, u_hat, _) = _draw_block(np.random.default_rng(seed), draws, *SWEEP_RANGES)
+        _, (v, _, d, u_perp, _, d_t, u_hat, _) = _draw_block(np.random.default_rng(seed), draws)
         rows = (np.linalg.norm(v, axis=1), d, d_t, u_perp, u_hat)
         reference = error_bound._q_reference(*rows)
         worst = int(np.argmax(error_bound._relative_gap(error_bound._q_squared(*rows), reference)))
@@ -263,3 +261,23 @@ class TestOrthogonalIdentity:
         result = run_bound_sweep(draws=_BLOCK, seed=1012)
         assert sum(f"|{name}|^2 off 1 by" in f for f in result.failures) == _BLOCK
         assert not any("orthogonal identity" in f for f in result.failures)
+
+    @pytest.mark.parametrize("name", ["u_perp", "u_hat"])
+    def test_a_direction_off_orthogonal_fails(self, monkeypatch, name):
+        # tilted toward v by 1e-9 of a unit: the premise fails on each draw and the sweep runs on
+        draw = error_bound._draw_block
+        position = {"u_perp": 3, "u_hat": 6}[name]
+
+        def tilted(*args):
+            dims, rows = draw(*args)
+            rows = list(rows)
+            v = rows[0]
+            rows[position] = rows[position] + 1e-9 * v / np.linalg.norm(v, axis=1)[:, None]
+            return dims, tuple(rows)
+
+        monkeypatch.setattr(error_bound, "_draw_block", tilted)
+        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        off = [f for f in result.failures if f"{name} not orthogonal to v" in f]
+        assert len(off) == _BLOCK
+        assert all(re.match(r"draw \d+ \(seed 1012\): ", f) for f in off)
+        assert not any("off 1 by" in f for f in result.failures)
