@@ -19,7 +19,7 @@ import numpy as np
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, initial_state
-from .ioutil import _finite, _json_value, _known_keys, write_csv
+from .ioutil import _create, _finite, _json_value, _known_keys, write_csv
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
@@ -64,28 +64,47 @@ class IndicatorTable:
         return self.k_tilde.size
 
 
+# Most bytes of the window of velocity rows ``calibrate`` decomposes in one pass.
+_WINDOW_BYTES = 1 << 18
+
+
 def calibrate(field: VelocityField, grid: TimeGrid, conditions: list[Condition]) -> IndicatorTable:
     """Average per-sample decomposition scalars into indicator curves.
 
-    The full-step runs share the grid, so they run batched over the conditions.
+    The full-step runs share the grid, so all B conditions ride one
+    record-free walk: one oracle call per step, whatever B and the
+    dimension are. Its (B, D) velocity rows fill a step-major window of
+    ``_WINDOW_BYTES`` (two steps at least); the k pairs of consecutive steps
+    a full window holds are decomposed as one (B·k, D) row pass, and its
+    last step opens the next window. Each row's scalars are what the run's
+    own decomposition gives, bit for bit.
     """
     if not conditions:
         raise InvalidArgumentError("calibration needs at least one condition")
-    n = grid.n_steps
-    dt = grid.dt[:-1]
-    rows = np.empty((2, len(conditions), max(n - 1, 0)))  # per-sample k and d
+    n, b = grid.n_steps, len(conditions)
+    dt = grid.dt
+    rows = np.empty((2, b, max(n - 1, 0)))  # per-sample k and d
     x0 = np.array([initial_state(condition, field.dimension) for condition in conditions])
-    for row, record in enumerate(_full_kernel(field, grid, x0, conditions)):
-        v = record.velocities
-        rows[0, row], _, rows[1, row] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
+    window = np.empty((max(2, _WINDOW_BYTES // x0.nbytes), *x0.shape))
+    start = 0  # the step of window[0]
+    for step, (velocities, _) in enumerate(_full_kernel(field, grid, x0, conditions, records=False)):
+        pairs = step - start
+        window[pairs] = velocities
+        if pairs == len(window) - 1 or step == n - 1:
+            v, v_next = (window[i : i + pairs].reshape(-1, field.dimension) for i in (0, 1))
+            pair_dt = np.repeat(dt[start:step], b)
+            k, _, d = _decompose_rows(v, _accel_rows(v, v_next, pair_dt), pair_dt)
+            rows[:, :, start:step] = np.stack((k, d)).reshape(2, pairs, b).swapaxes(1, 2)
+            window[0] = window[pairs]  # a full window's last step opens the next one
+            start = step
 
     curves = np.zeros((4, n))  # k_tilde, d_tilde, k_std, d_std
     if n > 1:
         curves[:2, : n - 1] = rows.mean(axis=1)
-        if len(conditions) > 1:
+        if b > 1:
             curves[2:, : n - 1] = rows.std(axis=1, ddof=1)
         curves[:, n - 1] = curves[:, n - 2]  # hold-last boundary entry for the final step
-    return IndicatorTable(*curves, sample_count=len(conditions))
+    return IndicatorTable(*curves, sample_count=b)
 
 
 def _check_thresholds(error=FieldError, **values: float) -> None:
@@ -170,7 +189,8 @@ def _payload(bundle: ScheduleBundle) -> dict:
 
 
 def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_payload(bundle), indent=2) + "\n", encoding="utf-8")
+    with _create(path) as fh:
+        fh.write(json.dumps(_payload(bundle), indent=2) + "\n")
 
 
 def _column(data: dict, key: str, length: int) -> list:

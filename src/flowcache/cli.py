@@ -35,7 +35,7 @@ from .diagnostics import (
 )
 from .errors import FieldError, FlowCacheError, InvalidArgumentError
 from .fields import Condition, VelocityField, field_digest, initial_state
-from .ioutil import _finite, _json_value, write_csv
+from .ioutil import _create, _finite, _json_value, write_csv
 from .schedule import schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
 from .verify import SUITES, run_suite
@@ -103,7 +103,8 @@ def _write_manifest(out: Path, subcommand: str, config: dict, outputs: list[str]
         "config": config,
         "outputs": sorted(outputs),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with _create(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

@@ -327,9 +327,9 @@ def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: C
     return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
 
 
-def _final_drifts(result: ExperimentResult, runs: Iterable[TrajectoryRecord]) -> np.ndarray:
-    """Terminal drift of ``runs`` cycling through the evaluation seeds, bit for bit a report's ``final_state_drift``."""
-    final = np.array([run.final_state for run in runs])
+def _final_drifts(result: ExperimentResult, final: Iterable[np.ndarray]) -> np.ndarray:
+    """Terminal drift of ``final`` states cycling through the evaluation seeds, bit for bit ``final_state_drift``."""
+    final = np.array(final)
     reference = np.tile([full.final_state for full in result.references], (len(final) // len(result.references), 1))
     return _relative_norms(final - reference, reference)[0]  # compare_trajectories' arithmetic, on the final rows
 
@@ -338,8 +338,11 @@ def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
     if n_truncated < 1:
         raise InvalidArgumentError("truncated step count must be positive")
-    runs = _full_kernel(result.velocity_field, make_uniform_grid(n_truncated), *_evaluation_batch(result))
-    return _final_drifts(result, runs)
+    # the final states are all this reads, so the walk keeps no record; its last step leaves them
+    grid = make_uniform_grid(n_truncated)
+    for _, final in _full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False):
+        pass
+    return _final_drifts(result, final)
 
 
 # (use_mi, use_di) rows of the toggle ablation, schedule-only baseline first.
@@ -356,7 +359,7 @@ def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
     x0, conditions = _evaluation_batch(result)
     toggles = [CompensationToggles(*setting) for setting in others for _ in conditions]
     runs = _cached_kernel(result.velocity_field, result.bundle, np.tile(x0, (3, 1)), conditions * 3, toggles)
-    finals = dict(zip(others, _final_drifts(result, runs).reshape(3, -1)))
+    finals = dict(zip(others, _final_drifts(result, [run.final_state for run in runs]).reshape(3, -1)))
     rows: list[dict] = []
     for use_mi, use_di in ABLATION_ORDER:
         mean_final, stderr_final = _mean_stderr(finals.get((use_mi, use_di), result.final_drifts))
@@ -389,7 +392,7 @@ def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]
         else:
             sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
             runs = _cached_kernel(result.velocity_field, sweep_bundle, *_evaluation_batch(result), result.config.toggles)
-            finals = _final_drifts(result, runs)
+            finals = _final_drifts(result, [run.final_state for run in runs])
         rows.append(
             {
                 "tau_k": tau_k,

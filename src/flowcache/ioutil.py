@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import sys
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence, TextIO
 
 from .errors import BundleFormatError
 
@@ -29,8 +29,21 @@ def fmt(value: object) -> str:
     return str(value)
 
 
+def _create(path: str | Path) -> TextIO:
+    """``path`` opened as a new UTF-8 text file with '\\n' line ends; a file already there is unlinked first.
+
+    The bytes are those an overwrite would write. Replacing the file rather
+    than truncating it leaves any other hard link to the old file as it was,
+    and on some file systems a truncating overwrite costs a data flush that a
+    fresh file does not.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -159,6 +159,39 @@ def _reconstruct(
 _BATCH_BYTES = 1 << 20
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite; a finite sum of squares implies it, so the full test runs only if not."""
+    flat = a if a.ndim == 1 else a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
+
+
+def _rebuild(runs: Sequence[tuple], last: int, n: int, h: int) -> None:
+    """Each of the ``(velocities, directions, growth, turn)`` ``runs`` rebuilds the interval (n, h) by ``_walk``'s rule.
+
+    ``last`` is the step of the interval's previous evaluation.
+    """
+    for vel, dirs, growth, turn in runs:
+        # interval opening: the turning anchor comes from the run's most recent
+        # evaluated velocity, which may predate t_{n-1} after a prior skip
+        v_prev = vel[last]
+        vv_prev = float(v_prev.dot(v_prev))
+        if vv_prev == 0.0:
+            anchor = None
+        else:
+            anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
+            tol = _parallel_tol(anchor)
+        for m in range(n, n + h):
+            v_hat = vel[m]
+            u_hat = None
+            vv = 0.0
+            if anchor is not None:
+                vv = float(v_hat.dot(v_hat))
+                if vv != 0.0:
+                    u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
+            if m + 1 < n + h:
+                _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
+
+
 def _walk(
     field: VelocityField,
     grid: TimeGrid,
@@ -166,17 +199,27 @@ def _walk(
     conditions: Sequence[Condition],
     intervals: Sequence[tuple[int, int]],
     factors: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
-) -> Iterator[TrajectoryRecord]:
+    records: bool = True,
+) -> Iterator:
     """Runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
 
-    Every run walks the ``(start, length)`` ``intervals``. The runs go in
-    batches whose block of run arrays fits in ``_BATCH_BYTES`` (at least one
-    run each). A block is one allocation, (b, width, D), a contiguous row of
-    ``width`` vectors per run: the states, the velocities and, for cached
-    runs, the directions. As separate arrays, large runs were faulted in from
-    the OS again on every run under some heap layouts. The block's
-    step-major rows are (b, D), or (D,) for a single run, which the oracle
-    then takes as an unbatched call.
+    Every run walks the ``(start, length)`` ``intervals``. With ``records``,
+    the runs go in batches whose block of run arrays fits in
+    ``_BATCH_BYTES`` (at least one run each), and each run is yielded as a
+    ``TrajectoryRecord``. A block is one allocation, (b, width, D), a
+    contiguous row of ``width`` vectors per run: the states, the velocities
+    and, for cached runs, the directions. As separate arrays, large runs
+    were faulted in from the OS again on every run under some heap
+    layouts. The block's step-major rows are (b, D), or (D,) for a single
+    run, which the oracle then takes as an unbatched call.
+
+    Without ``records`` (full runs only: length-1 intervals, no factors),
+    the walk keeps no record. All B runs ride one batch that holds only the
+    running (B, D) states and the step's (B, D) velocities, whatever B is,
+    and each step is yielded as it ends: ``(velocities, states)``, the
+    step's velocity rows and the states they led to. Both arrays are
+    overwritten by the next step, so a caller keeps what it reads; after the
+    last step, the states are the final ones.
 
     The field is told the walk's interval opening times first
     (``VelocityField.prepare``). Each interval opens with one oracle call
@@ -196,65 +239,65 @@ def _walk(
     an evaluation. A full run is the walk over length-1 intervals without
     factors; its records carry no directions. The Euler updates
     state_{m+1} = state_m - dt_m v_m run on the whole batch. A run that
-    leaves the finite range fails naming its first non-finite state's step;
-    numpy's overflow and invalid-value warnings are silenced while a batch
-    is walked, as that error says more.
+    leaves the finite range fails, once its batch is walked, naming its
+    first non-finite state's step; numpy's overflow and invalid-value
+    warnings are silenced while the walk steps, as that error says more,
+    and not while a caller holds a yielded step.
     """
     n_steps = grid.n_steps
     times, dt = grid.times.tolist(), grid.dt.tolist()
     evaluated = np.zeros(n_steps, dtype=bool)
     evaluated[[n for n, _ in intervals]] = True
     width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
-    size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1]))
+    size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1])) if records else len(conditions)
+    # a record-free walk hands each step to its caller, outside the walk's errstate
+    segments = [intervals] if records else [[interval] for interval in intervals]
     field.prepare([times[n] for n, _ in intervals])
     for first in range(0, len(conditions), size):
         batch = conditions[first : first + size]
-        block = np.empty((len(batch), width, x0.shape[1]))
-        block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
-        steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
-        steps[0] = x0[first : first + size]
-        states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
-        # velocities, directions and factors; a full run's are never read, as its intervals have length 1
-        run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
-        runs = [(run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :], *f) for run, f in zip(block, run_factors)]
-        batch_conditions = batch[0] if len(batch) == 1 else batch
+        if records:
+            block = np.empty((len(batch), width, x0.shape[1]))
+            block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
+            steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
+            steps[0] = x0[first : first + size]
+            states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
+            # velocities, directions and factors; a full run's are never read, as its intervals have length 1
+            run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
+            runs = [
+                (run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :], *f) for run, f in zip(block, run_factors)
+            ]
+        else:
+            # every step's row is the one running (B, D) row of states, or of velocities, written in place
+            states, velocities = (
+                np.lib.stride_tricks.as_strided(rows, (n_steps + 1, *rows.shape), (0, *rows.strides))
+                for rows in (x0.copy(), np.empty_like(x0))
+            )
+            block, runs = (), []
+        batch_conditions = batch if states.ndim == 3 else batch[0]
         last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
-            for n, h in intervals:
-                v = field.evaluate(states[n], times[n], batch_conditions)
-                flat = v if v.ndim == 1 else v.ravel()
-                # a finite sum of squares implies finite entries; the full test runs only if not, e.g. on overflow
-                if not math.isfinite(flat.dot(flat)) and not np.isfinite(v).all():
-                    raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
-                velocities[n] = v
-                for vel, dirs, growth, turn in runs if h > 1 else ():  # a length-1 interval reconstructs nothing
-                    # interval opening: the turning anchor comes from the run's most recent
-                    # evaluated velocity, which may predate t_{n-1} after a prior skip
-                    v_prev = vel[last]
-                    vv_prev = float(v_prev.dot(v_prev))
-                    if vv_prev == 0.0:
-                        anchor = None
-                    else:
-                        anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
-                        tol = _parallel_tol(anchor)
+        bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
+        for segment in segments:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
+                for n, h in segment:
+                    v = field.evaluate(states[n], times[n], batch_conditions)
+                    if not _finite(v):
+                        raise NumericDomainError(
+                            f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
+                        )
+                    velocities[n] = v
+                    if h > 1:  # a length-1 interval reconstructs nothing
+                        _rebuild(runs, last, n, h)
+                    # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
                     for m in range(n, n + h):
-                        v_hat = vel[m]
-                        u_hat = None
-                        vv = 0.0
-                        if anchor is not None:
-                            vv = float(v_hat.dot(v_hat))
-                            if vv != 0.0:
-                                u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
-                        if m + 1 < n + h:
-                            _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
-                # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
-                for m in range(n, n + h):
-                    np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
-                last = n
-        # a non-finite entry persists to the final states
-        if not np.isfinite(states[-1]).all():
-            n = int(np.argmin(np.isfinite(states).reshape(n_steps + 1, -1).all(axis=1)))
-            raise NumericDomainError(f"the trajectory left the finite range at step {n} (t={times[n]})")
+                        np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
+                    last = n
+                end = n + h
+                if bad is None and not _finite(states[end]):
+                    bad = next(m for m in range(segment[0][0] + 1, end + 1) if not _finite(states[m]))
+            if not records:
+                yield velocities[n], states[end]
+        if bad is not None:
+            raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
         for run, (vel, dirs, *_) in zip(block, runs):
             yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, None if factors is None else dirs)
 
@@ -265,10 +308,13 @@ def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition:
 
 
 def _full_kernel(
-    field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition]
-) -> Iterator[TrajectoryRecord]:
-    """Full runs from the checked (B, D) start states ``x0``, one per condition: the walk over length-1 intervals."""
-    return _walk(field, grid, x0, conditions, [(n, 1) for n in range(grid.n_steps)])
+    field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition], records: bool = True
+) -> Iterator:
+    """Full runs from the checked (B, D) start states ``x0``, one per condition: the walk over length-1 intervals.
+
+    With ``records`` it yields each run's record; without, each step's ``(velocities, states)`` rows (``_walk``).
+    """
+    return _walk(field, grid, x0, conditions, [(n, 1) for n in range(grid.n_steps)], records=records)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:

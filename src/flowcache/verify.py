@@ -166,6 +166,10 @@ def suite_bound(cases: int = 100_000, seed: int = 303, audit_path: str | None = 
     )
 
 
+# The exactness suite's condition seeds reach ``seed + 200``, and a condition seed must be below 2**64.
+_MAX_SEED = 2**64 - 201
+
+
 def suite_exactness(seed: int = 404) -> SuiteResult:
     """Cached sampling reproduces full-step runs on the zero-residual fields."""
     failures: list[str] = []
@@ -239,6 +243,8 @@ def run_suite(
         raise InvalidArgumentError(f"--cases must be a positive integer, got {cases}")
     if seed is not None and seed < 0:
         raise InvalidArgumentError(f"--seed must be a non-negative integer, got {seed}")
+    if seed is not None and seed > _MAX_SEED:
+        raise InvalidArgumentError(f"--seed must be an integer from 0 to {_MAX_SEED} (2**64 - 201), got {seed}")
     if cases is not None and name == "exactness":
         raise InvalidArgumentError("--cases does not apply to the exactness suite, which runs 3 fixed checks")
     kwargs: dict = {}

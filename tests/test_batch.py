@@ -23,6 +23,7 @@ from flowcache import (
     NumericDomainError,
     ScheduleBundle,
     VelocityField,
+    calibrate,
     initial_state,
     make_uniform_grid,
     sample_cached,
@@ -34,7 +35,7 @@ from flowcache.diagnostics import ABLATION_ORDER
 from flowcache.fields import _Mixture
 from flowcache.solver import _full_kernel
 
-from test_kernels import KERNEL_FIELDS, _setup
+from test_kernels import KERNEL_FIELDS, _mixture, _setup
 
 
 def _starts(field, seeds):
@@ -189,8 +190,33 @@ class TestBatchedSamplers:
             _assert_same_run(record, sample_cached(field, bundle, start, condition, setting))
 
     def test_budget_holds_one_dim_1024_run_per_batch(self):
-        # a sample-d1024-shaped calibration (100 steps) runs one seed at a time
+        # a sample-d1024-shaped full run's record (100 steps) takes a batch of its own
         assert solver._BATCH_BYTES // (8 * 201 * 1024) == 0
+        # calibration keeps no records, so the budget does not bind it: 16 seeds ride one oracle call per step
+        field = VelocityField(_mixture(1024, 2, 5))
+        calibrate(field, make_uniform_grid(100), [Condition(seed) for seed in range(16)])
+        assert field.evaluations == 100
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_record_free_steps_equal_the_records(self, name, batch):
+        field, grid, _ = _setup(name)
+        x0, conditions = _starts(field, range(100, 100 + batch))
+        starts = x0.copy()
+        records = list(_full_kernel(field, grid, x0, conditions))
+        field.reset_evaluations()
+        steps = 0
+        with np.errstate(over="raise", invalid="warn"):
+            for n, (velocities, states) in enumerate(_full_kernel(field, grid, x0, conditions, records=False)):
+                # the caller's floating-point state holds while it holds a step
+                assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
+                assert velocities.shape == states.shape == (batch, field.dimension)
+                for row, record in enumerate(records):
+                    assert np.array_equal(velocities[row], record.velocities[n])
+                    assert np.array_equal(states[row], record.states[n + 1])
+                steps += 1
+        assert steps == field.evaluations == grid.n_steps
+        assert np.array_equal(x0, starts)  # the walk steps its own copy of the start states
 
 
 def _row_dependent_field(monkeypatch, fault_step=None, grid=None):

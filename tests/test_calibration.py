@@ -11,8 +11,10 @@ import pytest
 from flowcache import (
     BundleFormatError,
     Condition,
+    FieldSpec,
     IndicatorTable,
     InvalidArgumentError,
+    NumericDomainError,
     ScheduleBundle,
     VelocityField,
     build_schedule,
@@ -22,12 +24,14 @@ from flowcache import (
     read_bundle,
     write_bundle,
 )
+from flowcache import calibration
 from flowcache.calibration import bundles_equal, write_indicator_csv
+from flowcache.decomposition import _accel_rows, _decompose_rows
 from flowcache.errors import FieldError
 from flowcache.fields import initial_state
 from flowcache.solver import sample_full
 
-from test_kernels import ref_split
+from test_kernels import KERNEL_FIELDS, _mixture, ref_split
 
 
 BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "k_std", "d_std", "h")
@@ -117,6 +121,101 @@ class TestCalibrate:
         se_d = small.d_std / np.sqrt(small.sample_count)
         assert np.all(np.abs(small.k_tilde - large.k_tilde) < 4.0 * se_k)
         assert np.all(np.abs(small.d_tilde - large.d_tilde) < 4.0 * se_d)
+
+
+def _reference_curves(field, grid, conditions):
+    """``(k_tilde, d_tilde, k_std, d_std)`` from per-seed ``sample_full`` records, each decomposed on its own."""
+    n = grid.n_steps
+    dt = grid.dt[:-1]
+    rows = np.empty((2, len(conditions), max(n - 1, 0)))
+    for i, condition in enumerate(conditions):
+        v = sample_full(field, grid, initial_state(condition, field.dimension), condition).velocities
+        rows[0, i], _, rows[1, i] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
+    curves = np.zeros((4, n))
+    if n > 1:
+        curves[:2, : n - 1] = rows.mean(axis=1)
+        if len(conditions) > 1:
+            curves[2:, : n - 1] = rows.std(axis=1, ddof=1)
+        curves[:, n - 1] = curves[:, n - 2]
+    return curves
+
+
+def _assert_curves(table, curves):
+    for name, want in zip(("k_tilde", "d_tilde", "k_std", "d_std"), curves, strict=True):
+        assert np.array_equal(getattr(table, name), want), name
+
+
+# Steps a test window holds. A window of 4 steps decomposes the pairs of steps
+# 0-3, and its last step opens the next one: 4 and 7 steps fill one and two
+# windows exactly, while 3, 5 and 8 end a step short of or past an edge.
+WINDOW_STEPS = 4
+
+
+class TestStreamedCalibration:
+    """One record-free walk for every seed; its velocity pairs are decomposed window by window."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 7, 8])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_indicators_equal_per_run_decomposition(self, monkeypatch, name, batch, n_steps):
+        field = VelocityField(KERNEL_FIELDS[name][0])
+        monkeypatch.setattr(calibration, "_WINDOW_BYTES", WINDOW_STEPS * 8 * batch * field.dimension)
+        grid = make_uniform_grid(n_steps)
+        conditions = [Condition(seed) for seed in range(500, 500 + batch)]
+        table = calibrate(field, grid, conditions)
+        assert field.evaluations == n_steps  # one oracle call per step for every seed
+        _assert_curves(table, _reference_curves(field, grid, conditions))
+
+    def test_default_window_at_dim_1024(self):
+        # 16 seeds of dim 1024 fill the default window in two steps, so each pass decomposes one pair
+        field = VelocityField(_mixture(1024, 4, 3))
+        conditions = [Condition(seed) for seed in range(600, 616)]
+        assert calibration._WINDOW_BYTES // (8 * len(conditions) * field.dimension) == 2
+        grid = make_uniform_grid(12)
+        table = calibrate(field, grid, conditions)
+        assert field.evaluations == grid.n_steps
+        _assert_curves(table, _reference_curves(field, grid, conditions))
+
+    def test_non_finite_oracle_row_named(self, monkeypatch):
+        # rows right of the origin get a NaN velocity from step 5 on; the others stay finite
+        field = VelocityField(FieldSpec(kind="constant", dimension=2, target=(0.0, 1.0)))
+        grid = make_uniform_grid(10)
+        bad_t = float(grid.times[5])
+
+        def velocity(state, t):
+            return np.where((state[..., :1] > 0.0) & (t <= bad_t), np.nan, 0.0) + np.array([0.0, 1.0])
+
+        monkeypatch.setattr(field, "_velocity", velocity)
+        conditions = [Condition(seed) for seed in range(700, 708)]
+        starts = [initial_state(c, 2) for c in conditions]
+        bad = next(i for i, x in enumerate(starts) if x[0] > 0.0)
+        assert any(x[0] <= 0.0 for x in starts)
+        with pytest.raises(NumericDomainError) as single:
+            sample_full(field, grid, starts[bad], conditions[bad])
+        assert "oracle returned a non-finite velocity at step 5 (" in str(single.value)
+        with pytest.raises(NumericDomainError) as batched:
+            calibrate(field, grid, conditions)
+        assert str(batched.value) == str(single.value)
+
+    def test_overflowing_row_named(self, monkeypatch):
+        # one start far out on the first axis overflows at step 8 of 10, with finite velocities all along
+        field = VelocityField(FieldSpec(kind="constant", dimension=2, target=(-1e308, 0.0)))
+        grid = make_uniform_grid(10)
+        far = Condition(2)
+
+        def start(condition, dimension):
+            return np.array([1e308, 0.0]) if condition == far else initial_state(condition, dimension)
+
+        monkeypatch.setattr(calibration, "initial_state", start)
+        conditions = [Condition(1), far, Condition(3)]
+        with pytest.raises(NumericDomainError) as single:
+            sample_full(field, grid, np.array([1e308, 0.0]), far)
+        assert "the trajectory left the finite range at step 8 (" in str(single.value)
+        # windows of the run's huge velocities are decomposed, and overflow there, before the walk ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericDomainError) as batched:
+                calibrate(field, grid, conditions)
+        assert str(batched.value) == str(single.value)
 
 
 class TestIndicatorTable:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -253,6 +254,19 @@ class TestVerify:
         assert "--seed must be a non-negative integer, got -1" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("suite", ["exactness", "all"])
+    def test_seed_past_the_exactness_range_named(self, capsys, suite):
+        # the exactness suite's condition seeds reach seed + 200, which must stay below 2**64
+        assert main(["verify", "--suite", suite, "--seed", str(2**64 - 200)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"--seed must be an integer from 0 to {2**64 - 201} (2**64 - 201), got {2**64 - 200}" in captured.err
+        assert "evaluation_seeds" not in captured.err
+        assert "PASS" not in captured.out
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["verify", "--suite", "exactness", "--seed", str(2**64 - 201)]) == EXIT_OK
+        assert "PASS exactness: 3 fixed checks" in capsys.readouterr().out
+
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
 
@@ -297,10 +311,10 @@ class TestBench:
         originals = {"_full_kernel": sys.modules["flowcache.solver"]._full_kernel}
         originals["calibrate"] = sys.modules["flowcache.calibration"].calibrate
 
-        def full_kernel(field, grid, x0, conditions):
-            # one entry per trajectory: the grid it runs on and its start state
-            runs.extend((grid.times.tobytes(), row.tobytes()) for row in x0)
-            return originals["_full_kernel"](field, grid, x0, conditions)
+        def full_kernel(field, grid, x0, conditions, records=True):
+            # one entry per trajectory: the grid it runs on, its start state and whether it keeps a record
+            runs.extend((grid.times.tobytes(), row.tobytes(), records) for row in x0)
+            return originals["_full_kernel"](field, grid, x0, conditions, records=records)
 
         def calibrate(*args, **kwargs):
             calibrations.append(1)
@@ -318,7 +332,9 @@ class TestBench:
         assert main(argv + ["--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == EXIT_OK
         # 6 calibration runs, 4 references and 4 truncated runs, none of them run twice
         assert len(runs) == 14
-        assert len(set(runs)) == 14
+        assert len({(times, start) for times, start, _ in runs}) == 14
+        # only the references keep records; calibration and truncation read velocities or final states
+        assert sum(records for *_, records in runs) == 4
         assert len(calibrations) == 1
 
     @pytest.mark.parametrize("taus", ["nan:0.3", "-1:0.3", "x:0.3", "0.3:inf"])
@@ -672,3 +688,19 @@ class TestBundleBoundary:
         assert code == EXIT_CONFIG and named in err.getvalue(), err.getvalue()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err.getvalue()
+
+
+class TestOutputFiles:
+    def test_an_output_hard_linked_to_another_file_leaves_that_file(self, tmp_path):
+        config = _write_config(tmp_path, README_CONFIG)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        out.mkdir()
+        names = ("bundle.json", "curves.csv", "manifest.json")  # write_bundle, write_csv and the manifest
+        for name in names:
+            (tmp_path / f"other-{name}").write_text("kept\n")
+            os.link(tmp_path / f"other-{name}", out / name)
+        assert main(["calibrate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert main(["calibrate", "--config", str(config), "--out", str(fresh)]) == EXIT_OK
+        for name in names:
+            assert (tmp_path / f"other-{name}").read_text() == "kept\n", name
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
