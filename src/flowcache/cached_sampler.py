@@ -68,13 +68,15 @@ def _cached_kernel(
     x0: np.ndarray,
     conditions: Sequence[Condition],
     toggles: CompensationToggles | Sequence[CompensationToggles],
-) -> Iterator[TrajectoryRecord]:
+    records: bool = True,
+) -> Iterator:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
     The bundle's schedule is shared, so every run anchors on the same steps.
     ``toggles`` is one setting for all runs or one per run. The indicators,
     finite by ``IndicatorTable``'s rule, become the walk's per-step
     reconstruction factors, with a disabled correction's factor neutral.
+    With ``records`` it yields each run's record; without, each step's ``(velocities, states)`` rows (``_walk``).
     """
     grid = bundle.grid
     n_steps = grid.n_steps
@@ -82,4 +84,4 @@ def _cached_kernel(
     if isinstance(toggles, CompensationToggles):
         toggles = [toggles] * len(conditions)
     factors = [(growth if t.use_mi else [1.0] * n_steps, turn if t.use_di else [0.0] * n_steps) for t in toggles]
-    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors)
+    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors, records)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,6 +220,9 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
 
+    digest = _json_value(data, "field_digest", "str")
+    if not re.fullmatch("[0-9a-f]{64}", digest):  # a sha256 hex digest, the form ``field_digest`` writes
+        raise BundleFormatError("field_digest", f"expected 64 lowercase hex characters, got {digest!r}")
     times = _column(data, "times", n + 1)
     columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
     for i, h in enumerate(columns["h"]):
@@ -242,7 +246,7 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
             tau_k=_json_value(data, "tau_k", "float"),
             tau_d=_json_value(data, "tau_d", "float"),
             h_max=_json_value(data, "h_max", "int"),
-            field_digest=_json_value(data, "field_digest", "str"),
+            field_digest=digest,
             seeds=_json_value(data, "seeds", "ints"),
             created_by=_json_value(data, "created_by", "str"),
         )

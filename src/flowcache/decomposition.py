@@ -26,22 +26,35 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _decompose_rows(v: np.ndarray, accel: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each ``accel`` row along its ``v`` row, as ``(k, r_perp, d)``; ``r_perp`` overwrites ``accel``.
+    """Split each ``accel`` row along its ``v`` row, as ``(k, r_perp, d)``.
 
     ``v`` and ``accel`` are (n, D) and ``dt`` is (n,). Per row,
     ``k = accel.v / v.v``, ``r_perp = accel - k v`` and
     ``d = |r_perp| dt / |v|``. A zero-velocity row gives ``k = d = 0`` and a
-    zero ``r_perp``.
+    zero ``r_perp``. A finite row whose dot products overflow is split again
+    scaled by a power of two, which changes no bit of its ``k`` and ``d``
+    unless a scaled entry underflows; the other rows never see the scaling.
     """
-    vv = _row_dots(v, v)
-    zero = vv == 0.0
-    vv[zero] = 1.0
-    k = _row_dots(accel, v)
-    k /= vv
-    k[zero] = 0.0
-    r_perp = np.subtract(accel, k[:, None] * v, out=accel)
-    r_perp[zero] = 0.0
-    d = np.sqrt(_row_dots(r_perp, r_perp))
-    d *= dt
-    d /= np.sqrt(vv)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is split again below
+        vv = _row_dots(v, v)
+        zero = vv == 0.0
+        vv[zero] = 1.0
+        k = _row_dots(accel, v)
+        k /= vv
+        k[zero] = 0.0
+        r_perp = k[:, None] * v
+        np.subtract(accel, r_perp, out=r_perp)
+        r_perp[zero] = 0.0
+        rr = _row_dots(r_perp, r_perp)
+        d = np.sqrt(rr)
+        d *= dt
+        d /= np.sqrt(vv)
+    redo = np.flatnonzero(~np.isfinite(vv + rr))
+    if redo.size:
+        top = np.maximum(np.abs(v[redo]).max(axis=1), np.abs(accel[redo]).max(axis=1))
+        redo, top = redo[np.isfinite(top)], top[np.isfinite(top)]  # a row with a non-finite entry stays as it is
+        e = np.frexp(top)[1][:, None]  # scaled by 2**-e, a row's largest entry lies in [0.5, 1): no product overflows
+        with np.errstate(under="ignore"):
+            k[redo], r_scaled, d[redo] = _decompose_rows(np.ldexp(v[redo], -e), np.ldexp(accel[redo], -e), dt[redo])
+        r_perp[redo] = np.ldexp(r_scaled, e)
     return k, r_perp, d

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -327,9 +327,15 @@ def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: C
     return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
 
 
-def _final_drifts(result: ExperimentResult, final: Iterable[np.ndarray]) -> np.ndarray:
-    """Terminal drift of ``final`` states cycling through the evaluation seeds, bit for bit ``final_state_drift``."""
-    final = np.array(final)
+def _final_drifts(result: ExperimentResult, steps: Iterator) -> np.ndarray:
+    """Terminal drift of a record-free walk's final states, rows cycling through the evaluation seeds.
+
+    The final states are all the follow-ups read, so their walks keep no
+    record; the last step leaves them. Each drift is bit for bit
+    ``final_state_drift``.
+    """
+    for _, final in steps:
+        pass
     reference = np.tile([full.final_state for full in result.references], (len(final) // len(result.references), 1))
     return _relative_norms(final - reference, reference)[0]  # compare_trajectories' arithmetic, on the final rows
 
@@ -338,11 +344,8 @@ def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
     if n_truncated < 1:
         raise InvalidArgumentError("truncated step count must be positive")
-    # the final states are all this reads, so the walk keeps no record; its last step leaves them
     grid = make_uniform_grid(n_truncated)
-    for _, final in _full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False):
-        pass
-    return _final_drifts(result, final)
+    return _final_drifts(result, _full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False))
 
 
 # (use_mi, use_di) rows of the toggle ablation, schedule-only baseline first.
@@ -358,8 +361,10 @@ def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
     others = [setting for setting in ABLATION_ORDER if setting != (result.config.use_mi, result.config.use_di)]
     x0, conditions = _evaluation_batch(result)
     toggles = [CompensationToggles(*setting) for setting in others for _ in conditions]
-    runs = _cached_kernel(result.velocity_field, result.bundle, np.tile(x0, (3, 1)), conditions * 3, toggles)
-    finals = dict(zip(others, _final_drifts(result, [run.final_state for run in runs]).reshape(3, -1)))
+    steps = _cached_kernel(
+        result.velocity_field, result.bundle, np.tile(x0, (3, 1)), conditions * 3, toggles, records=False
+    )
+    finals = dict(zip(others, _final_drifts(result, steps).reshape(3, -1)))
     rows: list[dict] = []
     for use_mi, use_di in ABLATION_ORDER:
         mean_final, stderr_final = _mean_stderr(finals.get((use_mi, use_di), result.final_drifts))
@@ -391,8 +396,10 @@ def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]
             finals = result.final_drifts
         else:
             sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
-            runs = _cached_kernel(result.velocity_field, sweep_bundle, *_evaluation_batch(result), result.config.toggles)
-            finals = _final_drifts(result, [run.final_state for run in runs])
+            steps = _cached_kernel(
+                result.velocity_field, sweep_bundle, *_evaluation_batch(result), result.config.toggles, records=False
+            )
+            finals = _final_drifts(result, steps)
         rows.append(
             {
                 "tau_k": tau_k,

@@ -117,43 +117,6 @@ def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
 # Residual-norm fraction below which a direction anchor counts as parallel.
 EPS_DIR = 1e-12
 
-
-def _project_off(a: np.ndarray, v: np.ndarray, vv: float) -> np.ndarray:
-    """``a`` minus its projection on ``v``, given ``vv = v @ v`` (nonzero)."""
-    return a - (float(a.dot(v)) / vv) * v
-
-
-def _parallel_tol(anchor: np.ndarray) -> float:
-    """Residual norm below which ``anchor`` counts as parallel to a velocity."""
-    return EPS_DIR * math.sqrt(anchor.dot(anchor))
-
-
-def _unit_residual(
-    anchor: np.ndarray, v_hat: np.ndarray, vv: float, tol: float, out: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Unit ``anchor`` residual off ``v_hat`` (written into ``out``), or None where it is degenerate."""
-    residual = _project_off(anchor, v_hat, vv)
-    norm = math.sqrt(residual.dot(residual))
-    if norm == 0.0 or norm < tol:
-        return None
-    return np.divide(residual, norm, out=out)
-
-
-def _reconstruct(
-    v_hat: np.ndarray,
-    growth: float,
-    d_t: float,
-    v_norm: float,
-    u_perp: np.ndarray | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``growth * v_hat + d_t * v_norm * u_perp``, without the turning term where ``u_perp`` is None or ``d_t`` is 0."""
-    out = np.multiply(growth, v_hat, out=out)
-    if u_perp is not None and d_t != 0.0:
-        out += d_t * v_norm * u_perp
-    return out
-
-
 # Most bytes one batch's block of run arrays takes. A larger set of runs goes
 # in consecutive batches, so memory stays bounded whatever the seed count.
 _BATCH_BYTES = 1 << 20
@@ -165,33 +128,6 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
-def _rebuild(runs: Sequence[tuple], last: int, n: int, h: int) -> None:
-    """Each of the ``(velocities, directions, growth, turn)`` ``runs`` rebuilds the interval (n, h) by ``_walk``'s rule.
-
-    ``last`` is the step of the interval's previous evaluation.
-    """
-    for vel, dirs, growth, turn in runs:
-        # interval opening: the turning anchor comes from the run's most recent
-        # evaluated velocity, which may predate t_{n-1} after a prior skip
-        v_prev = vel[last]
-        vv_prev = float(v_prev.dot(v_prev))
-        if vv_prev == 0.0:
-            anchor = None
-        else:
-            anchor = _project_off(vel[n] - v_prev, v_prev, vv_prev)
-            tol = _parallel_tol(anchor)
-        for m in range(n, n + h):
-            v_hat = vel[m]
-            u_hat = None
-            vv = 0.0
-            if anchor is not None:
-                vv = float(v_hat.dot(v_hat))
-                if vv != 0.0:
-                    u_hat = _unit_residual(anchor, v_hat, vv, tol, out=dirs[m])
-            if m + 1 < n + h:
-                _reconstruct(v_hat, growth[m], turn[m], math.sqrt(vv), u_hat, out=vel[m + 1])
-
-
 def _walk(
     field: VelocityField,
     grid: TimeGrid,
@@ -201,105 +137,116 @@ def _walk(
     factors: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
     records: bool = True,
 ) -> Iterator:
-    """Runs from the checked (B, D) start states ``x0``, one per condition, yielded in order.
+    """Runs from the checked (B, D) start states ``x0``, one per condition, over the ``(start, length)`` ``intervals``.
 
-    Every run walks the ``(start, length)`` ``intervals``. With ``records``,
-    the runs go in batches whose block of run arrays fits in
-    ``_BATCH_BYTES`` (at least one run each), and each run is yielded as a
-    ``TrajectoryRecord``. A block is one allocation, (b, width, D), a
-    contiguous row of ``width`` vectors per run: the states, the velocities
-    and, for cached runs, the directions. As separate arrays, large runs
-    were faulted in from the OS again on every run under some heap
-    layouts. The block's step-major rows are (b, D), or (D,) for a single
-    run, which the oracle then takes as an unbatched call.
+    With ``records``, runs go in batches whose one (b, width, D) block of run
+    arrays (states, velocities and, for cached runs, directions) fits in
+    ``_BATCH_BYTES``, and each run is yielded as a ``TrajectoryRecord``.
+    Without, all runs ride one batch holding one running (B, D) row each of
+    states, velocities and directions, and each step is yielded as it ends:
+    ``(velocities, states)``, overwritten by the next step.
 
-    Without ``records`` (full runs only: length-1 intervals, no factors),
-    the walk keeps no record. All B runs ride one batch that holds only the
-    running (B, D) states and the step's (B, D) velocities, whatever B is,
-    and each step is yielded as it ends: ``(velocities, states)``, the
-    step's velocity rows and the states they led to. Both arrays are
-    overwritten by the next step, so a caller keeps what it reads; after the
-    last step, the states are the final ones.
-
-    The field is told the walk's interval opening times first
-    (``VelocityField.prepare``). Each interval opens with one oracle call
-    per batch, its output checked once. With its own per-step ``factors``
-    ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), indexed by absolute
-    run, each run then rebuilds the interval's skipped velocities. An
-    interval opening at step n takes the turning anchor
-    p = (v_n - v_p) - ((v_n - v_p).v_p / v_p.v_p) v_p from the run's previous
-    evaluated velocity v_p, and has none where v_p = 0. At each step m of the
-    interval, ``directions[m]`` is u_hat, the residual of p off the velocity
-    v_m divided by its norm; the row stays NaN where the direction is
-    degenerate: no anchor, v_m = 0, or a residual norm of 0 or below
-    ``EPS_DIR`` |p|. The next velocity is
-    v_{m+1} = growth_m v_m + turn_m |v_m| u_hat, without the turning term
-    where u_hat is degenerate or turn_m = 0. The reconstruction after an
-    interval's last step is not computed, since the next interval opens with
-    an evaluation. A full run is the walk over length-1 intervals without
-    factors; its records carry no directions. The Euler updates
-    state_{m+1} = state_m - dt_m v_m run on the whole batch. A run that
-    leaves the finite range fails, once its batch is walked, naming its
-    first non-finite state's step; numpy's overflow and invalid-value
-    warnings are silenced while the walk steps, as that error says more,
-    and not while a caller holds a yielded step.
+    Each interval opens with one oracle call per batch, its output checked
+    once (step 0 always opens a length-1 interval). With per-run ``factors``
+    ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), a longer interval
+    opening at n takes each run's turning anchor p, the residual of
+    v_n - v_p off the run's previous evaluated velocity v_p (none where
+    v_p = 0). Each step m then runs, in order: each run's direction u_m, the
+    unit residual of p off v_m, degenerate (its ``directions`` row stays
+    NaN) where there is no p, v_m = 0, or the residual norm is 0 or below
+    ``EPS_DIR`` |p|; the batch's Euler step state_{m+1} = state_m - dt_m v_m;
+    and, inside the interval, each run's
+    v_{m+1} = growth_m v_m + turn_m |v_m| u_m, without the turning term where
+    u_m is degenerate or turn_m = 0. A run that leaves the finite range
+    fails once its batch is walked, naming its first non-finite state's
+    step; a record-free walk checks its state row at interval ends and names
+    that end. numpy's overflow and invalid-value warnings are silenced while
+    the walk steps, and not while a caller holds a yielded step.
     """
-    n_steps = grid.n_steps
+    n_steps, dim = grid.n_steps, x0.shape[1]
     times, dt = grid.times.tolist(), grid.dt.tolist()
     evaluated = np.zeros(n_steps, dtype=bool)
     evaluated[[n for n, _ in intervals]] = True
     width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
-    size = max(1, _BATCH_BYTES // (8 * width * x0.shape[1])) if records else len(conditions)
-    # a record-free walk hands each step to its caller, outside the walk's errstate
-    segments = [intervals] if records else [[interval] for interval in intervals]
+    size = max(1, _BATCH_BYTES // (8 * width * dim)) if records else len(conditions)
+    # (n, h, steps): an interval and the steps of it a segment walks; all of them, or one step where the walk hands
+    # each step to its caller, outside the walk's errstate
+    segments = (
+        [[(n, h, range(n, n + h)) for n, h in intervals]]
+        if records
+        else [[(n, h, range(m, m + 1))] for n, h in intervals for m in range(n, n + h)]
+    )
     field.prepare([times[n] for n, _ in intervals])
     for first in range(0, len(conditions), size):
         batch = conditions[first : first + size]
         if records:
-            block = np.empty((len(batch), width, x0.shape[1]))
+            # one allocation: as separate arrays, large runs were faulted in again on every run under some heap layouts
+            block = np.empty((len(batch), width, dim))
             block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
-            steps = block[0] if len(batch) == 1 else block.swapaxes(0, 1)
-            steps[0] = x0[first : first + size]
-            states, velocities = steps[: n_steps + 1], steps[n_steps + 1 : 2 * n_steps + 1]
-            # velocities, directions and factors; a full run's are never read, as its intervals have length 1
-            run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
-            runs = [
-                (run[n_steps + 1 : 2 * n_steps + 1], run[2 * n_steps + 1 :], *f) for run, f in zip(block, run_factors)
-            ]
+            states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1], axis=1)
         else:
-            # every step's row is the one running (B, D) row of states, or of velocities, written in place
-            states, velocities = (
-                np.lib.stride_tricks.as_strided(rows, (n_steps + 1, *rows.shape), (0, *rows.strides))
-                for rows in (x0.copy(), np.empty_like(x0))
+            # every step of a run indexes the one running row of its states, of its velocities, of its directions
+            states, velocities, directions = (
+                np.lib.stride_tricks.as_strided(rows, (len(batch), n_steps + 1, dim), (8 * dim, 0, 8))
+                for rows in np.empty((3, len(batch), dim))
             )
-            block, runs = (), []
-        batch_conditions = batch if states.ndim == 3 else batch[0]
-        last = -1  # step of the most recent evaluation; step 0 always opens a length-1 interval
+        # step-major rows: (b, D), or (D,) for a single run's record, which the oracle takes as an unbatched call
+        S, V = (a[0] if records and len(batch) == 1 else a.swapaxes(0, 1) for a in (states, velocities))
+        S[0] = x0[first : first + size]
+        batch_conditions = batch if S.ndim == 3 else batch[0]
+        run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
+        runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, run_factors)]
         bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
         for segment in segments:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
-                for n, h in segment:
-                    v = field.evaluate(states[n], times[n], batch_conditions)
-                    if not _finite(v):
-                        raise NumericDomainError(
-                            f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
-                        )
-                    velocities[n] = v
-                    if h > 1:  # a length-1 interval reconstructs nothing
-                        _rebuild(runs, last, n, h)
-                    # the reconstruction reads no state, so the interval's Euler steps run after it, over the batch
-                    for m in range(n, n + h):
-                        np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
-                    last = n
-                end = n + h
-                if bad is None and not _finite(states[end]):
-                    bad = next(m for m in range(segment[0][0] + 1, end + 1) if not _finite(states[m]))
+                for n, h, steps in segment:
+                    if steps.start == n:
+                        v = field.evaluate(S[n], times[n], batch_conditions)
+                        if not _finite(v):
+                            raise NumericDomainError(
+                                f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
+                            )
+                        V[n] = v
+                        if h > 1:
+                            # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
+                            live = []
+                            for run, v_p, v_n in zip(runs, last.reshape(len(batch), -1), v.reshape(len(batch), -1)):
+                                pp = float(v_p.dot(v_p))
+                                a, tol = None, 0.0
+                                if pp != 0.0:
+                                    a = v_n - v_p
+                                    a -= (float(a.dot(v_p)) / pp) * v_p
+                                    tol = EPS_DIR * math.sqrt(a.dot(a))
+                                live.append([*run, a, tol, None, 0.0])
+                        last = v
+                    for m in steps:
+                        if h > 1:
+                            for st in live:
+                                vel, dirs, growth, turn, p, tol, u, norm = st
+                                v_m = vel[m]
+                                if m > n:  # v_m rebuilt from v_{m-1} and its direction
+                                    np.multiply(growth[m - 1], vel[m - 1], out=v_m)
+                                    if u is not None and turn[m - 1] != 0.0:
+                                        v_m += turn[m - 1] * norm * u
+                                u, vv = None, 0.0
+                                if p is not None:
+                                    vv = float(v_m.dot(v_m))
+                                    if vv != 0.0:
+                                        r = p - (float(p.dot(v_m)) / vv) * v_m
+                                        r_norm = math.sqrt(r.dot(r))
+                                        if not (r_norm == 0.0 or r_norm < tol):
+                                            u = np.divide(r, r_norm, out=dirs[m])
+                                st[6], st[7] = u, math.sqrt(vv)
+                        np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
+                if bad is None and m == n + h - 1 and not _finite(S[m + 1]):
+                    bad = next(k for k in range(segment[0][2].start + 1, m + 2) if not _finite(S[k]))
             if not records:
-                yield velocities[n], states[end]
+                yield V[m], S[m + 1]
         if bad is not None:
             raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
-        for run, (vel, dirs, *_) in zip(block, runs):
-            yield TrajectoryRecord(grid, run[: n_steps + 1], vel, evaluated, None if factors is None else dirs)
+        if records:
+            for run, (vel, dirs, *_) in zip(states, runs):
+                yield TrajectoryRecord(grid, run, vel, evaluated, None if factors is None else dirs)
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:

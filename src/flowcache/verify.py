@@ -86,7 +86,7 @@ def suite_povd(cases: int = 10_000, seed: int = 101) -> SuiteResult:
     failures: list[str] = []
     for start in range(0, cases, _POVD_BLOCK):
         v, a, dt = _povd_rows(rng, min(_POVD_BLOCK, cases - start))
-        k, r_perp, d = _decompose_rows(v, a.copy(), dt)
+        k, r_perp, d = _decompose_rows(v, a, dt)
 
         r_norm = np.linalg.norm(r_perp, axis=1)
         v_norm = np.linalg.norm(v, axis=1)

@@ -7,6 +7,7 @@ criterion with the measured numbers.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 
@@ -216,7 +217,7 @@ def test_criterion_09_bundle_round_trip(tmp_path):
             tau_k=tau_k,
             tau_d=tau_d,
             h_max=h_max,
-            field_digest=f"digest-{case}",
+            field_digest=hashlib.sha256(f"digest-{case}".encode()).hexdigest(),  # the form read_bundle accepts
             seeds=tuple(int(s) for s in rng.integers(0, 2**63, size=3)),
         )
         path = tmp_path / f"bundle_{case}.json"

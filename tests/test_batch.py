@@ -202,21 +202,38 @@ class TestBatchedSamplers:
     def test_record_free_steps_equal_the_records(self, name, batch):
         field, grid, _ = _setup(name)
         x0, conditions = _starts(field, range(100, 100 + batch))
-        starts = x0.copy()
         records = list(_full_kernel(field, grid, x0, conditions))
         field.reset_evaluations()
-        steps = 0
-        with np.errstate(over="raise", invalid="warn"):
-            for n, (velocities, states) in enumerate(_full_kernel(field, grid, x0, conditions, records=False)):
-                # the caller's floating-point state holds while it holds a step
-                assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
-                assert velocities.shape == states.shape == (batch, field.dimension)
-                for row, record in enumerate(records):
-                    assert np.array_equal(velocities[row], record.velocities[n])
-                    assert np.array_equal(states[row], record.states[n + 1])
-                steps += 1
-        assert steps == field.evaluations == grid.n_steps
-        assert np.array_equal(x0, starts)  # the walk steps its own copy of the start states
+        _assert_steps_equal_the_records(_full_kernel(field, grid, x0, conditions, records=False), records, x0)
+        assert field.evaluations == grid.n_steps
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("toggles", ABLATION_ORDER, ids=lambda t: f"mi{int(t[0])}-di{int(t[1])}")
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_record_free_cached_steps_equal_the_records(self, name, toggles, batch):
+        field, _, bundle = _setup(name)
+        toggles = CompensationToggles(*toggles)
+        x0, conditions = _starts(field, range(100, 100 + batch))
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
+        field.reset_evaluations()
+        _assert_steps_equal_the_records(_cached_kernel(field, bundle, x0, conditions, toggles, False), records, x0)
+        assert field.evaluations == records[0].nfe < bundle.grid.n_steps  # one oracle call per anchor
+
+
+def _assert_steps_equal_the_records(steps, records, x0):
+    """Each step a record-free walk yields holds every run's velocity and next state, bit for bit its record's."""
+    starts = x0.copy()
+    n = -1
+    with np.errstate(over="raise", invalid="warn"):
+        for n, (velocities, states) in enumerate(steps):
+            # the caller's floating-point state holds while it holds a step
+            assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
+            assert velocities.shape == states.shape == x0.shape
+            for row, record in enumerate(records):
+                assert np.array_equal(velocities[row], record.velocities[n])
+                assert np.array_equal(states[row], record.states[n + 1])
+    assert n + 1 == records[0].grid.n_steps
+    assert np.array_equal(x0, starts)  # the walk steps its own copy of the start states
 
 
 def _row_dependent_field(monkeypatch, fault_step=None, grid=None):
@@ -262,18 +279,19 @@ class TestMixedRows:
         assert not recorded[0].any() and not recorded[2].any()  # degenerate: all-NaN rows
         assert recorded[1].any()  # turning
 
-    @pytest.mark.parametrize("kernel", ["full", "cached"])
+    @pytest.mark.parametrize("kernel", ["full", "cached", "cached-record-free"])
     def test_non_finite_row_names_the_step(self, monkeypatch, kernel):
         bundle = _skipping_bundle()
         field = _row_dependent_field(monkeypatch, fault_step=5, grid=bundle.grid)
         x0 = np.array([[0.0, 0.0], [1000.0, 0.0]])
         conditions = [Condition(1), Condition(2)]
-        with pytest.raises(NumericDomainError, match=r"at step 5 \("):
+        with pytest.raises(NumericDomainError, match=r"at step 5 \(") as batched:
             if kernel == "full":
                 list(_full_kernel(field, bundle.grid, x0, conditions))
             else:
-                list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles()))
-        # the same fault on its own row, and none on the other
-        with pytest.raises(NumericDomainError, match=r"at step 5 \("):
+                list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles(), kernel == "cached"))
+        # the same fault, and message, on its own row, and none on the other
+        with pytest.raises(NumericDomainError) as single:
             sample_full(field, bundle.grid, x0[1], conditions[1])
+        assert str(batched.value) == str(single.value)
         sample_full(field, bundle.grid, x0[0], conditions[0])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -211,11 +212,33 @@ class TestStreamedCalibration:
         with pytest.raises(NumericDomainError) as single:
             sample_full(field, grid, np.array([1e308, 0.0]), far)
         assert "the trajectory left the finite range at step 8 (" in str(single.value)
-        # windows of the run's huge velocities are decomposed, and overflow there, before the walk ends
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericDomainError) as batched:
-                calibrate(field, grid, conditions)
+        # windows of the run's huge velocities are decomposed before the walk ends, with no warning and no
+        # floating-point error, whatever the caller's floating-point state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                with pytest.raises(NumericDomainError) as batched:
+                    calibrate(field, grid, conditions)
         assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("target, tolerance", [(2.0**600, 0.0), (1e200, 1e-12)], ids=["2**600", "1e200"])
+    def test_huge_speeds_calibrate_as_unit_speed(self, target, tolerance):
+        # k and d are scale-invariant; v.v overflows past about 1.3e154, and the overflowing rows are split
+        # again scaled by a power of two, so a power-of-two speed changes no bit
+        grid = make_uniform_grid(10)
+        conditions = [Condition(seed) for seed in (1, 2, 3)]
+
+        def table(speed):
+            spec = FieldSpec(kind="rotation", dimension=2, target=(speed, 0.0), rate=2.0, plane=(0, 1))
+            return calibrate(VelocityField(spec), grid, conditions)
+
+        unit = table(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                huge = table(target)
+        for name in ("k_tilde", "d_tilde", "k_std", "d_std"):
+            np.testing.assert_allclose(getattr(huge, name), getattr(unit, name), rtol=0.0, atol=tolerance)
 
 
 class TestIndicatorTable:
@@ -344,6 +367,16 @@ class TestBundleRoundTrip:
         del data["tau_k"]
         path.write_text(json.dumps(data))
         with pytest.raises(BundleFormatError, match="tau_k"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("bad", ["stub", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "g", "0" * 64 + "\n"])
+    def test_field_digest_form_named(self, tmp_path, gmm_spec, bad):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data["field_digest"] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match="^field_digest: expected 64 lowercase hex characters"):
             read_bundle(path)
 
     def test_floats_preserved_exactly(self, tmp_path, gmm_spec):

@@ -690,6 +690,20 @@ class TestBundleBoundary:
         assert "RuntimeWarning" not in err.getvalue()
 
 
+    def test_a_malformed_field_digest_is_named(self, tmp_path, boundary_bundle):
+        # curves has no field to compare the digest with, so read_bundle checks its form
+        config, valid = boundary_bundle
+        bundle = _write_config(tmp_path, dict(valid, field_digest="stub"), name="bundle.json")
+        for argv in (
+            ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)],
+            ["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == EXIT_CONFIG and "field_digest: expected 64 lowercase hex characters" in err.getvalue()
+
+
 class TestOutputFiles:
     def test_an_output_hard_linked_to_another_file_leaves_that_file(self, tmp_path):
         config = _write_config(tmp_path, README_CONFIG)

@@ -277,6 +277,28 @@ class TestFloatingPointState:
             with pytest.raises(NumericDomainError, match=r"at step \d+ \(t="):
                 sample_cached(field, huge, initial_state(condition, field.dimension), condition)
 
+    def test_a_record_free_walk_names_the_end_of_the_interval(self):
+        # the records walk searches back to the first non-finite state; a record-free walk holds one state row,
+        # checked at each interval's end, so it names the end of the interval in which the state left the range.
+        # The rotation oracle ignores the state, so no non-finite oracle output at the next anchor comes first
+        field, grid, bundle = _setup("rotation")
+        n, h = max(skip_intervals(bundle.schedule, grid.n_steps), key=lambda interval: interval[1])
+        assert h > 2
+        d_tilde = bundle.indicators.d_tilde.copy()
+        d_tilde[n] = 1e308  # the rebuilt velocities after step n overflow within a few steps
+        huge = replace(bundle, indicators=replace(bundle.indicators, d_tilde=d_tilde))
+        conditions = [Condition(100), Condition(101)]
+        x0 = np.array([initial_state(c, field.dimension) for c in conditions])
+        named = []
+        for records in (True, False):
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(NumericDomainError, match=r"at step \d+ \(t=") as caught:
+                    for _ in _cached_kernel(field, huge, x0, conditions, CompensationToggles(), records):
+                        pass
+            named.append(int(str(caught.value).split("at step ")[1].split(" ")[0]))
+        first, end = named
+        assert n < first < end == n + h
+
     def test_the_callers_state_holds_between_batches(self, monkeypatch):
         field, grid, _ = _setup("mixture-d3")
         monkeypatch.setattr(solver, "_BATCH_BYTES", 8 * (2 * grid.n_steps + 1) * field.dimension)  # one run per batch
@@ -309,3 +331,22 @@ class TestDecomposeRows:
             assert k[i] == ref_k
             assert d[i] == ref_d
             assert np.array_equal(r_perp[i], ref_r_perp)
+
+    def test_overflowing_rows_split_exactly_and_alone(self):
+        rng = np.random.default_rng(5)
+        v, accel, dt = rng.standard_normal((6, 8)), rng.standard_normal((6, 8)), rng.uniform(0.01, 1.0, size=6)
+        k0, r0, d0 = _decompose_rows(v, accel, dt)
+        big_v, big_a = v.copy(), accel.copy()
+        big_v[1] *= 2.0**600  # v.v overflows: the split is the unscaled row's, r_perp scaled with the row
+        big_a[1] *= 2.0**600
+        big_v[2] *= 2.0**560  # accel 2**40 times larger than v, relative to row 2: k and d scale by 2**40
+        big_a[2] *= 2.0**600
+        big_v[3, 0] = np.inf  # a non-finite entry is not rescaled
+        with np.errstate(all="raise"):
+            k, r_perp, d = _decompose_rows(big_v, big_a, dt)
+        for i in (0, 4, 5):  # the ordinary rows keep their bits
+            assert k[i] == k0[i] and d[i] == d0[i] and np.array_equal(r_perp[i], r0[i])
+        assert k[1] == k0[1] and d[1] == d0[1] and np.array_equal(r_perp[1], r0[1] * 2.0**600)
+        assert k[2] == k0[2] * 2.0**40 and d[2] == d0[2] * 2.0**40 and np.array_equal(r_perp[2], r0[2] * 2.0**600)
+        assert not (math.isfinite(k[3]) and math.isfinite(d[3]))
+        assert np.array_equal(big_a[1], accel[1] * 2.0**600)  # accel is left as it was
