@@ -76,7 +76,8 @@ def _cached_kernel(
     ``toggles`` is one setting for all runs or one per run. The indicators,
     finite by ``IndicatorTable``'s rule, become the walk's per-step
     reconstruction factors, with a disabled correction's factor neutral.
-    With ``records`` it yields each run's record; without, each step's ``(velocities, states)`` rows (``_walk``).
+    With ``records`` it yields each run's record; without, the ``(velocities, states)`` rows of each skip
+    interval's last step (``_walk``).
     """
     grid = bundle.grid
     n_steps = grid.n_steps

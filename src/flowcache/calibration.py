@@ -208,7 +208,7 @@ def _column(data: dict, key: str, length: int) -> list:
 def read_bundle(path: str | Path) -> ScheduleBundle:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleFormatError("document", f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BundleFormatError("document", "expected a JSON object")

@@ -51,7 +51,10 @@ SUBCOMMAND_KEYS = ("mode", "truncate_to", "bundle", "ablation", "sweep_taus")
 
 
 def _load_config_dict(path: str) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(data, dict) and "config" in data and "subcommand" in data:
         # a manifest was passed; reuse its resolved config
         data = data["config"]
@@ -333,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FlowCacheError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FlowCacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -47,9 +47,6 @@ class DriftReport:
     evaluated_vel_drift_mean: float
     cos_theta: np.ndarray
     cos_theta_steps: tuple[int, ...]
-    cos_theta_mean: float
-    cos_theta_positive_fraction: float
-    cos_theta_p90: float
     degenerate_direction_count: int
 
 
@@ -115,12 +112,6 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     eval_mean = float(velocity_drift[eval_mask].mean()) if eval_mask.any() else math.nan
 
     cos_arr, cos_steps, degenerate = _cos_theta(full, cached)
-    if cos_arr.size:
-        cos_mean = float(cos_arr.mean())
-        cos_pos = float((cos_arr > 0).mean())
-        cos_p90 = float(np.percentile(cos_arr, 90))
-    else:
-        cos_mean = cos_pos = cos_p90 = math.nan
 
     return DriftReport(
         state_drift=state_drift,
@@ -132,9 +123,6 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
         evaluated_vel_drift_mean=eval_mean,
         cos_theta=cos_arr,
         cos_theta_steps=tuple(cos_steps.tolist()),
-        cos_theta_mean=cos_mean,
-        cos_theta_positive_fraction=cos_pos,
-        cos_theta_p90=cos_p90,
         degenerate_direction_count=degenerate,
     )
 

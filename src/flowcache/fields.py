@@ -51,13 +51,11 @@ _WEIGHT_SUM_TOL = 1e-12
 class Condition:
     """Conditioning information for one sample.
 
-    The seed drives the per-sample noise initialization; ``params`` is a flat
-    list of real hooks reserved for conditional field variants. Identical
-    (seed, params) pairs produce bitwise-identical behavior everywhere.
+    The seed drives the per-sample noise initialization; identical seeds
+    produce bitwise-identical behavior everywhere.
     """
 
     seed: int
-    params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:

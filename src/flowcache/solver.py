@@ -143,8 +143,8 @@ def _walk(
     arrays (states, velocities and, for cached runs, directions) fits in
     ``_BATCH_BYTES``, and each run is yielded as a ``TrajectoryRecord``.
     Without, all runs ride one batch holding one running (B, D) row each of
-    states, velocities and directions, and each step is yielded as it ends:
-    ``(velocities, states)``, overwritten by the next step.
+    states, velocities and directions, and each interval's last step is
+    yielded as ``(velocities, states)``, overwritten by the next interval.
 
     Each interval opens with one oracle call per batch, its output checked
     once (step 0 always opens a length-1 interval). With per-run ``factors``
@@ -161,7 +161,8 @@ def _walk(
     fails once its batch is walked, naming its first non-finite state's
     step; a record-free walk checks its state row at interval ends and names
     that end. numpy's overflow and invalid-value warnings are silenced while
-    the walk steps, and not while a caller holds a yielded step.
+    the walk steps a batch (an interval, without records), not while a
+    caller holds a yielded step.
     """
     n_steps, dim = grid.n_steps, x0.shape[1]
     times, dt = grid.times.tolist(), grid.dt.tolist()
@@ -169,13 +170,8 @@ def _walk(
     evaluated[[n for n, _ in intervals]] = True
     width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
     size = max(1, _BATCH_BYTES // (8 * width * dim)) if records else len(conditions)
-    # (n, h, steps): an interval and the steps of it a segment walks; all of them, or one step where the walk hands
-    # each step to its caller, outside the walk's errstate
-    segments = (
-        [[(n, h, range(n, n + h)) for n, h in intervals]]
-        if records
-        else [[(n, h, range(m, m + 1))] for n, h in intervals for m in range(n, n + h)]
-    )
+    # the intervals one errstate spans: all, or one where the walk hands its caller each interval's end outside it
+    groups = [intervals] if records else [[interval] for interval in intervals]
     field.prepare([times[n] for n, _ in intervals])
     for first in range(0, len(conditions), size):
         batch = conditions[first : first + size]
@@ -197,29 +193,28 @@ def _walk(
         run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
         runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, run_factors)]
         bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
-        for segment in segments:
+        for group in groups:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
-                for n, h, steps in segment:
-                    if steps.start == n:
-                        v = field.evaluate(S[n], times[n], batch_conditions)
-                        if not _finite(v):
-                            raise NumericDomainError(
-                                f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
-                            )
-                        V[n] = v
-                        if h > 1:
-                            # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
-                            live = []
-                            for run, v_p, v_n in zip(runs, last.reshape(len(batch), -1), v.reshape(len(batch), -1)):
-                                pp = float(v_p.dot(v_p))
-                                a, tol = None, 0.0
-                                if pp != 0.0:
-                                    a = v_n - v_p
-                                    a -= (float(a.dot(v_p)) / pp) * v_p
-                                    tol = EPS_DIR * math.sqrt(a.dot(a))
-                                live.append([*run, a, tol, None, 0.0])
-                        last = v
-                    for m in steps:
+                for n, h in group:
+                    v = field.evaluate(S[n], times[n], batch_conditions)
+                    if not _finite(v):
+                        raise NumericDomainError(
+                            f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
+                        )
+                    V[n] = v
+                    if h > 1:
+                        # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
+                        live = []
+                        for run, v_p, v_n in zip(runs, last.reshape(len(batch), -1), v.reshape(len(batch), -1)):
+                            pp = float(v_p.dot(v_p))
+                            a, tol = None, 0.0
+                            if pp != 0.0:
+                                a = v_n - v_p
+                                a -= (float(a.dot(v_p)) / pp) * v_p
+                                tol = EPS_DIR * math.sqrt(a.dot(a))
+                            live.append([*run, a, tol, None, 0.0])
+                    last = v
+                    for m in range(n, n + h):
                         if h > 1:
                             for st in live:
                                 vel, dirs, growth, turn, p, tol, u, norm = st
@@ -238,8 +233,9 @@ def _walk(
                                             u = np.divide(r, r_norm, out=dirs[m])
                                 st[6], st[7] = u, math.sqrt(vv)
                         np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
-                if bad is None and m == n + h - 1 and not _finite(S[m + 1]):
-                    bad = next(k for k in range(segment[0][2].start + 1, m + 2) if not _finite(S[k]))
+                # a record-free walk holds one state row, so it names the end of the group's one interval
+                if bad is None and not _finite(S[m + 1]):
+                    bad = next(k for k in range(1 if records else m + 1, m + 2) if not _finite(S[k]))
             if not records:
                 yield V[m], S[m + 1]
         if bad is not None:

@@ -9,17 +9,16 @@ can be reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cached_sampler import sample_cached
-from .calibration import ScheduleBundle
 from .decomposition import _decompose_rows
 from .diagnostics import ExperimentConfig, make_bundle
 from .error_bound import run_bound_sweep, write_bound_audit_csv
 from .errors import InvalidArgumentError
-from .fields import Condition, FieldSpec, field_digest, initial_state
+from .fields import Condition, FieldSpec, initial_state
 from .schedule import VariationSequence, max_stable_interval
 from .solver import sample_full
 
@@ -175,57 +174,41 @@ def suite_exactness(seed: int = 404) -> SuiteResult:
     failures: list[str] = []
     stats: dict[str, float] = {}
 
+    def full_and_cached(spec: FieldSpec, n_steps: int, calibration_seeds: tuple[int, ...], evaluation_seed: int):
+        """The full and cached runs of ``evaluation_seed`` on ``spec``'s own bundle, and the cached run's inputs."""
+        config = ExperimentConfig(spec, n_steps, calibration_seeds, (evaluation_seed,))
+        velocity_field, grid, bundle = make_bundle(config)
+        condition = Condition(evaluation_seed)
+        x0 = initial_state(condition, velocity_field.dimension)
+        full = sample_full(velocity_field, grid, x0, condition)
+        return full, sample_cached(velocity_field, bundle, x0, condition), (velocity_field, bundle, x0, condition)
+
     # constant field: zero acceleration, so cached must equal full to the bit
-    const_cfg = ExperimentConfig(
-        field=FieldSpec(kind="constant", dimension=3, target=(0.8, -1.1, 0.4)),
-        n_steps=50,
-        calibration_seeds=(seed, seed + 1, seed + 2),
-        evaluation_seeds=(seed + 100,),
-    )
-    velocity_field, grid, bundle = make_bundle(const_cfg)
-    condition = Condition(const_cfg.evaluation_seeds[0])
-    x0 = initial_state(condition, velocity_field.dimension)
-    full = sample_full(velocity_field, grid, x0, condition)
-    cached = sample_cached(velocity_field, bundle, x0, condition)
+    constant = FieldSpec(kind="constant", dimension=3, target=(0.8, -1.1, 0.4))
+    full, cached, _ = full_and_cached(constant, 50, (seed, seed + 1, seed + 2), seed + 100)
     stats["constant_nfe"] = float(cached.nfe)
     if not np.array_equal(full.states, cached.states):
         failures.append(f"seed {seed}: constant-field cached trajectory differs from full-step")
-    if cached.nfe * 4 > grid.n_steps:
+    if cached.nfe * 4 > full.grid.n_steps:
         failures.append(f"seed {seed}: constant-field speedup below 4x (nfe {cached.nfe})")
 
     # magnitude-decay field: purely parallel dynamics, exponential update
-    decay_cfg = ExperimentConfig(
-        field=FieldSpec(kind="magnitude-decay", dimension=2, target=(1.0, -0.5), rate=0.03),
-        n_steps=100,
-        calibration_seeds=(seed + 10, seed + 11),
-        evaluation_seeds=(seed + 200,),
-    )
-    velocity_field, grid, bundle = make_bundle(decay_cfg)
-    condition = Condition(decay_cfg.evaluation_seeds[0])
-    x0 = initial_state(condition, velocity_field.dimension)
-    full = sample_full(velocity_field, grid, x0, condition)
-    cached = sample_cached(velocity_field, bundle, x0, condition)
+    decay = FieldSpec(kind="magnitude-decay", dimension=2, target=(1.0, -0.5), rate=0.03)
+    full, cached, inputs = full_and_cached(decay, 100, (seed + 10, seed + 11), seed + 200)
+    velocity_field, bundle, x0, condition = inputs
+    n_steps = full.grid.n_steps
     drift = float(np.linalg.norm(cached.final_state - full.final_state) / np.linalg.norm(full.final_state))
     stats["decay_terminal_drift"] = drift
     stats["decay_nfe"] = float(cached.nfe)
     if drift > 1e-6:
         failures.append(f"seed {seed}: magnitude-decay terminal drift {drift!r} exceeds 1e-6")
-    if cached.nfe * 3 >= grid.n_steps:
-        failures.append(f"seed {seed}: magnitude-decay nfe {cached.nfe} not below {grid.n_steps}/3")
+    if cached.nfe * 3 >= n_steps:
+        failures.append(f"seed {seed}: magnitude-decay nfe {cached.nfe} not below {n_steps}/3")
 
     # an all-ones schedule must reproduce full-step sampling bit for bit
-    flat_bundle = ScheduleBundle(
-        grid=grid,
-        indicators=bundle.indicators,
-        schedule=np.ones(grid.n_steps, dtype=int),
-        tau_k=0.0,
-        tau_d=0.0,
-        h_max=1,
-        field_digest=field_digest(decay_cfg.field),
-        seeds=decay_cfg.calibration_seeds,
-    )
+    flat_bundle = replace(bundle, schedule=np.ones(n_steps, dtype=int), tau_k=0.0, tau_d=0.0, h_max=1)
     flat = sample_cached(velocity_field, flat_bundle, x0, condition)
-    if flat.nfe != grid.n_steps or not np.array_equal(flat.states, full.states):
+    if flat.nfe != n_steps or not np.array_equal(flat.states, full.states):
         failures.append(f"seed {seed}: all-h=1 schedule does not reproduce full-step sampling")
 
     return SuiteResult(name="exactness", cases=3, stats=stats, failures=failures)

@@ -33,6 +33,7 @@ from flowcache import solver
 from flowcache.cached_sampler import _cached_kernel
 from flowcache.diagnostics import ABLATION_ORDER
 from flowcache.fields import _Mixture
+from flowcache.schedule import skip_intervals
 from flowcache.solver import _full_kernel
 
 from test_kernels import KERNEL_FIELDS, _mixture, _setup
@@ -204,7 +205,8 @@ class TestBatchedSamplers:
         x0, conditions = _starts(field, range(100, 100 + batch))
         records = list(_full_kernel(field, grid, x0, conditions))
         field.reset_evaluations()
-        _assert_steps_equal_the_records(_full_kernel(field, grid, x0, conditions, records=False), records, x0)
+        steps = _full_kernel(field, grid, x0, conditions, records=False)
+        _assert_steps_equal_the_records(steps, records, x0, [(n, 1) for n in range(grid.n_steps)])
         assert field.evaluations == grid.n_steps
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -216,23 +218,34 @@ class TestBatchedSamplers:
         x0, conditions = _starts(field, range(100, 100 + batch))
         records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
         field.reset_evaluations()
-        _assert_steps_equal_the_records(_cached_kernel(field, bundle, x0, conditions, toggles, False), records, x0)
+        steps = _cached_kernel(field, bundle, x0, conditions, toggles, False)
+        _assert_steps_equal_the_records(steps, records, x0, skip_intervals(bundle.schedule, bundle.grid.n_steps))
         assert field.evaluations == records[0].nfe < bundle.grid.n_steps  # one oracle call per anchor
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_a_record_free_cached_walk_yields_once_per_interval(self, name):
+        field, _, bundle = _setup(name)
+        x0, conditions = _starts(field, (100, 101))
+        intervals = skip_intervals(bundle.schedule, bundle.grid.n_steps)
+        assert len(intervals) < bundle.grid.n_steps
+        steps = _cached_kernel(field, bundle, x0, conditions, CompensationToggles(), records=False)
+        assert sum(1 for _ in steps) == len(intervals)
 
-def _assert_steps_equal_the_records(steps, records, x0):
-    """Each step a record-free walk yields holds every run's velocity and next state, bit for bit its record's."""
+
+def _assert_steps_equal_the_records(steps, records, x0, intervals):
+    """Each interval a record-free walk yields holds every run's last velocity and next state, bit for bit."""
     starts = x0.copy()
-    n = -1
+    yielded = 0
     with np.errstate(over="raise", invalid="warn"):
-        for n, (velocities, states) in enumerate(steps):
+        for (n, h), (velocities, states) in zip(intervals, steps):
             # the caller's floating-point state holds while it holds a step
             assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
             assert velocities.shape == states.shape == x0.shape
             for row, record in enumerate(records):
-                assert np.array_equal(velocities[row], record.velocities[n])
-                assert np.array_equal(states[row], record.states[n + 1])
-    assert n + 1 == records[0].grid.n_steps
+                assert np.array_equal(velocities[row], record.velocities[n + h - 1])
+                assert np.array_equal(states[row], record.states[n + h])
+            yielded += 1
+    assert yielded == len(intervals) and next(steps, None) is None
     assert np.array_equal(x0, starts)  # the walk steps its own copy of the start states
 
 

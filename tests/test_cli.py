@@ -519,6 +519,19 @@ class TestErrors:
         path.write_text("{not json")
         assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [b"{", b"\xff{}"], ids=["json", "utf-8"])
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"error: config file {path} is not valid JSON: " in capsys.readouterr().err
+
+    def test_non_utf8_bundle_names_the_document(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_bytes(b"\xff{}")
+        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert "error: document: not valid JSON: " in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload, key",
         [

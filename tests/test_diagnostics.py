@@ -281,8 +281,6 @@ class TestRunExperiment:
         result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000, 2001)))
         report = result.reports[0]
         assert report.cos_theta.size > 0
-        assert -1.0 <= report.cos_theta_mean <= 1.0
-        assert 0.0 <= report.cos_theta_positive_fraction <= 1.0
         assert report.degenerate_direction_count >= 0
 
     def test_determinism(self, gmm_spec):

@@ -152,7 +152,7 @@ def test_mc_oracle_agreement_over_random_specs():
 
 def test_evaluate_is_deterministic(gmm_spec):
     vf = VelocityField(gmm_spec)
-    c = Condition(7, params=(0.5,))
+    c = Condition(7)
     x = np.array([0.3, -0.2, 1.1])
     a = vf.evaluate(x, 0.42, c)
     b = vf.evaluate(x, 0.42, c)
