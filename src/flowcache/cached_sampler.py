@@ -69,6 +69,7 @@ def _cached_kernel(
     conditions: Sequence[Condition],
     toggles: CompensationToggles | Sequence[CompensationToggles],
     records: bool = True,
+    references: Sequence[TrajectoryRecord] = (),
 ) -> Iterator:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
@@ -77,7 +78,8 @@ def _cached_kernel(
     finite by ``IndicatorTable``'s rule, become the walk's per-step
     reconstruction factors, with a disabled correction's factor neutral.
     With ``records`` it yields each run's record; without, the ``(velocities, states)`` rows of each skip
-    interval's last step (``_walk``).
+    interval's last step (``_walk``, which takes the velocities of ``references`` where they serve and calls
+    no oracle there; references on another grid go unused).
     """
     grid = bundle.grid
     n_steps = grid.n_steps
@@ -85,4 +87,5 @@ def _cached_kernel(
     if isinstance(toggles, CompensationToggles):
         toggles = [toggles] * len(conditions)
     factors = [(growth if t.use_mi else [1.0] * n_steps, turn if t.use_di else [0.0] * n_steps) for t in toggles]
-    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors, records)
+    references = references if all(np.array_equal(full.grid.times, grid.times) for full in references) else ()
+    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors, records, references)

@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -82,17 +83,22 @@ def calibrate(field: VelocityField, grid: TimeGrid, conditions: list[Condition])
     """
     if not conditions:
         raise InvalidArgumentError("calibration needs at least one condition")
-    n, b = grid.n_steps, len(conditions)
+    x0 = np.array([initial_state(condition, field.dimension) for condition in conditions])
+    return _indicators(grid, x0.shape, (v for v, _ in _full_kernel(field, grid, x0, conditions, records=False)))
+
+
+def _indicators(grid: TimeGrid, shape: tuple[int, int], step_rows: Iterator[np.ndarray]) -> IndicatorTable:
+    """``calibrate``'s indicators of B runs, from ``step_rows``: each step's (B, D) velocity rows in turn."""
+    n, (b, dim) = grid.n_steps, shape
     dt = grid.dt
     rows = np.empty((2, b, max(n - 1, 0)))  # per-sample k and d
-    x0 = np.array([initial_state(condition, field.dimension) for condition in conditions])
-    window = np.empty((max(2, _WINDOW_BYTES // x0.nbytes), *x0.shape))
+    window = np.empty((max(2, _WINDOW_BYTES // (8 * b * dim)), b, dim))
     start = 0  # the step of window[0]
-    for step, (velocities, _) in enumerate(_full_kernel(field, grid, x0, conditions, records=False)):
+    for step, velocities in enumerate(step_rows):
         pairs = step - start
         window[pairs] = velocities
         if pairs == len(window) - 1 or step == n - 1:
-            v, v_next = (window[i : i + pairs].reshape(-1, field.dimension) for i in (0, 1))
+            v, v_next = (window[i : i + pairs].reshape(-1, dim) for i in (0, 1))
             pair_dt = np.repeat(dt[start:step], b)
             k, _, d = _decompose_rows(v, _accel_rows(v, v_next, pair_dt), pair_dt)
             rows[:, :, start:step] = np.stack((k, d)).reshape(2, pairs, b).swapaxes(1, 2)

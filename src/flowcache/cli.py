@@ -79,7 +79,7 @@ def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dic
         raw["tau_d"] = args.tau_d
     if getattr(args, "h_max", None) is not None:
         raw["h_max"] = args.h_max
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             raw["evaluation_seeds"] = [int(s) for s in args.seeds.split(",")]
         except ValueError:
@@ -194,7 +194,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config, resolved, raw = _resolve_experiment(args)
     out = _out_dir(args)
     ablation = args.ablation or _json_value(raw, "ablation", "bool", False, error=_config_error)
-    if args.sweep_taus:
+    if args.sweep_taus is not None:
         pairs = [[_number(part) for part in chunk.split(":")] for chunk in args.sweep_taus.split(",")]
         sweep_taus = _tau_pairs(pairs, lambda reason: InvalidArgumentError(f"--sweep-taus: {reason}"))
     else:

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .cached_sampler import CompensationToggles, _cached_kernel
-from .calibration import ScheduleBundle, _check_thresholds, calibrate
+from .calibration import IndicatorTable, ScheduleBundle, _check_thresholds, _indicators, calibrate
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
@@ -269,49 +269,59 @@ class ExperimentResult:
 
 def make_bundle(config: ExperimentConfig) -> tuple[VelocityField, TimeGrid, ScheduleBundle]:
     """Calibrate and schedule per the config; the offline stage in one call."""
-    velocity_field = VelocityField(config.field)
-    grid = make_uniform_grid(config.n_steps)
-    conditions = [Condition(seed) for seed in config.calibration_seeds]
-    indicators = calibrate(velocity_field, grid, conditions)
-    schedule = build_schedule(indicators, grid, config.tau_k, config.tau_d, config.h_max)
-    bundle = ScheduleBundle(
+    velocity_field, grid = VelocityField(config.field), make_uniform_grid(config.n_steps)
+    indicators = calibrate(velocity_field, grid, [Condition(seed) for seed in config.calibration_seeds])
+    return velocity_field, grid, _bundle(config, grid, indicators)
+
+
+def _bundle(config: ExperimentConfig, grid: TimeGrid, indicators: IndicatorTable) -> ScheduleBundle:
+    """The config's bundle on its calibration's ``indicators``: the schedule, thresholds and provenance."""
+    return ScheduleBundle(
         grid=grid,
         indicators=indicators,
-        schedule=schedule,
+        schedule=build_schedule(indicators, grid, config.tau_k, config.tau_d, config.h_max),
         tau_k=config.tau_k,
         tau_d=config.tau_d,
         h_max=config.h_max,
         field_digest=field_digest(config.field),
         seeds=config.calibration_seeds,
     )
-    return velocity_field, grid, bundle
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Calibrate, sample the full-step references, then run and compare cached sampling.
 
     This is the experiment's only calibration and its only set of reference
-    runs; the follow-up experiments take the returned result.
+    runs, which ride one record-free walk with the calibration seeds (each
+    step's rows copied into one block); the cached runs and follow-ups take them.
     """
-    velocity_field, grid, bundle = make_bundle(config)
-    conditions = _conditions(config)
-    x0 = np.array([initial_state(condition, velocity_field.dimension) for condition in conditions])
-    offline = ExperimentResult(config, velocity_field, bundle, tuple(_full_kernel(velocity_field, grid, x0, conditions)))
+    velocity_field, grid = VelocityField(config.field), make_uniform_grid(config.n_steps)
+    b, n, dim = len(config.calibration_seeds), grid.n_steps, velocity_field.dimension
+    conditions = [Condition(seed) for seed in config.calibration_seeds + config.evaluation_seeds]
+    x0 = np.array([initial_state(condition, dim) for condition in conditions])
+    states, velocities = np.split(np.empty((len(conditions) - b, 2 * n + 1, dim)), [n + 1], axis=1)  # one block
+    states[:, 0] = x0[b:]
+
+    def calibration_rows():
+        for step, (v, s) in enumerate(_full_kernel(velocity_field, grid, x0, conditions, records=False)):
+            velocities[:, step], states[:, step + 1] = v[b:], s[b:]
+            yield v[:b]
+
+    bundle = _bundle(config, grid, _indicators(grid, (b, dim), calibration_rows()))
+    references = tuple(TrajectoryRecord(grid, s, v, np.ones(n, dtype=bool)) for s, v in zip(states, velocities))
+    offline = ExperimentResult(config, velocity_field, bundle, references)
     return replace(offline, reports=tuple(evaluate_bundle(offline, bundle, config.toggles)))
 
 
 def _evaluation_batch(result: ExperimentResult) -> tuple[np.ndarray, list[Condition]]:
     """The reference runs' start states, one row per evaluation seed, and the seeds' conditions."""
-    return np.array([full.states[0] for full in result.references]), _conditions(result.config)
-
-
-def _conditions(config: ExperimentConfig) -> list[Condition]:
-    return [Condition(seed) for seed in config.evaluation_seeds]
+    conditions = [Condition(seed) for seed in result.config.evaluation_seeds]
+    return np.array([full.states[0] for full in result.references]), conditions
 
 
 def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: CompensationToggles) -> list[DriftReport]:
     """One cached run per evaluation seed, batched, each compared against its stored reference."""
-    runs = _cached_kernel(result.velocity_field, bundle, *_evaluation_batch(result), toggles)
+    runs = _cached_kernel(result.velocity_field, bundle, *_evaluation_batch(result), toggles, True, result.references)
     return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
 
 
@@ -349,9 +359,8 @@ def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
     others = [setting for setting in ABLATION_ORDER if setting != (result.config.use_mi, result.config.use_di)]
     x0, conditions = _evaluation_batch(result)
     toggles = [CompensationToggles(*setting) for setting in others for _ in conditions]
-    steps = _cached_kernel(
-        result.velocity_field, result.bundle, np.tile(x0, (3, 1)), conditions * 3, toggles, records=False
-    )
+    x0, conditions = np.tile(x0, (3, 1)), conditions * 3
+    steps = _cached_kernel(result.velocity_field, result.bundle, x0, conditions, toggles, False, result.references)
     finals = dict(zip(others, _final_drifts(result, steps).reshape(3, -1)))
     rows: list[dict] = []
     for use_mi, use_di in ABLATION_ORDER:
@@ -375,7 +384,8 @@ def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]
     A pair that rebuilds the experiment's schedule takes the drifts of
     ``result.reports``; any other pair runs its walk, terminal drift only.
     """
-    bundle = result.bundle
+    bundle, toggles = result.bundle, result.config.toggles
+    x0, conditions = _evaluation_batch(result)
     rows: list[dict] = []
     for tau_k, tau_d in taus:
         schedule = build_schedule(bundle.indicators, bundle.grid, tau_k, tau_d, result.config.h_max)
@@ -383,10 +393,8 @@ def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]
         if np.array_equal(schedule, bundle.schedule):
             finals = result.final_drifts
         else:
-            sweep_bundle = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
-            steps = _cached_kernel(
-                result.velocity_field, sweep_bundle, *_evaluation_batch(result), result.config.toggles, records=False
-            )
+            swept = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
+            steps = _cached_kernel(result.velocity_field, swept, x0, conditions, toggles, False, result.references)
             finals = _final_drifts(result, steps)
         rows.append(
             {

@@ -128,6 +128,13 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
+def _shrunk(*rows: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """``(e, rows * 2**-e)``, 2**-e leaving the rows' largest entry in [0.5, 1), where no square overflows."""
+    e = int(np.frexp(max(np.abs(row).max() for row in rows))[1])
+    with np.errstate(under="ignore"):  # an entry far below the largest may lose bits, as in ``_decompose_rows``
+        return e, [np.ldexp(row, -e) for row in rows]
+
+
 def _walk(
     field: VelocityField,
     grid: TimeGrid,
@@ -136,6 +143,7 @@ def _walk(
     intervals: Sequence[tuple[int, int]],
     factors: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
     records: bool = True,
+    references: Sequence[TrajectoryRecord] = (),
 ) -> Iterator:
     """Runs from the checked (B, D) start states ``x0``, one per condition, over the ``(start, length)`` ``intervals``.
 
@@ -147,7 +155,9 @@ def _walk(
     yielded as ``(velocities, states)``, overwritten by the next interval.
 
     Each interval opens with one oracle call per batch, its output checked
-    once (step 0 always opens a length-1 interval). With per-run ``factors``
+    once (step 0 always opens a length-1 interval). Run i, which starts where
+    full-step run i mod R of ``references`` does, takes that run's velocities
+    up to the first longer interval's anchor (all, if none is). With per-run ``factors``
     ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), a longer interval
     opening at n takes each run's turning anchor p, the residual of
     v_n - v_p off the run's previous evaluated velocity v_p (none where
@@ -157,7 +167,8 @@ def _walk(
     ``EPS_DIR`` |p|; the batch's Euler step state_{m+1} = state_m - dt_m v_m;
     and, inside the interval, each run's
     v_{m+1} = growth_m v_m + turn_m |v_m| u_m, without the turning term where
-    u_m is degenerate or turn_m = 0. A run that leaves the finite range
+    u_m is degenerate or turn_m = 0; at huge speeds p and u_m are found, bit for
+    bit, at a power-of-two scale (``_shrunk``). A run that leaves the finite range
     fails once its batch is walked, naming its first non-finite state's
     step; a record-free walk checks its state row at interval ends and names
     that end. numpy's overflow and invalid-value warnings are silenced while
@@ -165,6 +176,7 @@ def _walk(
     caller holds a yielded step.
     """
     n_steps, dim = grid.n_steps, x0.shape[1]
+    seeded = next((n for n, h in intervals if h > 1), n_steps - 1) + 1 if references else 0
     times, dt = grid.times.tolist(), grid.dt.tolist()
     evaluated = np.zeros(n_steps, dtype=bool)
     evaluated[[n for n, _ in intervals]] = True
@@ -172,7 +184,7 @@ def _walk(
     size = max(1, _BATCH_BYTES // (8 * width * dim)) if records else len(conditions)
     # the intervals one errstate spans: all, or one where the walk hands its caller each interval's end outside it
     groups = [intervals] if records else [[interval] for interval in intervals]
-    field.prepare([times[n] for n, _ in intervals])
+    field.prepare([times[n] for n, _ in intervals if n >= seeded])
     for first in range(0, len(conditions), size):
         batch = conditions[first : first + size]
         if records:
@@ -190,13 +202,16 @@ def _walk(
         S, V = (a[0] if records and len(batch) == 1 else a.swapaxes(0, 1) for a in (states, velocities))
         S[0] = x0[first : first + size]
         batch_conditions = batch if S.ndim == 3 else batch[0]
+        if seeded:  # the runs' reference velocities, step-major: (b, D) rows, or (D,) for a single record
+            cycle = [references[i % len(references)].velocities[:seeded] for i in range(first, first + len(batch))]
+            known = np.stack(cycle, axis=1) if S.ndim == 3 else cycle[0]
         run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
         runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, run_factors)]
         bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
         for group in groups:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
                 for n, h in group:
-                    v = field.evaluate(S[n], times[n], batch_conditions)
+                    v = known[n] if n < seeded else field.evaluate(S[n], times[n], batch_conditions)
                     if not _finite(v):
                         raise NumericDomainError(
                             f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
@@ -207,6 +222,9 @@ def _walk(
                         live = []
                         for run, v_p, v_n in zip(runs, last.reshape(len(batch), -1), v.reshape(len(batch), -1)):
                             pp = float(v_p.dot(v_p))
+                            if not pp + float(v_n.dot(v_n)) < 2.0**1020:  # a huge speed: p is found at 2**-e
+                                v_p, v_n = _shrunk(v_p, v_n)[1]
+                                pp = float(v_p.dot(v_p))
                             a, tol = None, 0.0
                             if pp != 0.0:
                                 a = v_n - v_p
@@ -223,15 +241,20 @@ def _walk(
                                     np.multiply(growth[m - 1], vel[m - 1], out=v_m)
                                     if u is not None and turn[m - 1] != 0.0:
                                         v_m += turn[m - 1] * norm * u
-                                u, vv = None, 0.0
+                                u, w, norm = None, v_m, 0.0
                                 if p is not None:
                                     vv = float(v_m.dot(v_m))
+                                    norm = math.sqrt(vv)
+                                    if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
+                                        e, (w,) = _shrunk(v_m)
+                                        vv = float(w.dot(w))
+                                        norm = math.ldexp(math.sqrt(vv), e)
                                     if vv != 0.0:
-                                        r = p - (float(p.dot(v_m)) / vv) * v_m
+                                        r = p - (float(p.dot(w)) / vv) * w
                                         r_norm = math.sqrt(r.dot(r))
                                         if not (r_norm == 0.0 or r_norm < tol):
                                             u = np.divide(r, r_norm, out=dirs[m])
-                                st[6], st[7] = u, math.sqrt(vv)
+                                st[6], st[7] = u, norm
                         np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
                 # a record-free walk holds one state row, so it names the end of the group's one interval
                 if bad is None and not _finite(S[m + 1]):

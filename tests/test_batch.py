@@ -231,6 +231,42 @@ class TestBatchedSamplers:
         steps = _cached_kernel(field, bundle, x0, conditions, CompensationToggles(), records=False)
         assert sum(1 for _ in steps) == len(intervals)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("toggles", ABLATION_ORDER, ids=lambda t: f"mi{int(t[0])}-di{int(t[1])}")
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_walks_seeded_from_the_references_equal_unseeded_walks(self, name, toggles, batch):
+        field, grid, bundle = _setup(name)
+        toggles = CompensationToggles(*toggles)
+        x0, conditions = _starts(field, range(100, 100 + batch))
+        references = list(_full_kernel(field, grid, x0, conditions))
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
+        intervals = skip_intervals(bundle.schedule, grid.n_steps)
+        n1 = next(n for n, h in intervals if h > 1)
+        calls = records[0].nfe - sum(n <= n1 for n, _ in intervals)  # no oracle call up to the first skip's anchor
+        field.reset_evaluations()
+        seeded = list(_cached_kernel(field, bundle, x0, conditions, toggles, references=references))
+        assert field.evaluations == calls
+        for record, unseeded in zip(seeded, records, strict=True):
+            _assert_same_run(record, unseeded)
+        field.reset_evaluations()
+        steps = _cached_kernel(field, bundle, x0, conditions, toggles, False, references)
+        _assert_steps_equal_the_records(steps, records, x0, intervals)
+        assert field.evaluations == calls
+
+    def test_seeded_rows_cycle_through_the_references_across_batches(self):
+        field, grid, bundle = _setup("mixture-d64")
+        per_batch = solver._BATCH_BYTES // (8 * (3 * grid.n_steps + 1) * field.dimension)
+        assert per_batch % 3 != 0  # the second batch opens mid-cycle
+        x0, conditions = _starts(field, (300, 301, 302))
+        references = list(_full_kernel(field, grid, x0, conditions))
+        cycle = np.arange(per_batch + 2) % 3
+        toggles = [CompensationToggles(*ABLATION_ORDER[row % 4]) for row in range(len(cycle))]
+        rows = (x0[cycle], [conditions[i] for i in cycle], toggles)
+        seeded = list(_cached_kernel(field, bundle, *rows, references=references))
+        assert seeded[per_batch].states.base is not seeded[0].states.base
+        for record, unseeded in zip(seeded, _cached_kernel(field, bundle, *rows), strict=True):
+            _assert_same_run(record, unseeded)
+
 
 def _assert_steps_equal_the_records(steps, records, x0, intervals):
     """Each interval a record-free walk yields holds every run's last velocity and next state, bit for bit."""

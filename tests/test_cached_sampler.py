@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from flowcache import (
     CompensationToggles,
     Condition,
+    FieldSpec,
     InvalidArgumentError,
     NumericDomainError,
     TimeGrid,
@@ -196,6 +198,23 @@ class TestSampleCached:
         cached = sample_cached(vf, bundle, x0, condition)
         assert vf.evaluations == cached.nfe == len(anchors)
         np.testing.assert_array_equal(np.flatnonzero(cached.evaluated), anchors)
+
+    def test_huge_speeds_run_as_unit_speed(self):
+        # v.v overflows past about 1.3e154; the walk then finds each anchor and direction from the velocities
+        # scaled by a power of two, so a run at 2**600 times the speed is the unit-speed run times 2**600
+        spec = FieldSpec(kind="rotation", dimension=2, target=(1.0, 0.0), rate=2.0, plane=(0, 1))
+        unit_run = _experiment(spec, 50, range(1, 5), 100)
+        huge_run = _experiment(replace(spec, target=(2.0**600, 0.0)), 50, range(1, 5), 100)
+        runs = []
+        for vf, grid, bundle, condition, x0 in (unit_run, huge_run):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="raise"):
+                    runs.append(sample_cached(vf, bundle, x0, condition))
+        unit, huge = runs
+        assert np.array_equal(huge_run[2].schedule, unit_run[2].schedule) and unit.nfe < 50
+        assert np.array_equal(huge.velocities, np.ldexp(unit.velocities, 600))
+        assert np.array_equal(huge.directions, unit.directions, equal_nan=True)
 
     def test_norm_law_with_direction_off(self, gmm_spec):
         vf, grid, bundle, condition, x0 = _experiment(gmm_spec, 50, range(20), 500, tau_k=0.3, tau_d=3.0)

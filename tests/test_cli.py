@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowcache import read_bundle
+from flowcache import VelocityField, read_bundle
 from flowcache.calibration import BUNDLE_KEYS
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from flowcache.verify import SuiteResult
@@ -307,21 +307,22 @@ class TestBench:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_one_calibration_and_one_reference_set(self, tmp_path, monkeypatch):
-        runs, calibrations = [], []
+        runs, walks, calibrations = [], [], []
         originals = {"_full_kernel": sys.modules["flowcache.solver"]._full_kernel}
-        originals["calibrate"] = sys.modules["flowcache.calibration"].calibrate
+        originals["_indicators"] = sys.modules["flowcache.calibration"]._indicators
 
         def full_kernel(field, grid, x0, conditions, records=True):
             # one entry per trajectory: the grid it runs on, its start state and whether it keeps a record
             runs.extend((grid.times.tobytes(), row.tobytes(), records) for row in x0)
+            walks.append(len(x0))
             return originals["_full_kernel"](field, grid, x0, conditions, records=records)
 
-        def calibrate(*args, **kwargs):
+        def indicators(*args, **kwargs):
             calibrations.append(1)
-            return originals["calibrate"](*args, **kwargs)
+            return originals["_indicators"](*args, **kwargs)
 
         # patch every flowcache module that imported the function by name
-        for attr, counted in (("_full_kernel", full_kernel), ("calibrate", calibrate)):
+        for attr, counted in (("_full_kernel", full_kernel), ("_indicators", indicators)):
             for name, module in list(sys.modules.items()):
                 if name == "flowcache" or name.startswith("flowcache."):
                     for held, value in list(vars(module).items()):
@@ -333,9 +334,21 @@ class TestBench:
         # 6 calibration runs, 4 references and 4 truncated runs, none of them run twice
         assert len(runs) == 14
         assert len({(times, start) for times, start, _ in runs}) == 14
-        # only the references keep records; calibration and truncation read velocities or final states
-        assert sum(records for *_, records in runs) == 4
+        # two full-step walks, the calibration with the references and then the truncation; neither keeps records
+        assert walks == [10, 4]
+        assert not any(records for *_, records in runs)
         assert len(calibrations) == 1
+
+    def test_readme_bench_oracle_calls(self, tmp_path, monkeypatch):
+        # calibration and references 50 (one walk), cached runs 18, truncation 33, ablation 18, sweep 46:
+        # each cached walk takes its steps up to the first skip's anchor from the references
+        calls = []
+        evaluate = VelocityField.evaluate
+        monkeypatch.setattr(VelocityField, "evaluate", lambda *args: calls.append(1) or evaluate(*args))
+        config = _write_config(tmp_path, README_CONFIG)
+        argv = ["bench", "--config", str(config), "--out", str(tmp_path / "bench"), "--ablation"]
+        assert main(argv + ["--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == EXIT_OK
+        assert len(calls) == 165
 
     @pytest.mark.parametrize("taus", ["nan:0.3", "-1:0.3", "x:0.3", "0.3:inf"])
     def test_bad_sweep_taus_rejected(self, tmp_path, capsys, taus):
@@ -411,6 +424,18 @@ class TestErrors:
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o"), "--seeds", "5,x"]) == EXIT_CONFIG
         assert "--seeds: expected comma-separated integers, got '5,x'" in capsys.readouterr().err
+
+    def test_empty_seeds_flag_named(self, tmp_path, capsys):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o"), "--seeds="]) == EXIT_CONFIG
+        assert "--seeds: expected comma-separated integers, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
+    def test_empty_sweep_taus_flag_named(self, tmp_path, capsys):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o"), "--sweep-taus="]) == EXIT_CONFIG
+        assert "--sweep-taus: bad threshold pair ['']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     @pytest.mark.parametrize("key", ["use_mi", "use_di"])
     def test_non_boolean_toggle_rejected(self, tmp_path, capsys, key):
@@ -687,10 +712,12 @@ class TestBundleBoundary:
         [("k_tilde", "k_tilde: exp(k_tilde * dt) overflows at step 1"), ("d_tilde", "left the finite range at step 4")],
     )
     def test_a_huge_indicator_entry_is_named(self, tmp_path, boundary_bundle, key, named):
-        # one finite entry of 1e308 on a reconstructed step; k_tilde has a range rule, d_tilde has none, as
-        # d_tilde * |v| overflows only together with |v|, so the walk names the step where the state leaves the range
+        # finite entries of 1e308 on two reconstructed steps; k_tilde has a range rule, d_tilde has none, as
+        # d_tilde * |v| overflows only together with |v|: v_2 is near 1e308 and finite, v_3 overflows, and the
+        # walk names the step where the state leaves the range
         config, valid = boundary_bundle
-        payload = dict(valid, h=[5, 4, 3, 2, 1], **{key: [1e308 if i == 1 else v for i, v in enumerate(valid[key])]})
+        huge = [1e308 if i in (1, 2) else v for i, v in enumerate(valid[key])]
+        payload = dict(valid, h=[5, 4, 3, 2, 1], **{key: huge})
         bundle = _write_config(tmp_path, payload, name="bundle.json")
         argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
         err = io.StringIO()

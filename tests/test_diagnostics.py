@@ -37,9 +37,11 @@ from flowcache.diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
-from flowcache.schedule import build_schedule
+from flowcache import calibration
+from flowcache.calibration import bundles_equal, calibrate
+from flowcache.schedule import build_schedule, schedule_coverage, skip_intervals
 
-from test_kernels import _mixture, ref_anchor, ref_direction, ref_split
+from test_kernels import KERNEL_FIELDS, _mixture, ref_anchor, ref_direction, ref_split
 
 
 def _gmm_config(gmm_spec, **kwargs):
@@ -283,6 +285,29 @@ class TestRunExperiment:
         assert report.cos_theta.size > 0
         assert report.degenerate_direction_count >= 0
 
+    @pytest.mark.parametrize("window_steps", [None, 3])
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_one_walk_gives_calibrate_and_sample_full(self, monkeypatch, name, window_steps):
+        # the calibration and evaluation seeds ride one full-step walk; its indicators are calibrate's and its
+        # references sample_full's, bit for bit, with the window spanning the run or three steps
+        spec, thresholds = KERNEL_FIELDS[name]
+        config = ExperimentConfig(spec, 50, (1, 2, 3, 4), (100, 101, 102), h_max=12, **thresholds)
+        if window_steps:
+            monkeypatch.setattr(calibration, "_WINDOW_BYTES", 8 * 4 * spec.dimension * window_steps)
+        result = run_experiment(config)
+        field, grid, bundle = make_bundle(config)
+        assert bundles_equal(result.bundle, bundle)
+        indicators = calibrate(field, grid, [Condition(seed) for seed in config.calibration_seeds])
+        for key in ("k_tilde", "d_tilde", "k_std", "d_std"):
+            assert np.array_equal(getattr(result.bundle.indicators, key), getattr(indicators, key))
+        for seed, full in zip(config.evaluation_seeds, result.references, strict=True):
+            single = sample_full(field, grid, initial_state(Condition(seed), spec.dimension), Condition(seed))
+            assert np.array_equal(full.states, single.states) and np.array_equal(full.velocities, single.velocities)
+            assert full.evaluated.all() and full.directions is None
+        # one call per step for both seed sets, then the cached runs past the references' steps
+        served = _served_by_references(bundle.schedule, grid.n_steps)
+        assert result.velocity_field.evaluations == grid.n_steps + result.cached_nfe - served
+
     def test_determinism(self, gmm_spec):
         config = _gmm_config(gmm_spec, evaluation_seeds=(2000, 2001))
         a = run_experiment(config)
@@ -332,8 +357,22 @@ def _readme_config(spec, **kwargs):
 
 
 def _reference_finals(result, bundle, toggles):
-    """Terminal drifts the way the follow-ups once found them: a full report per run."""
-    return np.array([r.final_state_drift for r in evaluate_bundle(result, bundle, toggles)])
+    """Terminal drifts the way the follow-ups once found them: a full report per run, each run on its own.
+
+    The runs take no reference rows, so the rows are checked against a path that shares nothing with them.
+    """
+    runs = [
+        sample_cached(result.velocity_field, bundle, full.states[0], Condition(seed), toggles)
+        for seed, full in zip(result.config.evaluation_seeds, result.references)
+    ]
+    return np.array([compare_trajectories(full, run).final_state_drift for full, run in zip(result.references, runs)])
+
+
+def _served_by_references(schedule, n_steps):
+    """The anchors at or before n1, the anchor of the schedule's first interval longer than 1 (all, if none is)."""
+    intervals = skip_intervals(schedule, n_steps)
+    n1 = next((n for n, h in intervals if h > 1), n_steps - 1)
+    return sum(n <= n1 for n, _ in intervals)
 
 
 # the README field, and larger mixtures whose terminal-drift norms sum more than a few entries
@@ -356,8 +395,10 @@ class TestFollowUps:
         result.velocity_field.reset_evaluations()
         rows = run_toggle_ablation(result)
         # the config's own row reuses the experiment's runs; one record-free walk of 3×B rows serves the other
-        # three settings, one oracle call per anchor whatever the dimension
-        assert result.velocity_field.evaluations == result.cached_nfe
+        # three settings, one oracle call per anchor past the references' steps, whatever the dimension
+        served = _served_by_references(result.bundle.schedule, result.bundle.grid.n_steps)
+        assert 0 < served < result.cached_nfe
+        assert result.velocity_field.evaluations == result.cached_nfe - served
         for row, toggles in zip(rows, ABLATION_ORDER, strict=True):
             reference = _reference_finals(result, result.bundle, CompensationToggles(*toggles))
             assert (row["use_mi"], row["use_di"]) == toggles
@@ -379,9 +420,28 @@ class TestFollowUps:
             bundle = replace(result.bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
             assert row["final_drift"] == float(_reference_finals(result, bundle, config.toggles).mean())
             if not np.array_equal(schedule, result.bundle.schedule):
-                calls += row["cached_nfe"]
-        # a pair that rebuilds the experiment's schedule runs nothing; any other pair runs one record-free walk
+                calls += row["cached_nfe"] - _served_by_references(schedule, config.n_steps)
+        # a pair that rebuilds the experiment's schedule runs nothing; any other pair runs one record-free walk,
+        # which takes its steps up to its first skip's anchor from the references (all of them, for 0:0)
         assert calls > 0 and sweep_calls == calls
+
+    def test_an_all_ones_sweep_pair_calls_no_oracle(self, gmm_spec):
+        # a 0:0 schedule never skips, so every step of its walk comes from the references
+        result = run_experiment(_readme_config(gmm_spec))
+        result.velocity_field.reset_evaluations()
+        (row,) = run_threshold_sweep(result, [(0.0, 0.0)])
+        assert result.velocity_field.evaluations == 0
+        assert row["cached_nfe"] == result.bundle.grid.n_steps and row["final_drift"] == 0.0
+
+    def test_a_bundle_on_another_grid_is_rejected(self, gmm_spec):
+        # the references are not used on another grid: the runs call the oracle at every anchor, and the
+        # comparison rejects the grids
+        result = run_experiment(_readme_config(gmm_spec))
+        _, grid, other = make_bundle(replace(result.config, n_steps=40))
+        result.velocity_field.reset_evaluations()
+        with pytest.raises(InvalidArgumentError, match="different time grids"):
+            evaluate_bundle(result, other, result.config.toggles)
+        assert result.velocity_field.evaluations == len(schedule_coverage(other.schedule, grid.n_steps)[1])
 
     def test_sweep_of_the_configs_own_pair_calls_no_oracle(self, gmm_spec):
         result = run_experiment(_readme_config(gmm_spec))

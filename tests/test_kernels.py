@@ -283,9 +283,9 @@ class TestFloatingPointState:
         # The rotation oracle ignores the state, so no non-finite oracle output at the next anchor comes first
         field, grid, bundle = _setup("rotation")
         n, h = max(skip_intervals(bundle.schedule, grid.n_steps), key=lambda interval: interval[1])
-        assert h > 2
+        assert h > 3
         d_tilde = bundle.indicators.d_tilde.copy()
-        d_tilde[n] = 1e308  # the rebuilt velocities after step n overflow within a few steps
+        d_tilde[n : n + 2] = 1e308  # |v_{n+1}| is near 1e308, finite; v_{n+2} overflows, so state n + 3 does
         huge = replace(bundle, indicators=replace(bundle.indicators, d_tilde=d_tilde))
         conditions = [Condition(100), Condition(101)]
         x0 = np.array([initial_state(c, field.dimension) for c in conditions])
