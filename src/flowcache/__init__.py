@@ -43,9 +43,7 @@ from .schedule import (
     DEFAULT_H_MAX,
     DEFAULT_TAU_D,
     DEFAULT_TAU_K,
-    VariationSequence,
     build_schedule,
-    max_stable_interval,
     schedule_coverage,
 )
 from .solver import TimeGrid, TrajectoryRecord, make_uniform_grid, sample_full
@@ -69,7 +67,6 @@ __all__ = [
     "ScheduleBundle",
     "TimeGrid",
     "TrajectoryRecord",
-    "VariationSequence",
     "VelocityField",
     "__version__",
     "build_schedule",
@@ -79,7 +76,6 @@ __all__ = [
     "field_digest",
     "initial_state",
     "make_uniform_grid",
-    "max_stable_interval",
     "read_bundle",
     "run_bound_sweep",
     "run_experiment",

@@ -115,12 +115,14 @@ def _indicators(grid: TimeGrid, shape: tuple[int, int], step_rows: Iterator[np.n
 
 
 def _check_thresholds(error=FieldError, **values: float) -> None:
-    """The threshold rule on the given keys: ``tau_k`` and ``tau_d`` finite and >= 0, ``h_max`` >= 1.
+    """The threshold rule on the given keys: ``tau_k`` and ``tau_d`` finite and >= 0, ``h_max`` an integer >= 1.
 
-    NaN fails it. The first breach raises ``error(key, reason)``.
+    NaN fails it, and so do a float or bool ``h_max``. The first breach raises ``error(key, reason)``.
     """
     for key, value in values.items():
         if key == "h_max":
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise error(key, f"must be an integer, got {value!r}")
             if not value >= 1:
                 raise error(key, f"must be positive, got {value}")
         elif not (math.isfinite(value) and value >= 0):

@@ -40,8 +40,6 @@ class DriftReport:
 
     state_drift: np.ndarray  # one entry per grid node
     velocity_drift: np.ndarray  # one entry per step
-    anchors: tuple[int, ...]
-    skip_ratio: float
     final_state_drift: float
     cached_vel_drift_mean: float
     evaluated_vel_drift_mean: float
@@ -101,7 +99,6 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     if cached.directions is None and not bool(cached.evaluated.all()):
         raise InvalidArgumentError("the cached record has cached steps but no recorded directions")
 
-    n_steps = full.grid.n_steps
     state_drift, _ = _relative_norms(cached.states - full.states, full.states)
     velocity_drift, vel_usable = _relative_norms(cached.velocities - full.velocities, full.velocities)
 
@@ -116,8 +113,6 @@ def compare_trajectories(full: TrajectoryRecord, cached: TrajectoryRecord) -> Dr
     return DriftReport(
         state_drift=state_drift,
         velocity_drift=velocity_drift,
-        anchors=tuple(np.flatnonzero(flags).tolist()),
-        skip_ratio=1.0 - cached.nfe / n_steps,
         final_state_drift=float(state_drift[-1]),
         cached_vel_drift_mean=cached_mean,
         evaluated_vel_drift_mean=eval_mean,
@@ -417,18 +412,18 @@ def write_drift_profile_csv(result: ExperimentResult, path: str | Path) -> None:
     grid = result.bundle.grid
     state = np.stack([r.state_drift for r in result.reports]).mean(axis=0)
     vel = np.stack([r.velocity_drift for r in result.reports]).mean(axis=0)
-    anchor_set = set(result.reports[0].anchors)
+    anchors = set(schedule_coverage(result.bundle.schedule, grid.n_steps)[1])
     rows: list[tuple] = []
     for n in range(grid.n_steps):
-        rows.append((n, float(grid.times[n]), float(state[n]), float(vel[n]), n in anchor_set))
+        rows.append((n, float(grid.times[n]), float(state[n]), float(vel[n]), n in anchors))
     rows.append((grid.n_steps, float(grid.times[-1]), float(state[-1]), None, None))
     write_csv(path, ("n", "t", "state_drift", "vel_drift", "is_anchor"), rows)
 
 
 def write_seed_summary_csv(result: ExperimentResult, path: str | Path) -> None:
     rows = [
-        (seed, r.skip_ratio, r.final_state_drift, len(r.anchors), count_speedup(full.nfe, len(r.anchors)))
-        for seed, full, r in zip(result.config.evaluation_seeds, result.references, result.reports)
+        (seed, result.skip_ratio, r.final_state_drift, result.cached_nfe, result.speedup)
+        for seed, r in zip(result.config.evaluation_seeds, result.reports)
     ]
     write_csv(path, ("seed", "skip_ratio", "final_drift", "nfe", "speedup"), rows)
 

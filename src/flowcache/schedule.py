@@ -1,17 +1,15 @@
 """Skip-schedule construction from cumulative-variation thresholds.
 
 Given a non-negative per-step variation sequence, the admissible skip
-interval at step n is the largest h whose cumulative variation stays within
-the tolerance; h = 1 is always admissible (a standard one-step update), and
-intervals never extend past the end of the grid. The magnitude sequence is
-|k_tilde| * dt per step, the direction sequence is d_tilde itself (dt was
-already absorbed at decomposition time), and the final schedule takes the
-stricter of the two at every step.
+interval at step n is the largest h whose cumulative variation, summed left
+to right from n, stays within the tolerance (a tie admits); h = 1 is always
+admissible (a standard one-step update), and intervals never extend past the
+end of the grid. One array pass gives every step's interval. The magnitude
+sequence is |k_tilde| * dt per step, the direction sequence is d_tilde itself
+(dt was absorbed at decomposition time); the schedule takes the stricter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,48 +21,28 @@ DEFAULT_H_MAX = 12
 # (tau_k, tau_d) operating points; the first is the default.
 THRESHOLD_PRESETS = ((0.06, 0.6), (0.04, 0.4), (0.03, 0.3))
 DEFAULT_TAU_K, DEFAULT_TAU_D = THRESHOLD_PRESETS[0]
+# Most window entries ``_stable_intervals`` sums at once.
+_WINDOW_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class VariationSequence:
-    """Non-negative per-step variation values."""
+def _stable_intervals(z: np.ndarray, tau: float, h_max: int) -> np.ndarray:
+    """Largest admissible skip interval at every step of the non-negative sequence ``z``.
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1:
-            raise InvalidArgumentError("variation sequence must be 1-d")
-        if not np.isfinite(values).all() or np.any(values < 0):
-            raise InvalidArgumentError("variation values must be finite and non-negative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def max_stable_interval(z: VariationSequence, n: int, tau: float, h_max: int) -> int:
-    """Largest admissible skip interval at step n.
-
-    Returns the largest h in {1, ..., min(h_max, N - n)} such that h = 1 or
-    the cumulative variation z_n + ... + z_{n+h-1} stays <= tau. The
-    comparison is non-strict, so ties at the threshold still admit the skip.
+    Entry n counts the h in {1, ..., min(h_max, N - n)} whose sum z_n + ... +
+    z_{n+h-1}, taken left to right, is <= tau, and is at least 1. The sums only
+    grow, so that count is the largest such h; ``+inf`` padding ends every
+    interval at the grid's end. Column n of a window block holds z_n, z_{n+1},
+    ..., and starts go in blocks of at most ``_WINDOW_ENTRIES`` entries.
     """
-    size = len(z)
-    if not 0 <= n < size:
-        raise InvalidArgumentError(f"step index {n} out of range for {size} steps")
-    cap = min(h_max, size - n)
-    best = 1
-    total = 0.0
-    for h in range(1, cap + 1):
-        total += float(z.values[n + h - 1])
-        if total <= tau:
-            best = h
-        else:
-            # values are non-negative, so longer prefixes cannot recover
-            break
-    return best
+    size, width = z.size, min(h_max, z.size)
+    padded = np.full(size + width - 1, np.inf)
+    padded[:size] = z
+    windows, block = np.arange(width)[:, None], max(1, _WINDOW_ENTRIES // width)
+    counts = [
+        (padded[windows + np.arange(n, min(n + block, size))].cumsum(axis=0) <= tau).sum(axis=0)
+        for n in range(0, size, block)
+    ]
+    return np.maximum(np.concatenate(counts), 1)
 
 
 def build_schedule(indicators: IndicatorTable, grid: TimeGrid, tau_k: float, tau_d: float, h_max: int) -> np.ndarray:
@@ -73,18 +51,8 @@ def build_schedule(indicators: IndicatorTable, grid: TimeGrid, tau_k: float, tau
     n = grid.n_steps
     if indicators.n_steps != n:
         raise InvalidArgumentError(f"indicators cover {indicators.n_steps} steps, grid has {n}")
-    magnitude = VariationSequence(np.abs(indicators.k_tilde) * grid.dt)
-    direction = VariationSequence(indicators.d_tilde)
-    return np.array(
-        [
-            min(
-                max_stable_interval(magnitude, i, tau_k, h_max),
-                max_stable_interval(direction, i, tau_d, h_max),
-            )
-            for i in range(n)
-        ],
-        dtype=int,
-    )
+    magnitude = _stable_intervals(np.abs(indicators.k_tilde) * grid.dt, tau_k, h_max)
+    return np.minimum(magnitude, _stable_intervals(indicators.d_tilde, tau_d, h_max))
 
 
 def skip_intervals(schedule: np.ndarray, n_steps: int) -> list[tuple[int, int]]:

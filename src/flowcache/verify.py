@@ -19,7 +19,7 @@ from .diagnostics import ExperimentConfig, make_bundle
 from .error_bound import run_bound_sweep, write_bound_audit_csv
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, initial_state
-from .schedule import VariationSequence, max_stable_interval
+from .schedule import _stable_intervals
 from .solver import sample_full
 
 SUITES = ("povd", "ssc", "bound", "exactness")
@@ -138,7 +138,7 @@ def suite_ssc(cases: int = 10_000, seed: int = 202) -> SuiteResult:
         if rng.random() < 0.05:
             tau = 0.0
         h_max = int(rng.integers(1, 17))
-        got = max_stable_interval(VariationSequence(values), n, tau, h_max)
+        got = int(_stable_intervals(values, tau, h_max)[n])
         want = _brute_force_interval(values, n, tau, h_max)
         if got != want:
             failures.append(f"draw {i} (seed {seed}): interval {got} != brute force {want}")

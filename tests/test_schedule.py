@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,64 +10,82 @@ from flowcache import (
     DEFAULT_H_MAX,
     DEFAULT_TAU_D,
     DEFAULT_TAU_K,
+    ExperimentConfig,
     InvalidArgumentError,
-    VariationSequence,
     build_schedule,
     calibrate,
-    max_stable_interval,
     schedule_coverage,
 )
+from flowcache import schedule
 from flowcache.calibration import IndicatorTable
+from flowcache.diagnostics import make_bundle
 from flowcache.fields import Condition, VelocityField
-from flowcache.schedule import THRESHOLD_PRESETS
+from flowcache.schedule import THRESHOLD_PRESETS, _stable_intervals
 from flowcache.solver import make_uniform_grid
-from flowcache.verify import suite_ssc
+from flowcache.verify import _brute_force_interval, suite_ssc
+
+from test_kernels import KERNEL_FIELDS, _setup
 
 
 class TestMaxStableInterval:
     def test_prefix_sum_example(self):
-        z = VariationSequence(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert max_stable_interval(z, 0, 0.35, 12) == 2
+        assert _stable_intervals(np.array([0.1, 0.2, 0.3, 0.4]), 0.35, 12)[0] == 2
 
     def test_fallback_to_one(self):
-        z = VariationSequence(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert max_stable_interval(z, 0, 0.05, 12) == 1
+        assert _stable_intervals(np.array([0.1, 0.2, 0.3, 0.4]), 0.05, 12)[0] == 1
 
     def test_h_max_cap_binds(self):
-        z = VariationSequence(np.zeros(10))
-        assert max_stable_interval(z, 0, 0.0, 4) == 4
+        assert _stable_intervals(np.zeros(10), 0.0, 4)[0] == 4
 
     def test_end_of_grid_cap(self):
-        z = VariationSequence(np.zeros(10))
-        assert max_stable_interval(z, 8, 1.0, 12) == 2
+        assert _stable_intervals(np.zeros(10), 1.0, 12)[8] == 2
 
     def test_tie_at_threshold_admits(self):
-        z = VariationSequence(np.array([0.2, 0.2, 0.2]))
-        assert max_stable_interval(z, 0, 0.4, 12) == 2
+        assert _stable_intervals(np.array([0.2, 0.2, 0.2]), 0.4, 12)[0] == 2
 
-    def test_index_out_of_range(self):
-        z = VariationSequence(np.zeros(3))
-        with pytest.raises(InvalidArgumentError):
-            max_stable_interval(z, 3, 0.1, 12)
+    def test_sums_run_left_to_right_from_each_start(self):
+        # from n = 1 the sums are 1, 2, 3; differences of prefix sums from
+        # step 0 lose the ones against 1e16 and would admit h = 3
+        z = np.array([1e16, 1.0, 1.0, 1.0])
+        prefix = np.concatenate([[0.0], np.cumsum(z)])
+        assert [h for h in (1, 2, 3) if prefix[1 + h] - prefix[1] <= 2.5] == [1, 2, 3]
+        assert _stable_intervals(z, 2.5, 12)[1] == 2
 
-    def test_negative_values_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            VariationSequence(np.array([0.1, -0.2]))
+    def test_exact_tie_thresholds_equal_brute_force(self):
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            size = int(rng.integers(1, 60))
+            z = rng.uniform(0.0, 1.0, size=size)
+            z[rng.random(size) < 0.2] = 0.0
+            start = int(rng.integers(0, size))
+            tau = 0.0
+            for value in z[start : start + int(rng.integers(1, size - start + 1))]:
+                tau += float(value)  # the threshold is an exact left-to-right sum
+            h_max = int(rng.integers(1, 20))
+            got = _stable_intervals(z, tau, h_max)
+            assert got.tolist() == [_brute_force_interval(z, n, tau, h_max) for n in range(size)]
 
     def test_brute_force_equivalence(self):
         result = suite_ssc(cases=2000, seed=13)
         assert result.passed, result.failures[:3]
 
+    def test_blocks_of_starts_equal_one_block(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        cases = [(rng.uniform(0.0, 0.2, size=int(rng.integers(1, 60))), int(rng.integers(1, 20))) for _ in range(50)]
+        whole = [_stable_intervals(z, 1.0, h_max) for z, h_max in cases]
+        monkeypatch.setattr(schedule, "_WINDOW_ENTRIES", 7)
+        for (z, h_max), want in zip(cases, whole):
+            np.testing.assert_array_equal(_stable_intervals(z, 1.0, h_max), want)
+
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
             size = int(rng.integers(1, 40))
-            z = VariationSequence(rng.uniform(0.0, 1.0, size=size))
-            n = int(rng.integers(0, size))
+            z = rng.uniform(0.0, 1.0, size=size)
             h_max = int(rng.integers(1, 14))
             tau_lo = float(rng.uniform(0.0, 2.0))
             tau_hi = tau_lo + float(rng.uniform(0.0, 2.0))
-            assert max_stable_interval(z, n, tau_lo, h_max) <= max_stable_interval(z, n, tau_hi, h_max)
+            assert (_stable_intervals(z, tau_lo, h_max) <= _stable_intervals(z, tau_hi, h_max)).all()
 
     def test_monotone_under_domination(self):
         rng = np.random.default_rng(31)
@@ -74,21 +93,17 @@ class TestMaxStableInterval:
             size = int(rng.integers(1, 40))
             z = rng.uniform(0.0, 1.0, size=size)
             z_small = z * rng.uniform(0.0, 1.0, size=size)
-            n = int(rng.integers(0, size))
             h_max = int(rng.integers(1, 14))
             tau = float(rng.uniform(0.0, 3.0))
-            assert max_stable_interval(VariationSequence(z_small), n, tau, h_max) >= max_stable_interval(
-                VariationSequence(z), n, tau, h_max
-            )
+            assert (_stable_intervals(z_small, tau, h_max) >= _stable_intervals(z, tau, h_max)).all()
 
     def test_never_runs_past_grid(self):
         rng = np.random.default_rng(37)
         for _ in range(300):
             size = int(rng.integers(1, 40))
-            z = VariationSequence(rng.uniform(0.0, 0.1, size=size))
-            n = int(rng.integers(0, size))
-            h = max_stable_interval(z, n, float(rng.uniform(0, 5)), int(rng.integers(1, 20)))
-            assert n + h <= size
+            z = rng.uniform(0.0, 0.1, size=size)
+            h = _stable_intervals(z, float(rng.uniform(0, 5)), int(rng.integers(1, 20)))
+            assert (np.arange(size) + h <= size).all()
 
 
 class TestBuildSchedule:
@@ -115,7 +130,7 @@ class TestBuildSchedule:
         ind = self._indicators(k, d)
         h = build_schedule(ind, grid, 0.5, 0.6, 12)
         assert h[0] == 2
-        assert max_stable_interval(VariationSequence(np.abs(k) * grid.dt), 0, 0.5, 12) == 5
+        assert _stable_intervals(np.abs(k) * grid.dt, 0.5, 12)[0] == 5
 
     def test_negative_threshold_rejected(self):
         grid = make_uniform_grid(4)
@@ -133,6 +148,33 @@ class TestBuildSchedule:
         ind = self._indicators(np.zeros(4), np.zeros(4))
         with pytest.raises(InvalidArgumentError, match=f"^{key}: "):
             build_schedule(ind, grid, tau_k, tau_d, h_max)
+
+    @pytest.mark.parametrize("h_max", [3.0, 2.5, True], ids=repr)
+    def test_h_max_must_be_an_integer(self, h_max, constant_spec):
+        grid = make_uniform_grid(4)
+        ind = self._indicators(np.zeros(4), np.zeros(4))
+        with pytest.raises(InvalidArgumentError, match="^h_max: must be an integer"):
+            build_schedule(ind, grid, 0.3, 0.3, h_max)
+        bundle = make_bundle(ExperimentConfig(constant_spec, 4, (1,), (2,), h_max=np.int64(3)))[2]
+        with pytest.raises(InvalidArgumentError, match="^h_max: must be an integer"):
+            replace(bundle, h_max=h_max)
+        with pytest.raises(InvalidArgumentError, match="'h_max': must be an integer"):
+            ExperimentConfig(constant_spec, 4, (1,), (2,), h_max=h_max)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_calibrated_schedule_equals_brute_force(self, name):
+        _, grid, bundle = _setup(name)
+        magnitude = np.abs(bundle.indicators.k_tilde) * grid.dt
+        want = [
+            min(
+                _brute_force_interval(magnitude, n, bundle.tau_k, bundle.h_max),
+                _brute_force_interval(bundle.indicators.d_tilde, n, bundle.tau_d, bundle.h_max),
+            )
+            for n in range(grid.n_steps)
+        ]
+        got = build_schedule(bundle.indicators, grid, bundle.tau_k, bundle.tau_d, bundle.h_max)
+        assert got.tolist() == want
+        assert (got > 1).any()
 
     def test_length_mismatch_rejected(self):
         grid = make_uniform_grid(5)
