@@ -73,10 +73,10 @@ def _cached_kernel(
 ) -> Iterator:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
-    The bundle's schedule is shared, so every run anchors on the same steps.
-    ``toggles`` is one setting for all runs or one per run. The indicators,
-    finite by ``IndicatorTable``'s rule, become the walk's per-step
-    reconstruction factors, with a disabled correction's factor neutral.
+    The bundle's schedule is shared, so all runs ride one batch with one oracle
+    call per anchor. ``toggles`` is one setting for all runs or one per run.
+    The indicators, finite by ``IndicatorTable``'s rule, become the walk's
+    per-step reconstruction factors, with a disabled correction's factor neutral.
     With ``records`` it yields each run's record; without, the ``(velocities, states)`` rows of each skip
     interval's last step (``_walk``, which takes the velocities of ``references`` where they serve and calls
     no oracle there; references on another grid go unused).

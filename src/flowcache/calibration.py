@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
-from .fields import Condition, VelocityField, initial_state
+from .fields import Condition, VelocityField, _check_seeds, initial_state
 from .ioutil import _create, _finite, _json_value, _known_keys, write_csv
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
@@ -157,6 +157,7 @@ class ScheduleBundle:
         if schedule.shape != (n,):
             raise InvalidArgumentError(f"schedule must have {n} entries")
         _check_thresholds(tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
+        _check_seeds("seeds", self.seeds, FieldError)
         for i, h in enumerate(schedule):
             if not 1 <= h <= min(self.h_max, n - i):
                 raise FieldError("schedule", f"schedule entry out of range at step {i}: h={h}")

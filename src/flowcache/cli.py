@@ -172,6 +172,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.out and args.suite not in ("bound", "all"):
+        raise InvalidArgumentError(f"--out does not apply to the {args.suite} suite; only the bound suite writes an audit")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:

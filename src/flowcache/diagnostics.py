@@ -25,7 +25,7 @@ from .cached_sampler import CompensationToggles, _cached_kernel
 from .calibration import IndicatorTable, ScheduleBundle, _check_thresholds, _indicators, calibrate
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
-from .fields import Condition, FieldSpec, VelocityField, field_digest, initial_state
+from .fields import Condition, FieldSpec, VelocityField, _check_seeds, field_digest, initial_state
 from .ioutil import _json_value, _known_keys, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
 from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
@@ -150,11 +150,7 @@ class ExperimentConfig:
         for key in ("calibration_seeds", "evaluation_seeds"):
             if not getattr(self, key):
                 raise _config_error(key, "the seed list must be non-empty")
-            for i, seed in enumerate(getattr(self, key)):
-                try:
-                    Condition(seed)  # the seed rule is the condition's
-                except InvalidArgumentError as exc:
-                    raise _config_error(key, f"entry {i}: {exc}") from None
+            _check_seeds(key, getattr(self, key), _config_error)
         overlap = set(self.calibration_seeds) & set(self.evaluation_seeds)
         if overlap:
             reason = f"must be disjoint from calibration_seeds, both contain {sorted(overlap)}"

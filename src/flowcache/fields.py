@@ -43,6 +43,8 @@ KIND_MAGNITUDE_DECAY = "magnitude-decay"
 KIND_ROTATION = "rotation"
 KIND_GAUSSIAN_MIXTURE = "gaussian-mixture"
 FIELD_KINDS = (KIND_CONSTANT, KIND_MAGNITUDE_DECAY, KIND_ROTATION, KIND_GAUSSIAN_MIXTURE)
+# The keys each kind reads and writes besides ``kind`` and ``dimension``, in ``FIELD_KINDS`` order.
+_KIND_KEYS = dict(zip(FIELD_KINDS, (("target",), ("target", "rate"), ("target", "rate", "plane"), ("components",))))
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -60,6 +62,15 @@ class Condition:
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidArgumentError(f"condition seed must be a 64-bit unsigned integer, got {self.seed}")
+
+
+def _check_seeds(key: str, seeds: Iterable[int], error: Callable) -> None:
+    """``Condition``'s rule on each of ``seeds``; the first breach raises ``error(key, "entry i: ...")``."""
+    for i, seed in enumerate(seeds):
+        try:
+            Condition(seed)
+        except InvalidArgumentError as exc:
+            raise error(key, f"entry {i}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -109,13 +120,13 @@ class FieldSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "dimension": self.dimension}
-        if self.kind in (KIND_CONSTANT, KIND_MAGNITUDE_DECAY, KIND_ROTATION):
+        if "target" in _KIND_KEYS[self.kind]:
             out["target"] = [float(v) for v in self.target]  # type: ignore[union-attr]
-        if self.kind in (KIND_MAGNITUDE_DECAY, KIND_ROTATION):
+        if "rate" in _KIND_KEYS[self.kind]:
             out["rate"] = float(self.rate)
-        if self.kind == KIND_ROTATION:
+        if "plane" in _KIND_KEYS[self.kind]:
             out["plane"] = [int(self.plane[0]), int(self.plane[1])]
-        if self.kind == KIND_GAUSSIAN_MIXTURE:
+        if "components" in _KIND_KEYS[self.kind]:
             out["components"] = [
                 {"weight": float(c.weight), "mean": [float(m) for m in c.mean], "scale": float(c.scale)}
                 for c in self.components
@@ -132,8 +143,9 @@ class FieldSpec:
         def value(key: str, kind: str, source: dict = data, prefix: str = ""):
             return _json_value(source, key, kind, error=error(prefix))
 
-        _known_keys(data, ("kind", "dimension", "target", "rate", "plane", "components"), error())
         kind, dimension = value("kind", "str"), value("dimension", "int")
+        if kind in _KIND_KEYS:  # an unknown kind is named by the spec's own rule, whatever its keys
+            _known_keys(data, ("kind", "dimension", *_KIND_KEYS[kind]), error())
         kwargs: dict = {}
         if "target" in data:
             kwargs["target"] = value("target", "floats")

@@ -66,7 +66,8 @@ class TrajectoryRecord:
     A cached run also records ``directions``, shaped like ``velocities``:
     row n is the unit turning direction handed to the reconstruction at step
     n, and all-NaN where the step had none. Full-step runs carry None. The
-    record makes the float arrays it is given read-only; it does not copy them.
+    record makes the float arrays it is given read-only; it does not copy them,
+    so a walk's records are views of its one block, which any of them keeps.
     """
 
     grid: TimeGrid
@@ -78,7 +79,7 @@ class TrajectoryRecord:
     def __post_init__(self) -> None:
         n = self.grid.n_steps
         # the (N, D) arrays are frozen in place, not copied: the samplers hand over views of a
-        # fresh batch block, and each copy would be one more large allocation per run
+        # walk's fresh block, and each copy would be one more large allocation per run
         states = np.asarray(self.states, dtype=float)
         velocities = np.asarray(self.velocities, dtype=float)
         evaluated = np.array(self.evaluated, dtype=bool)
@@ -117,10 +118,6 @@ def _check_start(field: VelocityField, x0: np.ndarray) -> np.ndarray:
 # Residual-norm fraction below which a direction anchor counts as parallel.
 EPS_DIR = 1e-12
 
-# Most bytes one batch's block of run arrays takes. A larger set of runs goes
-# in consecutive batches, so memory stays bounded whatever the seed count.
-_BATCH_BYTES = 1 << 20
-
 
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite; a finite sum of squares implies it, so the full test runs only if not."""
@@ -147,14 +144,14 @@ def _walk(
 ) -> Iterator:
     """Runs from the checked (B, D) start states ``x0``, one per condition, over the ``(start, length)`` ``intervals``.
 
-    With ``records``, runs go in batches whose one (b, width, D) block of run
-    arrays (states, velocities and, for cached runs, directions) fits in
-    ``_BATCH_BYTES``, and each run is yielded as a ``TrajectoryRecord``.
-    Without, all runs ride one batch holding one running (B, D) row each of
-    states, velocities and directions, and each interval's last step is
-    yielded as ``(velocities, states)``, overwritten by the next interval.
+    All runs ride one batch. With ``records``, they share one (B, width, D)
+    block of run arrays (states, velocities and, for cached runs, directions),
+    and each run is yielded as a ``TrajectoryRecord`` once all are walked.
+    Without, the batch holds one running (B, D) row each of states,
+    velocities and directions, and each interval's last step is yielded as
+    ``(velocities, states)``, overwritten by the next interval.
 
-    Each interval opens with one oracle call per batch, its output checked
+    Each interval opens with one oracle call for the batch, its output checked
     once (step 0 always opens a length-1 interval). Run i, which starts where
     full-step run i mod R of ``references`` does, takes that run's velocities
     up to the first longer interval's anchor (all, if none is). With per-run ``factors``
@@ -169,103 +166,97 @@ def _walk(
     v_{m+1} = growth_m v_m + turn_m |v_m| u_m, without the turning term where
     u_m is degenerate or turn_m = 0; at huge speeds p and u_m are found, bit for
     bit, at a power-of-two scale (``_shrunk``). A run that leaves the finite range
-    fails once its batch is walked, naming its first non-finite state's
+    fails once the batch is walked, naming its first non-finite state's
     step; a record-free walk checks its state row at interval ends and names
     that end. numpy's overflow and invalid-value warnings are silenced while
-    the walk steps a batch (an interval, without records), not while a
+    the walk steps the batch (an interval, without records), not while a
     caller holds a yielded step.
     """
-    n_steps, dim = grid.n_steps, x0.shape[1]
+    n_steps, dim, B = grid.n_steps, x0.shape[1], len(conditions)
     seeded = next((n for n, h in intervals if h > 1), n_steps - 1) + 1 if references else 0
     times, dt = grid.times.tolist(), grid.dt.tolist()
     evaluated = np.zeros(n_steps, dtype=bool)
     evaluated[[n for n, _ in intervals]] = True
     width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
-    size = max(1, _BATCH_BYTES // (8 * width * dim)) if records else len(conditions)
     # the intervals one errstate spans: all, or one where the walk hands its caller each interval's end outside it
     groups = [intervals] if records else [[interval] for interval in intervals]
     field.prepare([times[n] for n, _ in intervals if n >= seeded])
-    for first in range(0, len(conditions), size):
-        batch = conditions[first : first + size]
-        if records:
-            # one allocation: as separate arrays, large runs were faulted in again on every run under some heap layouts
-            block = np.empty((len(batch), width, dim))
-            block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
-            states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1], axis=1)
-        else:
-            # every step of a run indexes the one running row of its states, of its velocities, of its directions
-            states, velocities, directions = (
-                np.lib.stride_tricks.as_strided(rows, (len(batch), n_steps + 1, dim), (8 * dim, 0, 8))
-                for rows in np.empty((3, len(batch), dim))
-            )
-        # step-major rows: (b, D), or (D,) for a single run's record, which the oracle takes as an unbatched call
-        S, V = (a[0] if records and len(batch) == 1 else a.swapaxes(0, 1) for a in (states, velocities))
-        S[0] = x0[first : first + size]
-        batch_conditions = batch if S.ndim == 3 else batch[0]
-        if seeded:  # the runs' reference velocities, step-major: (b, D) rows, or (D,) for a single record
-            cycle = [references[i % len(references)].velocities[:seeded] for i in range(first, first + len(batch))]
-            known = np.stack(cycle, axis=1) if S.ndim == 3 else cycle[0]
-        run_factors = factors[first : first + size] if factors is not None else [(None, None)] * len(batch)
-        runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, run_factors)]
-        bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
-        for group in groups:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
-                for n, h in group:
-                    v = known[n] if n < seeded else field.evaluate(S[n], times[n], batch_conditions)
-                    if not _finite(v):
-                        raise NumericDomainError(
-                            f"the oracle returned a non-finite velocity at step {n} (t={times[n]})"
-                        )
-                    V[n] = v
-                    if h > 1:
-                        # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
-                        live = []
-                        for run, v_p, v_n in zip(runs, last.reshape(len(batch), -1), v.reshape(len(batch), -1)):
+    if records:
+        # one allocation: as separate arrays, large runs were faulted in again on every run under some heap layouts
+        block = np.empty((B, width, dim))
+        block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
+        states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1], axis=1)
+    else:
+        # every step of a run indexes the one running row of its states, of its velocities, of its directions
+        states, velocities, directions = (
+            np.lib.stride_tricks.as_strided(rows, (B, n_steps + 1, dim), (8 * dim, 0, 8))
+            for rows in np.empty((3, B, dim))
+        )
+    # step-major rows: (B, D), or (D,) for a single run's record, which the oracle takes as an unbatched call
+    S, V = (a[0] if records and B == 1 else a.swapaxes(0, 1) for a in (states, velocities))
+    S[0] = x0
+    batch_conditions = conditions if S.ndim == 3 else conditions[0]
+    if seeded:  # the runs' reference velocities, step-major: (B, D) rows, or (D,) for a single record
+        cycle = [references[i % len(references)].velocities[:seeded] for i in range(B)]
+        known = np.stack(cycle, axis=1) if S.ndim == 3 else cycle[0]
+    runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, factors or [(None, None)] * B)]
+    bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
+    for group in groups:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
+            for n, h in group:
+                v = known[n] if n < seeded else field.evaluate(S[n], times[n], batch_conditions)
+                if not _finite(v):
+                    raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
+                V[n] = v
+                if h > 1:
+                    # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
+                    live = []
+                    for run, v_p, v_n in zip(runs, last.reshape(B, -1), v.reshape(B, -1)):
+                        pp = float(v_p.dot(v_p))
+                        if not pp + float(v_n.dot(v_n)) < 2.0**1020:  # a huge speed: p is found at 2**-e
+                            v_p, v_n = _shrunk(v_p, v_n)[1]
                             pp = float(v_p.dot(v_p))
-                            if not pp + float(v_n.dot(v_n)) < 2.0**1020:  # a huge speed: p is found at 2**-e
-                                v_p, v_n = _shrunk(v_p, v_n)[1]
-                                pp = float(v_p.dot(v_p))
-                            a, tol = None, 0.0
-                            if pp != 0.0:
-                                a = v_n - v_p
-                                a -= (float(a.dot(v_p)) / pp) * v_p
-                                tol = EPS_DIR * math.sqrt(a.dot(a))
-                            live.append([*run, a, tol, None, 0.0])
-                    last = v
-                    for m in range(n, n + h):
-                        if h > 1:
-                            for st in live:
-                                vel, dirs, growth, turn, p, tol, u, norm = st
-                                v_m = vel[m]
-                                if m > n:  # v_m rebuilt from v_{m-1} and its direction
-                                    np.multiply(growth[m - 1], vel[m - 1], out=v_m)
-                                    if u is not None and turn[m - 1] != 0.0:
-                                        v_m += turn[m - 1] * norm * u
-                                u, w, norm = None, v_m, 0.0
-                                if p is not None:
-                                    vv = float(v_m.dot(v_m))
-                                    norm = math.sqrt(vv)
-                                    if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
-                                        e, (w,) = _shrunk(v_m)
-                                        vv = float(w.dot(w))
-                                        norm = math.ldexp(math.sqrt(vv), e)
-                                    if vv != 0.0:
-                                        r = p - (float(p.dot(w)) / vv) * w
-                                        r_norm = math.sqrt(r.dot(r))
-                                        if not (r_norm == 0.0 or r_norm < tol):
-                                            u = np.divide(r, r_norm, out=dirs[m])
-                                st[6], st[7] = u, norm
-                        np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
-                # a record-free walk holds one state row, so it names the end of the group's one interval
-                if bad is None and not _finite(S[m + 1]):
-                    bad = next(k for k in range(1 if records else m + 1, m + 2) if not _finite(S[k]))
-            if not records:
-                yield V[m], S[m + 1]
-        if bad is not None:
-            raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
-        if records:
-            for run, (vel, dirs, *_) in zip(states, runs):
-                yield TrajectoryRecord(grid, run, vel, evaluated, None if factors is None else dirs)
+                        a, tol = None, 0.0
+                        if pp != 0.0:
+                            a = v_n - v_p
+                            a -= (float(a.dot(v_p)) / pp) * v_p
+                            tol = EPS_DIR * math.sqrt(a.dot(a))
+                        live.append([*run, a, tol, None, 0.0])
+                last = v
+                for m in range(n, n + h):
+                    if h > 1:
+                        for st in live:
+                            vel, dirs, growth, turn, p, tol, u, norm = st
+                            v_m = vel[m]
+                            if m > n:  # v_m rebuilt from v_{m-1} and its direction
+                                np.multiply(growth[m - 1], vel[m - 1], out=v_m)
+                                if u is not None and turn[m - 1] != 0.0:
+                                    v_m += turn[m - 1] * norm * u
+                            u, w, norm = None, v_m, 0.0
+                            if p is not None:
+                                vv = float(v_m.dot(v_m))
+                                norm = math.sqrt(vv)
+                                if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
+                                    e, (w,) = _shrunk(v_m)
+                                    vv = float(w.dot(w))
+                                    norm = math.ldexp(math.sqrt(vv), e)
+                                if vv != 0.0:
+                                    r = p - (float(p.dot(w)) / vv) * w
+                                    r_norm = math.sqrt(r.dot(r))
+                                    if not (r_norm == 0.0 or r_norm < tol):
+                                        u = np.divide(r, r_norm, out=dirs[m])
+                            st[6], st[7] = u, norm
+                    np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
+            # a record-free walk holds one state row, so it names the end of the group's one interval
+            if bad is None and not _finite(S[m + 1]):
+                bad = next(k for k in range(1 if records else m + 1, m + 2) if not _finite(S[k]))
+        if not records:
+            yield V[m], S[m + 1]
+    if bad is not None:
+        raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
+    if records:
+        for run, (vel, dirs, *_) in zip(states, runs):
+            yield TrajectoryRecord(grid, run, vel, evaluated, None if factors is None else dirs)
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:

@@ -17,6 +17,7 @@ import pytest
 from flowcache import (
     CompensationToggles,
     Condition,
+    ExperimentConfig,
     FieldSpec,
     IndicatorTable,
     InvalidArgumentError,
@@ -26,12 +27,12 @@ from flowcache import (
     calibrate,
     initial_state,
     make_uniform_grid,
+    run_experiment,
     sample_cached,
     sample_full,
 )
-from flowcache import solver
 from flowcache.cached_sampler import _cached_kernel
-from flowcache.diagnostics import ABLATION_ORDER
+from flowcache.diagnostics import ABLATION_ORDER, evaluate_bundle
 from flowcache.fields import _Mixture
 from flowcache.schedule import skip_intervals
 from flowcache.solver import _full_kernel
@@ -145,12 +146,10 @@ class TestBatchedSamplers:
             _assert_same_run(record, sample_cached(field, bundle, start, condition, toggles))
 
     @pytest.mark.parametrize("kernel", ["full", "cached"])
-    def test_runs_beyond_the_byte_budget_span_two_batches(self, kernel):
+    def test_many_runs_share_one_block_and_one_oracle_call_per_anchor(self, kernel):
+        # 24 dim-64 runs of 50 steps: about 1.2 MiB of full records, 1.8 MiB of cached ones
         field, grid, bundle = _setup("mixture-d64")
-        width = 2 * grid.n_steps + 1 if kernel == "full" else 3 * grid.n_steps + 1
-        per_batch = solver._BATCH_BYTES // (8 * width * field.dimension)
-        assert per_batch > 1
-        x0, conditions = _starts(field, range(200, 201 + per_batch))
+        x0, conditions = _starts(field, range(200, 224))
         field.reset_evaluations()
         if kernel == "full":
             records = list(_full_kernel(field, grid, x0, conditions))
@@ -158,11 +157,9 @@ class TestBatchedSamplers:
         else:
             records = list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles()))
             singles = [sample_cached(field, bundle, x, c) for x, c in zip(x0, conditions)]
-        # each batch shares one block; the last run had to go in a second one
-        blocks = [record.states.base for record in records]
-        assert blocks[0] is blocks[per_batch - 1] and blocks[per_batch] is not blocks[0]
-        assert field.evaluations == 2 * records[0].nfe + sum(s.nfe for s in singles)
-        for record, single in zip(records, singles):
+        assert all(record.states.base is records[0].states.base for record in records)
+        assert field.evaluations == records[0].nfe + sum(s.nfe for s in singles)
+        for record, single in zip(records, singles, strict=True):
             _assert_same_run(record, single)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
@@ -178,25 +175,28 @@ class TestBatchedSamplers:
         for record, start, condition, setting in zip(records, x0, conditions, toggles):
             _assert_same_run(record, sample_cached(field, bundle, start, condition, setting))
 
-    def test_per_row_toggles_span_two_batches(self):
-        field, _, bundle = _setup("mixture-d64")
-        per_batch = solver._BATCH_BYTES // (8 * (3 * bundle.grid.n_steps + 1) * field.dimension)
-        # the second batch's first row has another setting than the first batch's first row
-        assert per_batch % 4 != 0
-        x0, conditions = _starts(field, range(300, 303 + per_batch))
-        toggles = [CompensationToggles(*ABLATION_ORDER[i % 4]) for i in range(len(conditions))]
-        records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
-        assert records[per_batch].states.base is not records[0].states.base
-        for record, start, condition, setting in zip(records, x0, conditions, toggles, strict=True):
-            _assert_same_run(record, sample_cached(field, bundle, start, condition, setting))
-
-    def test_budget_holds_one_dim_1024_run_per_batch(self):
-        # a sample-d1024-shaped full run's record (100 steps) takes a batch of its own
-        assert solver._BATCH_BYTES // (8 * 201 * 1024) == 0
-        # calibration keeps no records, so the budget does not bind it: 16 seeds ride one oracle call per step
-        field = VelocityField(_mixture(1024, 2, 5))
-        calibrate(field, make_uniform_grid(100), [Condition(seed) for seed in range(16)])
+    def test_dim_1024_runs_ride_one_oracle_call_per_step(self):
+        # 16 seeds, with or without records, make one oracle call per step for all of them
+        field, grid = VelocityField(_mixture(1024, 2, 5)), make_uniform_grid(100)
+        calibrate(field, grid, [Condition(seed) for seed in range(16)])
         assert field.evaluations == 100
+        field.reset_evaluations()
+        x0, conditions = _starts(field, range(16))
+        assert sum(1 for _ in _full_kernel(field, grid, x0, conditions)) == 16
+        assert field.evaluations == 100
+
+    def test_evaluate_bundle_calls_the_oracle_once_per_anchor_past_the_references(self):
+        # the cached runs of six dim-1024 seeds ride one batch, and the references serve the anchors up to and
+        # including the first skip's
+        config = ExperimentConfig(_mixture(1024, 2, 5), 100, (1, 2, 3, 4), tuple(range(100, 106)), tau_k=0.3, tau_d=3.0)
+        result = run_experiment(config)
+        intervals = skip_intervals(result.bundle.schedule, config.n_steps)
+        served = sum(n <= next(n for n, h in intervals if h > 1) for n, _ in intervals)
+        assert result.cached_nfe - served > 1
+        result.velocity_field.reset_evaluations()
+        reports = evaluate_bundle(result, result.bundle, config.toggles)
+        assert result.velocity_field.evaluations == result.cached_nfe - served
+        assert [r.final_state_drift for r in reports] == result.final_drifts.tolist()
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
@@ -253,17 +253,14 @@ class TestBatchedSamplers:
         _assert_steps_equal_the_records(steps, records, x0, intervals)
         assert field.evaluations == calls
 
-    def test_seeded_rows_cycle_through_the_references_across_batches(self):
+    def test_seeded_rows_cycle_through_the_references(self):
         field, grid, bundle = _setup("mixture-d64")
-        per_batch = solver._BATCH_BYTES // (8 * (3 * grid.n_steps + 1) * field.dimension)
-        assert per_batch % 3 != 0  # the second batch opens mid-cycle
         x0, conditions = _starts(field, (300, 301, 302))
         references = list(_full_kernel(field, grid, x0, conditions))
-        cycle = np.arange(per_batch + 2) % 3
+        cycle = np.arange(11) % 3  # the last cycle stops short
         toggles = [CompensationToggles(*ABLATION_ORDER[row % 4]) for row in range(len(cycle))]
         rows = (x0[cycle], [conditions[i] for i in cycle], toggles)
         seeded = list(_cached_kernel(field, bundle, *rows, references=references))
-        assert seeded[per_batch].states.base is not seeded[0].states.base
         for record, unseeded in zip(seeded, _cached_kernel(field, bundle, *rows), strict=True):
             _assert_same_run(record, unseeded)
 

@@ -230,6 +230,18 @@ class TestVerify:
         assert "--cases" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("suite", ["povd", "ssc", "exactness"])
+    def test_out_rejected_for_a_suite_that_writes_no_audit(self, tmp_path, capsys, suite):
+        assert main(["verify", "--suite", suite, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"--out does not apply to the {suite} suite" in captured.err
+        assert "PASS" not in captured.out and not (tmp_path / "o").exists()
+
+    def test_out_with_all_writes_the_bound_audit(self, tmp_path):
+        assert main(["verify", "--suite", "all", "--cases", "40", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["bound_audit.csv", "manifest.json"]
+        assert len(_read_rows(tmp_path / "o" / "bound_audit.csv")) == 40
+
     def test_cases_with_all_sizes_the_randomized_suites(self, capsys, monkeypatch):
         import flowcache.cli as cli_module
         import flowcache.verify as verify_module
@@ -484,6 +496,17 @@ class TestErrors:
         assert "h: schedule entry at step 0 is not an integer" in capsys.readouterr().err
         assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bad", [-7, 2**64, 2**70])
+    def test_bundle_seed_outside_the_condition_rule_rejected(self, tmp_path, capsys, bad):
+        config, bundle = self._calibrate_constant(tmp_path)
+        data = json.loads(bundle.read_text())
+        data["seeds"][1] = bad
+        bundle.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
+        assert "seeds: entry 1: condition seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
     @pytest.mark.parametrize("key, bad", [("n_steps", None), ("seeds", 5), ("sample_count", [1]), ("tau_k", "x")])
     def test_malformed_bundle_scalar_rejected(self, tmp_path, capsys, key, bad):
         config, bundle = self._calibrate_constant(tmp_path)
@@ -573,6 +596,26 @@ class TestErrors:
         config = _write_config(tmp_path, payload)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ({"kind": "constant", "dimension": 2, "target": [1.0, -1.0], "rate": 0.7, "plane": [0, 1]}, "rate"),
+            ({"kind": "magnitude-decay", "dimension": 2, "target": [1.0, -1.0], "rate": 0.1, "plane": [0, 1]}, "plane"),
+            ({"kind": "rotation", "dimension": 2, "target": [1.0, 0.0], "components": [GMM_COMPONENT]}, "components"),
+            (dict(GMM_CONFIG["field"], target=[1.0, 0.0, 0.0], rate=0.7), "target"),
+        ],
+        ids=["constant", "magnitude-decay", "rotation", "gaussian-mixture"],
+    )
+    def test_a_key_its_field_kind_does_not_read_is_rejected(self, tmp_path, capsys, field, key):
+        # the manifest writes only the keys the kind reads, so any other would be dropped without a word
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, field=field))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config key 'field.{key}': unknown key" in capsys.readouterr().err
+        # an unknown kind keeps its own error
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, field=dict(field, kind="spline")))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config key 'field.kind': unknown field kind 'spline'" in capsys.readouterr().err
 
     def test_unknown_bundle_key_rejected(self, tmp_path, capsys):
         config, bundle = self._calibrate_constant(tmp_path)

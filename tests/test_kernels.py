@@ -38,7 +38,6 @@ from flowcache import (
     sample_cached,
     sample_full,
 )
-from flowcache import solver
 from flowcache.cached_sampler import _cached_kernel
 from flowcache.decomposition import _decompose_rows
 from flowcache.diagnostics import ABLATION_ORDER, ExperimentConfig, make_bundle
@@ -197,18 +196,15 @@ class TestSamplerKernels:
                 assert recorded.any()
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
-    def test_batches_match_reference(self, name, monkeypatch):
+    def test_batches_match_reference(self, name):
         field, grid, bundle = _setup(name)
-        # two runs per batch for either kernel, so three seeds span two batches
-        monkeypatch.setattr(solver, "_BATCH_BYTES", 2 * 8 * (3 * grid.n_steps + 1) * field.dimension)
         conditions = [Condition(seed) for seed in (100, 101, 102)]
         x0 = np.array([initial_state(c, field.dimension) for c in conditions])
         toggles = CompensationToggles()
         cached = list(_cached_kernel(field, bundle, x0, conditions, toggles))
         full = list(_full_kernel(field, grid, x0, conditions))
-        for records in (cached, full):
-            assert records[1].states.base is records[0].states.base
-            assert records[2].states.base is not records[0].states.base
+        for records in (cached, full):  # the three runs share one block
+            assert records[1].states.base is records[0].states.base is records[2].states.base
         for start, condition, cached_run, full_run in zip(x0, conditions, cached, full, strict=True):
             states, velocities, directions, evaluated = _reference_cached(field, bundle, start, condition, toggles)
             assert np.array_equal(cached_run.states, states)
@@ -299,9 +295,8 @@ class TestFloatingPointState:
         first, end = named
         assert n < first < end == n + h
 
-    def test_the_callers_state_holds_between_batches(self, monkeypatch):
+    def test_the_callers_state_holds_while_it_holds_a_record(self):
         field, grid, _ = _setup("mixture-d3")
-        monkeypatch.setattr(solver, "_BATCH_BYTES", 8 * (2 * grid.n_steps + 1) * field.dimension)  # one run per batch
         conditions = [Condition(seed) for seed in (100, 101)]
         x0 = np.array([initial_state(c, field.dimension) for c in conditions])
         with np.errstate(over="raise", invalid="warn"):
