@@ -46,8 +46,24 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 SAMPLE_MODES = ("full", "cached", "truncated")
-# Config keys a manifest may carry besides the experiment's: sample's and bench's settings.
-SUBCOMMAND_KEYS = ("mode", "truncate_to", "bundle", "ablation", "sweep_taus")
+# Every flag-backed setting, by argparse dest: the config key it sets, its JSON kind and default, and where it
+# applies: every experiment subcommand (None), bench, sample, or sample in one mode. ExperimentConfig reads the
+# experiment keys with its own defaults; a setting whose default is None is required where it applies.
+FLAGS = {
+    "steps": ("n_steps", "int", None, None),
+    "tau_k": ("tau_k", "float", None, None),
+    "tau_d": ("tau_d", "float", None, None),
+    "h_max": ("h_max", "int", None, None),
+    "seeds": ("evaluation_seeds", "ints", None, None),
+    "no_mi": ("use_mi", "bool", None, None),
+    "no_di": ("use_di", "bool", None, None),
+    "mode": ("mode", "str", "full", "sample"),
+    "truncate_to": ("truncate_to", "int", None, "truncated"),
+    "bundle": ("bundle", "str", None, "cached"),
+    "ablation": ("ablation", "bool", False, "bench"),
+    "sweep_taus": ("sweep_taus", "list", [], "bench"),
+}
+_SETTING_KEYS = {key for key, _, _, where in FLAGS.values() if where}
 
 
 def _load_config_dict(path: str) -> dict:
@@ -63,33 +79,69 @@ def _load_config_dict(path: str) -> dict:
     return data
 
 
-def _resolve_experiment(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
-    """Merge config file and flag overrides.
+def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
+    """The run's experiment config, its sample or bench settings, and the resolved dict its manifest records.
 
-    Returns the parsed config, the resolved dict to embed in the manifest,
-    and the raw input dict, which may carry subcommand extras (mode, bundle,
-    sweep pairs) when a manifest is being re-run.
+    The config file (or a manifest) is merged with each flag that is set, and
+    each setting the run uses is read once; a bad value names the flag that
+    set it, or else its key. A flag set where it does not apply exits 2
+    naming it. A file key outside its mode is ignored, since a manifest of
+    one mode may be re-run in another.
     """
     raw = _load_config_dict(args.config) if args.config else {}
-    if getattr(args, "steps", None) is not None:
-        raw["n_steps"] = args.steps
-    if getattr(args, "tau_k", None) is not None:
-        raw["tau_k"] = args.tau_k
-    if getattr(args, "tau_d", None) is not None:
-        raw["tau_d"] = args.tau_d
-    if getattr(args, "h_max", None) is not None:
-        raw["h_max"] = args.h_max
-    if getattr(args, "seeds", None) is not None:
+    settings: dict = {}
+    for dest, (key, kind, default, where) in FLAGS.items():
+        flag, set_to = "--" + dest.replace("_", "-"), getattr(args, dest, None)
+        applies = where in (None, args.command, settings.get("mode"))
+        if set_to is not None:
+            if not applies:
+                raise InvalidArgumentError(f"{flag} applies only to --mode {where}; this run is {settings['mode']}")
+            raw[key] = _flag_json(flag, kind, set_to)
+        if where is None or not applies:
+            continue
+        error = _config_error if set_to is None else lambda _, reason: InvalidArgumentError(f"{flag}: {reason}")
+        value = _json_value(raw, key, kind, default, error=error)
+        if value is None:
+            raise InvalidArgumentError(f"{where} mode needs {flag}")
+        settings[key] = _checked(key, value, error)
+    config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in _SETTING_KEYS})
+    return config, settings, {**config.to_dict(), **settings}
+
+
+def _flag_json(flag: str, kind: str, value):
+    """A set flag's value as its config key's JSON value; a list flag is comma-separated text."""
+    if kind == "ints":
         try:
-            raw["evaluation_seeds"] = [int(s) for s in args.seeds.split(",")]
+            return [int(part) for part in value.split(",")]
         except ValueError:
-            raise InvalidArgumentError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
-    if getattr(args, "no_mi", False):
-        raw["use_mi"] = False
-    if getattr(args, "no_di", False):
-        raw["use_di"] = False
-    config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in SUBCOMMAND_KEYS})
-    return config, config.to_dict(), raw
+            raise InvalidArgumentError(f"{flag}: expected comma-separated integers, got {value!r}") from None
+    if kind == "list":  # tau_k:tau_d threshold pairs
+        return [[_number(half) for half in pair.split(":")] for pair in value.split(",")]
+    return value
+
+
+def _checked(key: str, value, error):
+    """A sample or bench setting under its value rule; a breach raises ``error(key, reason)``.
+
+    Sweep pairs come back as tuples, each two finite numbers that pass the threshold rule.
+    """
+    if key == "mode" and value not in SAMPLE_MODES:
+        raise error(key, f"unknown mode {value!r}; expected one of {', '.join(SAMPLE_MODES)}")
+    if key == "truncate_to" and value < 1:
+        raise error(key, f"must be positive, got {value}")
+    if key != "sweep_taus":
+        return value
+    checked = []
+    for pair in value:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair))):
+            raise error(key, f"bad threshold pair {pair!r}; expected tau_k:tau_d, two finite non-negative numbers")
+        tau_k, tau_d = map(float, pair)
+        try:
+            _check_thresholds(tau_k=tau_k, tau_d=tau_d)
+        except FieldError as exc:
+            raise error(key, f"bad threshold pair {pair!r}; {exc}") from None
+        checked.append((tau_k, tau_d))
+    return checked
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -111,7 +163,7 @@ def _write_manifest(out: Path, subcommand: str, config: dict, outputs: list[str]
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config, resolved, _ = _resolve_experiment(args)
+    config, _, resolved = _resolve(args)
     out = _out_dir(args)
     _, grid, bundle = make_bundle(config)
     write_bundle(bundle, out / "bundle.json")
@@ -123,40 +175,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config, resolved, raw = _resolve_experiment(args)
+    config, settings, resolved = _resolve(args)
     out = _out_dir(args)
-    mode = args.mode or _json_value(raw, "mode", "str", "full", error=_config_error)
-    if mode not in SAMPLE_MODES:
-        raise _config_error("mode", f"unknown mode {mode!r}; expected one of {', '.join(SAMPLE_MODES)}")
-    resolved["mode"] = mode
-
     velocity_field = VelocityField(config.field)
     seed = config.evaluation_seeds[0]
     condition = Condition(seed)
     x0 = initial_state(condition, velocity_field.dimension)
 
-    if mode == "full":
-        record = sample_full(velocity_field, make_uniform_grid(config.n_steps), x0, condition)
-    elif mode == "truncated":
-        truncate_to = args.truncate_to
-        if truncate_to is None:
-            truncate_to = _json_value(raw, "truncate_to", "int", None, error=_config_error)
-        if truncate_to is None:
-            raise InvalidArgumentError("truncated mode needs --truncate-to")
-        if truncate_to < 1:
-            raise _config_error("truncate_to", f"must be positive, got {truncate_to}")
-        resolved["truncate_to"] = truncate_to
-        record = sample_full(velocity_field, make_uniform_grid(truncate_to), x0, condition)
-    else:
-        bundle_path = args.bundle or _json_value(raw, "bundle", "str", None, error=_config_error)
-        if not bundle_path:
-            raise InvalidArgumentError("cached mode needs --bundle")
-        resolved["bundle"] = str(bundle_path)
-        bundle = read_bundle(bundle_path)
+    if settings["mode"] == "cached":
+        bundle = read_bundle(settings["bundle"])
         if bundle.grid.n_steps != config.n_steps:
-            raise InvalidArgumentError(
-                f"bundle grid has {bundle.grid.n_steps} steps, config asks for {config.n_steps}"
-            )
+            raise InvalidArgumentError(f"bundle grid has {bundle.grid.n_steps} steps, config asks for {config.n_steps}")
         digest = field_digest(config.field)
         if bundle.field_digest != digest:
             raise InvalidArgumentError(
@@ -164,9 +193,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 "the bundle was calibrated on another field"
             )
         record = sample_cached(velocity_field, bundle, x0, condition, config.toggles)
+    else:
+        grid = make_uniform_grid(settings.get("truncate_to", config.n_steps))
+        record = sample_full(velocity_field, grid, x0, condition)
 
     write_trajectory_csv(record, out / "trajectory.csv")
     _write_manifest(out, "sample", resolved, ["trajectory.csv"])
+    mode = settings["mode"]
     print(f"mode={mode} seed={seed} nfe={record.nfe} final_state_norm={float(np.linalg.norm(record.final_state)):.6g}")
     return EXIT_OK
 
@@ -187,46 +220,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(line)
         ok = ok and result.passed
         if audit_path is not None:
-            out = _out_dir(args)
-            _write_manifest(out, "verify", {"suite": name, "cases": args.cases, "seed": args.seed}, ["bound_audit.csv"])
+            recorded = {"suite": name, "cases": result.cases, "seed": result.seed}
+            _write_manifest(_out_dir(args), "verify", recorded, ["bound_audit.csv"])
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config, resolved, raw = _resolve_experiment(args)
+    config, settings, resolved = _resolve(args)
     out = _out_dir(args)
-    ablation = args.ablation or _json_value(raw, "ablation", "bool", False, error=_config_error)
-    if args.sweep_taus is not None:
-        pairs = [[_number(part) for part in chunk.split(":")] for chunk in args.sweep_taus.split(",")]
-        sweep_taus = _tau_pairs(pairs, lambda reason: InvalidArgumentError(f"--sweep-taus: {reason}"))
-    else:
-        pairs = _json_value(raw, "sweep_taus", "list", [], error=_config_error)
-        sweep_taus = _tau_pairs(pairs, lambda reason: _config_error("sweep_taus", reason))
-    resolved["ablation"] = ablation
-    if sweep_taus:
-        resolved["sweep_taus"] = [[a, b] for a, b in sweep_taus]
-
     result = run_experiment(config)
     trunc_mean, trunc_stderr = _mean_stderr(truncation_drifts(result, result.cached_nfe))
     n = config.n_steps
+    nfe_speedup = (result.cached_nfe, result.speedup)
     rows = [
         ("full", n, 1.0, 0.0, 0.0, 0.0),
-        (
-            "cached",
-            result.cached_nfe,
-            result.speedup,
-            result.mean_final_drift,
-            result.stderr_final_drift,
-            result.skip_ratio,
-        ),
-        (
-            "truncated",
-            result.cached_nfe,
-            result.speedup,
-            trunc_mean,
-            trunc_stderr,
-            result.skip_ratio,
-        ),
+        ("cached", *nfe_speedup, result.mean_final_drift, result.stderr_final_drift, result.skip_ratio),
+        ("truncated", *nfe_speedup, trunc_mean, trunc_stderr, result.skip_ratio),
     ]
     outputs = ["summary.csv", "per_seed.csv", "drift_profile.csv", "cos_theta.csv", "bundle.json"]
     write_csv(out / "summary.csv", ("mode", "nfe", "speedup", "mean_final_drift", "stderr_final_drift", "skip_ratio"), rows)
@@ -235,11 +244,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_cos_theta_csv(result, out / "cos_theta.csv")
     write_bundle(result.bundle, out / "bundle.json")
 
-    if ablation:
+    if settings["ablation"]:
         write_ablation_csv(run_toggle_ablation(result), out / "ablation.csv")
         outputs.append("ablation.csv")
-    if sweep_taus:
-        write_sweep_csv(run_threshold_sweep(result, sweep_taus), out / "sweep.csv")
+    if settings["sweep_taus"]:
+        write_sweep_csv(run_threshold_sweep(result, settings["sweep_taus"]), out / "sweep.csv")
         outputs.append("sweep.csv")
 
     _write_manifest(out, "bench", resolved, outputs)
@@ -267,24 +276,6 @@ def _number(text: str) -> float | str:
         return text
 
 
-def _tau_pairs(pairs: list, error) -> list[tuple[float, float]]:
-    """Sweep pairs under the pair rule: each two finite numbers that pass the threshold rule.
-
-    A bad pair raises ``error(reason)``, which names where the pairs came from.
-    """
-    checked = []
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair))):
-            raise error(f"bad threshold pair {pair!r}; expected tau_k:tau_d, two finite non-negative numbers")
-        tau_k, tau_d = map(float, pair)
-        try:
-            _check_thresholds(tau_k=tau_k, tau_d=tau_d)
-        except FieldError as exc:
-            raise error(f"bad threshold pair {pair!r}; {exc}") from None
-        checked.append((tau_k, tau_d))
-    return checked
-
-
 def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
     parser.add_argument("--out", required=True, help="output directory")
@@ -293,8 +284,9 @@ def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h-max", dest="h_max", type=int, help="maximum skip length override")
     parser.add_argument("--steps", type=int, help="grid size override")
     parser.add_argument("--seeds", help="comma-separated evaluation seed override")
-    parser.add_argument("--no-mi", dest="no_mi", action="store_true", help="disable the magnitude correction")
-    parser.add_argument("--no-di", dest="no_di", action="store_true", help="disable the direction correction")
+    # a switch holds its key's JSON value when set and None when not, like every other flag
+    parser.add_argument("--no-mi", action="store_false", default=None, help="disable the magnitude correction")
+    parser.add_argument("--no-di", action="store_false", default=None, help="disable the direction correction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="full/cached/truncated comparison over the evaluation seeds")
     _add_common_experiment_flags(p)
-    p.add_argument("--ablation", action="store_true", help="also emit the 4-row toggle ablation table")
+    p.add_argument("--ablation", action="store_true", default=None, help="also emit the 4-row toggle ablation table")
     p.add_argument("--sweep-taus", dest="sweep_taus", help="threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6")
     p.set_defaults(handler=cmd_bench)
 

@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,7 +89,7 @@ class FieldSpec:
     target: tuple[float, ...] | None = None
     rate: float = 0.0
     plane: tuple[int, int] = (0, 1)
-    components: tuple[MixtureComponent, ...] = field(default_factory=tuple)
+    components: tuple[MixtureComponent, ...] = ()
 
     def __post_init__(self) -> None:
         """Raise ``FieldError`` naming the bad field, as ``from_dict``'s key below ``field``."""
@@ -97,6 +97,10 @@ class FieldSpec:
             raise FieldError("kind", f"unknown field kind {self.kind!r}; expected one of {', '.join(FIELD_KINDS)}")
         if self.dimension < 1:
             raise FieldError("dimension", f"must be >= 1, got {self.dimension}")
+        for spec_field in dataclass_fields(self)[2:]:  # the per-kind fields; to_dict and field_digest drop the rest
+            key, default = spec_field.name, spec_field.default
+            if key not in _KIND_KEYS[self.kind] and not np.array_equal(getattr(self, key), default):
+                raise FieldError(key, f"a {self.kind} field does not read {key}; leave it at {default!r}")
         if self.kind in (KIND_CONSTANT, KIND_MAGNITUDE_DECAY, KIND_ROTATION):
             if self.target is None or len(self.target) != self.dimension:
                 raise FieldError("target", f"a {self.kind} field needs a target vector of length {self.dimension}")

@@ -31,6 +31,7 @@ class SuiteResult:
     cases: int
     stats: dict[str, float] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
+    seed: int | None = None  # the seed the suite ran at
 
     @property
     def passed(self) -> bool:
@@ -111,6 +112,7 @@ def suite_povd(cases: int = 10_000, seed: int = 101) -> SuiteResult:
     return SuiteResult(
         name="povd",
         cases=cases,
+        seed=seed,
         stats={"worst_orthogonality": worst_ortho, "worst_reconstruction": worst_recon},
         failures=failures,
     )
@@ -144,7 +146,7 @@ def suite_ssc(cases: int = 10_000, seed: int = 202) -> SuiteResult:
             failures.append(f"draw {i} (seed {seed}): interval {got} != brute force {want}")
         if not 1 <= got <= min(h_max, size - n):
             failures.append(f"draw {i} (seed {seed}): interval {got} outside admissible range")
-    return SuiteResult(name="ssc", cases=cases, failures=failures)
+    return SuiteResult(name="ssc", cases=cases, failures=failures, seed=seed)
 
 
 def suite_bound(cases: int = 100_000, seed: int = 303, audit_path: str | None = None) -> SuiteResult:
@@ -155,6 +157,7 @@ def suite_bound(cases: int = 100_000, seed: int = 303, audit_path: str | None = 
     return SuiteResult(
         name="bound",
         cases=cases,
+        seed=seed,
         stats={
             "max_bound_violation": sweep.max_bound_violation,
             "max_split_error": sweep.max_split_error,
@@ -211,7 +214,7 @@ def suite_exactness(seed: int = 404) -> SuiteResult:
     if flat.nfe != n_steps or not np.array_equal(flat.states, full.states):
         failures.append(f"seed {seed}: all-h=1 schedule does not reproduce full-step sampling")
 
-    return SuiteResult(name="exactness", cases=3, stats=stats, failures=failures)
+    return SuiteResult(name="exactness", cases=3, stats=stats, failures=failures, seed=seed)
 
 
 def run_suite(

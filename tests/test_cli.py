@@ -169,6 +169,41 @@ class TestSample:
         config = _write_config(tmp_path, GMM_CONFIG)
         assert main(["sample", "--config", str(config), "--out", str(tmp_path / "x"), "--mode", "cached"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("full", "--truncate-to", "5"),
+            ("cached", "--truncate-to", "5"),
+            ("full", "--bundle", "b.json"),
+            ("truncated", "--bundle", "b.json"),
+        ],
+    )
+    def test_a_flag_outside_its_mode_is_named(self, tmp_path, capsys, mode, flag, value):
+        # the mode's own flag is valid, so the flag outside its mode is the only fault
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == EXIT_OK
+        bundle = str(tmp_path / "cal" / "bundle.json")
+        own = {"full": [], "truncated": ["--truncate-to", "7"], "cached": ["--bundle", bundle]}
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", mode, *own[mode], flag, value]
+        assert main(argv) == EXIT_CONFIG
+        assert f"error: {flag} applies only to --mode " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_a_bad_flag_outside_its_mode_is_named_first(self, tmp_path, capsys):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", "full"]
+        assert main(argv + ["--truncate-to", "-5", "--bundle", "/nonexistent"]) == EXIT_CONFIG
+        assert "error: --truncate-to applies only to --mode truncated; this run is full" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_a_file_key_outside_its_mode_is_ignored(self, tmp_path):
+        # a manifest of one mode may be re-run in another
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, truncate_to=5, bundle="b.json"))
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "full" and "truncate_to" not in manifest["config"]
+        assert len(_read_rows(tmp_path / "o" / "trajectory.csv")) == 50
+
     def test_bundle_grid_mismatch_rejected(self, tmp_path):
         config = _write_config(tmp_path, GMM_CONFIG)
         cal_out = tmp_path / "cal"
@@ -214,6 +249,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "--cases" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("flags, cases, seed", [([], 100_000, 303), (["--cases", "300", "--seed", "7"], 300, 7)])
+    def test_manifest_records_the_cases_and_seed_the_suite_ran(self, tmp_path, flags, cases, seed):
+        assert main(["verify", "--suite", "bound", "--out", str(tmp_path / "o"), *flags]) == EXIT_OK
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"] == {"suite": "bound", "cases": cases, "seed": seed}
 
     def test_omitted_cases_take_the_suite_default(self, monkeypatch):
         import flowcache.verify as verify_module
@@ -675,6 +716,49 @@ class TestErrors:
         config = _write_config(tmp_path, dict(GMM_CONFIG, field=dict(GMM_CONFIG["field"], components=components)))
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"config key {key!r}: " in capsys.readouterr().err
+
+
+# Each flag of the CLI's table: a command line that sets it, the config key it lands under and the value there.
+# "{bundle}" stands for a bundle calibrated on CONSTANT_CONFIG.
+_FLAG_RUNS = {
+    "steps": (["bench", "--steps", "20"], "n_steps", 20),
+    "tau_k": (["bench", "--tau-k", "0.1"], "tau_k", 0.1),
+    "tau_d": (["bench", "--tau-d", "0.9"], "tau_d", 0.9),
+    "h_max": (["bench", "--h-max", "5"], "h_max", 5),
+    "seeds": (["bench", "--seeds", "7,8"], "evaluation_seeds", [7, 8]),
+    "no_mi": (["bench", "--no-mi"], "use_mi", False),
+    "no_di": (["bench", "--no-di"], "use_di", False),
+    "mode": (["sample", "--mode", "full"], "mode", "full"),
+    "truncate_to": (["sample", "--mode", "truncated", "--truncate-to", "9"], "truncate_to", 9),
+    "bundle": (["sample", "--mode", "cached", "--bundle", "{bundle}"], "bundle", "{bundle}"),
+    "ablation": (["bench", "--ablation"], "ablation", True),
+    "sweep_taus": (["bench", "--sweep-taus", "0:0,0.1:1"], "sweep_taus", [[0.0, 0.0], [0.1, 1.0]]),
+}
+
+
+class TestFlagTable:
+    def test_every_flag_is_covered(self):
+        from flowcache.cli import FLAGS
+
+        assert set(_FLAG_RUNS) == set(FLAGS)
+
+    @pytest.mark.parametrize("dest", list(_FLAG_RUNS))
+    def test_a_set_flag_lands_in_the_manifest_and_reruns_byte_identical(self, tmp_path, dest):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        bundle = str(tmp_path / "cal" / "bundle.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == EXIT_OK
+            argv, key, value = _FLAG_RUNS[dest]
+            argv = [part.replace("{bundle}", bundle) for part in argv]
+            assert main([argv[0], "--config", str(config), "--out", str(tmp_path / "a"), *argv[1:]]) == EXIT_OK
+            manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+            assert manifest["config"][key] == (bundle if value == "{bundle}" else value)
+            # the manifest alone, with no flags, reproduces every output
+            assert main([argv[0], "--config", str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_OK
+        written = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 # A value that stands for "drop the key" among the mutations below.

@@ -17,6 +17,7 @@ from flowcache import (
     sample_cached,
     sample_full,
 )
+from flowcache.errors import FieldError
 from mc_oracle import mc_mixture_velocity
 from test_kernels import KERNEL_FIELDS, _setup
 
@@ -63,6 +64,28 @@ class TestFieldSpecValidation:
     def test_rotation_plane_checked(self):
         with pytest.raises(InvalidArgumentError):
             FieldSpec(kind="rotation", dimension=2, target=(1.0, 0.0), rate=1.0, plane=(0, 0))
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            (dict(kind="constant", dimension=2, target=(1.0, 0.0), rate=0.7, plane=(5, 9)), "rate"),
+            (dict(kind="constant", dimension=2, target=(1.0, 0.0), plane=(5, 9)), "plane"),
+            (dict(kind="magnitude-decay", dimension=2, target=(1.0, 0.0), rate=0.1, plane=(1, 0)), "plane"),
+            (dict(kind="rotation", dimension=2, target=(1.0, 0.0), components=(MixtureComponent(1.0, (0.0, 0.0), 1.0),)), "components"),
+            (dict(kind="gaussian-mixture", dimension=1, components=(MixtureComponent(1.0, (0.0,), 1.0),), target=(1.0,)), "target"),
+        ],
+        ids=["constant-rate", "constant-plane", "magnitude-decay", "rotation", "gaussian-mixture"],
+    )
+    def test_a_field_its_kind_does_not_read_is_rejected(self, kwargs, key):
+        # to_dict and field_digest drop such a field, so the spec would share its digest with one it does not equal
+        with pytest.raises(FieldError) as caught:
+            FieldSpec(**kwargs)
+        assert caught.value.field == key
+
+    def test_unread_fields_at_their_defaults_are_accepted(self):
+        plain = FieldSpec(kind="constant", dimension=2, target=(1.0, 0.0))
+        spelt = FieldSpec(kind="constant", dimension=2, target=(1.0, 0.0), rate=0.0, plane=(0, 1), components=())
+        assert spelt == plain and field_digest(spelt) == field_digest(plain)
 
     def test_roundtrip_through_dict(self, gmm_spec):
         assert FieldSpec.from_dict(gmm_spec.to_dict()) == gmm_spec
