@@ -153,9 +153,11 @@ class ScheduleBundle:
         n = self.grid.n_steps
         schedule = np.array(self.schedule, dtype=int)
         if self.indicators.n_steps != n:
-            raise InvalidArgumentError(f"indicators cover {self.indicators.n_steps} steps, grid has {n}")
+            raise FieldError("indicators", f"cover {self.indicators.n_steps} steps, grid has {n}")
         if schedule.shape != (n,):
-            raise InvalidArgumentError(f"schedule must have {n} entries")
+            raise FieldError("schedule", f"must have {n} entries, got shape {schedule.shape}")
+        if not re.fullmatch("[0-9a-f]{64}", self.field_digest):  # the sha256 hex form ``field_digest`` writes
+            raise FieldError("field_digest", f"expected 64 lowercase hex characters, got {self.field_digest!r}")
         _check_thresholds(tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
         _check_seeds("seeds", self.seeds, FieldError)
         for i, h in enumerate(schedule):
@@ -229,9 +231,6 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
 
-    digest = _json_value(data, "field_digest", "str")
-    if not re.fullmatch("[0-9a-f]{64}", digest):  # a sha256 hex digest, the form ``field_digest`` writes
-        raise BundleFormatError("field_digest", f"expected 64 lowercase hex characters, got {digest!r}")
     times = _column(data, "times", n + 1)
     columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
     for i, h in enumerate(columns["h"]):
@@ -255,7 +254,7 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
             tau_k=_json_value(data, "tau_k", "float"),
             tau_d=_json_value(data, "tau_d", "float"),
             h_max=_json_value(data, "h_max", "int"),
-            field_digest=digest,
+            field_digest=_json_value(data, "field_digest", "str"),
             seeds=_json_value(data, "seeds", "ints"),
             created_by=_json_value(data, "created_by", "str"),
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -109,7 +110,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
 
 
 def _flag_json(flag: str, kind: str, value):
-    """A set flag's value as its config key's JSON value; a list flag is comma-separated text."""
+    """A set flag's text as its config key's JSON value, which the key's rule judges; a list flag is comma-separated."""
     if kind == "ints":
         try:
             return [int(part) for part in value.split(",")]
@@ -117,7 +118,7 @@ def _flag_json(flag: str, kind: str, value):
             raise InvalidArgumentError(f"{flag}: expected comma-separated integers, got {value!r}") from None
     if kind == "list":  # tau_k:tau_d threshold pairs
         return [[_number(half) for half in pair.split(":")] for pair in value.split(",")]
-    return value
+    return _number(value) if kind in ("int", "float") else value
 
 
 def _checked(key: str, value, error):
@@ -129,6 +130,10 @@ def _checked(key: str, value, error):
         raise error(key, f"unknown mode {value!r}; expected one of {', '.join(SAMPLE_MODES)}")
     if key == "truncate_to" and value < 1:
         raise error(key, f"must be positive, got {value}")
+    if key == "bundle":  # recorded absolute, so a manifest re-runs from any working directory
+        value = os.path.abspath(value)
+        if not os.path.isfile(value):
+            raise error(key, f"no bundle file at {value}")
     if key != "sweep_taus":
         return value
     checked = []
@@ -263,7 +268,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     bundle = read_bundle(args.bundle)
     out = _out_dir(args)
     write_indicator_csv(bundle.grid, bundle.indicators, out / "curves.csv")
-    _write_manifest(out, "curves", {"bundle": str(args.bundle)}, ["curves.csv"])
+    _write_manifest(out, "curves", {"bundle": os.path.abspath(args.bundle)}, ["curves.csv"])
     print(f"wrote {bundle.grid.n_steps} indicator rows to {out / 'curves.csv'}")
     return EXIT_OK
 
@@ -279,18 +284,23 @@ def _number(text: str) -> float | str:
 def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--tau-k", dest="tau_k", type=float, help="magnitude threshold override")
-    parser.add_argument("--tau-d", dest="tau_d", type=float, help="direction threshold override")
-    parser.add_argument("--h-max", dest="h_max", type=int, help="maximum skip length override")
-    parser.add_argument("--steps", type=int, help="grid size override")
+    parser.add_argument("--tau-k", dest="tau_k", help="magnitude threshold override")
+    parser.add_argument("--tau-d", dest="tau_d", help="direction threshold override")
+    parser.add_argument("--h-max", dest="h_max", help="maximum skip length override")
+    parser.add_argument("--steps", help="grid size override")
     parser.add_argument("--seeds", help="comma-separated evaluation seed override")
     # a switch holds its key's JSON value when set and None when not, like every other flag
     parser.add_argument("--no-mi", action="store_false", default=None, help="disable the magnitude correction")
     parser.add_argument("--no-di", action="store_false", default=None, help="disable the direction correction")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error raises, so ``main`` reports it like any other rejection
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flowcache", description=__doc__)
+    parser = _Parser(prog="flowcache", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flowcache {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run one trajectory and export it as CSV")
     _add_common_experiment_flags(p)
-    p.add_argument("--mode", choices=SAMPLE_MODES, help="sampling mode (default full)")
+    p.add_argument("--mode", help="sampling mode: full, cached or truncated (default full)")
     p.add_argument("--bundle", help="schedule bundle path (cached mode)")
-    p.add_argument("--truncate-to", dest="truncate_to", type=int, help="step count for truncated mode")
+    p.add_argument("--truncate-to", dest="truncate_to", help="step count for truncated mode")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("verify", help="run randomized property suites")
@@ -326,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (FlowCacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

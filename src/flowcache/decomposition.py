@@ -25,6 +25,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _shrunk(*rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(e, rows * 2**-e)``, e per row (last axis) putting the rows' top entry in [0.5, 1): no square overflows."""
+    e = np.frexp(np.max([np.abs(row).max(axis=-1) for row in rows], axis=0))[1]
+    with np.errstate(under="ignore"):  # an entry far below the largest may lose bits
+        return e, [np.ldexp(row, -e[..., None]) for row in rows]
+
+
 def _decompose_rows(v: np.ndarray, accel: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split each ``accel`` row along its ``v`` row, as ``(k, r_perp, d)``.
 
@@ -51,10 +58,9 @@ def _decompose_rows(v: np.ndarray, accel: np.ndarray, dt: np.ndarray) -> tuple[n
         d /= np.sqrt(vv)
     redo = np.flatnonzero(~np.isfinite(vv + rr))
     if redo.size:
-        top = np.maximum(np.abs(v[redo]).max(axis=1), np.abs(accel[redo]).max(axis=1))
-        redo, top = redo[np.isfinite(top)], top[np.isfinite(top)]  # a row with a non-finite entry stays as it is
-        e = np.frexp(top)[1][:, None]  # scaled by 2**-e, a row's largest entry lies in [0.5, 1): no product overflows
+        redo = redo[np.isfinite(v[redo]).all(axis=1) & np.isfinite(accel[redo]).all(axis=1)]  # a non-finite row stays
+        e, scaled = _shrunk(v[redo], accel[redo])
         with np.errstate(under="ignore"):
-            k[redo], r_scaled, d[redo] = _decompose_rows(np.ldexp(v[redo], -e), np.ldexp(accel[redo], -e), dt[redo])
-        r_perp[redo] = np.ldexp(r_scaled, e)
+            k[redo], r_scaled, d[redo] = _decompose_rows(*scaled, dt[redo])
+        r_perp[redo] = np.ldexp(r_scaled, e[:, None])
     return k, r_perp, d

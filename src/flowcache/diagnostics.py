@@ -151,12 +151,11 @@ class ExperimentConfig:
             if not getattr(self, key):
                 raise _config_error(key, "the seed list must be non-empty")
             _check_seeds(key, getattr(self, key), _config_error)
+            object.__setattr__(self, key, tuple(int(s) for s in getattr(self, key)))
         overlap = set(self.calibration_seeds) & set(self.evaluation_seeds)
         if overlap:
             reason = f"must be disjoint from calibration_seeds, both contain {sorted(overlap)}"
             raise _config_error("evaluation_seeds", reason)
-        object.__setattr__(self, "calibration_seeds", tuple(int(s) for s in self.calibration_seeds))
-        object.__setattr__(self, "evaluation_seeds", tuple(int(s) for s in self.evaluation_seeds))
 
     @property
     def toggles(self) -> CompensationToggles:
@@ -331,8 +330,6 @@ def _final_drifts(result: ExperimentResult, steps: Iterator) -> np.ndarray:
 
 def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
-    if n_truncated < 1:
-        raise InvalidArgumentError("truncated step count must be positive")
     grid = make_uniform_grid(n_truncated)
     return _final_drifts(result, _full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False))
 

@@ -262,35 +262,29 @@ class _Mixture:
         """Build and keep the constants of each of ``times`` not yet kept, in one pass."""
         new = list(dict.fromkeys(t for t in map(float, times) if t not in self._by_time))[:_TIMES_KEPT]
         if new:
-            shift, half_inv, bias, coef, mean_coef = self._constants(np.array(new)[:, None])
-            self._keep(new, zip(shift, half_inv, bias, coef[:, :, None], mean_coef))
+            self._build(new)
 
-    def _constants(self, t: float | np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(a / s^2, 0.5 / s^2, bias, coef, t / s^2)`` at a time or at a (T, 1) column of times.
+    def _build(self, times: list[float]) -> list[tuple[np.ndarray, ...]]:
+        """Build, keep and return ``(a / s^2, 0.5 / s^2, bias, coef, t / s^2)`` at ``times``, clearing a full dict.
 
-        Every step is elementwise float64 arithmetic on t, so row j of a
-        column's result is bit for bit the result at its time alone.
+        Every step is elementwise float64 arithmetic on a (T, 1) column, so an entry is bit for bit its time's alone.
         """
+        t = np.array(times)[:, None]
         one_t = 1.0 - t
         s2 = t * t + one_t * one_t * self._scales_sq
         half_inv = 0.5 / s2
         bias = self._log_weights - (one_t * one_t) * half_inv * self._means_sq - self._half_dim * np.log(s2)
-        return one_t / s2, half_inv, bias, (t - one_t * self._scales_sq) / s2, t / s2
-
-    def _keep(self, times: list[float], entries: Iterable[tuple[np.ndarray, ...]]) -> None:
-        """Keep ``entries`` under ``times``, first clearing a dict they would take past the cap."""
+        coef = (t - one_t * self._scales_sq) / s2
+        entries = list(zip(one_t / s2, half_inv, bias, coef[:, :, None], t / s2))
         if len(self._by_time) + len(times) > _TIMES_KEPT:
             self._by_time.clear()
         self._by_time.update(zip(times, entries))
+        return entries
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         t = float(t)
-        found = self._by_time.get(t)
-        if found is None:
-            shift, half_inv, bias, coef, mean_coef = self._constants(t)
-            found = (shift, half_inv, bias, coef[:, None], mean_coef)
-            self._keep([t], [found])
-        shift, half_inv, bias, coef, mean_coef = found
+        # a miss takes the entry it builds, not a second lookup, which a concurrent clear could miss
+        shift, half_inv, bias, coef, mean_coef = self._by_time.get(t) or self._build([t])[0]
         rows = x.reshape(-1, 1, x.shape[-1]) - (1.0 - t) * self._center
         log_resp = np.matmul(rows, self._means_t)
         log_resp *= shift

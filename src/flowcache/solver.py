@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .decomposition import _shrunk
 from .errors import FieldError, InvalidArgumentError, NumericDomainError
 from .fields import Condition, VelocityField
 from .ioutil import write_csv
@@ -123,13 +124,6 @@ def _finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite; a finite sum of squares implies it, so the full test runs only if not."""
     flat = a if a.ndim == 1 else a.ravel()
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
-
-
-def _shrunk(*rows: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """``(e, rows * 2**-e)``, 2**-e leaving the rows' largest entry in [0.5, 1), where no square overflows."""
-    e = int(np.frexp(max(np.abs(row).max() for row in rows))[1])
-    with np.errstate(under="ignore"):  # an entry far below the largest may lose bits, as in ``_decompose_rows``
-        return e, [np.ldexp(row, -e) for row in rows]
 
 
 def _walk(
@@ -239,7 +233,7 @@ def _walk(
                                 if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
                                     e, (w,) = _shrunk(v_m)
                                     vv = float(w.dot(w))
-                                    norm = math.ldexp(math.sqrt(vv), e)
+                                    norm = math.ldexp(math.sqrt(vv), int(e))
                                 if vv != 0.0:
                                     r = p - (float(p.dot(w)) / vv) * w
                                     r_norm = math.sqrt(r.dot(r))

@@ -309,7 +309,7 @@ def _skipping_bundle(n_steps=20, h=4):
         np.full(n_steps, 0.1), np.full(n_steps, 0.5), np.zeros(n_steps), np.zeros(n_steps), sample_count=1
     )
     schedule = [1] + [min(h, n_steps - i) for i in range(1, n_steps)]
-    return ScheduleBundle(grid, indicators, schedule, 1.0, 1.0, h, "stub", (1,))
+    return ScheduleBundle(grid, indicators, schedule, 1.0, 1.0, h, "0" * 64, (1,))  # any digest of the form a bundle holds
 
 
 class TestMixedRows:

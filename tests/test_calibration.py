@@ -379,6 +379,19 @@ class TestBundleRoundTrip:
         with pytest.raises(BundleFormatError, match="^field_digest: expected 64 lowercase hex characters"):
             read_bundle(path)
 
+    def test_a_document_that_is_not_an_object_is_named(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(BundleFormatError, match="^document: expected a JSON object$"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("digest", ["0" * 64, "0123456789abcdef" * 4])
+    def test_a_bundle_built_in_python_round_trips(self, tmp_path, gmm_spec, digest):
+        # the constructor holds the digest rule, so every bundle it builds is one read_bundle accepts
+        bundle = replace(_gmm_bundle(gmm_spec, n_steps=6), field_digest=digest)
+        write_bundle(bundle, tmp_path / "bundle.json")
+        assert bundles_equal(read_bundle(tmp_path / "bundle.json"), bundle)
+
     def test_floats_preserved_exactly(self, tmp_path, gmm_spec):
         bundle = _gmm_bundle(gmm_spec, n_steps=30, seeds=(5, 6, 7, 8))
         path = tmp_path / "bundle.json"
@@ -402,9 +415,24 @@ class TestScheduleBundleValidation:
                 tau_k=0.1,
                 tau_d=0.1,
                 h_max=12,
-                field_digest="x",
+                field_digest="0" * 64,  # a well-formed digest, so the schedule is the only fault
                 seeds=(0,),
             )
+
+    @pytest.mark.parametrize("bad", ["stub", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "g", "0" * 64 + "\n"])
+    def test_a_malformed_digest_is_named(self, gmm_spec, bad):
+        with pytest.raises(FieldError, match="^field_digest: expected 64 lowercase hex characters, got "):
+            replace(_gmm_bundle(gmm_spec, n_steps=6), field_digest=bad)
+
+    def test_indicators_of_another_length_are_named(self, gmm_spec):
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        with pytest.raises(FieldError, match=r"^indicators: cover 5 steps, grid has 6$"):
+            replace(bundle, indicators=_gmm_bundle(gmm_spec, n_steps=5).indicators)
+
+    def test_a_schedule_of_another_length_is_named(self, gmm_spec):
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        with pytest.raises(FieldError, match=r"^schedule: must have 6 entries, got shape \(5,\)$"):
+            replace(bundle, schedule=bundle.schedule[:-1])
 
     @pytest.mark.parametrize("taus", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)], ids=["nan-k", "nan-d", "negative-k"])
     def test_bad_thresholds_rejected(self, gmm_spec, taus):

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from flowcache import VelocityField, read_bundle
 from flowcache.calibration import BUNDLE_KEYS
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
-from flowcache.verify import SuiteResult
+from flowcache.errors import InvalidArgumentError
+from flowcache.verify import SuiteResult, run_suite
 
 from conftest import GMM_COMPONENTS
 
@@ -164,6 +165,34 @@ class TestSample:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["config"]["mode"] == "cached"
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    def test_a_relative_bundle_reruns_from_another_directory(self, tmp_path, monkeypatch):
+        # the manifest records the bundle's absolute path, so the re-run does not depend on its working directory
+        config = _write_config(tmp_path, GMM_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        argv = ["sample", "--config", str(config), "--out", "s1", "--mode", "cached", "--bundle", "cal/bundle.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["calibrate", "--config", str(config), "--out", "cal"]) == EXIT_OK
+            assert main(argv) == EXIT_OK
+            assert main(["curves", "--bundle", "cal/bundle.json", "--out", "c"]) == EXIT_OK
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            assert main(["sample", "--config", str(tmp_path / "s1" / "manifest.json"), "--out", "s2"]) == EXIT_OK
+        for run in ("s1", "c"):
+            recorded = json.loads((tmp_path / run / "manifest.json").read_text())["config"]["bundle"]
+            assert os.path.isabs(recorded) and os.path.samefile(recorded, tmp_path / "cal" / "bundle.json")
+        rerun = tmp_path / "elsewhere" / "s2" / "trajectory.csv"
+        assert (tmp_path / "s1" / "trajectory.csv").read_bytes() == rerun.read_bytes()
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_an_unreadable_bundle_is_named(self, tmp_path, capsys, from_file):
+        cached = {"mode": "cached", "bundle": str(tmp_path / "missing.json")}
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **cached) if from_file else CONSTANT_CONFIG)
+        flags = [] if from_file else ["--mode", "cached", "--bundle", cached["bundle"]]
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
+        named = "experiment config key 'bundle'" if from_file else "--bundle"
+        err = capsys.readouterr().err
+        assert err == f"error: {named}: no bundle file at {cached['bundle']}\n"
 
     def test_cached_mode_requires_bundle(self, tmp_path):
         config = _write_config(tmp_path, GMM_CONFIG)
@@ -319,6 +348,10 @@ class TestVerify:
     def test_largest_seed_runs(self, capsys):
         assert main(["verify", "--suite", "exactness", "--seed", str(2**64 - 201)]) == EXIT_OK
         assert "PASS exactness: 3 fixed checks" in capsys.readouterr().out
+
+    def test_an_unknown_suite_is_named(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown suite 'x'; expected one of "):
+            run_suite("x")
 
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
@@ -677,11 +710,12 @@ class TestErrors:
             ("sample", {"mode": "truncated", "truncate_to": "x"}, "truncate_to"),
             ("sample", {"mode": "truncated", "truncate_to": 0}, "truncate_to"),
             ("sample", {"mode": 5}, "mode"),
+            ("sample", {"mode": "x"}, "mode"),
             ("sample", {"mode": "cached", "bundle": 5}, "bundle"),
         ],
         ids=[
             "sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "truncate_to", "truncate_to-0",
-            "mode", "bundle",
+            "mode", "mode-unknown", "bundle",
         ],
     )
     def test_bad_subcommand_key_named(self, tmp_path, capsys, command, extra, key):
@@ -716,6 +750,71 @@ class TestErrors:
         config = _write_config(tmp_path, dict(GMM_CONFIG, field=dict(GMM_CONFIG["field"], components=components)))
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"config key {key!r}: " in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Every rejection, argparse's included, makes ``main`` return 2 and print one ``error:`` line."""
+
+    @staticmethod
+    def _rejected(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_CONFIG and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "{config}", "--out", "{out}", "--bogus"], "unrecognized arguments: --bogus"),
+            (["bench", "{config}"], "the following arguments are required: --out"),
+            ([], "the following arguments are required: command"),
+            (["verify", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+            (["verify", "--suite", "x"], "argument --suite: invalid choice: 'x'"),
+        ],
+        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite"],
+    )
+    def test_an_argparse_rejection_returns_2(self, tmp_path, argv, message):
+        config = str(_write_config(tmp_path, CONSTANT_CONFIG))
+        argv = [{"{config}": f"--config={config}", "{out}": str(tmp_path / "o")}.get(part, part) for part in argv]
+        assert self._rejected(argv).startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["bench", "--steps", "x"], "experiment config key 'n_steps': expected an integer, got 'x'"),
+            (["bench", "--h-max", "1.5"], "experiment config key 'h_max': expected an integer, got 1.5"),
+            (["bench", "--tau-k", "nan"], "experiment config key 'tau_k': expected a finite number, got nan"),
+            (["sample", "--mode", "truncated", "--truncate-to", "x"], "--truncate-to: expected an integer, got 'x'"),
+            (["sample", "--mode", "x"], "--mode: unknown mode 'x'; expected one of full, cached, truncated"),
+        ],
+        ids=["steps", "h_max", "tau_k", "truncate_to", "mode"],
+    )
+    def test_a_bad_number_or_mode_flag_is_named_by_its_rule(self, tmp_path, flags, message):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        command, *rest = flags
+        assert self._rejected([command, "--config", str(config), "--out", str(tmp_path / "o"), *rest]) == f"error: {message}"
+        assert not (tmp_path / "o").exists()
+
+    def test_number_text_is_read_as_its_key_reads_a_number(self, tmp_path):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for out, steps in (("a", "5"), ("b", "5.0")):
+                assert main(["bench", "--config", str(config), "--out", str(tmp_path / out), "--steps", steps]) == EXIT_OK
+        written = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["n_steps"] == 5
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_still_exit_0(self, flag):
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
 
 
 # Each flag of the CLI's table: a command line that sets it, the config key it lands under and the value there.

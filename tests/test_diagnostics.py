@@ -253,6 +253,12 @@ class TestExperimentConfig:
         with pytest.raises(InvalidArgumentError, match=rf"key {key!r}: entry 1: condition seed must be"):
             ExperimentConfig(field=gmm_spec, n_steps=10, **seeds)
 
+    @pytest.mark.parametrize("key", ["calibration_seeds", "evaluation_seeds"])
+    def test_an_empty_seed_list_is_named(self, gmm_spec, key):
+        seeds = {"calibration_seeds": (1, 2), "evaluation_seeds": (3,), key: ()}
+        with pytest.raises(InvalidArgumentError, match=rf"key {key!r}: the seed list must be non-empty"):
+            ExperimentConfig(field=gmm_spec, n_steps=10, **seeds)
+
     def test_dict_roundtrip(self, gmm_spec):
         config = _gmm_config(gmm_spec, tau_k=0.04, use_di=False)
         assert ExperimentConfig.from_dict(config.to_dict()) == config
@@ -272,6 +278,11 @@ class TestRunExperiment:
         trunc = truncation_drifts(result, result.cached_nfe)
         assert trunc.size == len(config.evaluation_seeds)
         assert result.mean_final_drift < float(trunc.mean())
+
+    def test_a_non_positive_truncated_step_count_is_rejected_by_the_grid_rule(self, gmm_spec):
+        result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000,)))
+        with pytest.raises(InvalidArgumentError, match=r"^n_steps must be >= 1, got 0$"):
+            truncation_drifts(result, 0)
 
     def test_evaluated_steps_drift_less_than_cached(self, gmm_spec):
         result = run_experiment(_gmm_config(gmm_spec))

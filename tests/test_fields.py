@@ -412,8 +412,8 @@ class TestMixtureArithmetic:
             lambda field: sample_cached(field, bundle, x0, Condition(100)),
         ):
             field = VelocityField(spec)
-            build, passes = field._velocity._constants, []
-            monkeypatch.setattr(field._velocity, "_constants", lambda t: passes.append(np.ravel(t).tolist()) or build(t))
+            build, passes = field._velocity._build, []
+            monkeypatch.setattr(field._velocity, "_build", lambda times: passes.append(list(times)) or build(times))
             record = run(field)
             # one pass over the times the walk opens at, and no oracle call builds its own
             assert passes == [grid.times[:-1][record.evaluated].tolist()]

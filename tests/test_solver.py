@@ -37,6 +37,10 @@ class TestTimeGrid:
         assert grid.times[0] == 1.0 and grid.times[-1] == 0.0
         np.testing.assert_allclose(grid.dt, 0.02, atol=1e-15)
 
+    def test_one_node_rejected(self):
+        with pytest.raises(FieldError, match="^times: a time grid needs at least two nodes$"):
+            TimeGrid(np.array([1.0]))
+
     def test_zero_steps_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_uniform_grid(0)
