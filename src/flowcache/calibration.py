@@ -21,7 +21,7 @@ import numpy as np
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, _check_seeds, initial_state
-from .ioutil import _create, _finite, _json_value, _known_keys, write_csv
+from .ioutil import _create, _read_json, _write_json, write_csv
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
@@ -151,18 +151,18 @@ class ScheduleBundle:
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
-        schedule = np.array(self.schedule, dtype=int)
         if self.indicators.n_steps != n:
             raise FieldError("indicators", f"cover {self.indicators.n_steps} steps, grid has {n}")
-        if schedule.shape != (n,):
-            raise FieldError("schedule", f"must have {n} entries, got shape {schedule.shape}")
+        if np.shape(self.schedule) != (n,):
+            raise FieldError("schedule", f"must have {n} entries, got shape {np.shape(self.schedule)}")
         if not re.fullmatch("[0-9a-f]{64}", self.field_digest):  # the sha256 hex form ``field_digest`` writes
             raise FieldError("field_digest", f"expected 64 lowercase hex characters, got {self.field_digest!r}")
         _check_thresholds(tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
         _check_seeds("seeds", self.seeds, FieldError)
-        for i, h in enumerate(schedule):
+        for i, h in enumerate(self.schedule):  # before the int conversion, so the rule also bounds an entry's size
             if not 1 <= h <= min(self.h_max, n - i):
                 raise FieldError("schedule", f"schedule entry out of range at step {i}: h={h}")
+        schedule = np.array(self.schedule, dtype=int)
         # compared with the largest finite exponent, not exponentiated, so no warning; dt <= 1 keeps it finite
         for i in np.flatnonzero(self.indicators.k_tilde * self.grid.dt > math.log(np.finfo(float).max))[:1]:
             k = float(self.indicators.k_tilde[i])
@@ -172,48 +172,26 @@ class ScheduleBundle:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
-# Every key a bundle document holds; ``read_bundle`` rejects any other.
-BUNDLE_KEYS = (
-    "format_version", "n_steps", "times", "k_tilde", "d_tilde", "k_std", "d_std", "h",
-    "tau_k", "tau_d", "h_max", "sample_count", "field_digest", "seeds", "created_by",
-)
+# The bundle document's keys in write order, each with its JSON kind; ``read_bundle`` rejects any other.
+BUNDLE_TABLE = {
+    "format_version": "str", "n_steps": "int", "times": "floats", "k_tilde": "floats", "d_tilde": "floats",
+    "k_std": "floats", "d_std": "floats", "h": "ints", "tau_k": "float", "tau_d": "float", "h_max": "int",
+    "sample_count": "int", "field_digest": "str", "seeds": "ints", "created_by": "str",
+}
+BUNDLE_KEYS = tuple(BUNDLE_TABLE)
+_INDICATOR_KEYS = ("k_tilde", "d_tilde", "k_std", "d_std")
 
 
 def _payload(bundle: ScheduleBundle) -> dict:
     """The bundle as the JSON document ``write_bundle`` writes."""
-    return {
-        "format_version": BUNDLE_FORMAT,
-        "n_steps": bundle.grid.n_steps,
-        "times": [float(t) for t in bundle.grid.times],
-        "k_tilde": [float(v) for v in bundle.indicators.k_tilde],
-        "d_tilde": [float(v) for v in bundle.indicators.d_tilde],
-        "k_std": [float(v) for v in bundle.indicators.k_std],
-        "d_std": [float(v) for v in bundle.indicators.d_std],
-        "h": [int(v) for v in bundle.schedule],
-        "tau_k": float(bundle.tau_k),
-        "tau_d": float(bundle.tau_d),
-        "h_max": int(bundle.h_max),
-        "sample_count": int(bundle.indicators.sample_count),
-        "field_digest": bundle.field_digest,
-        "seeds": list(bundle.seeds),
-        "created_by": bundle.created_by,
-    }
+    values = dict(vars(bundle), format_version=BUNDLE_FORMAT, n_steps=bundle.grid.n_steps, times=bundle.grid.times)
+    values.update((key, getattr(bundle.indicators, key)) for key in (*_INDICATOR_KEYS, "sample_count"))
+    return _write_json(BUNDLE_TABLE, dict(values, h=bundle.schedule))
 
 
 def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
     with _create(path) as fh:
         fh.write(json.dumps(_payload(bundle), indent=2) + "\n")
-
-
-def _column(data: dict, key: str, length: int) -> list:
-    """A required list of ``length`` finite numbers."""
-    values = _json_value(data, key, "list")
-    if len(values) != length:
-        raise BundleFormatError(key, f"length mismatch: expected {length} entries to match n_steps, got {len(values)}")
-    for i, v in enumerate(values):
-        if not _finite(v):
-            raise BundleFormatError(key, f"entry {i} is not a finite number: {v!r}")
-    return values
 
 
 def read_bundle(path: str | Path) -> ScheduleBundle:
@@ -226,37 +204,25 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     version = data.get("format_version")
     if version != BUNDLE_FORMAT:
         raise BundleFormatError("format_version", f"expected {BUNDLE_FORMAT!r}, got {version!r}")
-    _known_keys(data, BUNDLE_KEYS)
-    n = _json_value(data, "n_steps", "int")
+    values = _read_json(data, BUNDLE_TABLE, BundleFormatError, {"sample_count": 1})
+    n = values["n_steps"]
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
-
-    times = _column(data, "times", n + 1)
-    columns = {key: _column(data, key, n) for key in ("k_tilde", "d_tilde", "k_std", "d_std", "h")}
-    for i, h in enumerate(columns["h"]):
-        if not (float(h).is_integer() and abs(h) < 2**63):
-            raise BundleFormatError("h", f"schedule entry at step {i} is not an integer in the 64-bit range: h={h}")
+    for key in ("times", *_INDICATOR_KEYS, "h"):
+        length = n + 1 if key == "times" else n  # one time per grid node, one entry per step
+        if len(values[key]) != length:
+            reason = f"length mismatch: expected {length} entries to match n_steps, got {len(values[key])}"
+            raise BundleFormatError(key, reason)
 
     # the value ranges are the constructors' rules: a rejection names the field, which is the
-    # document's key but for the schedule's ("h"); a type error of the values read here passes unchanged
+    # document's key but for the schedule's ("h")
     try:
-        indicators = IndicatorTable(
-            np.array(columns["k_tilde"], dtype=float),
-            np.array(columns["d_tilde"], dtype=float),
-            np.array(columns["k_std"], dtype=float),
-            np.array(columns["d_std"], dtype=float),
-            sample_count=_json_value(data, "sample_count", "int", default=1),
-        )
+        indicators = IndicatorTable(*(values[key] for key in _INDICATOR_KEYS), sample_count=values["sample_count"])
         return ScheduleBundle(
-            grid=TimeGrid(np.array(times, dtype=float)),
+            grid=TimeGrid(np.array(values["times"])),
             indicators=indicators,
-            schedule=np.array(columns["h"], dtype=int),
-            tau_k=_json_value(data, "tau_k", "float"),
-            tau_d=_json_value(data, "tau_d", "float"),
-            h_max=_json_value(data, "h_max", "int"),
-            field_digest=_json_value(data, "field_digest", "str"),
-            seeds=_json_value(data, "seeds", "ints"),
-            created_by=_json_value(data, "created_by", "str"),
+            schedule=values["h"],
+            **{key: values[key] for key in ("tau_k", "tau_d", "h_max", "field_digest", "seeds", "created_by")},
         )
     except FieldError as exc:
         raise BundleFormatError("h" if exc.field == "schedule" else exc.field, exc.reason) from None

@@ -20,6 +20,7 @@ import numpy as np
 from .cached_sampler import sample_cached
 from .calibration import _check_thresholds, read_bundle, write_bundle, write_indicator_csv
 from .diagnostics import (
+    CONFIG_KEYS,
     ExperimentConfig,
     _config_error,
     _mean_stderr,
@@ -47,24 +48,26 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 SAMPLE_MODES = ("full", "cached", "truncated")
-# Every flag-backed setting, by argparse dest: the config key it sets, its JSON kind and default, and where it
-# applies: every experiment subcommand (None), bench, sample, or sample in one mode. ExperimentConfig reads the
-# experiment keys with its own defaults; a setting whose default is None is required where it applies.
+# The sample and bench settings a run reads besides its experiment config, each with its JSON kind.
+SETTING_KEYS = {"mode": "str", "truncate_to": "int", "bundle": "str", "ablation": "bool", "sweep_taus": "list"}
+# Every flag-backed setting, by argparse dest: the config key it sets, its default and where it applies: every
+# experiment subcommand (None), bench, sample, or sample in one mode. Its JSON kind is its key's in CONFIG_KEYS or
+# SETTING_KEYS. ExperimentConfig reads the experiment keys with its own defaults; a setting whose default is None
+# is required where it applies.
 FLAGS = {
-    "steps": ("n_steps", "int", None, None),
-    "tau_k": ("tau_k", "float", None, None),
-    "tau_d": ("tau_d", "float", None, None),
-    "h_max": ("h_max", "int", None, None),
-    "seeds": ("evaluation_seeds", "ints", None, None),
-    "no_mi": ("use_mi", "bool", None, None),
-    "no_di": ("use_di", "bool", None, None),
-    "mode": ("mode", "str", "full", "sample"),
-    "truncate_to": ("truncate_to", "int", None, "truncated"),
-    "bundle": ("bundle", "str", None, "cached"),
-    "ablation": ("ablation", "bool", False, "bench"),
-    "sweep_taus": ("sweep_taus", "list", [], "bench"),
+    "steps": ("n_steps", None, None),
+    "tau_k": ("tau_k", None, None),
+    "tau_d": ("tau_d", None, None),
+    "h_max": ("h_max", None, None),
+    "seeds": ("evaluation_seeds", None, None),
+    "no_mi": ("use_mi", None, None),
+    "no_di": ("use_di", None, None),
+    "mode": ("mode", "full", "sample"),
+    "truncate_to": ("truncate_to", None, "truncated"),
+    "bundle": ("bundle", None, "cached"),
+    "ablation": ("ablation", False, "bench"),
+    "sweep_taus": ("sweep_taus", [], "bench"),
 }
-_SETTING_KEYS = {key for key, _, _, where in FLAGS.values() if where}
 
 
 def _load_config_dict(path: str) -> dict:
@@ -91,8 +94,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
     """
     raw = _load_config_dict(args.config) if args.config else {}
     settings: dict = {}
-    for dest, (key, kind, default, where) in FLAGS.items():
+    for dest, (key, default, where) in FLAGS.items():
         flag, set_to = "--" + dest.replace("_", "-"), getattr(args, dest, None)
+        kind = CONFIG_KEYS.get(key) or SETTING_KEYS[key]
         applies = where in (None, args.command, settings.get("mode"))
         if set_to is not None:
             if not applies:
@@ -105,7 +109,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
         if value is None:
             raise InvalidArgumentError(f"{where} mode needs {flag}")
         settings[key] = _checked(key, value, error)
-    config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in _SETTING_KEYS})
+    config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in SETTING_KEYS})
     return config, settings, {**config.to_dict(), **settings}
 
 
@@ -273,12 +277,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _number(text: str) -> float | str:
-    """``text`` as a float, or unchanged where it is not a number."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _number(text: str) -> int | float | str:
+    """``text`` as an int, else as a float, or unchanged where it is not a number; an integer keeps every digit."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:

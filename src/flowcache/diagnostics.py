@@ -15,7 +15,8 @@ they would repeat them, its cached runs; their own runs yield terminal drift onl
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -26,7 +27,7 @@ from .calibration import IndicatorTable, ScheduleBundle, _check_thresholds, _ind
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, _check_seeds, field_digest, initial_state
-from .ioutil import _json_value, _known_keys, write_csv
+from .ioutil import _defaults, _read_json, _write_json, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
 from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
 
@@ -129,6 +130,13 @@ def count_speedup(full_nfe: int, cached_nfe: int) -> float:
     return full_nfe / cached_nfe
 
 
+# The experiment config document's keys in write order, each with its JSON kind; a key with a default may be left out.
+CONFIG_KEYS = {
+    "field": "object", "n_steps": "int", "calibration_seeds": "ints", "evaluation_seeds": "ints",
+    "tau_k": "float", "tau_d": "float", "h_max": "int", "use_mi": "bool", "use_di": "bool",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one end-to-end experiment needs, fully seeded."""
@@ -162,35 +170,12 @@ class ExperimentConfig:
         return CompensationToggles(use_mi=self.use_mi, use_di=self.use_di)
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "n_steps": self.n_steps,
-            "calibration_seeds": list(self.calibration_seeds),
-            "evaluation_seeds": list(self.evaluation_seeds),
-            "tau_k": float(self.tau_k),
-            "tau_d": float(self.tau_d),
-            "h_max": int(self.h_max),
-            "use_mi": self.use_mi,
-            "use_di": self.use_di,
-        }
+        return _write_json(CONFIG_KEYS, dict(vars(self), field=self.field.to_dict()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        def value(key: str, kind: str, *default: object):
-            return _json_value(data, key, kind, *default, error=_config_error)
-
-        _known_keys(data, [f.name for f in dataclass_fields(cls)], _config_error)
-        return cls(
-            field=FieldSpec.from_dict(value("field", "object")),
-            n_steps=value("n_steps", "int"),
-            calibration_seeds=value("calibration_seeds", "ints"),
-            evaluation_seeds=value("evaluation_seeds", "ints"),
-            tau_k=value("tau_k", "float", DEFAULT_TAU_K),
-            tau_d=value("tau_d", "float", DEFAULT_TAU_D),
-            h_max=value("h_max", "int", DEFAULT_H_MAX),
-            use_mi=value("use_mi", "bool", True),
-            use_di=value("use_di", "bool", True),
-        )
+        values = _read_json(data, CONFIG_KEYS, _config_error, _defaults(cls))
+        return cls(**dict(values, field=FieldSpec.from_dict(values["field"])))
 
 
 def _config_error(key: str, reason: str) -> InvalidArgumentError:
@@ -224,7 +209,7 @@ class ExperimentResult:
     references: tuple[TrajectoryRecord, ...]
     reports: tuple[DriftReport, ...] = ()
 
-    @property
+    @cached_property  # read by every per-seed row, so the schedule's coverage is counted once per result
     def cached_nfe(self) -> int:
         return len(schedule_coverage(self.bundle.schedule, self.bundle.grid.n_steps)[1])
 

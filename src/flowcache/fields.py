@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FieldError, InvalidArgumentError
-from .ioutil import _json_value, _known_keys
+from .ioutil import _defaults, _json_value, _read_json, _write_json
 
 KIND_CONSTANT = "constant"
 KIND_MAGNITUDE_DECAY = "magnitude-decay"
@@ -45,6 +45,11 @@ KIND_GAUSSIAN_MIXTURE = "gaussian-mixture"
 FIELD_KINDS = (KIND_CONSTANT, KIND_MAGNITUDE_DECAY, KIND_ROTATION, KIND_GAUSSIAN_MIXTURE)
 # The keys each kind reads and writes besides ``kind`` and ``dimension``, in ``FIELD_KINDS`` order.
 _KIND_KEYS = dict(zip(FIELD_KINDS, (("target",), ("target", "rate"), ("target", "rate", "plane"), ("components",))))
+# The field spec document's keys in write order, each with its JSON kind, and a mixture component's.
+FIELD_KEYS = {
+    "kind": "str", "dimension": "int", "target": "floats", "rate": "float", "plane": "ints", "components": "list",
+}
+COMPONENT_KEYS = {"weight": "float", "mean": "floats", "scale": "float"}
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -123,19 +128,10 @@ class FieldSpec:
                 raise FieldError("components", f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "dimension": self.dimension}
-        if "target" in _KIND_KEYS[self.kind]:
-            out["target"] = [float(v) for v in self.target]  # type: ignore[union-attr]
-        if "rate" in _KIND_KEYS[self.kind]:
-            out["rate"] = float(self.rate)
-        if "plane" in _KIND_KEYS[self.kind]:
-            out["plane"] = [int(self.plane[0]), int(self.plane[1])]
-        if "components" in _KIND_KEYS[self.kind]:
-            out["components"] = [
-                {"weight": float(c.weight), "mean": [float(m) for m in c.mean], "scale": float(c.scale)}
-                for c in self.components
-            ]
-        return out
+        values = {key: getattr(self, key) for key in ("kind", "dimension", *_KIND_KEYS[self.kind])}
+        if "components" in values:
+            values["components"] = [_write_json(COMPONENT_KEYS, vars(c)) for c in self.components]
+        return _write_json(FIELD_KEYS, values)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldSpec":
@@ -144,39 +140,19 @@ class FieldSpec:
         def error(prefix: str = ""):
             return lambda key, reason: _spec_error(prefix + key, reason)
 
-        def value(key: str, kind: str, source: dict = data, prefix: str = ""):
-            return _json_value(source, key, kind, error=error(prefix))
-
-        kind, dimension = value("kind", "str"), value("dimension", "int")
-        if kind in _KIND_KEYS:  # an unknown kind is named by the spec's own rule, whatever its keys
-            _known_keys(data, ("kind", "dimension", *_KIND_KEYS[kind]), error())
-        kwargs: dict = {}
-        if "target" in data:
-            kwargs["target"] = value("target", "floats")
-        if "rate" in data:
-            kwargs["rate"] = value("rate", "float")
-        if "plane" in data:
-            plane = value("plane", "ints")
-            if len(plane) != 2:
-                raise _spec_error("plane", f"expected two axis indices, got {list(plane)!r}")
-            kwargs["plane"] = plane
-        if "components" in data:
-            components = []
-            for i, entry in enumerate(value("components", "list")):
-                prefix = f"components[{i}]."
-                if not isinstance(entry, dict):
-                    raise _spec_error(prefix[:-1], f"expected a JSON object, got {entry!r}")
-                _known_keys(entry, ("weight", "mean", "scale"), error(prefix))
-                components.append(
-                    MixtureComponent(
-                        value("weight", "float", entry, prefix),
-                        value("mean", "floats", entry, prefix),
-                        value("scale", "float", entry, prefix),
-                    )
-                )
-            kwargs["components"] = tuple(components)
+        # a known kind reads only its own keys; an unknown one reads any field key, and the spec's own rule names it
+        keys = ("kind", "dimension", *_KIND_KEYS.get(_json_value(data, "kind", "str", error=error()), FIELD_KEYS))
+        values = _read_json(data, {key: FIELD_KEYS[key] for key in keys}, error(), _defaults(cls))
+        if "plane" in data and len(values["plane"]) != 2:
+            raise _spec_error("plane", f"expected two axis indices, got {list(values['plane'])!r}")
+        components = []
+        for i, entry in enumerate(values.get("components", ())):
+            if not isinstance(entry, dict):
+                raise _spec_error(f"components[{i}]", f"expected a JSON object, got {entry!r}")
+            read = _read_json(entry, COMPONENT_KEYS, error(f"components[{i}]."), _defaults(MixtureComponent))
+            components.append(MixtureComponent(**read))
         try:
-            return cls(kind=kind, dimension=dimension, **kwargs)
+            return cls(**dict(values, components=tuple(components)))
         except FieldError as exc:
             raise _spec_error(exc.field, exc.reason) from None
 

@@ -26,7 +26,7 @@ from flowcache import (
     write_bundle,
 )
 from flowcache import calibration
-from flowcache.calibration import bundles_equal, write_indicator_csv
+from flowcache.calibration import BUNDLE_KEYS, bundles_equal, write_indicator_csv
 from flowcache.decomposition import _accel_rows, _decompose_rows
 from flowcache.errors import FieldError
 from flowcache.fields import initial_state
@@ -267,6 +267,11 @@ class TestBundleRoundTrip:
         loaded = read_bundle(path)
         assert bundles_equal(bundle, loaded)
 
+    def test_the_writer_emits_the_table_keys_in_order(self, tmp_path, gmm_spec):
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        assert list(json.loads(path.read_text())) == list(BUNDLE_KEYS) and len(BUNDLE_KEYS) == 15
+
     def test_reschedule_reproduces_stored_schedule(self, tmp_path, gmm_spec):
         bundle = _gmm_bundle(gmm_spec)
         path = tmp_path / "bundle.json"
@@ -313,7 +318,8 @@ class TestBundleRoundTrip:
         data = json.loads(path.read_text())
         data[column][1] = bad
         path.write_text(json.dumps(data))
-        with pytest.raises(BundleFormatError, match=f"^{column}: entry 1 is not a finite number"):
+        entry_kind = "an integer" if column == "h" else "a finite number"
+        with pytest.raises(BundleFormatError, match=f"^{column}: entry 1 is not {entry_kind}: "):
             read_bundle(path)
 
     def test_fractional_schedule_entry_rejected(self, tmp_path, gmm_spec):
@@ -322,7 +328,7 @@ class TestBundleRoundTrip:
         data = json.loads(path.read_text())
         data["h"][0] = 1.5
         path.write_text(json.dumps(data))
-        with pytest.raises(BundleFormatError, match="^h: schedule entry at step 0 is not an integer"):
+        with pytest.raises(BundleFormatError, match=r"^h: entry 0 is not an integer: 1\.5$"):
             read_bundle(path)
 
     @pytest.mark.parametrize(
@@ -346,7 +352,8 @@ class TestBundleRoundTrip:
         data = json.loads(path.read_text())
         data[key] = bad
         path.write_text(json.dumps(data))
-        with pytest.raises(BundleFormatError, match=f"^{key}: expected "):
+        reason = r"entry 0 is not an integer: 1\.5$" if bad == [1.5] else "expected "
+        with pytest.raises(BundleFormatError, match=f"^{key}: {reason}"):
             read_bundle(path)
 
     def test_version_mismatch_rejected(self, tmp_path, gmm_spec):
@@ -418,6 +425,12 @@ class TestScheduleBundleValidation:
                 field_digest="0" * 64,  # a well-formed digest, so the schedule is the only fault
                 seeds=(0,),
             )
+
+    def test_a_schedule_entry_past_64_bits_is_named(self, gmm_spec):
+        # the range rule runs before the int conversion, so it names the entry rather than overflowing
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        with pytest.raises(FieldError, match=rf"^schedule: schedule entry out of range at step 0: h={2**70}$"):
+            replace(bundle, schedule=[2**70, *bundle.schedule[1:]])
 
     @pytest.mark.parametrize("bad", ["stub", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "g", "0" * 64 + "\n"])
     def test_a_malformed_digest_is_named(self, gmm_spec, bad):

@@ -567,7 +567,7 @@ class TestErrors:
         bundle.write_text(json.dumps(data))
         capsys.readouterr()
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
-        assert "h: schedule entry at step 0 is not an integer" in capsys.readouterr().err
+        assert f"h: schedule entry out of range at step 0: h={int(bad)}\n" in capsys.readouterr().err
         assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("bad", [-7, 2**64, 2**70])
@@ -603,33 +603,40 @@ class TestErrors:
     def test_malformed_config_value_rejected(self, tmp_path, capsys, key, bad):
         config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **{key: bad}))
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"key {key!r}: expected" in capsys.readouterr().err
+        reason = "entry 0 is not an integer: 1.5\n" if bad == [1.5, 2] else "expected"
+        assert f"key {key!r}: {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, key",
+        "field, key, reason",
         [
-            ({"kind": "constant", "dimension": None, "target": [1.0, -1.0]}, "field.dimension"),
-            ({"kind": "constant", "dimension": 2, "target": 5}, "field.target"),
-            ({"kind": "constant", "dimension": 2, "target": [1.0, "x"]}, "field.target"),
-            ({"kind": 5, "dimension": 2, "target": [1.0, -1.0]}, "field.kind"),
-            ({"kind": "magnitude-decay", "dimension": 2, "target": [1.0, -1.0], "rate": "0.1"}, "field.rate"),
-            ({"kind": "rotation", "dimension": 2, "target": [1.0, -1.0], "rate": 0.1, "plane": [0]}, "field.plane"),
-            (dict(GMM_CONFIG["field"], components=[5]), "field.components[0]"),
+            ({"kind": "constant", "dimension": None, "target": [1.0, -1.0]}, "field.dimension", "expected"),
+            ({"kind": "constant", "dimension": 2, "target": 5}, "field.target", "expected"),
+            ({"kind": "constant", "dimension": 2, "target": [1.0, "x"]}, "field.target", "entry 1 is not a finite number: 'x'"),
+            ({"kind": 5, "dimension": 2, "target": [1.0, -1.0]}, "field.kind", "expected"),
+            ({"kind": "magnitude-decay", "dimension": 2, "target": [1.0, -1.0], "rate": "0.1"}, "field.rate", "expected"),
+            (
+                {"kind": "rotation", "dimension": 2, "target": [1.0, -1.0], "rate": 0.1, "plane": [0]},
+                "field.plane",
+                "expected",
+            ),
+            (dict(GMM_CONFIG["field"], components=[5]), "field.components[0]", "expected"),
             (
                 dict(GMM_CONFIG["field"], components=[dict(GMM_CONFIG["field"]["components"][0], mean=[None, 0.0, 0.0])]),
                 "field.components[0].mean",
+                "entry 0 is not a finite number: None",
             ),
             (
                 dict(GMM_CONFIG["field"], components=[GMM_CONFIG["field"]["components"][0], {"weight": "0.4"}]),
                 "field.components[1].weight",
+                "expected",
             ),
         ],
         ids=["dimension", "target", "target-entry", "kind", "rate", "plane", "component", "mean", "weight"],
     )
-    def test_malformed_field_value_rejected(self, tmp_path, capsys, field, key):
+    def test_malformed_field_value_rejected(self, tmp_path, capsys, field, key, reason):
         config = _write_config(tmp_path, dict(CONSTANT_CONFIG, field=field))
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"key {key!r}: expected" in capsys.readouterr().err
+        assert f"key {key!r}: {reason}" in capsys.readouterr().err
 
     def test_manifest_config_not_an_object_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, {"config": 5, "subcommand": "calibrate"})
@@ -809,6 +816,22 @@ class TestUsageErrors:
         for name in written:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["n_steps"] == 5
+
+    def test_an_integer_flag_keeps_every_digit(self, tmp_path):
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o"), "--h-max", str(2**53 + 1)]) == EXIT_OK
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["h_max"] == 2**53 + 1
+        assert read_bundle(tmp_path / "o" / "bundle.json").h_max == 2**53 + 1
+
+    def test_a_bad_list_entry_is_named_by_its_index_alone(self, tmp_path):
+        # the line names the key and the entry, not the 1024-entry list
+        mean = [0.0] * 1023 + [math.nan]
+        field = {"kind": "gaussian-mixture", "dimension": 1024, "components": [{"weight": 1.0, "mean": mean, "scale": 1.0}]}
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, field=field))
+        line = self._rejected(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert line == "error: config key 'field.components[0].mean': entry 1023 is not a finite number: nan"
+        assert len(line) < 200
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_still_exit_0(self, flag):

@@ -25,6 +25,7 @@ from flowcache import (
 )
 from flowcache.diagnostics import (
     ABLATION_ORDER,
+    CONFIG_KEYS,
     _mean_stderr,
     evaluate_bundle,
     make_bundle,
@@ -37,7 +38,7 @@ from flowcache.diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
-from flowcache import calibration
+from flowcache import calibration, diagnostics
 from flowcache.calibration import bundles_equal, calibrate
 from flowcache.schedule import build_schedule, schedule_coverage, skip_intervals
 
@@ -263,6 +264,9 @@ class TestExperimentConfig:
         config = _gmm_config(gmm_spec, tau_k=0.04, use_di=False)
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    def test_the_writer_emits_the_table_keys_in_order(self, gmm_spec):
+        assert list(_gmm_config(gmm_spec).to_dict()) == list(CONFIG_KEYS) and len(CONFIG_KEYS) == 9
+
 
 class TestRunExperiment:
     def test_zero_thresholds_mean_no_skipping(self, gmm_spec):
@@ -278,6 +282,15 @@ class TestRunExperiment:
         trunc = truncation_drifts(result, result.cached_nfe)
         assert trunc.size == len(config.evaluation_seeds)
         assert result.mean_final_drift < float(trunc.mean())
+
+    def test_the_cached_nfe_is_counted_once_per_result(self, gmm_spec, monkeypatch):
+        result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000, 2001)))
+        calls = []
+        monkeypatch.setattr(diagnostics, "schedule_coverage", lambda *args: calls.append(args) or schedule_coverage(*args))
+        first = (result.cached_nfe, result.skip_ratio, result.speedup)
+        assert [(result.cached_nfe, result.skip_ratio, result.speedup) for _ in range(3)] == [first] * 3
+        assert len(calls) == 1
+        assert first[0] == len(schedule_coverage(result.bundle.schedule, result.bundle.grid.n_steps)[1])
 
     def test_a_non_positive_truncated_step_count_is_rejected_by_the_grid_rule(self, gmm_spec):
         result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000,)))

@@ -18,6 +18,7 @@ from flowcache import (
     sample_full,
 )
 from flowcache.errors import FieldError
+from flowcache.fields import COMPONENT_KEYS, FIELD_KEYS
 from mc_oracle import mc_mixture_velocity
 from test_kernels import KERNEL_FIELDS, _setup
 
@@ -89,6 +90,33 @@ class TestFieldSpecValidation:
 
     def test_roundtrip_through_dict(self, gmm_spec):
         assert FieldSpec.from_dict(gmm_spec.to_dict()) == gmm_spec
+
+    @pytest.mark.parametrize(
+        "spec, keys",
+        [
+            (FieldSpec(kind="constant", dimension=2, target=(1.0, -2.5)), ["kind", "dimension", "target"]),
+            (FieldSpec(kind="magnitude-decay", dimension=1, target=(3.0,), rate=-0.7), ["kind", "dimension", "target", "rate"]),
+            (
+                FieldSpec(kind="rotation", dimension=3, target=(1.0, 0.5, 0.2), rate=4.0, plane=(2, 0)),
+                ["kind", "dimension", "target", "rate", "plane"],
+            ),
+            (
+                FieldSpec(
+                    kind="gaussian-mixture",
+                    dimension=2,
+                    components=(MixtureComponent(0.25, (0.1, -1.0), 0.5), MixtureComponent(0.75, (2.0, 0.0), 1.5)),
+                ),
+                ["kind", "dimension", "components"],
+            ),
+        ],
+        ids=["constant", "magnitude-decay", "rotation", "gaussian-mixture"],
+    )
+    def test_every_kind_round_trips_in_table_order(self, spec, keys):
+        data = spec.to_dict()
+        assert FieldSpec.from_dict(data) == spec
+        assert list(data) == keys == [key for key in FIELD_KEYS if key in keys]
+        for component in data.get("components", []):
+            assert list(component) == list(COMPONENT_KEYS) == ["weight", "mean", "scale"]
 
 
 def test_constant_field_returns_target(constant_spec):
