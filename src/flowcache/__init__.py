@@ -24,7 +24,6 @@ from .diagnostics import (
     count_speedup,
     run_experiment,
 )
-from .error_bound import run_bound_sweep
 from .errors import (
     BundleFormatError,
     FlowCacheError,
@@ -77,7 +76,6 @@ __all__ = [
     "initial_state",
     "make_uniform_grid",
     "read_bundle",
-    "run_bound_sweep",
     "run_experiment",
     "sample_cached",
     "sample_full",

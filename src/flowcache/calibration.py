@@ -21,7 +21,7 @@ import numpy as np
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, _check_seeds, initial_state
-from .ioutil import _create, _read_json, _write_json, write_csv
+from .ioutil import _create, _integral, _read_json, _write_json, write_csv
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
@@ -159,7 +159,9 @@ class ScheduleBundle:
             raise FieldError("field_digest", f"expected 64 lowercase hex characters, got {self.field_digest!r}")
         _check_thresholds(tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
         _check_seeds("seeds", self.seeds, FieldError)
-        for i, h in enumerate(self.schedule):  # before the int conversion, so the rule also bounds an entry's size
+        for i, h in enumerate(self.schedule):  # before the int conversion, so the rules also bound an entry's size
+            if not (isinstance(h, np.integer) or _integral(h)):  # build_schedule's entries are numpy integers
+                raise FieldError("schedule", f"entry {i} is not an integer: {h!r}")
             if not 1 <= h <= min(self.h_max, n - i):
                 raise FieldError("schedule", f"schedule entry out of range at step {i}: h={h}")
         schedule = np.array(self.schedule, dtype=int)

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("verify", help="run randomized property suites")
-    p.add_argument("--suite", default="all", choices=SUITES + ("all",), help="which suite to run")
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"), help="which suite to run")
     p.add_argument("--cases", type=int, help="number of random cases (suite default otherwise)")
     p.add_argument("--seed", type=int, help="base seed for the sweep")
     p.add_argument("--out", help="directory for the bound audit CSV")

@@ -7,39 +7,24 @@ C^2 * (k_t - k)^2 with C = dt * exp(max(k_t, k) * dt), an orthogonal
 strength term (d_t - d)^2, and an alignment term 2 * d_t * d * (1 - cos
 theta). The parallel and orthogonal error components are mutually
 orthogonal, so their squares add exactly, and the orthogonal part is an
-identity rather than a bound. The verification sweep, the module's one
-entry point, checks all of this on random configurations and emits a
-per-draw audit CSV.
+identity rather than a bound. This module holds the math and the random
+draws; ``verify.suite_bound``, the bound's one entry point, checks all of
+this on random configurations and can write a per-draw audit CSV.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .decomposition import _row_dots
-from .ioutil import write_csv
 
-# |<u, v>| <= ORTHO_TOL * |u| * |v| qualifies as orthogonal input.
-ORTHO_TOL = 1e-10
 # Gram-Schmidt draws with residual norm below this fraction are redrawn.
 REJECT_TOL = 1e-8
-# The sweep's drawn unit vectors have | |u|^2 - 1 | within this; seeds
-# 1000-1039 at 10^5 draws reach 3 eps.
-UNIT_NORM_TOL = 16 * np.finfo(float).eps
 # The sweep's draw ranges: dimension (both ends included; 2 leaves an
 # orthogonal complement), k and k_t, d and d_t.
 DIM_RANGE = (2, 64)
 K_RANGE = (-5.0, 5.0)
 D_RANGE = (0.0, 2.0)
-# The sweep's tolerances: lhs - rhs, the additive split's and the |Q|^2
-# identity's relative errors.
-BOUND_SLACK = 1e-9
-SPLIT_TOL = 1e-10
-Q_IDENTITY_TOL = 1e-12
 # Draws per block of the bound sweep. Each block is one set of numpy passes
 # over (_BLOCK, DIM_RANGE[1]) arrays; blocks of 1000 add about 5 MB of peak
 # memory for little more speed.
@@ -120,25 +105,6 @@ def _exact_q_squared(*rows: np.ndarray) -> np.ndarray:
     return _q_squared(*(np.vectorize(Fraction, otypes=[object])(a) for a in rows)).astype(float)
 
 
-@dataclass
-class BoundSweepResult:
-    """Aggregate of a randomized bound-verification sweep."""
-
-    draws: int
-    base_seed: int
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_bound_violation: float  # max(lhs - rhs), negative when the bound holds strictly
-    max_split_error: float  # worst relative error of |P|^2 + |Q|^2 vs the squared error
-    max_q_identity_error: float  # worst relative error of the |Q|^2 identity
-    min_envelope_violations: int  # draws where the min(k_t, k) envelope fails
-    failures: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _masked_normal(rng: np.random.Generator, dims: np.ndarray, width: int) -> np.ndarray:
     """Standard normal rows of ``width`` columns, zeroed at and beyond each row's dim."""
     g = rng.standard_normal((dims.size, width))
@@ -190,107 +156,3 @@ def _draw_block(rng: np.random.Generator, n: int) -> tuple[np.ndarray, tuple[np.
     d, d_t = rng.uniform(D_RANGE[0], D_RANGE[1], size=(n, 2)).T
     dt = 1.0 - rng.random(n)  # (0, 1]
     return dims, (v, k, d, u_perp, k_t, d_t, u_hat, dt)
-
-
-def run_bound_sweep(draws: int = 100_000, seed: int = 20240) -> BoundSweepResult:
-    """Randomized verification of the bound and its exact decompositions.
-
-    Configurations are drawn and checked in blocks of ``_BLOCK`` draws, so
-    a sweep whose draw count is a multiple of ``_BLOCK`` is the exact
-    prefix of any longer sweep at the same seed. Also checks the bound's
-    premises on every draw: both directions unit vectors to within
-    ``UNIT_NORM_TOL`` and orthogonal to ``v`` to within ``ORTHO_TOL``. And
-    it checks that weakening the magnitude envelope to min(k_t, k) breaks
-    the bound somewhere, confirming the max is necessary.
-    """
-    rng = np.random.default_rng(seed)
-    lhs_all = np.empty(draws)
-    rhs_all = np.empty(draws)
-    failures: list[str] = []
-    max_violation = -math.inf
-    max_split = 0.0
-    max_qid = 0.0
-    envelope_violations = 0
-
-    for start in range(0, draws, _BLOCK):
-        stop = min(start + _BLOCK, draws)
-        _, rows = _draw_block(rng, stop - start)
-        v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
-        _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
-        lhs_all[start:stop] = lhs
-        rhs_all[start:stop] = rhs
-        violation = lhs - rhs
-        max_violation = max(max_violation, float(violation.max()))
-
-        # parallel/orthogonal split must be additive and the orthogonal
-        # part an exact identity
-        v_norm = np.linalg.norm(v, axis=1)
-        p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
-        err_sq = (lhs * v_norm) ** 2
-        q_args = (v_norm, d, d_t, u_perp, u_hat)
-        q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
-        split_err = _relative_gap(err_sq, _row_dots(p, p) + q_sq)
-        max_split = max(max_split, float(split_err.max()))
-
-        q_err = _relative_gap(q_sq, q_ref)
-        flagged = np.flatnonzero(q_err > Q_IDENTITY_TOL)
-        if flagged.size:
-            # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
-            # value leaves only the reference's own rounding in the gap
-            exact = _exact_q_squared(*(a[flagged] for a in q_args))
-            q_err[flagged] = _relative_gap(exact, q_ref[flagged])
-        max_qid = max(max_qid, float(q_err.max()))
-        # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
-        # orthogonal to v; the cosine to v is measured against |u| as drawn
-        norm_err, cos_v = {}, {}
-        for name, u in (("u_perp", u_perp), ("u_hat", u_hat)):
-            uu = _row_dots(u, u)
-            norm_err[name] = np.abs(uu - 1.0)
-            cos_v[name] = np.abs(_row_dots(u, v)) / (v_norm * np.sqrt(uu))
-
-        c_min = dt * np.exp(np.minimum(k_t, k) * dt)
-        rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
-        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + BOUND_SLACK)))
-
-        over_bound = violation > BOUND_SLACK
-        split_off = split_err > SPLIT_TOL
-        identity_off = q_err > Q_IDENTITY_TOL
-        premise_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
-        premise_off |= (cos_v["u_perp"] > ORTHO_TOL) | (cos_v["u_hat"] > ORTHO_TOL)
-        for row in np.flatnonzero(over_bound | split_off | identity_off | premise_off):
-            prefix = f"draw {start + row} (seed {seed}):"
-            if over_bound[row]:
-                failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
-            if split_off[row]:
-                failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
-            if identity_off[row]:
-                failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
-            for name, err in norm_err.items():
-                if err[row] > UNIT_NORM_TOL:
-                    failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
-                if cos_v[name][row] > ORTHO_TOL:
-                    failures.append(f"{prefix} {name} not orthogonal to v, cosine {float(cos_v[name][row])!r}")
-
-    if envelope_violations == 0:
-        failures.append(
-            f"seed {seed}: min-envelope bound never violated in {draws} draws; max envelope is not confirmed necessary"
-        )
-    return BoundSweepResult(
-        draws=draws,
-        base_seed=seed,
-        lhs=lhs_all,
-        rhs=rhs_all,
-        max_bound_violation=max_violation,
-        max_split_error=max_split,
-        max_q_identity_error=max_qid,
-        min_envelope_violations=envelope_violations,
-        failures=failures,
-    )
-
-
-def write_bound_audit_csv(result: BoundSweepResult, path: str | Path) -> None:
-    rows = (
-        (i, float(result.lhs[i]), float(result.rhs[i]), float(result.rhs[i] - result.lhs[i]))
-        for i in range(result.draws)
-    )
-    write_csv(path, ("draw", "lhs", "rhs", "slack"), rows)

@@ -4,34 +4,38 @@ Each suite draws a fixed number of seeded random cases, checks the
 corresponding contract against an independent reference (brute-force scan,
 closed-form identity, or exactness construction), and reports worst-case
 slacks. A failing case is reported with its draw index and base seed so it
-can be reproduced exactly.
+can be reproduced exactly. The bound suite is the error bound's one entry
+point: it checks ``error_bound``'s draws with the tolerances below and can
+write a per-draw audit CSV.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cached_sampler import sample_cached
-from .decomposition import _decompose_rows
+from .decomposition import _decompose_rows, _row_dots
 from .diagnostics import ExperimentConfig, make_bundle
-from .error_bound import run_bound_sweep, write_bound_audit_csv
+from .error_bound import (
+    _BLOCK, DIM_RANGE, _bound_rows, _draw_block, _exact_q_squared, _q_reference, _q_squared, _relative_gap
+)
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, initial_state
+from .ioutil import write_csv
 from .schedule import _stable_intervals
 from .solver import sample_full
-
-SUITES = ("povd", "ssc", "bound", "exactness")
 
 
 @dataclass
 class SuiteResult:
     name: str
     cases: int
+    seed: int  # the seed the suite ran at
     stats: dict[str, float] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
-    seed: int | None = None  # the seed the suite ran at
 
     @property
     def passed(self) -> bool:
@@ -52,20 +56,20 @@ class SuiteResult:
 
 # Draws per row-kernel pass of the povd suite, each a row zero-padded to the largest drawn
 # dimension; a larger count runs in passes over one random stream, so memory stays bounded.
-_POVD_BLOCK, _POVD_WIDTH = 10_000, 64
+_POVD_BLOCK = 10_000
 
 
 def _povd_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next ``n`` draws as zero-padded (n, 64) rows ``v`` and ``a`` and their ``dt``.
+    """The next ``n`` draws as zero-padded (n, DIM_RANGE[1]) rows ``v`` and ``a`` and their ``dt``.
 
     Each draw takes its dimension, a nonzero ``v``, ``a`` and ``dt`` from
     ``rng`` in that order, so draw i of a seed is the same configuration
     whatever the block size.
     """
-    v, a = np.zeros((2, n, _POVD_WIDTH))
+    v, a = np.zeros((2, n, DIM_RANGE[1]))
     dt = np.empty(n)
     for i in range(n):
-        dim = int(rng.integers(2, _POVD_WIDTH + 1))
+        dim = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
         row = rng.standard_normal(dim)
         while float(np.linalg.norm(row)) == 0.0:
             row = rng.standard_normal(dim)
@@ -149,23 +153,108 @@ def suite_ssc(cases: int = 10_000, seed: int = 202) -> SuiteResult:
     return SuiteResult(name="ssc", cases=cases, failures=failures, seed=seed)
 
 
+# The bound suite's tolerances: lhs - rhs, the additive split's and the |Q|^2 identity's relative errors.
+BOUND_SLACK = 1e-9
+SPLIT_TOL = 1e-10
+Q_IDENTITY_TOL = 1e-12
+# The drawn unit vectors have | |u|^2 - 1 | within this; seeds 1000-1039 at 10^5 draws reach 3 eps.
+UNIT_NORM_TOL = 16 * np.finfo(float).eps
+# |<u, v>| <= ORTHO_TOL * |u| * |v| qualifies as orthogonal input.
+ORTHO_TOL = 1e-10
+
+
 def suite_bound(cases: int = 100_000, seed: int = 303, audit_path: str | None = None) -> SuiteResult:
-    """Bound validity plus the additive split and orthogonal identity."""
-    sweep = run_bound_sweep(draws=cases, seed=seed)
+    """Bound validity plus the additive split and orthogonal identity.
+
+    Configurations are drawn and checked in blocks of ``_BLOCK`` draws, so
+    a run whose case count is a multiple of ``_BLOCK`` is the exact prefix
+    of any longer run at the same seed. Also checks the bound's premises on
+    every draw: both directions unit vectors to within ``UNIT_NORM_TOL`` and
+    orthogonal to ``v`` to within ``ORTHO_TOL``. And it checks that
+    weakening the magnitude envelope to min(k_t, k) breaks the bound
+    somewhere, confirming the max is necessary. With ``audit_path``, each
+    draw's lhs, rhs and slack are written there as a CSV row.
+    """
+    rng = np.random.default_rng(seed)
+    lhs_all, rhs_all = np.empty((2, cases))
+    failures: list[str] = []
+    max_violation = -math.inf
+    max_split = max_qid = 0.0
+    envelope_violations = 0
+
+    for start in range(0, cases, _BLOCK):
+        stop = min(start + _BLOCK, cases)
+        _, rows = _draw_block(rng, stop - start)
+        v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
+        _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
+        lhs_all[start:stop] = lhs
+        rhs_all[start:stop] = rhs
+        violation = lhs - rhs
+        max_violation = max(max_violation, float(violation.max()))
+
+        # parallel/orthogonal split must be additive and the orthogonal
+        # part an exact identity
+        v_norm = np.linalg.norm(v, axis=1)
+        p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
+        err_sq = (lhs * v_norm) ** 2
+        q_args = (v_norm, d, d_t, u_perp, u_hat)
+        q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
+        split_err = _relative_gap(err_sq, _row_dots(p, p) + q_sq)
+        max_split = max(max_split, float(split_err.max()))
+
+        q_err = _relative_gap(q_sq, q_ref)
+        flagged = np.flatnonzero(q_err > Q_IDENTITY_TOL)
+        if flagged.size:
+            # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
+            # value leaves only the reference's own rounding in the gap
+            exact = _exact_q_squared(*(a[flagged] for a in q_args))
+            q_err[flagged] = _relative_gap(exact, q_ref[flagged])
+        max_qid = max(max_qid, float(q_err.max()))
+        # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
+        # orthogonal to v; the cosine to v is measured against |u| as drawn
+        norm_err, cos_v = {}, {}
+        for name, u in (("u_perp", u_perp), ("u_hat", u_hat)):
+            uu = _row_dots(u, u)
+            norm_err[name] = np.abs(uu - 1.0)
+            cos_v[name] = np.abs(_row_dots(u, v)) / (v_norm * np.sqrt(uu))
+
+        c_min = dt * np.exp(np.minimum(k_t, k) * dt)
+        rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
+        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + BOUND_SLACK)))
+
+        over_bound = violation > BOUND_SLACK
+        split_off = split_err > SPLIT_TOL
+        identity_off = q_err > Q_IDENTITY_TOL
+        premise_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
+        premise_off |= (cos_v["u_perp"] > ORTHO_TOL) | (cos_v["u_hat"] > ORTHO_TOL)
+        for row in np.flatnonzero(over_bound | split_off | identity_off | premise_off):
+            prefix = f"draw {start + row} (seed {seed}):"
+            if over_bound[row]:
+                failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
+            if split_off[row]:
+                failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
+            if identity_off[row]:
+                failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
+            for name, err in norm_err.items():
+                if err[row] > UNIT_NORM_TOL:
+                    failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
+                if cos_v[name][row] > ORTHO_TOL:
+                    failures.append(f"{prefix} {name} not orthogonal to v, cosine {float(cos_v[name][row])!r}")
+
+    if envelope_violations == 0:
+        failures.append(
+            f"seed {seed}: min-envelope bound never violated in {cases} draws; max envelope is not confirmed necessary"
+        )
     if audit_path is not None:
-        write_bound_audit_csv(sweep, audit_path)
-    return SuiteResult(
-        name="bound",
-        cases=cases,
-        seed=seed,
-        stats={
-            "max_bound_violation": sweep.max_bound_violation,
-            "max_split_error": sweep.max_split_error,
-            "max_q_identity_error": sweep.max_q_identity_error,
-            "min_envelope_violations": float(sweep.min_envelope_violations),
-        },
-        failures=list(sweep.failures),
-    )
+        rows = ((i, float(lhs_all[i]), float(rhs_all[i]), float(rhs_all[i] - lhs_all[i])) for i in range(cases))
+        write_csv(audit_path, ("draw", "lhs", "rhs", "slack"), rows)
+    stats = {
+        "max_bound_violation": max_violation,
+        "max_split_error": max_split,
+        "max_q_identity_error": max_qid,
+        "min_envelope_violations": float(envelope_violations),
+    }
+    return SuiteResult(name="bound", cases=cases, seed=seed, stats=stats, failures=failures)
 
 
 # The exactness suite's condition seeds reach ``seed + 200``, and a condition seed must be below 2**64.
@@ -217,14 +306,19 @@ def suite_exactness(seed: int = 404) -> SuiteResult:
     return SuiteResult(name="exactness", cases=3, stats=stats, failures=failures, seed=seed)
 
 
+# Each suite by name, in the order ``--suite all`` runs them.
+SUITES = {"povd": suite_povd, "ssc": suite_ssc, "bound": suite_bound, "exactness": suite_exactness}
+
+
 def run_suite(
     name: str,
     cases: int | None = None,
     seed: int | None = None,
     audit_path: str | None = None,
 ) -> SuiteResult:
+    """Suite ``name``; a ``cases`` or ``seed`` left as None takes the suite's default."""
     if name not in SUITES:
-        raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {SUITES}")
+        raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {tuple(SUITES)}")
     if cases is not None and cases < 1:
         raise InvalidArgumentError(f"--cases must be a positive integer, got {cases}")
     if seed is not None and seed < 0:
@@ -233,15 +327,7 @@ def run_suite(
         raise InvalidArgumentError(f"--seed must be an integer from 0 to {_MAX_SEED} (2**64 - 201), got {seed}")
     if cases is not None and name == "exactness":
         raise InvalidArgumentError("--cases does not apply to the exactness suite, which runs 3 fixed checks")
-    kwargs: dict = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if cases is not None:
-        kwargs["cases"] = cases
-    if name == "povd":
-        return suite_povd(**kwargs)
-    if name == "ssc":
-        return suite_ssc(**kwargs)
-    if name == "bound":
-        return suite_bound(audit_path=audit_path, **kwargs)
-    return suite_exactness(**kwargs)
+    if audit_path is not None and name != "bound":
+        raise InvalidArgumentError(f"--out does not apply to the {name} suite; only the bound suite writes an audit")
+    given = {"cases": cases, "seed": seed, "audit_path": audit_path}
+    return SUITES[name](**{key: value for key, value in given.items() if value is not None})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -431,6 +432,18 @@ class TestScheduleBundleValidation:
         bundle = _gmm_bundle(gmm_spec, n_steps=6)
         with pytest.raises(FieldError, match=rf"^schedule: schedule entry out of range at step 0: h={2**70}$"):
             replace(bundle, schedule=[2**70, *bundle.schedule[1:]])
+
+    @pytest.mark.parametrize("entry", [1.5, True, np.True_], ids=repr)
+    def test_a_schedule_entry_that_is_not_an_integer_is_named(self, gmm_spec, entry):
+        # the constructor keeps read_bundle's integer rule rather than truncating 1.5 to 1
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        with pytest.raises(FieldError, match=rf"^schedule: entry 0 is not an integer: {re.escape(repr(entry))}$"):
+            replace(bundle, schedule=[entry, 1.9, 1, 1, 1, 1], h_max=3)
+
+    def test_numpy_integer_and_integral_float_entries_are_kept(self, gmm_spec):
+        bundle = _gmm_bundle(gmm_spec, n_steps=6)
+        for schedule in (bundle.schedule, np.ones(6, dtype=np.int32), [1.0, 2, 1, 1, 1, 1]):
+            np.testing.assert_array_equal(replace(bundle, schedule=schedule).schedule, schedule)
 
     @pytest.mark.parametrize("bad", ["stub", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "g", "0" * 64 + "\n"])
     def test_a_malformed_digest_is_named(self, gmm_spec, bad):

@@ -289,7 +289,12 @@ class TestVerify:
         import flowcache.verify as verify_module
 
         seen = []
-        monkeypatch.setattr(verify_module, "suite_povd", lambda **kwargs: seen.append(kwargs) or SuiteResult("povd", 1))
+
+        def fake_povd(**kwargs):
+            seen.append(kwargs)
+            return SuiteResult("povd", 1, 0)
+
+        monkeypatch.setitem(verify_module.SUITES, "povd", fake_povd)
         verify_module.run_suite("povd")
         verify_module.run_suite("povd", cases=7)
         assert seen == [{}, {"cases": 7}]
@@ -353,11 +358,16 @@ class TestVerify:
         with pytest.raises(InvalidArgumentError, match="^unknown suite 'x'; expected one of "):
             run_suite("x")
 
+    def test_an_audit_path_is_rejected_for_a_suite_that_writes_no_audit(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="^--out does not apply to the povd suite; "):
+            run_suite("povd", audit_path=str(tmp_path / "audit.csv"))
+        assert not (tmp_path / "audit.csv").exists()
+
     def test_failure_exit_code(self, monkeypatch):
         import flowcache.cli as cli_module
 
         def fake_suite(name, cases=None, seed=None, audit_path=None):
-            return SuiteResult(name=name, cases=1, failures=["draw 0 (seed 1): synthetic failure"])
+            return SuiteResult(name=name, cases=1, seed=1, failures=["draw 0 (seed 1): synthetic failure"])
 
         monkeypatch.setattr(cli_module, "run_suite", fake_suite)
         assert main(["verify", "--suite", "povd"]) == EXIT_VERIFY

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flowcache import error_bound, run_bound_sweep
-from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, _unit_orthogonal_rows, write_bound_audit_csv
+from flowcache import error_bound, verify
+from flowcache.error_bound import _BLOCK, _bound_rows, _draw_block, _unit_orthogonal_rows
+from flowcache.verify import suite_bound
 
 TERMS = ("c_n", "mag_err", "strength_err", "cos_theta", "lhs", "rhs")  # _bound_rows' outputs in order
 
@@ -17,6 +18,14 @@ TERMS = ("c_n", "mag_err", "strength_err", "cos_theta", "lhs", "rhs")  # _bound_
 def _unit_orthogonal(rng, v):
     """One random unit vector orthogonal to ``v``, drawn by the sweep's row drawer."""
     return _unit_orthogonal_rows(rng, v[None], np.array([v.size]))[0]
+
+
+def _audit(path, cases, seed):
+    """``suite_bound``'s result and its audit CSV's rows, each ``(draw, lhs, rhs, slack)`` as parsed numbers."""
+    result = suite_bound(cases=cases, seed=seed, audit_path=path)
+    with open(path, newline="") as fh:
+        rows = [(int(r["draw"]), float(r["lhs"]), float(r["rhs"]), float(r["slack"])) for r in csv.DictReader(fh)]
+    return result, rows
 
 
 def _one_row(v, k, d, u_perp, k_t, d_t, u_hat, dt):
@@ -113,51 +122,60 @@ class TestUnitOrthogonal:
 
 class TestBoundSweep:
     def test_small_sweep_passes(self):
-        result = run_bound_sweep(draws=2000, seed=41)
+        result = suite_bound(cases=2000, seed=41)
         assert result.passed, result.failures[:3]
-        assert result.max_bound_violation <= 1e-9
-        assert result.max_split_error <= 1e-10
-        assert result.max_q_identity_error <= 1e-12
-        assert result.min_envelope_violations > 0
+        assert result.stats["max_bound_violation"] <= 1e-9
+        assert result.stats["max_split_error"] <= 1e-10
+        assert result.stats["max_q_identity_error"] <= 1e-12
+        assert result.stats["min_envelope_violations"] > 0
 
     def test_audit_csv(self, tmp_path):
-        result = run_bound_sweep(draws=50, seed=43)
         path = tmp_path / "audit.csv"
-        write_bound_audit_csv(result, path)
+        suite_bound(cases=50, seed=43, audit_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
         assert list(rows[0].keys()) == ["draw", "lhs", "rhs", "slack"]
         assert all(float(r["slack"]) >= -1e-9 for r in rows)
 
+    def test_the_default_seed_pins_the_first_thousand_draws(self):
+        # the first chunk of the default run, which the benchmark's verify-bound op repeats
+        result = suite_bound(cases=1000, seed=303)
+        assert result.failures == []
+        assert result.stats == {
+            "max_bound_violation": -9.228173780684301e-13,
+            "max_split_error": 6.272809581202691e-15,
+            "max_q_identity_error": 6.117831214572494e-16,
+            "min_envelope_violations": 996.0,
+        }
+
 
 class TestBlockSweep:
-    def test_shorter_sweep_is_a_prefix(self):
-        short = run_bound_sweep(draws=1000, seed=47)
-        long = run_bound_sweep(draws=2000, seed=47)
-        np.testing.assert_array_equal(short.lhs, long.lhs[:1000])
-        np.testing.assert_array_equal(short.rhs, long.rhs[:1000])
-        assert short.max_bound_violation == float(np.max(long.lhs[:1000] - long.rhs[:1000]))
+    def test_shorter_sweep_is_a_prefix(self, tmp_path):
+        # repr floats round-trip, so equal audit rows are equal lhs and rhs bit for bit
+        short, short_rows = _audit(tmp_path / "short.csv", 1000, 47)
+        _, long_rows = _audit(tmp_path / "long.csv", 2000, 47)
+        assert short_rows == long_rows[:1000]
+        assert short.stats["max_bound_violation"] == max(lhs - rhs for _, lhs, rhs, _ in long_rows[:1000])
 
     def test_shorter_sweep_is_a_prefix_draw_by_draw(self, monkeypatch):
         # zero tolerances turn every draw's split and identity error into a
         # failure message carrying its exact value
         for name, value in (("BOUND_SLACK", -1.0), ("SPLIT_TOL", 0.0), ("Q_IDENTITY_TOL", 0.0)):
-            monkeypatch.setattr(error_bound, name, value)
-        short = run_bound_sweep(draws=1000, seed=47)
-        long = run_bound_sweep(draws=2000, seed=47)
+            monkeypatch.setattr(verify, name, value)
+        short = suite_bound(cases=1000, seed=47)
+        long = suite_bound(cases=2000, seed=47)
         first = [f for f in long.failures if int(re.match(r"draw (\d+) ", f).group(1)) < 1000]
         assert len(first) > 1000
         assert short.failures == first
-        assert short.min_envelope_violations <= long.min_envelope_violations
+        assert short.stats["min_envelope_violations"] <= long.stats["min_envelope_violations"]
 
     @pytest.mark.parametrize("seed", [53, 59])
-    def test_rows_match_scalar_bound_terms(self, seed):
+    def test_rows_match_scalar_bound_terms(self, tmp_path, seed):
         dims, rows = _draw_block(np.random.default_rng(seed), _BLOCK)
         lhs, rhs = _bound_rows(*rows)[-2:]
-        sweep = run_bound_sweep(draws=_BLOCK, seed=seed)
-        np.testing.assert_array_equal(lhs, sweep.lhs)
-        np.testing.assert_array_equal(rhs, sweep.rhs)
+        _, audit = _audit(tmp_path / "audit.csv", _BLOCK, seed)
+        assert [(i, float(lhs[i]), float(rhs[i])) for i in range(_BLOCK)] == [row[:3] for row in audit]
         v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
         for i, dim in enumerate(dims):
             assert not v[i, dim:].any() and not u_perp[i, dim:].any() and not u_hat[i, dim:].any()
@@ -174,8 +192,8 @@ class TestBlockSweep:
         ids=["identity", "bound"],
     )
     def test_failures_name_draw_and_seed_in_order(self, monkeypatch, tols, message):
-        monkeypatch.setattr(error_bound, *tols)
-        result = run_bound_sweep(draws=300, seed=61)
+        monkeypatch.setattr(verify, *tols)
+        result = suite_bound(cases=300, seed=61)
         assert not result.passed
         draws = []
         for failure in result.failures:
@@ -188,8 +206,8 @@ class TestBlockSweep:
 
     def test_equal_rates_never_confirm_the_envelope(self, monkeypatch):
         monkeypatch.setattr(error_bound, "K_RANGE", (0.0, 0.0))
-        result = run_bound_sweep(draws=200, seed=67)
-        assert result.min_envelope_violations == 0
+        result = suite_bound(cases=200, seed=67)
+        assert result.stats["min_envelope_violations"] == 0
         assert result.failures == [
             "seed 67: min-envelope bound never violated in 200 draws; max envelope is not confirmed necessary"
         ]
@@ -206,7 +224,7 @@ class TestBlockSweep:
             assert np.all(np.abs(np.linalg.norm(u, axis=1) - 1.0) <= 1e-12)
             assert np.all(np.abs(np.einsum("ij,ij->i", u, v)) <= 1e-10 * v_norm)
             assert all(not u[i, dim:].any() for i, dim in enumerate(dims))
-        assert run_bound_sweep(draws=300, seed=71).passed
+        assert suite_bound(cases=300, seed=71).passed
 
 
 class TestOrthogonalIdentity:
@@ -216,17 +234,17 @@ class TestOrthogonalIdentity:
     def test_cancelling_seeds_pass_at_full_size(self, seed):
         # each of these seeds has a dim-2 draw with u_hat = u_perp and d near d_t, where Q
         # cancels in float64; checked in float64 alone, the paper's form fails on all four
-        result = run_bound_sweep(draws=100_000, seed=seed)
+        result = suite_bound(cases=100_000, seed=seed)
         assert result.passed, result.failures[:3]
-        assert result.max_q_identity_error <= 1e-12
+        assert result.stats["max_q_identity_error"] <= 1e-12
 
     def test_the_flagged_draw_is_rechecked(self, monkeypatch):
         exact, rechecked = error_bound._exact_q_squared, []
-        monkeypatch.setattr(error_bound, "_exact_q_squared", lambda *rows: rechecked.append(rows) or exact(*rows))
-        result = run_bound_sweep(draws=30_300, seed=1012)  # draw 30250 cancels in float64
+        monkeypatch.setattr(verify, "_exact_q_squared", lambda *rows: rechecked.append(rows) or exact(*rows))
+        result = suite_bound(cases=30_300, seed=1012)  # draw 30250 cancels in float64
         assert len(rechecked) == 1 and rechecked[0][1].shape == (1,)
         assert result.passed, result.failures[:3]
-        assert result.max_q_identity_error <= 1e-12
+        assert result.stats["max_q_identity_error"] <= 1e-12
 
     @pytest.mark.parametrize("seed, draws", [(79, 20), (1012, 30_300)], ids=["random", "cancelling"])
     def test_the_reference_matches_the_exact_square(self, seed, draws):
@@ -240,10 +258,10 @@ class TestOrthogonalIdentity:
 
     def test_a_planted_reference_error_fails(self, monkeypatch):
         q_reference = error_bound._q_reference
-        monkeypatch.setattr(error_bound, "_q_reference", lambda *rows: q_reference(*rows) * (1 + 1e-11))
-        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        monkeypatch.setattr(verify, "_q_reference", lambda *rows: q_reference(*rows) * (1 + 1e-11))
+        result = suite_bound(cases=_BLOCK, seed=1012)
         assert sum("orthogonal identity off by" in f for f in result.failures) == _BLOCK
-        assert result.max_q_identity_error == pytest.approx(1e-11, rel=1e-3)
+        assert result.stats["max_q_identity_error"] == pytest.approx(1e-11, rel=1e-3)
 
     @pytest.mark.parametrize("name", ["u_perp", "u_hat"])
     def test_a_direction_off_unit_norm_fails(self, monkeypatch, name):
@@ -257,8 +275,8 @@ class TestOrthogonalIdentity:
             rows[position] = rows[position] * (1.0 + 1e-13)
             return dims, tuple(rows)
 
-        monkeypatch.setattr(error_bound, "_draw_block", stretched)
-        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        monkeypatch.setattr(verify, "_draw_block", stretched)
+        result = suite_bound(cases=_BLOCK, seed=1012)
         assert sum(f"|{name}|^2 off 1 by" in f for f in result.failures) == _BLOCK
         assert not any("orthogonal identity" in f for f in result.failures)
 
@@ -275,8 +293,8 @@ class TestOrthogonalIdentity:
             rows[position] = rows[position] + 1e-9 * v / np.linalg.norm(v, axis=1)[:, None]
             return dims, tuple(rows)
 
-        monkeypatch.setattr(error_bound, "_draw_block", tilted)
-        result = run_bound_sweep(draws=_BLOCK, seed=1012)
+        monkeypatch.setattr(verify, "_draw_block", tilted)
+        result = suite_bound(cases=_BLOCK, seed=1012)
         off = [f for f in result.failures if f"{name} not orthogonal to v" in f]
         assert len(off) == _BLOCK
         assert all(re.match(r"draw \d+ \(seed 1012\): ", f) for f in off)
