@@ -21,7 +21,7 @@ import numpy as np
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, _check_seeds, initial_state
-from .ioutil import _create, _integral, _read_json, _write_json, write_csv
+from .ioutil import _check_count, _create, _integral, _read_json, _write_json, write_csv
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
@@ -48,14 +48,13 @@ class IndicatorTable:
         arrays = {}
         for name in ("k_tilde", "d_tilde", "k_std", "d_std"):
             arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size != np.asarray(self.k_tilde).shape[0]:
-                raise InvalidArgumentError("indicator arrays must be 1-d and equally long")
+            if arr.ndim != 1 or arr.size != len(arrays.get("k_tilde", arr)):
+                raise FieldError(name, f"must be 1-d and as long as k_tilde, got shape {arr.shape}")
             for i in np.flatnonzero(~np.isfinite(arr))[:1]:
                 raise FieldError(name, f"entry {i} is not finite: {float(arr[i])!r}")
             arr.flags.writeable = False
             arrays[name] = arr
-        if self.sample_count < 1:
-            raise FieldError("sample_count", f"must be positive, got {self.sample_count}")
+        _check_count("sample_count", self.sample_count, FieldError)
         if np.any(arrays["d_tilde"] < 0):
             raise FieldError("d_tilde", "entries must be non-negative")
         for name, arr in arrays.items():
@@ -121,10 +120,7 @@ def _check_thresholds(error=FieldError, **values: float) -> None:
     """
     for key, value in values.items():
         if key == "h_max":
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise error(key, f"must be an integer, got {value!r}")
-            if not value >= 1:
-                raise error(key, f"must be positive, got {value}")
+            _check_count(key, value, error)
         elif not (math.isfinite(value) and value >= 0):
             raise error(key, f"thresholds must be non-negative and finite, got {value!r}")
 

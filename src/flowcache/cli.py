@@ -37,7 +37,7 @@ from .diagnostics import (
 )
 from .errors import FieldError, FlowCacheError, InvalidArgumentError
 from .fields import Condition, VelocityField, field_digest, initial_state
-from .ioutil import _create, _finite, _json_value, write_csv
+from .ioutil import _create, _defaults, _finite, _json_value, write_csv
 from .schedule import schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
 from .verify import SUITES, run_suite
@@ -47,26 +47,24 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
-SAMPLE_MODES = ("full", "cached", "truncated")
+SAMPLE_MODES = ("full", "cached")
 # The sample and bench settings a run reads besides its experiment config, each with its JSON kind.
-SETTING_KEYS = {"mode": "str", "truncate_to": "int", "bundle": "str", "ablation": "bool", "sweep_taus": "list"}
-# Every flag-backed setting, by argparse dest: the config key it sets, its default and where it applies: every
-# experiment subcommand (None), bench, sample, or sample in one mode. Its JSON kind is its key's in CONFIG_KEYS or
-# SETTING_KEYS. ExperimentConfig reads the experiment keys with its own defaults; a setting whose default is None
-# is required where it applies.
+SETTING_KEYS = {"mode": "str", "bundle": "str", "ablation": "bool", "sweep_taus": "list"}
+# Every experiment subcommand flag but --config and --out, by argparse dest: the config key it sets, its default (None
+# where ExperimentConfig holds it), where it applies (every experiment subcommand (None), bench, sample, or sample in
+# one mode) and its help. A setting whose default is None is required where it applies.
 FLAGS = {
-    "steps": ("n_steps", None, None),
-    "tau_k": ("tau_k", None, None),
-    "tau_d": ("tau_d", None, None),
-    "h_max": ("h_max", None, None),
-    "seeds": ("evaluation_seeds", None, None),
-    "no_mi": ("use_mi", None, None),
-    "no_di": ("use_di", None, None),
-    "mode": ("mode", "full", "sample"),
-    "truncate_to": ("truncate_to", None, "truncated"),
-    "bundle": ("bundle", None, "cached"),
-    "ablation": ("ablation", False, "bench"),
-    "sweep_taus": ("sweep_taus", [], "bench"),
+    "steps": ("n_steps", None, None, "grid size override"),
+    "tau_k": ("tau_k", None, None, "magnitude threshold override"),
+    "tau_d": ("tau_d", None, None, "direction threshold override"),
+    "h_max": ("h_max", None, None, "maximum skip length override"),
+    "seeds": ("evaluation_seeds", None, None, "comma-separated evaluation seed override"),
+    "no_mi": ("use_mi", None, None, "disable the magnitude correction"),
+    "no_di": ("use_di", None, None, "disable the direction correction"),
+    "mode": ("mode", "full", "sample", "sampling mode: full or cached (default full)"),
+    "bundle": ("bundle", None, "cached", "schedule bundle path (cached mode)"),
+    "ablation": ("ablation", False, "bench", "also emit the 4-row toggle ablation table"),
+    "sweep_taus": ("sweep_taus", [], "bench", "threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6"),
 }
 
 
@@ -94,7 +92,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
     """
     raw = _load_config_dict(args.config) if args.config else {}
     settings: dict = {}
-    for dest, (key, default, where) in FLAGS.items():
+    for dest, (key, default, where, _) in FLAGS.items():
         flag, set_to = "--" + dest.replace("_", "-"), getattr(args, dest, None)
         kind = CONFIG_KEYS.get(key) or SETTING_KEYS[key]
         applies = where in (None, args.command, settings.get("mode"))
@@ -132,8 +130,6 @@ def _checked(key: str, value, error):
     """
     if key == "mode" and value not in SAMPLE_MODES:
         raise error(key, f"unknown mode {value!r}; expected one of {', '.join(SAMPLE_MODES)}")
-    if key == "truncate_to" and value < 1:
-        raise error(key, f"must be positive, got {value}")
     if key == "bundle":  # recorded absolute, so a manifest re-runs from any working directory
         value = os.path.abspath(value)
         if not os.path.isfile(value):
@@ -171,24 +167,18 @@ def _write_manifest(out: Path, subcommand: str, config: dict, outputs: list[str]
         fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    config, _, resolved = _resolve(args)
-    out = _out_dir(args)
+def cmd_calibrate(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     _, grid, bundle = make_bundle(config)
     write_bundle(bundle, out / "bundle.json")
     write_indicator_csv(bundle.grid, bundle.indicators, out / "curves.csv")
-    _write_manifest(out, "calibrate", resolved, ["bundle.json", "curves.csv"])
     skip_ratio, _ = schedule_coverage(bundle.schedule, grid.n_steps)
     print(f"wrote bundle ({grid.n_steps} steps, skip ratio {skip_ratio:.3f}) to {out}")
-    return EXIT_OK
+    return ["bundle.json", "curves.csv"]
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    config, settings, resolved = _resolve(args)
-    out = _out_dir(args)
+def cmd_sample(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     velocity_field = VelocityField(config.field)
-    seed = config.evaluation_seeds[0]
-    condition = Condition(seed)
+    condition = Condition(config.evaluation_seeds[0])
     x0 = initial_state(condition, velocity_field.dimension)
 
     if settings["mode"] == "cached":
@@ -203,14 +193,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
             )
         record = sample_cached(velocity_field, bundle, x0, condition, config.toggles)
     else:
-        grid = make_uniform_grid(settings.get("truncate_to", config.n_steps))
-        record = sample_full(velocity_field, grid, x0, condition)
+        record = sample_full(velocity_field, make_uniform_grid(config.n_steps), x0, condition)
 
     write_trajectory_csv(record, out / "trajectory.csv")
-    _write_manifest(out, "sample", resolved, ["trajectory.csv"])
-    mode = settings["mode"]
-    print(f"mode={mode} seed={seed} nfe={record.nfe} final_state_norm={float(np.linalg.norm(record.final_state)):.6g}")
-    return EXIT_OK
+    norm = float(np.linalg.norm(record.final_state))
+    print(f"mode={settings['mode']} seed={condition.seed} nfe={record.nfe} final_state_norm={norm:.6g}")
+    return ["trajectory.csv"]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -234,9 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config, settings, resolved = _resolve(args)
-    out = _out_dir(args)
+def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     result = run_experiment(config)
     trunc_mean, trunc_stderr = _mean_stderr(truncation_drifts(result, result.cached_nfe))
     n = config.n_steps
@@ -260,12 +246,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_sweep_csv(run_threshold_sweep(result, settings["sweep_taus"]), out / "sweep.csv")
         outputs.append("sweep.csv")
 
-    _write_manifest(out, "bench", resolved, outputs)
     print(
         f"bench: nfe {result.cached_nfe}/{n}, speedup {result.speedup:.2f}x, "
         f"cached drift {result.mean_final_drift:.3e} vs truncated {trunc_mean:.3e}"
     )
-    return EXIT_OK
+    return outputs
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -275,6 +260,16 @@ def cmd_curves(args: argparse.Namespace) -> int:
     _write_manifest(out, "curves", {"bundle": os.path.abspath(args.bundle)}, ["curves.csv"])
     print(f"wrote {bundle.grid.n_steps} indicator rows to {out / 'curves.csv'}")
     return EXIT_OK
+
+
+# Each subcommand's handler and help; the experiment ones take (config, settings, out) and return their output names.
+SUBCOMMANDS = {
+    "calibrate": (cmd_calibrate, "calibrate indicators and write a schedule bundle"),
+    "sample": (cmd_sample, "run one trajectory and export it as CSV"),
+    "verify": (cmd_verify, "run randomized property suites"),
+    "bench": (cmd_bench, "full/cached/truncated comparison over the evaluation seeds"),
+    "curves": (cmd_curves, "export indicator curves from a bundle"),
+}
 
 
 def _number(text: str) -> int | float | str:
@@ -287,19 +282,6 @@ def _number(text: str) -> int | float | str:
     return text
 
 
-def _add_common_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--tau-k", dest="tau_k", help="magnitude threshold override")
-    parser.add_argument("--tau-d", dest="tau_d", help="direction threshold override")
-    parser.add_argument("--h-max", dest="h_max", help="maximum skip length override")
-    parser.add_argument("--steps", help="grid size override")
-    parser.add_argument("--seeds", help="comma-separated evaluation seed override")
-    # a switch holds its key's JSON value when set and None when not, like every other flag
-    parser.add_argument("--no-mi", action="store_false", default=None, help="disable the magnitude correction")
-    parser.add_argument("--no-di", action="store_false", default=None, help="disable the direction correction")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error raises, so ``main`` reports it like any other rejection
         raise InvalidArgumentError(message)
@@ -309,42 +291,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowcache", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flowcache {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("calibrate", help="calibrate indicators and write a schedule bundle")
-    _add_common_experiment_flags(p)
-    p.set_defaults(handler=cmd_calibrate)
-
-    p = sub.add_parser("sample", help="run one trajectory and export it as CSV")
-    _add_common_experiment_flags(p)
-    p.add_argument("--mode", help="sampling mode: full, cached or truncated (default full)")
-    p.add_argument("--bundle", help="schedule bundle path (cached mode)")
-    p.add_argument("--truncate-to", dest="truncate_to", help="step count for truncated mode")
-    p.set_defaults(handler=cmd_sample)
-
-    p = sub.add_parser("verify", help="run randomized property suites")
-    p.add_argument("--suite", default="all", choices=(*SUITES, "all"), help="which suite to run")
-    p.add_argument("--cases", type=int, help="number of random cases (suite default otherwise)")
-    p.add_argument("--seed", type=int, help="base seed for the sweep")
-    p.add_argument("--out", help="directory for the bound audit CSV")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("bench", help="full/cached/truncated comparison over the evaluation seeds")
-    _add_common_experiment_flags(p)
-    p.add_argument("--ablation", action="store_true", default=None, help="also emit the 4-row toggle ablation table")
-    p.add_argument("--sweep-taus", dest="sweep_taus", help="threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6")
-    p.set_defaults(handler=cmd_bench)
-
-    p = sub.add_parser("curves", help="export indicator curves from a bundle")
-    p.add_argument("--bundle", required=True, help="schedule bundle path")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_curves)
+    defaults = _defaults(ExperimentConfig)
+    for name, (_, summary) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if name == "verify":
+            p.add_argument("--suite", default="all", choices=(*SUITES, "all"), help="which suite to run")
+            p.add_argument("--cases", type=int, help="number of random cases (suite default otherwise)")
+            p.add_argument("--seed", type=int, help="base seed for the sweep")
+            p.add_argument("--out", help="directory for the bound audit CSV")
+        elif name == "curves":
+            p.add_argument("--bundle", required=True, help="schedule bundle path")
+            p.add_argument("--out", required=True, help="output directory")
+        else:  # an experiment subcommand: its config, its output directory and the FLAGS rows that apply to it
+            p.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
+            p.add_argument("--out", required=True, help="output directory")
+            for dest, (key, default, where, text) in FLAGS.items():
+                if where in (None, name) or name == "sample" and where in SAMPLE_MODES:
+                    default = defaults.get(key, default)  # a bool default: a switch, None until set to the other bool
+                    switch = {"action": "store_const", "const": not default} if isinstance(default, bool) else {}
+                    p.add_argument("--" + dest.replace("_", "-"), help=text, **switch)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        handler = SUBCOMMANDS[args.command][0]
+        if "config" not in args:  # verify and curves write their own outputs and manifests
+            return handler(args)
+        config, settings, resolved = _resolve(args)
+        out = _out_dir(args)
+        _write_manifest(out, args.command, resolved, handler(config, settings, out))
+        return EXIT_OK
     except (FlowCacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ from .calibration import IndicatorTable, ScheduleBundle, _check_thresholds, _ind
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, _check_seeds, field_digest, initial_state
-from .ioutil import _defaults, _read_json, _write_json, write_csv
+from .ioutil import _check_count, _defaults, _json_value, _read_json, _write_json, write_csv
 from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
 from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
 
@@ -152,8 +152,9 @@ class ExperimentConfig:
     use_di: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise _config_error("n_steps", f"must be positive, got {self.n_steps}")
+        _check_count("n_steps", self.n_steps, _config_error)
+        for key in ("use_mi", "use_di"):  # the JSON reader's bool rule
+            _json_value(vars(self), key, "bool", error=_config_error)
         _check_thresholds(_config_error, tau_k=self.tau_k, tau_d=self.tau_d, h_max=self.h_max)
         for key in ("calibration_seeds", "evaluation_seeds"):
             if not getattr(self, key):

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FieldError, InvalidArgumentError
-from .ioutil import _defaults, _json_value, _read_json, _write_json
+from .ioutil import _defaults, _is_int, _json_value, _read_json, _write_json
 
 KIND_CONSTANT = "constant"
 KIND_MAGNITUDE_DECAY = "magnitude-decay"
@@ -65,8 +65,8 @@ class Condition:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidArgumentError(f"condition seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise InvalidArgumentError(f"condition seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def _check_seeds(key: str, seeds: Iterable[int], error: Callable) -> None:
@@ -100,6 +100,8 @@ class FieldSpec:
         """Raise ``FieldError`` naming the bad field, as ``from_dict``'s key below ``field``."""
         if self.kind not in FIELD_KINDS:
             raise FieldError("kind", f"unknown field kind {self.kind!r}; expected one of {', '.join(FIELD_KINDS)}")
+        if not _is_int(self.dimension):
+            raise FieldError("dimension", f"must be an integer, got {self.dimension!r}")
         if self.dimension < 1:
             raise FieldError("dimension", f"must be >= 1, got {self.dimension}")
         for spec_field in dataclass_fields(self)[2:]:  # the per-kind fields; to_dict and field_digest drop the rest
@@ -110,8 +112,9 @@ class FieldSpec:
             if self.target is None or len(self.target) != self.dimension:
                 raise FieldError("target", f"a {self.kind} field needs a target vector of length {self.dimension}")
         if self.kind == KIND_ROTATION:
-            i, j = self.plane
-            if self.dimension < 2 or i == j or not (0 <= i < self.dimension and 0 <= j < self.dimension):
+            if len(self.plane) != 2:
+                raise FieldError("plane", f"expected two axis indices, got {list(self.plane)!r}")
+            if len(set(self.plane)) < 2 or not all(_is_int(axis) and 0 <= axis < self.dimension for axis in self.plane):
                 raise FieldError("plane", f"rotation plane {self.plane} invalid for dimension {self.dimension}")
         if self.kind == KIND_GAUSSIAN_MIXTURE:
             if not self.components:
@@ -143,8 +146,6 @@ class FieldSpec:
         # a known kind reads only its own keys; an unknown one reads any field key, and the spec's own rule names it
         keys = ("kind", "dimension", *_KIND_KEYS.get(_json_value(data, "kind", "str", error=error()), FIELD_KEYS))
         values = _read_json(data, {key: FIELD_KEYS[key] for key in keys}, error(), _defaults(cls))
-        if "plane" in data and len(values["plane"]) != 2:
-            raise _spec_error("plane", f"expected two axis indices, got {list(values['plane'])!r}")
         components = []
         for i, entry in enumerate(values.get("components", ())):
             if not isinstance(entry, dict):

@@ -1,4 +1,4 @@
-"""Deterministic text serialization helpers and the JSON value checker.
+"""Deterministic text serialization helpers, the JSON value checker and the integer rule.
 
 Every file this package writes must be byte-reproducible from the same
 inputs, so floats are always rendered as their shortest round-trip decimal
@@ -12,6 +12,7 @@ table, its keys in write order with each key's kind, and ``_read_json`` and
 from __future__ import annotations
 
 import csv
+import numbers
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -59,6 +60,19 @@ def _finite(value: object) -> bool:
 
 def _integral(value: object) -> bool:
     return _finite(value) and float(value).is_integer()  # type: ignore[arg-type]
+
+
+def _is_int(value: object) -> bool:
+    """The integer rule for a value built in Python: an int or a numpy integer, never a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(key: str, value: object, error) -> None:
+    """A count's rule: an integer (``_is_int``) and at least 1; a breach raises ``error(key, reason)``."""
+    if not _is_int(value):
+        raise error(key, f"must be an integer, got {value!r}")
+    if not value >= 1:  # type: ignore[operator]
+        raise error(key, f"must be positive, got {value}")
 
 
 # JSON value kinds: what each accepts, and the conversion of an accepted value, which also writes a value as JSON.

@@ -251,6 +251,23 @@ class TestIndicatorTable:
         with pytest.raises(InvalidArgumentError):
             IndicatorTable(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1)
 
+    @pytest.mark.parametrize("column", ["d_tilde", "k_std", "d_std"])
+    def test_the_first_column_of_another_length_is_named(self, column):
+        names = ["k_tilde", "d_tilde", "k_std", "d_std"]
+        # every column from ``column`` on is shorter than k_tilde, so the rule must name the first of them
+        columns = {name: np.zeros(3 if names.index(name) >= names.index(column) else 4) for name in names}
+        with pytest.raises(FieldError, match=rf"^{column}: must be 1-d and as long as k_tilde, got shape \(3,\)$"):
+            IndicatorTable(**columns, sample_count=1)
+
+    def test_a_column_that_is_not_1d_is_named(self):
+        with pytest.raises(FieldError, match=r"^k_tilde: must be 1-d and as long as k_tilde, got shape \(2, 2\)$"):
+            IndicatorTable(np.zeros((2, 2)), np.zeros(4), np.zeros(4), np.zeros(4), 1)
+
+    @pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+    def test_a_sample_count_that_is_not_an_integer_is_named(self, bad):
+        with pytest.raises(FieldError, match=rf"^sample_count: must be an integer, got {bad!r}$"):
+            IndicatorTable(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), bad)
+
     @pytest.mark.parametrize("column", ["k_tilde", "d_tilde", "k_std", "d_std"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_named(self, column, bad):

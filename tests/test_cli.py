@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowcache import VelocityField, read_bundle
 from flowcache.calibration import BUNDLE_KEYS
-from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, FLAGS, build_parser, main
 from flowcache.errors import InvalidArgumentError
 from flowcache.verify import SuiteResult, run_suite
 
@@ -108,11 +109,10 @@ class TestSample:
         assert len(rows) == 50
         assert all(r["evaluated"] == "1" for r in rows)
 
-    def test_truncated_mode(self, tmp_path):
+    def test_a_truncated_run_is_a_steps_override(self, tmp_path):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         out = tmp_path / "trunc"
-        code = main(["sample", "--config", str(config), "--out", str(out), "--mode", "truncated", "--truncate-to", "13"])
-        assert code == EXIT_OK
+        assert main(["sample", "--config", str(config), "--out", str(out), "--steps", "13"]) == EXIT_OK
         rows = _read_rows(out / "trajectory.csv")
         assert len(rows) == 13
         assert all(r["evaluated"] == "1" for r in rows)
@@ -198,39 +198,28 @@ class TestSample:
         config = _write_config(tmp_path, GMM_CONFIG)
         assert main(["sample", "--config", str(config), "--out", str(tmp_path / "x"), "--mode", "cached"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize(
-        "mode, flag, value",
-        [
-            ("full", "--truncate-to", "5"),
-            ("cached", "--truncate-to", "5"),
-            ("full", "--bundle", "b.json"),
-            ("truncated", "--bundle", "b.json"),
-        ],
-    )
-    def test_a_flag_outside_its_mode_is_named(self, tmp_path, capsys, mode, flag, value):
-        # the mode's own flag is valid, so the flag outside its mode is the only fault
+    def test_a_flag_outside_its_mode_is_named(self, tmp_path, capsys):
+        # the bundle is valid, so the flag outside its mode is the only fault
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == EXIT_OK
         bundle = str(tmp_path / "cal" / "bundle.json")
-        own = {"full": [], "truncated": ["--truncate-to", "7"], "cached": ["--bundle", bundle]}
-        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", mode, *own[mode], flag, value]
-        assert main(argv) == EXIT_CONFIG
-        assert f"error: {flag} applies only to --mode " in capsys.readouterr().err
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--bundle", bundle]) == EXIT_CONFIG
+        assert "error: --bundle applies only to --mode cached; this run is full" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_a_bad_flag_outside_its_mode_is_named_first(self, tmp_path, capsys):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", "full"]
-        assert main(argv + ["--truncate-to", "-5", "--bundle", "/nonexistent"]) == EXIT_CONFIG
-        assert "error: --truncate-to applies only to --mode truncated; this run is full" in capsys.readouterr().err
+        assert main(argv + ["--bundle", "/nonexistent"]) == EXIT_CONFIG
+        assert "error: --bundle applies only to --mode cached; this run is full" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_a_file_key_outside_its_mode_is_ignored(self, tmp_path):
         # a manifest of one mode may be re-run in another
-        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, truncate_to=5, bundle="b.json"))
+        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, bundle="b.json"))
         assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_OK
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "full" and "truncate_to" not in manifest["config"]
+        assert manifest["config"]["mode"] == "full" and "bundle" not in manifest["config"]
         assert len(_read_rows(tmp_path / "o" / "trajectory.csv")) == 50
 
     def test_bundle_grid_mismatch_rejected(self, tmp_path):
@@ -724,15 +713,14 @@ class TestErrors:
             ("bench", {"sweep_taus": [[0.1]]}, "sweep_taus"),
             ("bench", {"sweep_taus": [["a", 0.3]]}, "sweep_taus"),
             ("bench", {"ablation": "no"}, "ablation"),
-            ("sample", {"mode": "truncated", "truncate_to": "x"}, "truncate_to"),
-            ("sample", {"mode": "truncated", "truncate_to": 0}, "truncate_to"),
             ("sample", {"mode": 5}, "mode"),
             ("sample", {"mode": "x"}, "mode"),
+            ("sample", {"mode": "truncated"}, "mode"),
             ("sample", {"mode": "cached", "bundle": 5}, "bundle"),
         ],
         ids=[
-            "sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "truncate_to", "truncate_to-0",
-            "mode", "mode-unknown", "bundle",
+            "sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "mode", "mode-unknown",
+            "mode-truncated", "bundle",
         ],
     )
     def test_bad_subcommand_key_named(self, tmp_path, capsys, command, extra, key):
@@ -790,8 +778,9 @@ class TestUsageErrors:
             ([], "the following arguments are required: command"),
             (["verify", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
             (["verify", "--suite", "x"], "argument --suite: invalid choice: 'x'"),
+            (["sample", "{config}", "--out", "{out}", "--truncate-to", "13"], "unrecognized arguments: --truncate-to 13"),
         ],
-        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite"],
+        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite", "truncate-to"],
     )
     def test_an_argparse_rejection_returns_2(self, tmp_path, argv, message):
         config = str(_write_config(tmp_path, CONSTANT_CONFIG))
@@ -805,10 +794,10 @@ class TestUsageErrors:
             (["bench", "--steps", "x"], "experiment config key 'n_steps': expected an integer, got 'x'"),
             (["bench", "--h-max", "1.5"], "experiment config key 'h_max': expected an integer, got 1.5"),
             (["bench", "--tau-k", "nan"], "experiment config key 'tau_k': expected a finite number, got nan"),
-            (["sample", "--mode", "truncated", "--truncate-to", "x"], "--truncate-to: expected an integer, got 'x'"),
-            (["sample", "--mode", "x"], "--mode: unknown mode 'x'; expected one of full, cached, truncated"),
+            (["sample", "--mode", "x"], "--mode: unknown mode 'x'; expected one of full, cached"),
+            (["sample", "--mode", "truncated"], "--mode: unknown mode 'truncated'; expected one of full, cached"),
         ],
-        ids=["steps", "h_max", "tau_k", "truncate_to", "mode"],
+        ids=["steps", "h_max", "tau_k", "mode", "mode-truncated"],
     )
     def test_a_bad_number_or_mode_flag_is_named_by_its_rule(self, tmp_path, flags, message):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
@@ -861,7 +850,6 @@ _FLAG_RUNS = {
     "no_mi": (["bench", "--no-mi"], "use_mi", False),
     "no_di": (["bench", "--no-di"], "use_di", False),
     "mode": (["sample", "--mode", "full"], "mode", "full"),
-    "truncate_to": (["sample", "--mode", "truncated", "--truncate-to", "9"], "truncate_to", 9),
     "bundle": (["sample", "--mode", "cached", "--bundle", "{bundle}"], "bundle", "{bundle}"),
     "ablation": (["bench", "--ablation"], "ablation", True),
     "sweep_taus": (["bench", "--sweep-taus", "0:0,0.1:1"], "sweep_taus", [[0.0, 0.0], [0.1, 1.0]]),
@@ -870,9 +858,17 @@ _FLAG_RUNS = {
 
 class TestFlagTable:
     def test_every_flag_is_covered(self):
-        from flowcache.cli import FLAGS
-
         assert set(_FLAG_RUNS) == set(FLAGS)
+
+    @pytest.mark.parametrize(
+        "command, own", [("calibrate", []), ("sample", ["mode", "bundle"]), ("bench", ["ablation", "sweep_taus"])]
+    )
+    def test_an_experiment_subcommand_accepts_exactly_its_flag_rows(self, command, own):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+        common = [dest for dest, (_, _, where, _) in FLAGS.items() if where is None]
+        expected = {"--config", "--out", *("--" + dest.replace("_", "-") for dest in common + own)}
+        assert accepted - {"-h", "--help"} == expected
 
     @pytest.mark.parametrize("dest", list(_FLAG_RUNS))
     def test_a_set_flag_lands_in_the_manifest_and_reruns_byte_identical(self, tmp_path, dest):
@@ -900,7 +896,6 @@ _BOUNDARY_CONFIG = dict(
     README_CONFIG,
     n_steps=5,
     mode="full",
-    truncate_to=3,
     bundle="bundle.json",
     ablation=True,
     sweep_taus=[[0.03, 0.3]],

@@ -255,6 +255,34 @@ class TestExperimentConfig:
             ExperimentConfig(field=gmm_spec, n_steps=10, **seeds)
 
     @pytest.mark.parametrize("key", ["calibration_seeds", "evaluation_seeds"])
+    @pytest.mark.parametrize("bad", [1.5, 7.0, True, "7"])
+    def test_a_seed_that_is_not_an_integer_is_named_not_truncated(self, gmm_spec, key, bad):
+        seeds = {"calibration_seeds": (1, 2), "evaluation_seeds": (3,), key: (bad,)}
+        with pytest.raises(InvalidArgumentError, match=rf"key {key!r}: entry 0: condition seed must be"):
+            ExperimentConfig(field=gmm_spec, n_steps=10, **seeds)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_steps": 5.5}, "'n_steps': must be an integer, got 5.5"),
+            ({"n_steps": True}, "'n_steps': must be an integer, got True"),
+            ({"n_steps": 0}, "'n_steps': must be positive, got 0"),
+            ({"use_mi": 0}, "'use_mi': expected true or false, got 0"),
+            ({"use_di": "no"}, "'use_di': expected true or false, got 'no'"),
+        ],
+        ids=["n_steps-float", "n_steps-bool", "n_steps-zero", "use_mi-int", "use_di-str"],
+    )
+    def test_a_python_built_count_or_toggle_is_named(self, gmm_spec, change, message):
+        values = dict(field=gmm_spec, n_steps=10, calibration_seeds=(1,), evaluation_seeds=(2,))
+        with pytest.raises(InvalidArgumentError, match=f"^experiment config key {message}$"):
+            ExperimentConfig(**{**values, **change})
+
+    def test_numpy_integers_are_integers(self, gmm_spec):
+        seeds = {"calibration_seeds": (np.uint64(1),), "evaluation_seeds": (2,)}
+        config = ExperimentConfig(field=gmm_spec, n_steps=np.int64(10), **seeds)
+        assert config.calibration_seeds == (1,) and type(config.calibration_seeds[0]) is int
+
+    @pytest.mark.parametrize("key", ["calibration_seeds", "evaluation_seeds"])
     def test_an_empty_seed_list_is_named(self, gmm_spec, key):
         seeds = {"calibration_seeds": (1, 2), "evaluation_seeds": (3,), key: ()}
         with pytest.raises(InvalidArgumentError, match=rf"key {key!r}: the seed list must be non-empty"):

@@ -67,6 +67,38 @@ class TestFieldSpecValidation:
             FieldSpec(kind="rotation", dimension=2, target=(1.0, 0.0), rate=1.0, plane=(0, 0))
 
     @pytest.mark.parametrize(
+        "plane, reason",
+        [
+            ((0, 1, 2), "expected two axis indices, got [0, 1, 2]"),
+            ((0,), "expected two axis indices, got [0]"),
+            ((0.5, 1), "rotation plane (0.5, 1) invalid for dimension 3"),
+            ((True, 2), "rotation plane (True, 2) invalid for dimension 3"),
+            ((0, 3), "rotation plane (0, 3) invalid for dimension 3"),
+        ],
+        ids=["three-axes", "one-axis", "float-axis", "bool-axis", "out-of-range"],
+    )
+    def test_a_python_built_plane_is_named(self, plane, reason):
+        with pytest.raises(FieldError) as caught:
+            FieldSpec(kind="rotation", dimension=3, target=(1.0, 0.0, 0.0), rate=1.0, plane=plane)
+        assert (caught.value.field, caught.value.reason) == ("plane", reason)
+
+    def test_numpy_integer_axes_are_integers(self):
+        rotation = dict(kind="rotation", dimension=3, target=(1.0, 0.0, 0.0), rate=1.0)
+        assert FieldSpec(**rotation, plane=(np.int64(2), np.int32(0))) == FieldSpec(**rotation, plane=(2, 0))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_a_dimension_that_is_not_an_integer_is_named(self, bad):
+        with pytest.raises(FieldError) as caught:
+            FieldSpec(kind="constant", dimension=bad, target=(1.0, 0.0))
+        assert (caught.value.field, caught.value.reason) == ("dimension", f"must be an integer, got {bad!r}")
+
+    @pytest.mark.parametrize("bad", [1.5, "3", True, -1, 2**64])
+    def test_a_condition_seed_must_be_an_integer_in_range(self, bad):
+        with pytest.raises(InvalidArgumentError) as caught:
+            Condition(bad)
+        assert str(caught.value) == f"condition seed must be a 64-bit unsigned integer, got {bad!r}"
+
+    @pytest.mark.parametrize(
         "kwargs, key",
         [
             (dict(kind="constant", dimension=2, target=(1.0, 0.0), rate=0.7, plane=(5, 9)), "rate"),
