@@ -25,7 +25,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .calibration import ScheduleBundle
+from .errors import InvalidArgumentError
 from .fields import Condition, VelocityField
+from .ioutil import _json_value
 from .schedule import skip_intervals
 from .solver import TrajectoryRecord, _check_start, _walk
 
@@ -40,6 +42,10 @@ class CompensationToggles:
 
     use_mi: bool = True
     use_di: bool = True
+
+    def __post_init__(self) -> None:
+        for key in ("use_mi", "use_di"):  # the config's bool rule
+            _json_value(vars(self), key, "bool", error=lambda key, reason: InvalidArgumentError(f"{key}: {reason}"))
 
 
 def sample_cached(
@@ -68,24 +74,24 @@ def _cached_kernel(
     x0: np.ndarray,
     conditions: Sequence[Condition],
     toggles: CompensationToggles | Sequence[CompensationToggles],
-    records: bool = True,
+    records: int | None = None,
     references: Sequence[TrajectoryRecord] = (),
+    schedules: Sequence[np.ndarray] = (),
 ) -> Iterator:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
-    The bundle's schedule is shared, so all runs ride one batch with one oracle
-    call per anchor. ``toggles`` is one setting for all runs or one per run.
-    The indicators, finite by ``IndicatorTable``'s rule, become the walk's
-    per-step reconstruction factors, with a disabled correction's factor neutral.
-    With ``records`` it yields each run's record; without, the ``(velocities, states)`` rows of each skip
-    interval's last step (``_walk``, which takes the velocities of ``references`` where they serve and calls
-    no oracle there; references on another grid go unused).
+    ``toggles`` is one setting for all runs or one per run, and ``schedules``
+    one skip schedule per run (the bundle's, if empty). The indicators, finite
+    by ``IndicatorTable``'s rule, become each run's per-step reconstruction
+    factors, with a disabled correction's factor neutral. ``records`` and
+    ``references``, full-step runs on the bundle's grid, are ``_walk``'s.
     """
-    grid = bundle.grid
-    n_steps = grid.n_steps
-    growth, turn = np.exp(bundle.indicators.k_tilde * grid.dt).tolist(), bundle.indicators.d_tilde.tolist()
-    if isinstance(toggles, CompensationToggles):
-        toggles = [toggles] * len(conditions)
-    factors = [(growth if t.use_mi else [1.0] * n_steps, turn if t.use_di else [0.0] * n_steps) for t in toggles]
-    references = references if all(np.array_equal(full.grid.times, grid.times) for full in references) else ()
-    return _walk(field, grid, x0, conditions, skip_intervals(bundle.schedule, n_steps), factors, records, references)
+    grid, indicators = bundle.grid, bundle.indicators
+    toggles = [toggles] * len(conditions) if isinstance(toggles, CompensationToggles) else toggles
+    use_mi, use_di = np.array([(t.use_mi, t.use_di) for t in toggles]).T[:, :, None]  # (B, 1) columns
+    factors = np.where(use_mi, np.exp(indicators.k_tilde * grid.dt), 1.0), np.where(use_di, indicators.d_tilde, 0.0)
+    schedules = schedules or [bundle.schedule] * len(conditions)
+    distinct = {id(schedule): schedule for schedule in schedules}  # runs share schedules: each is walked out once
+    lengths = {key: np.bincount(*zip(*skip_intervals(s, grid.n_steps)), grid.n_steps) for key, s in distinct.items()}
+    opening = np.array([lengths[id(schedule)] for schedule in schedules])  # each interval's length at its start
+    return _walk(field, grid, x0, conditions, opening, factors, records, references)

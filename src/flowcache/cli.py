@@ -26,8 +26,6 @@ from .diagnostics import (
     _mean_stderr,
     make_bundle,
     run_experiment,
-    run_threshold_sweep,
-    run_toggle_ablation,
     truncation_drifts,
     write_ablation_csv,
     write_cos_theta_csv,
@@ -223,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
-    result = run_experiment(config)
+    result = run_experiment(config, settings["ablation"], settings["sweep_taus"])
     trunc_mean, trunc_stderr = _mean_stderr(truncation_drifts(result, result.cached_nfe))
     n = config.n_steps
     nfe_speedup = (result.cached_nfe, result.speedup)
@@ -240,10 +238,10 @@ def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     write_bundle(result.bundle, out / "bundle.json")
 
     if settings["ablation"]:
-        write_ablation_csv(run_toggle_ablation(result), out / "ablation.csv")
+        write_ablation_csv(result.ablation, out / "ablation.csv")
         outputs.append("ablation.csv")
     if settings["sweep_taus"]:
-        write_sweep_csv(run_threshold_sweep(result, settings["sweep_taus"]), out / "sweep.csv")
+        write_sweep_csv(result.sweep, out / "sweep.csv")
         outputs.append("sweep.csv")
 
     print(

@@ -9,16 +9,18 @@ recovered from the full record's consecutive velocities. The experiment
 runner wires the whole pipeline together (calibrate, schedule, sample both
 ways, compare) deterministically from a config; the ablation, sweep and
 truncation experiments reuse its calibration, its references and, where
-they would repeat them, its cached runs; their own runs yield terminal drift only.
+they would repeat them, its cached runs. The ablation's and the sweep's own
+runs ride the cached runs' walk and yield terminal drift only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -201,7 +203,8 @@ class ExperimentResult:
     ``references`` holds the full-step run of every evaluation seed, in seed
     order. Follow-up experiments compare their cached runs against these
     rather than sampling them again. The summary figures are derived from
-    the bundle's schedule and the per-seed ``reports``.
+    the bundle's schedule and the per-seed ``reports``; ``ablation`` and
+    ``sweep`` hold the follow-ups' rows where ``run_experiment`` ran them.
     """
 
     config: ExperimentConfig
@@ -209,6 +212,8 @@ class ExperimentResult:
     bundle: ScheduleBundle
     references: tuple[TrajectoryRecord, ...]
     reports: tuple[DriftReport, ...] = ()
+    ablation: tuple[dict, ...] = ()
+    sweep: tuple[dict, ...] = ()
 
     @cached_property  # read by every per-seed row, so the schedule's coverage is counted once per result
     def cached_nfe(self) -> int:
@@ -264,12 +269,14 @@ def _bundle(config: ExperimentConfig, grid: TimeGrid, indicators: IndicatorTable
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, ablation: bool = False, sweep_taus: Sequence = ()) -> ExperimentResult:
     """Calibrate, sample the full-step references, then run and compare cached sampling.
 
     This is the experiment's only calibration and its only set of reference
     runs, which ride one record-free walk with the calibration seeds (each
-    step's rows copied into one block); the cached runs and follow-ups take them.
+    step's rows copied into one block). The cached runs, and with
+    ``ablation`` or ``sweep_taus`` their follow-ups, then ride one walk
+    (``_cached_runs``).
     """
     velocity_field, grid = VelocityField(config.field), make_uniform_grid(config.n_steps)
     b, n, dim = len(config.calibration_seeds), grid.n_steps, velocity_field.dimension
@@ -285,8 +292,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     bundle = _bundle(config, grid, _indicators(grid, (b, dim), calibration_rows()))
     references = tuple(TrajectoryRecord(grid, s, v, np.ones(n, dtype=bool)) for s, v in zip(states, velocities))
-    offline = ExperimentResult(config, velocity_field, bundle, references)
-    return replace(offline, reports=tuple(evaluate_bundle(offline, bundle, config.toggles)))
+    return _cached_runs(ExperimentResult(config, velocity_field, bundle, references), ablation, sweep_taus)
 
 
 def _evaluation_batch(result: ExperimentResult) -> tuple[np.ndarray, list[Condition]]:
@@ -295,21 +301,11 @@ def _evaluation_batch(result: ExperimentResult) -> tuple[np.ndarray, list[Condit
     return np.array([full.states[0] for full in result.references]), conditions
 
 
-def evaluate_bundle(result: ExperimentResult, bundle: ScheduleBundle, toggles: CompensationToggles) -> list[DriftReport]:
-    """One cached run per evaluation seed, batched, each compared against its stored reference."""
-    runs = _cached_kernel(result.velocity_field, bundle, *_evaluation_batch(result), toggles, True, result.references)
-    return [compare_trajectories(full, cached) for full, cached in zip(result.references, runs)]
+def _final_drifts(result: ExperimentResult, final: np.ndarray) -> np.ndarray:
+    """Terminal drift of the (k·B, D) ``final`` states, rows cycling through the B evaluation seeds.
 
-
-def _final_drifts(result: ExperimentResult, steps: Iterator) -> np.ndarray:
-    """Terminal drift of a record-free walk's final states, rows cycling through the evaluation seeds.
-
-    The final states are all the follow-ups read, so their walks keep no
-    record; the last step leaves them. Each drift is bit for bit
-    ``final_state_drift``.
+    Each drift is bit for bit ``final_state_drift``.
     """
-    for _, final in steps:
-        pass
     reference = np.tile([full.final_state for full in result.references], (len(final) // len(result.references), 1))
     return _relative_norms(final - reference, reference)[0]  # compare_trajectories' arithmetic, on the final rows
 
@@ -317,69 +313,59 @@ def _final_drifts(result: ExperimentResult, steps: Iterator) -> np.ndarray:
 def truncation_drifts(result: ExperimentResult, n_truncated: int) -> np.ndarray:
     """Terminal drift of plain step truncation against the full-step references."""
     grid = make_uniform_grid(n_truncated)
-    return _final_drifts(result, _full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False))
+    (_, final), = deque(_full_kernel(result.velocity_field, grid, *_evaluation_batch(result), records=False), maxlen=1)
+    return _final_drifts(result, final)
 
 
 # (use_mi, use_di) rows of the toggle ablation, schedule-only baseline first.
 ABLATION_ORDER = ((False, False), (True, False), (False, True), (True, True))
 
 
-def run_toggle_ablation(result: ExperimentResult) -> list[dict]:
-    """Four-way toggle experiment on the experiment's bundle.
+def _cached_runs(result: ExperimentResult, ablation: bool, sweep_taus: Sequence) -> ExperimentResult:
+    """``result`` with its reports, ablation rows and sweep rows, all from one walk.
 
-    The config's own toggles take the drifts of ``result.reports``; the other
-    three run as one walk of 3×B rows (B evaluation seeds), terminal drift only.
+    Each (schedule, toggles) setting is one group of a row per evaluation
+    seed: the evaluation runs, the ablation's other three toggle settings, and
+    each swept (tau_k, tau_d) schedule unlike the bundle's, under the config's
+    toggles. A repeated setting walks once, and one that repeats the
+    evaluation runs takes the reports' drifts. Only the evaluation rows keep
+    records; the others yield terminal drift only.
     """
-    others = [setting for setting in ABLATION_ORDER if setting != (result.config.use_mi, result.config.use_di)]
-    x0, conditions = _evaluation_batch(result)
-    toggles = [CompensationToggles(*setting) for setting in others for _ in conditions]
-    x0, conditions = np.tile(x0, (3, 1)), conditions * 3
-    steps = _cached_kernel(result.velocity_field, result.bundle, x0, conditions, toggles, False, result.references)
-    finals = dict(zip(others, _final_drifts(result, steps).reshape(3, -1)))
-    rows: list[dict] = []
-    for use_mi, use_di in ABLATION_ORDER:
-        mean_final, stderr_final = _mean_stderr(finals.get((use_mi, use_di), result.final_drifts))
-        rows.append(
-            {
-                "use_mi": use_mi,
-                "use_di": use_di,
-                "nfe": result.cached_nfe,
-                "speedup": result.speedup,
-                "mean_final_drift": mean_final,
-                "stderr_final_drift": stderr_final,
-            }
-        )
-    return rows
-
-
-def run_threshold_sweep(result: ExperimentResult, taus: list[tuple[float, float]]) -> list[dict]:
-    """One summary row per (tau_k, tau_d) pair, rescheduling the experiment's indicators.
-
-    A pair that rebuilds the experiment's schedule takes the drifts of
-    ``result.reports``; any other pair runs its walk, terminal drift only.
-    """
-    bundle, toggles = result.bundle, result.config.toggles
-    x0, conditions = _evaluation_batch(result)
-    rows: list[dict] = []
-    for tau_k, tau_d in taus:
-        schedule = build_schedule(bundle.indicators, bundle.grid, tau_k, tau_d, result.config.h_max)
-        skip_ratio, anchors = schedule_coverage(schedule, bundle.grid.n_steps)
-        if np.array_equal(schedule, bundle.schedule):
-            finals = result.final_drifts
+    config, bundle = result.config, result.bundle
+    own = (config.use_mi, config.use_di)
+    swept = [build_schedule(bundle.indicators, bundle.grid, *taus, config.h_max) for taus in sweep_taus]
+    settings = [(bundle.schedule, own)] + [(bundle.schedule, t) for t in ABLATION_ORDER if ablation]
+    groups: dict = {}  # (schedule bytes, toggles) -> (schedule, toggles), the evaluation runs' first
+    for schedule, setting in settings + [(schedule, own) for schedule in swept]:
+        groups.setdefault((schedule.tobytes(), setting), (schedule, setting))
+    x0, conditions = _evaluation_batch(result)  # a row per evaluation seed for each group
+    kept, walked = len(conditions), list(groups.values())
+    schedules = [schedule for schedule, _ in walked for _ in conditions]
+    toggles = [CompensationToggles(*setting) for _, setting in walked for _ in conditions]
+    x0, conditions = np.tile(x0, (len(walked), 1)), conditions * len(walked)
+    walk = _cached_kernel(result.velocity_field, bundle, x0, conditions, toggles, kept, result.references, schedules)
+    records, final, x0 = [], None, None  # the walk keeps its own copy of the start rows
+    for run in walk:  # the record-free rows' steps, then the records
+        if isinstance(run, TrajectoryRecord):
+            records.append(run)
         else:
-            swept = replace(bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
-            steps = _cached_kernel(result.velocity_field, swept, x0, conditions, toggles, False, result.references)
-            finals = _final_drifts(result, steps)
-        rows.append(
-            {
-                "tau_k": tau_k,
-                "tau_d": tau_d,
-                "cached_nfe": len(anchors),
-                "skip_ratio": skip_ratio,
-                "final_drift": float(finals.mean()),
-            }
-        )
-    return rows
+            final = run[1][kept:]
+    if final is not None:  # the other groups' terminal drifts; their rows are freed before the comparisons
+        groups.update(zip(list(groups)[1:], _final_drifts(result, final).reshape(-1, kept)))
+        final = None
+    result = replace(result, reports=tuple(map(compare_trajectories, result.references, records)))
+    groups[bundle.schedule.tobytes(), own] = result.final_drifts  # now each group's terminal drifts
+    ablation_rows, sweep_rows = [], []
+    for use_mi, use_di in ABLATION_ORDER if ablation else ():
+        mean, stderr = _mean_stderr(groups[bundle.schedule.tobytes(), (use_mi, use_di)])
+        row = dict(use_mi=use_mi, use_di=use_di, nfe=result.cached_nfe, speedup=result.speedup)
+        ablation_rows.append(dict(row, mean_final_drift=mean, stderr_final_drift=stderr))
+    for (tau_k, tau_d), schedule in zip(sweep_taus, swept):
+        skip_ratio, anchors = schedule_coverage(schedule, bundle.grid.n_steps)
+        row = dict(tau_k=tau_k, tau_d=tau_d, cached_nfe=len(anchors), skip_ratio=skip_ratio)
+        sweep_rows.append(dict(row, final_drift=float(groups[schedule.tobytes(), own].mean())))
+    return replace(result, ablation=tuple(ablation_rows), sweep=tuple(sweep_rows))
+
 
 
 def write_drift_profile_csv(result: ExperimentResult, path: str | Path) -> None:

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .decomposition import _shrunk
+from .decomposition import _row_dots, _shrunk
 from .errors import FieldError, InvalidArgumentError, NumericDomainError
 from .fields import Condition, VelocityField
-from .ioutil import write_csv
+from .ioutil import _check_count, _is_int, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +53,9 @@ class TimeGrid:
 
 
 def make_uniform_grid(n_steps: int) -> TimeGrid:
-    if n_steps < 1:
+    if _is_int(n_steps) and n_steps < 1:
         raise InvalidArgumentError(f"n_steps must be >= 1, got {n_steps}")
+    _check_count("n_steps", n_steps, lambda key, reason: InvalidArgumentError(f"{key} {reason}"))
     return TimeGrid(np.linspace(1.0, 0.0, n_steps + 1))
 
 
@@ -126,131 +128,229 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
+def _oracle(field: VelocityField, states: np.ndarray, t: float, conditions, step: int) -> np.ndarray:
+    """``field.evaluate`` at ``states``, checked to be finite; a reference's rows passed this check in its own walk."""
+    v = field.evaluate(states, t, conditions)
+    if not _finite(v):
+        raise NumericDomainError(f"the oracle returned a non-finite velocity at step {step} (t={t})")
+    return v
+
+
+def _record_block(runs: int, n_steps: int, dim: int, cached: bool) -> list[np.ndarray]:
+    """The (runs, N+1, D) states, (runs, N, D) velocities and, for cached runs, NaN directions of one block."""
+    # one allocation: as separate arrays, large runs were faulted in again on every run under some heap layouts
+    block = np.empty((runs, 3 * n_steps + 1 if cached else 2 * n_steps + 1, dim))
+    block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
+    return np.split(block, [n_steps + 1, 2 * n_steps + 1], axis=1)
+
+
+def _one_run(
+    field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition, opening, factors, references
+) -> TrajectoryRecord:
+    """The record of one run from the (D,) state ``x0``, an interval at a time: the row walk's bits, at less
+    cost a step, with 1-d arithmetic and unbatched oracle calls."""
+    n_steps, intervals = grid.n_steps, [(n, int(h)) for n, h in enumerate(opening.tolist()) if h]
+    seeded = next((n for n, h in intervals if h > 1), n_steps - 1) + 1 if references else 0
+    times, dt = grid.times.tolist(), grid.dt.tolist()
+    evaluated = np.zeros(n_steps, dtype=bool)
+    evaluated[[n for n, _ in intervals]] = True
+    field.prepare([times[n] for n, _ in intervals if n >= seeded])
+    states, velocities, directions = (a[0] for a in _record_block(1, n_steps, x0.size, factors is not None))
+    states[0] = x0
+    growth, turn = (f[0].tolist() for f in factors) if factors is not None else ((), ())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
+        for n, h in intervals:
+            v = references[0].velocities[n] if n < seeded else _oracle(field, states[n], times[n], condition, n)
+            velocities[n] = v
+            if h > 1:  # the turning anchor p and its tolerance
+                v_p, v_n = last, v
+                pp = float(v_p.dot(v_p))
+                if not pp + float(v_n.dot(v_n)) < 2.0**1020:  # a huge speed: p is found at 2**-e
+                    v_p, v_n = _shrunk(v_p, v_n)[1]
+                    pp = float(v_p.dot(v_p))
+                p, tol = None, 0.0
+                if pp != 0.0:
+                    p = v_n - v_p
+                    p -= (float(p.dot(v_p)) / pp) * v_p
+                    tol = EPS_DIR * math.sqrt(p.dot(p))
+            last = v
+            for m in range(n, n + h):
+                if h > 1:
+                    v_m = velocities[m]
+                    if m > n:  # v_m rebuilt from v_{m-1} and its direction
+                        np.multiply(growth[m - 1], velocities[m - 1], out=v_m)
+                        if u is not None and turn[m - 1] != 0.0:
+                            v_m += turn[m - 1] * norm * u
+                    u, w, norm = None, v_m, 0.0
+                    if p is not None:
+                        vv = float(v_m.dot(v_m))
+                        norm = math.sqrt(vv)
+                        if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
+                            e, (w,) = _shrunk(v_m)
+                            vv = float(w.dot(w))
+                            norm = math.ldexp(math.sqrt(vv), int(e))
+                        if vv != 0.0:
+                            r = p - (float(p.dot(w)) / vv) * w
+                            r_norm = math.sqrt(r.dot(r))
+                            if not (r_norm == 0.0 or r_norm < tol):
+                                u = np.divide(r, r_norm, out=directions[m])
+                np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
+        if not _finite(states[-1]):  # a non-finite entry persists to later states
+            bad = next(k for k in range(1, n_steps + 1) if not _finite(states[k]))
+            raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
+    return TrajectoryRecord(grid, states, velocities, evaluated, None if factors is None else directions)
+
+
+_ALL = slice(None)  # a step's rows where a rule applies to every run
+
+
+def _per_step(mask: np.ndarray) -> list:
+    """Each step's runs of a (B, N) ``mask``: ``_ALL``, None for none, or else the step's (B,) column."""
+    return [_ALL if a else c if s else None for a, s, c in zip(mask.all(0).tolist(), mask.any(0).tolist(), mask.T)]
+
+
+def _turning_anchors(v_p: np.ndarray, v_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's turning anchor p (NaN where v_p = 0: no direction passes) and its tolerance, at least 5e-324."""
+    pp = _row_dots(v_p, v_p)
+    huge = ~(pp + _row_dots(v_n, v_n) < 2.0**1020)
+    if huge.any():  # a huge speed: p is found at 2**-e
+        v_p, v_n = v_p.copy(), v_n.copy()
+        v_p[huge], v_n[huge] = _shrunk(v_p[huge], v_n[huge])[1]
+        pp[huge] = _row_dots(v_p[huge], v_p[huge])
+    p = v_n - v_p
+    p -= (_row_dots(p, v_p) / pp)[:, None] * v_p
+    tol = EPS_DIR * np.sqrt(_row_dots(p, p))
+    tol[tol == 0.0] = 5e-324  # so a zero residual never passes ``r_norm >= tol``
+    return p, tol
+
+
+def _turning_directions(v: np.ndarray, p: np.ndarray, tol: np.ndarray, rows, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(u, has_u, |v|)``: each row's unit residual of p off v, written to ``u``, and where in ``rows`` it passes."""
+    vv = _row_dots(v, v)
+    norm, w = np.sqrt(vv), v
+    huge = vv == np.inf
+    if huge.any():  # a huge speed: u is scale-free, so it is found at 2**-e, and |v| from that scale
+        e, (scaled,) = _shrunk(v[huge])
+        w = v.copy()
+        w[huge] = scaled
+        vv[huge] = _row_dots(scaled, scaled)
+        norm[huge] = np.ldexp(np.sqrt(vv[huge]), e)
+    r = np.multiply((_row_dots(p, w) / vv)[:, None], w, out=u)
+    np.subtract(p, r, out=r)
+    r_norm = np.sqrt(_row_dots(r, r))
+    has_u = r_norm >= tol if rows is _ALL else (r_norm >= tol) & rows
+    return np.divide(r, r_norm[:, None], out=r), has_u, norm
+
+
 def _walk(
     field: VelocityField,
     grid: TimeGrid,
     x0: np.ndarray,
     conditions: Sequence[Condition],
-    intervals: Sequence[tuple[int, int]],
-    factors: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
-    records: bool = True,
+    opening: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    records: int | None = None,
     references: Sequence[TrajectoryRecord] = (),
 ) -> Iterator:
-    """Runs from the checked (B, D) start states ``x0``, one per condition, over the ``(start, length)`` ``intervals``.
+    """Runs from the checked (B, D) start states ``x0``, one per condition, each over its own skip intervals.
 
-    All runs ride one batch. With ``records``, they share one (B, width, D)
-    block of run arrays (states, velocities and, for cached runs, directions),
-    and each run is yielded as a ``TrajectoryRecord`` once all are walked.
-    Without, the batch holds one running (B, D) row each of states,
-    velocities and directions, and each interval's last step is yielded as
-    ``(velocities, states)``, overwritten by the next interval.
-
-    Each interval opens with one oracle call for the batch, its output checked
-    once (step 0 always opens a length-1 interval). Run i, which starts where
-    full-step run i mod R of ``references`` does, takes that run's velocities
-    up to the first longer interval's anchor (all, if none is). With per-run ``factors``
+    ``opening`` (B, N) holds each run's interval lengths at their starts, 0
+    elsewhere. Each interval opens with an oracle evaluation (step 0 opens a
+    length-1 one). Run i, which starts where full-step run i mod R of
+    ``references`` does, takes that run's velocities up to its first longer
+    interval's anchor (all, if none is). With the (B, N) per-run ``factors``
     ``(growth, turn)`` = (exp(k_tilde * dt), d_tilde), a longer interval
-    opening at n takes each run's turning anchor p, the residual of
-    v_n - v_p off the run's previous evaluated velocity v_p (none where
-    v_p = 0). Each step m then runs, in order: each run's direction u_m, the
-    unit residual of p off v_m, degenerate (its ``directions`` row stays
-    NaN) where there is no p, v_m = 0, or the residual norm is 0 or below
-    ``EPS_DIR`` |p|; the batch's Euler step state_{m+1} = state_m - dt_m v_m;
-    and, inside the interval, each run's
+    opening at n takes the turning anchor p, the residual of v_n - v_p off the
+    run's previous evaluated velocity v_p (none where v_p = 0). Each step m
+    then runs, in order: the direction u_m, the unit residual of p off v_m,
+    degenerate (its ``directions`` row stays NaN) where there is no p,
+    v_m = 0, or the residual norm is 0 or below ``EPS_DIR`` |p|; the Euler step
+    state_{m+1} = state_m - dt_m v_m; and, inside the interval,
     v_{m+1} = growth_m v_m + turn_m |v_m| u_m, without the turning term where
-    u_m is degenerate or turn_m = 0; at huge speeds p and u_m are found, bit for
-    bit, at a power-of-two scale (``_shrunk``). A run that leaves the finite range
-    fails once the batch is walked, naming its first non-finite state's
-    step; a record-free walk checks its state row at interval ends and names
-    that end. numpy's overflow and invalid-value warnings are silenced while
-    the walk steps the batch (an interval, without records), not while a
-    caller holds a yielded step.
+    u_m is degenerate or turn_m = 0. At huge speeds p and u_m are found, bit
+    for bit, at a power-of-two scale (``_shrunk``).
+
+    ``records`` is the number of leading runs (all, if None) that keep a
+    ``TrajectoryRecord``, yielded once all are walked. One run with a
+    record takes ``_one_run``. Any other batch steps all runs at once, each
+    rule a (B, D) row operation kept where it applies, with at most one oracle
+    call a step, on the anchoring rows no reference serves. Where some run
+    keeps no record, each step after which every run ends an interval first
+    yields every run's ``(velocities, states)``, overwritten by the next. A run
+    leaving the finite range fails once all are walked: a recorded run names
+    its first non-finite state, another the first such hand-over step's next
+    state. numpy's warnings are silenced while the walk steps, not while a
+    caller holds a step.
     """
-    n_steps, dim, B = grid.n_steps, x0.shape[1], len(conditions)
-    seeded = next((n for n, h in intervals if h > 1), n_steps - 1) + 1 if references else 0
+    batch, kept = len(conditions), len(conditions) if records is None else records
+    if kept == batch == 1:
+        yield _one_run(field, grid, x0[0], conditions[0], opening[0], factors, references)
+        return
+    n_steps, dim = grid.n_steps, x0.shape[1]
     times, dt = grid.times.tolist(), grid.dt.tolist()
-    evaluated = np.zeros(n_steps, dtype=bool)
-    evaluated[[n for n, _ in intervals]] = True
-    width = 2 * n_steps + 1 if factors is None else 3 * n_steps + 1
-    # the intervals one errstate spans: all, or one where the walk hands its caller each interval's end outside it
-    groups = [intervals] if records else [[interval] for interval in intervals]
-    field.prepare([times[n] for n, _ in intervals if n >= seeded])
-    if records:
-        # one allocation: as separate arrays, large runs were faulted in again on every run under some heap layouts
-        block = np.empty((B, width, dim))
-        block[:, 2 * n_steps + 1 :] = np.nan  # directions: a step without one keeps its NaN row
-        states, velocities, directions = np.split(block, [n_steps + 1, 2 * n_steps + 1], axis=1)
-    else:
-        # every step of a run indexes the one running row of its states, of its velocities, of its directions
-        states, velocities, directions = (
-            np.lib.stride_tricks.as_strided(rows, (B, n_steps + 1, dim), (8 * dim, 0, 8))
-            for rows in np.empty((3, B, dim))
-        )
-    # step-major rows: (B, D), or (D,) for a single run's record, which the oracle takes as an unbatched call
-    S, V = (a[0] if records and B == 1 else a.swapaxes(0, 1) for a in (states, velocities))
-    S[0] = x0
-    batch_conditions = conditions if S.ndim == 3 else conditions[0]
-    if seeded:  # the runs' reference velocities, step-major: (B, D) rows, or (D,) for a single record
-        cycle = [references[i % len(references)].velocities[:seeded] for i in range(B)]
-        known = np.stack(cycle, axis=1) if S.ndim == 3 else cycle[0]
-    runs = [(vel, dirs, *f) for vel, dirs, f in zip(velocities, directions, factors or [(None, None)] * B)]
-    bad = None  # the first step whose state is not finite; a non-finite entry persists to later states
-    for group in groups:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
-            for n, h in group:
-                v = known[n] if n < seeded else field.evaluate(S[n], times[n], batch_conditions)
-                if not _finite(v):
-                    raise NumericDomainError(f"the oracle returned a non-finite velocity at step {n} (t={times[n]})")
-                V[n] = v
-                if h > 1:
-                    # per run: velocities, directions, growth, turn, anchor p, its tolerance, u_m and |v_m|
-                    live = []
-                    for run, v_p, v_n in zip(runs, last.reshape(B, -1), v.reshape(B, -1)):
-                        pp = float(v_p.dot(v_p))
-                        if not pp + float(v_n.dot(v_n)) < 2.0**1020:  # a huge speed: p is found at 2**-e
-                            v_p, v_n = _shrunk(v_p, v_n)[1]
-                            pp = float(v_p.dot(v_p))
-                        a, tol = None, 0.0
-                        if pp != 0.0:
-                            a = v_n - v_p
-                            a -= (float(a.dot(v_p)) / pp) * v_p
-                            tol = EPS_DIR * math.sqrt(a.dot(a))
-                        live.append([*run, a, tol, None, 0.0])
-                last = v
-                for m in range(n, n + h):
-                    if h > 1:
-                        for st in live:
-                            vel, dirs, growth, turn, p, tol, u, norm = st
-                            v_m = vel[m]
-                            if m > n:  # v_m rebuilt from v_{m-1} and its direction
-                                np.multiply(growth[m - 1], vel[m - 1], out=v_m)
-                                if u is not None and turn[m - 1] != 0.0:
-                                    v_m += turn[m - 1] * norm * u
-                            u, w, norm = None, v_m, 0.0
-                            if p is not None:
-                                vv = float(v_m.dot(v_m))
-                                norm = math.sqrt(vv)
-                                if vv == math.inf:  # a huge speed: u is scale-free, so it is found at 2**-e
-                                    e, (w,) = _shrunk(v_m)
-                                    vv = float(w.dot(w))
-                                    norm = math.ldexp(math.sqrt(vv), int(e))
-                                if vv != 0.0:
-                                    r = p - (float(p.dot(w)) / vv) * w
-                                    r_norm = math.sqrt(r.dot(r))
-                                    if not (r_norm == 0.0 or r_norm < tol):
-                                        u = np.divide(r, r_norm, out=dirs[m])
-                            st[6], st[7] = u, norm
-                    np.subtract(S[m], dt[m] * V[m], out=S[m + 1])
-            # a record-free walk holds one state row, so it names the end of the group's one interval
-            if bad is None and not _finite(S[m + 1]):
-                bad = next(k for k in range(1 if records else m + 1, m + 2) if not _finite(S[k]))
-        if not records:
-            yield V[m], S[m + 1]
+    start = opening > 0
+    held = np.maximum.accumulate(np.where(start, np.arange(n_steps), 0), axis=1)  # the start of each step's interval
+    skip = np.take_along_axis(opening, held, axis=1) > 1  # a step of a longer interval: it takes a direction
+    opens, served = start & skip, np.zeros_like(start)
+    if references:  # up to the anchor of a run's first longer interval (all, if none is)
+        served = start & (np.arange(n_steps) <= np.where(opens.any(axis=1), opens.argmax(axis=1), n_steps - 1)[:, None])
+        cycle = np.arange(batch) % len(references)
+    asked, turning = start & ~served, skip & ~start  # turning: a rebuilt step whose turning factor is not 0
+    if factors is not None:
+        growth, turn = factors[0].T[:, :, None], factors[1].T  # step-major
+        turning[:, 1:] &= factors[1][:, :-1] != 0.0
+    field.prepare([times[m] for m in np.flatnonzero(asked.any(axis=0)).tolist()])
+    plan = zip(*(_per_step(mask) for mask in (start, asked, served, opens, skip, turning)))
+    # where some run keeps no record, the walk checks and hands over after each step at which every run ends an interval
+    cuts = [] if kept == batch else (np.flatnonzero(start[:, 1:].all(axis=0)) + 1).tolist()
+    segments = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n_steps])]
+    if kept:
+        states, velocities, directions = _record_block(kept, n_steps, dim, factors is not None)
+        states[:, 0] = x0[:kept]
+    # the running rows: states, turning anchors p (NaN: none yet) and their tolerances, directions, an Euler term
+    x, p, tol, u, step = x0.copy(), np.full_like(x0, np.nan), np.full(batch, np.inf), *np.empty((2, *x0.shape))
+    del x0  # a caller's temporary start rows are freed while the walk runs
+    bad = None  # the first checked step whose state is not finite
+    for segment in segments:
+        with np.errstate(all="ignore"):  # masked rows compute too; a non-finite run is raised below
+            for m, (anchor, ask, serve, open_, walk, turns) in zip(segment, plan):
+                if anchor is not _ALL:  # v_m rebuilt from v_{m-1} and its direction
+                    v = growth[m - 1] * v
+                    if turns is not None:
+                        u *= (turn[m - 1] * norm)[:, None]  # u_{m-1} is spent: it takes the turning term in place
+                        np.add(v, u, out=v, where=(has_u if turns is _ALL else has_u & turns)[:, None])
+                else:  # v_{m-1} is spent: dropped before the oracle call, it is freed unless it is the last anchor
+                    v = None if ask is _ALL else np.empty_like(x)
+                if ask is _ALL:
+                    v = _oracle(field, x, times[m], conditions, m)
+                elif ask is not None:
+                    v[ask] = _oracle(field, x[ask], times[m], list(compress(conditions, ask)), m)
+                if serve is not None:  # each run's reference row
+                    v[serve] = np.stack([full.velocities[m] for full in references])[cycle[serve]]
+                if open_ is not None:  # the turning anchors p and their tolerances
+                    p[open_], tol[open_] = (a[open_] for a in _turning_anchors(last, v))
+                if anchor is _ALL:
+                    last = v
+                elif anchor is not None:  # last is not v here: v is fresh at every step
+                    np.copyto(last, v, where=anchor[:, None])
+                if walk is not None:
+                    u, has_u, norm = _turning_directions(v, p, tol, walk, u)
+                    if kept:
+                        np.copyto(directions[:, m], u[:kept], where=has_u[:kept, None])
+                np.subtract(x, np.multiply(v, dt[m], out=step), out=x)
+                if kept:
+                    velocities[:, m], states[:, m + 1] = v[:kept], x[:kept]
+            if kept < batch and bad is None and not _finite(x):
+                bad = m + 1
+            if kept and m == n_steps - 1 and not _finite(states[:, -1]):  # a non-finite entry persists
+                first = next(k for k in range(1, n_steps + 1) if not _finite(states[:, k]))
+                bad = first if bad is None else min(bad, first)
+        if kept < batch:
+            yield v, x
     if bad is not None:
         raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
-    if records:
-        for run, (vel, dirs, *_) in zip(states, runs):
-            yield TrajectoryRecord(grid, run, vel, evaluated, None if factors is None else dirs)
+    for i in range(kept):
+        yield TrajectoryRecord(grid, states[i], velocities[i], start[i], None if factors is None else directions[i])
 
 
 def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition: Condition) -> TrajectoryRecord:
@@ -259,13 +359,10 @@ def sample_full(field: VelocityField, grid: TimeGrid, x0: np.ndarray, condition:
 
 
 def _full_kernel(
-    field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition], records: bool = True
+    field: VelocityField, grid: TimeGrid, x0: np.ndarray, conditions: Sequence[Condition], records: int | None = None
 ) -> Iterator:
-    """Full runs from the checked (B, D) start states ``x0``, one per condition: the walk over length-1 intervals.
-
-    With ``records`` it yields each run's record; without, each step's ``(velocities, states)`` rows (``_walk``).
-    """
-    return _walk(field, grid, x0, conditions, [(n, 1) for n in range(grid.n_steps)], records=records)
+    """Full runs from the checked (B, D) start states ``x0``, one per condition: ``_walk`` over length-1 intervals."""
+    return _walk(field, grid, x0, conditions, np.ones((len(conditions), grid.n_steps), dtype=int), None, records)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:

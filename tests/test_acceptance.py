@@ -30,7 +30,7 @@ from flowcache import (
     write_bundle,
 )
 from flowcache.cli import EXIT_OK, main
-from flowcache.diagnostics import make_bundle, run_threshold_sweep, run_toggle_ablation, truncation_drifts
+from flowcache.diagnostics import make_bundle, truncation_drifts
 from flowcache.verify import suite_bound, suite_povd, suite_ssc
 
 from conftest import GMM_COMPONENTS
@@ -142,7 +142,7 @@ def test_criterion_06_comparative_fidelity():
 
 
 def test_criterion_07_toggle_ablation_structure(tmp_path):
-    rows = run_toggle_ablation(run_experiment(_comparison_config()))
+    rows = run_experiment(_comparison_config(), ablation=True).ablation
     assert len(rows) == 4
     schedule_only = rows[0]
     full = rows[-1]
@@ -169,7 +169,7 @@ def test_criterion_08_threshold_monotonicity(tmp_path):
     )
     tks = (0.0, 0.03, 0.06, 0.12)
     tds = (0.0, 0.3, 0.6, 1.2)
-    rows = run_threshold_sweep(run_experiment(config), [(tk, td) for tk in tks for td in tds])
+    rows = run_experiment(config, sweep_taus=[(tk, td) for tk in tks for td in tds]).sweep
     ratio = {(r["tau_k"], r["tau_d"]): r["skip_ratio"] for r in rows}
     for i, tk in enumerate(tks):
         for j, td in enumerate(tds):

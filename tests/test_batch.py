@@ -32,7 +32,7 @@ from flowcache import (
     sample_full,
 )
 from flowcache.cached_sampler import _cached_kernel
-from flowcache.diagnostics import ABLATION_ORDER, evaluate_bundle
+from flowcache.diagnostics import ABLATION_ORDER, compare_trajectories
 from flowcache.fields import _Mixture
 from flowcache.schedule import skip_intervals
 from flowcache.solver import _full_kernel
@@ -185,18 +185,18 @@ class TestBatchedSamplers:
         assert sum(1 for _ in _full_kernel(field, grid, x0, conditions)) == 16
         assert field.evaluations == 100
 
-    def test_evaluate_bundle_calls_the_oracle_once_per_anchor_past_the_references(self):
-        # the cached runs of six dim-1024 seeds ride one batch, and the references serve the anchors up to and
-        # including the first skip's
+    def test_the_cached_runs_call_the_oracle_once_per_anchor_past_the_references(self):
+        # the cached runs of six dim-1024 seeds ride one batch after the calibration and reference walk, and the
+        # references serve the anchors up to and including the first skip's
         config = ExperimentConfig(_mixture(1024, 2, 5), 100, (1, 2, 3, 4), tuple(range(100, 106)), tau_k=0.3, tau_d=3.0)
         result = run_experiment(config)
         intervals = skip_intervals(result.bundle.schedule, config.n_steps)
         served = sum(n <= next(n for n, h in intervals if h > 1) for n, _ in intervals)
         assert result.cached_nfe - served > 1
-        result.velocity_field.reset_evaluations()
-        reports = evaluate_bundle(result, result.bundle, config.toggles)
-        assert result.velocity_field.evaluations == result.cached_nfe - served
-        assert [r.final_state_drift for r in reports] == result.final_drifts.tolist()
+        assert result.velocity_field.evaluations == config.n_steps + result.cached_nfe - served
+        for report, full, seed in zip(result.reports, result.references, config.evaluation_seeds, strict=True):
+            single = sample_cached(result.velocity_field, result.bundle, full.states[0], Condition(seed))
+            assert report.final_state_drift == compare_trajectories(full, single).final_state_drift
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
@@ -335,7 +335,8 @@ class TestMixedRows:
             if kernel == "full":
                 list(_full_kernel(field, bundle.grid, x0, conditions))
             else:
-                list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles(), kernel == "cached"))
+                records = None if kernel == "cached" else 0
+                list(_cached_kernel(field, bundle, x0, conditions, CompensationToggles(), records))
         # the same fault, and message, on its own row, and none on the other
         with pytest.raises(NumericDomainError) as single:
             sample_full(field, bundle.grid, x0[1], conditions[1])

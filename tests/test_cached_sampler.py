@@ -165,6 +165,17 @@ def _experiment(spec, n_steps, cal_seeds, eval_seed, **kwargs):
     return velocity_field, grid, bundle, condition, x0
 
 
+class TestCompensationToggles:
+    @pytest.mark.parametrize("key, bad", [("use_mi", 0), ("use_di", "no"), ("use_mi", np.bool_(True)), ("use_di", None)])
+    def test_a_toggle_that_is_not_a_bool_is_named(self, key, bad):
+        # the config's bool rule: a toggle picks each run's factors inside a shared batch, so no truth value stands in
+        with pytest.raises(InvalidArgumentError, match=rf"^{key}: expected true or false, got {bad!r}$"):
+            CompensationToggles(**{key: bad})
+
+    def test_bools_build(self):
+        assert (CompensationToggles(use_mi=False).use_mi, CompensationToggles(use_di=False).use_di) == (False, False)
+
+
 class TestSampleCached:
     def test_constant_field_bit_exact(self, constant_spec):
         vf, grid, bundle, condition, x0 = _experiment(constant_spec, 50, range(3), 100)

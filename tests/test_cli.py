@@ -425,15 +425,17 @@ class TestBench:
         assert len(calibrations) == 1
 
     def test_readme_bench_oracle_calls(self, tmp_path, monkeypatch):
-        # calibration and references 50 (one walk), cached runs 18, truncation 33, ablation 18, sweep 46:
-        # each cached walk takes its steps up to the first skip's anchor from the references
+        # calibration and references 50 (one walk), truncation 33, and 29 for the one walk of the cached runs, the
+        # ablation's other three settings and the two swept schedules that differ from the config's: each run takes
+        # its steps up to its first skip's anchor from the references, and the walk calls the oracle once at each
+        # later step at which some run anchors (18, 25 and 21 steps for the three schedules, 29 in all)
         calls = []
         evaluate = VelocityField.evaluate
         monkeypatch.setattr(VelocityField, "evaluate", lambda *args: calls.append(1) or evaluate(*args))
         config = _write_config(tmp_path, README_CONFIG)
         argv = ["bench", "--config", str(config), "--out", str(tmp_path / "bench"), "--ablation"]
         assert main(argv + ["--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == EXIT_OK
-        assert len(calls) == 165
+        assert len(calls) == 112
 
     @pytest.mark.parametrize("taus", ["nan:0.3", "-1:0.3", "x:0.3", "0.3:inf"])
     def test_bad_sweep_taus_rejected(self, tmp_path, capsys, taus):

@@ -27,10 +27,7 @@ from flowcache.diagnostics import (
     ABLATION_ORDER,
     CONFIG_KEYS,
     _mean_stderr,
-    evaluate_bundle,
     make_bundle,
-    run_threshold_sweep,
-    run_toggle_ablation,
     truncation_drifts,
     write_ablation_csv,
     write_cos_theta_csv,
@@ -370,7 +367,7 @@ class TestRunExperiment:
 
 class TestAblationAndSweep:
     def test_ablation_has_four_ordered_rows(self, gmm_spec):
-        rows = run_toggle_ablation(run_experiment(_gmm_config(gmm_spec, evaluation_seeds=tuple(range(2000, 2008)))))
+        rows = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=tuple(range(2000, 2008))), ablation=True).ablation
         assert [(r["use_mi"], r["use_di"]) for r in rows] == [
             (False, False),
             (True, False),
@@ -380,7 +377,7 @@ class TestAblationAndSweep:
         assert len({r["nfe"] for r in rows}) == 1  # same schedule for every row
 
     def test_full_toggles_not_worse_than_schedule_only(self, gmm_spec):
-        rows = run_toggle_ablation(run_experiment(_gmm_config(gmm_spec)))
+        rows = run_experiment(_gmm_config(gmm_spec), ablation=True).ablation
         schedule_only = rows[0]
         full = rows[-1]
         assert full["mean_final_drift"] <= schedule_only["mean_final_drift"] + schedule_only["stderr_final_drift"]
@@ -389,7 +386,7 @@ class TestAblationAndSweep:
         config = _gmm_config(gmm_spec, evaluation_seeds=(2000, 2001))
         tks = (0.0, 0.03, 0.06, 0.12)
         tds = (0.0, 0.3, 0.6, 1.2)
-        rows = run_threshold_sweep(run_experiment(config), [(tk, td) for tk in tks for td in tds])
+        rows = run_experiment(config, sweep_taus=[(tk, td) for tk in tks for td in tds]).sweep
         ratio = {(r["tau_k"], r["tau_d"]): r["skip_ratio"] for r in rows}
         for i, tk in enumerate(tks):
             for j, td in enumerate(tds):
@@ -420,6 +417,13 @@ def _reference_finals(result, bundle, toggles):
     return np.array([compare_trajectories(full, run).final_state_drift for full, run in zip(result.references, runs)])
 
 
+def _asked_past_references(schedule, n_steps):
+    """The anchors past n1, the anchor of the schedule's first interval longer than 1: the ones the oracle serves."""
+    intervals = skip_intervals(schedule, n_steps)
+    n1 = next((n for n, h in intervals if h > 1), n_steps - 1)
+    return {n for n, _ in intervals if n > n1}
+
+
 def _served_by_references(schedule, n_steps):
     """The anchors at or before n1, the anchor of the schedule's first interval longer than 1 (all, if none is)."""
     intervals = skip_intervals(schedule, n_steps)
@@ -442,15 +446,16 @@ class TestFollowUps:
     @pytest.mark.parametrize("name", sorted(_FOLLOW_UP_FIELDS))
     def test_ablation_rows_equal_per_toggle_reports(self, gmm_spec, name, own):
         spec, thresholds = _FOLLOW_UP_FIELDS[name]
-        result = run_experiment(_readme_config(spec or gmm_spec, use_mi=own[0], use_di=own[1], **thresholds))
+        config = _readme_config(spec or gmm_spec, use_mi=own[0], use_di=own[1], **thresholds)
+        result = run_experiment(config, ablation=True)
+        rows = result.ablation
         assert result.cached_nfe < result.bundle.grid.n_steps
-        result.velocity_field.reset_evaluations()
-        rows = run_toggle_ablation(result)
-        # the config's own row reuses the experiment's runs; one record-free walk of 3×B rows serves the other
-        # three settings, one oracle call per anchor past the references' steps, whatever the dimension
-        served = _served_by_references(result.bundle.schedule, result.bundle.grid.n_steps)
+        # the config's own row is the experiment's runs; the other three settings' 3×B record-free rows ride their
+        # walk, which calls the oracle once per anchor past the references' steps (after the calibration and
+        # reference walk's n calls), whatever the dimension: the ablation adds no call
+        served = _served_by_references(result.bundle.schedule, config.n_steps)
         assert 0 < served < result.cached_nfe
-        assert result.velocity_field.evaluations == result.cached_nfe - served
+        assert result.velocity_field.evaluations == config.n_steps + result.cached_nfe - served
         for row, toggles in zip(rows, ABLATION_ORDER, strict=True):
             reference = _reference_finals(result, result.bundle, CompensationToggles(*toggles))
             assert (row["use_mi"], row["use_di"]) == toggles
@@ -461,52 +466,53 @@ class TestFollowUps:
     def test_sweep_rows_equal_per_pair_reports(self, gmm_spec, name):
         spec, thresholds = _FOLLOW_UP_FIELDS[name]
         config = _readme_config(spec or gmm_spec, **thresholds)
-        result = run_experiment(config)
         taus = [(0.03, 0.3), (config.tau_k, config.tau_d), (0.0, 0.0), (0.5, 5.0), (0.04, 0.4)]
-        result.velocity_field.reset_evaluations()
-        rows = run_threshold_sweep(result, taus)
-        sweep_calls = result.velocity_field.evaluations
-        calls = 0
+        result = run_experiment(config, sweep_taus=taus)
+        rows, calls = result.sweep, result.velocity_field.evaluations
+        asked = set()
         for row, (tau_k, tau_d) in zip(rows, taus, strict=True):
             schedule = build_schedule(result.bundle.indicators, result.bundle.grid, tau_k, tau_d, config.h_max)
             bundle = replace(result.bundle, schedule=schedule, tau_k=tau_k, tau_d=tau_d)
             assert row["final_drift"] == float(_reference_finals(result, bundle, config.toggles).mean())
             if not np.array_equal(schedule, result.bundle.schedule):
-                calls += row["cached_nfe"] - _served_by_references(schedule, config.n_steps)
-        # a pair that rebuilds the experiment's schedule runs nothing; any other pair runs one record-free walk,
-        # which takes its steps up to its first skip's anchor from the references (all of them, for 0:0)
-        assert calls > 0 and sweep_calls == calls
+                asked |= _asked_past_references(schedule, config.n_steps)
+        # a pair that rebuilds the experiment's schedule runs nothing; the other pairs' record-free rows ride the
+        # experiment's walk, each run taking its steps up to its first skip's anchor from the references (all of
+        # them, for 0:0), with one oracle call at each step at which some run anchors past them
+        # (after the calibration and reference walk's n calls)
+        evaluated = _asked_past_references(result.bundle.schedule, config.n_steps)
+        assert asked and calls == config.n_steps + len(asked | evaluated)
 
     def test_an_all_ones_sweep_pair_calls_no_oracle(self, gmm_spec):
         # a 0:0 schedule never skips, so every step of its walk comes from the references
-        result = run_experiment(_readme_config(gmm_spec))
-        result.velocity_field.reset_evaluations()
-        (row,) = run_threshold_sweep(result, [(0.0, 0.0)])
-        assert result.velocity_field.evaluations == 0
+        config = _readme_config(gmm_spec)
+        alone = run_experiment(config).velocity_field.evaluations
+        result = run_experiment(config, sweep_taus=[(0.0, 0.0)])
+        (row,) = result.sweep
+        assert result.velocity_field.evaluations == alone
         assert row["cached_nfe"] == result.bundle.grid.n_steps and row["final_drift"] == 0.0
 
     def test_a_bundle_on_another_grid_is_rejected(self, gmm_spec):
-        # the references are not used on another grid: the runs call the oracle at every anchor, and the
-        # comparison rejects the grids
+        # a cached run on another grid than its reference's is not compared
         result = run_experiment(_readme_config(gmm_spec))
-        _, grid, other = make_bundle(replace(result.config, n_steps=40))
-        result.velocity_field.reset_evaluations()
+        field, _, other = make_bundle(replace(result.config, n_steps=40))
+        full, seed = result.references[0], result.config.evaluation_seeds[0]
         with pytest.raises(InvalidArgumentError, match="different time grids"):
-            evaluate_bundle(result, other, result.config.toggles)
-        assert result.velocity_field.evaluations == len(schedule_coverage(other.schedule, grid.n_steps)[1])
+            compare_trajectories(full, sample_cached(field, other, full.states[0], Condition(seed)))
 
     def test_sweep_of_the_configs_own_pair_calls_no_oracle(self, gmm_spec):
-        result = run_experiment(_readme_config(gmm_spec))
-        result.velocity_field.reset_evaluations()
-        (row,) = run_threshold_sweep(result, [(0.06, 0.6)])
-        assert result.velocity_field.evaluations == 0
+        config = _readme_config(gmm_spec)
+        alone = run_experiment(config).velocity_field.evaluations
+        result = run_experiment(config, sweep_taus=[(0.06, 0.6)])
+        (row,) = result.sweep
+        assert result.velocity_field.evaluations == alone
         assert row["cached_nfe"] == result.cached_nfe and row["final_drift"] == result.mean_final_drift
 
 
 class TestCsvWriters:
     def test_output_shapes(self, tmp_path, gmm_spec):
         config = _gmm_config(gmm_spec, n_steps=20, evaluation_seeds=(2000, 2001))
-        result = run_experiment(config)
+        result = run_experiment(config, ablation=True, sweep_taus=[(0.0, 0.0), (0.06, 0.6)])
 
         write_drift_profile_csv(result, tmp_path / "profile.csv")
         with open(tmp_path / "profile.csv", newline="") as fh:
@@ -525,14 +531,12 @@ class TestCsvWriters:
             rows = list(csv.DictReader(fh))
         assert all(set(r.keys()) == {"seed", "n", "cos_theta"} for r in rows)
 
-        sweep_rows = run_threshold_sweep(result, [(0.0, 0.0), (0.06, 0.6)])
-        write_sweep_csv(sweep_rows, tmp_path / "sweep.csv")
+        write_sweep_csv(result.sweep, tmp_path / "sweep.csv")
         with open(tmp_path / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == ["tau_k", "tau_d", "cached_nfe", "final_drift"]
 
-        ablation_rows = run_toggle_ablation(result)
-        write_ablation_csv(ablation_rows, tmp_path / "ablation.csv")
+        write_ablation_csv(result.ablation, tmp_path / "ablation.csv")
         with open(tmp_path / "ablation.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4

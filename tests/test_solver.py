@@ -45,6 +45,15 @@ class TestTimeGrid:
         with pytest.raises(InvalidArgumentError):
             make_uniform_grid(0)
 
+    @pytest.mark.parametrize("bad", [True, 5.5, 5.0, "5"], ids=["bool", "fraction", "integral-float", "str"])
+    def test_a_step_count_that_is_not_an_integer_is_named(self, bad):
+        # the count rule: a bool or a float is no step count, even where it would index like one
+        with pytest.raises(InvalidArgumentError, match=rf"^n_steps must be an integer, got {bad!r}$"):
+            make_uniform_grid(bad)
+
+    def test_a_numpy_integer_step_count_is_one(self):
+        np.testing.assert_array_equal(make_uniform_grid(np.int64(4)).times, make_uniform_grid(4).times)
+
     def test_endpoints_enforced(self):
         with pytest.raises(InvalidArgumentError):
             TimeGrid(np.array([0.9, 0.0]))
