@@ -28,7 +28,6 @@ from .calibration import ScheduleBundle
 from .errors import InvalidArgumentError
 from .fields import Condition, VelocityField
 from .ioutil import _json_value
-from .schedule import skip_intervals
 from .solver import TrajectoryRecord, _check_start, _walk
 
 
@@ -76,13 +75,14 @@ def _cached_kernel(
     toggles: CompensationToggles | Sequence[CompensationToggles],
     records: int | None = None,
     references: Sequence[TrajectoryRecord] = (),
-    schedules: Sequence[np.ndarray] = (),
+    opening: np.ndarray | None = None,
 ) -> Iterator:
     """Cached runs from the checked (B, D) start states ``x0``, one per condition: the walk over the skip intervals.
 
-    ``toggles`` is one setting for all runs or one per run, and ``schedules``
-    one skip schedule per run (the bundle's, if empty). The indicators, finite
-    by ``IndicatorTable``'s rule, become each run's per-step reconstruction
+    ``toggles`` is one setting for all runs or one per run, and ``opening``
+    the (B, N) ``skip_intervals`` rows of the runs' skip schedules (the
+    bundle's for every run, if None). The indicators, finite by
+    ``IndicatorTable``'s rule, become each run's per-step reconstruction
     factors, with a disabled correction's factor neutral. ``records`` and
     ``references``, full-step runs on the bundle's grid, are ``_walk``'s.
     """
@@ -90,8 +90,6 @@ def _cached_kernel(
     toggles = [toggles] * len(conditions) if isinstance(toggles, CompensationToggles) else toggles
     use_mi, use_di = np.array([(t.use_mi, t.use_di) for t in toggles]).T[:, :, None]  # (B, 1) columns
     factors = np.where(use_mi, np.exp(indicators.k_tilde * grid.dt), 1.0), np.where(use_di, indicators.d_tilde, 0.0)
-    schedules = schedules or [bundle.schedule] * len(conditions)
-    distinct = {id(schedule): schedule for schedule in schedules}  # runs share schedules: each is walked out once
-    lengths = {key: np.bincount(*zip(*skip_intervals(s, grid.n_steps)), grid.n_steps) for key, s in distinct.items()}
-    opening = np.array([lengths[id(schedule)] for schedule in schedules])  # each interval's length at its start
+    if opening is None:
+        opening = np.tile(bundle.opening, (len(conditions), 1))
     return _walk(field, grid, x0, conditions, opening, factors, records, references)

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -25,14 +26,14 @@ from .ioutil import _check_count, _create, _integral, _read_json, _write_json, w
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
-BUNDLE_FORMAT = "tacache-bundle/1"
+BUNDLE_FORMAT = "tacache-bundle/2"
 
 
 @dataclass(frozen=True, eq=False)
 class IndicatorTable:
-    """Per-step indicator means and spreads over a calibration set.
+    """Per-step indicator means over a calibration set.
 
-    All arrays have one entry per grid step. The final step has no look-ahead
+    Both arrays have one entry per grid step. The final step has no look-ahead
     velocity to decompose against, so its entry repeats the previous one
     (hold-last); the schedule's end-of-grid cap makes that entry govern a
     length-1 interval at most.
@@ -40,13 +41,11 @@ class IndicatorTable:
 
     k_tilde: np.ndarray
     d_tilde: np.ndarray
-    k_std: np.ndarray
-    d_std: np.ndarray
     sample_count: int
 
     def __post_init__(self) -> None:
         arrays = {}
-        for name in ("k_tilde", "d_tilde", "k_std", "d_std"):
+        for name in ("k_tilde", "d_tilde"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size != len(arrays.get("k_tilde", arr)):
                 raise FieldError(name, f"must be 1-d and as long as k_tilde, got shape {arr.shape}")
@@ -104,11 +103,9 @@ def _indicators(grid: TimeGrid, shape: tuple[int, int], step_rows: Iterator[np.n
             window[0] = window[pairs]  # a full window's last step opens the next one
             start = step
 
-    curves = np.zeros((4, n))  # k_tilde, d_tilde, k_std, d_std
+    curves = np.zeros((2, n))  # k_tilde, d_tilde
     if n > 1:
-        curves[:2, : n - 1] = rows.mean(axis=1)
-        if b > 1:
-            curves[2:, : n - 1] = rows.std(axis=1, ddof=1)
+        curves[:, : n - 1] = rows.mean(axis=1)
         curves[:, n - 1] = curves[:, n - 2]  # hold-last boundary entry for the final step
     return IndicatorTable(*curves, sample_count=b)
 
@@ -169,21 +166,35 @@ class ScheduleBundle:
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
+    @cached_property
+    def opening(self) -> np.ndarray:
+        """The schedule's read-only ``skip_intervals`` row, worked out once for every run and result that reads it."""
+        from .schedule import skip_intervals  # schedule imports this module
+        opening = skip_intervals(self.schedule, self.grid.n_steps)
+        opening.flags.writeable = False
+        return opening
+
 
 # The bundle document's keys in write order, each with its JSON kind; ``read_bundle`` rejects any other.
 BUNDLE_TABLE = {
     "format_version": "str", "n_steps": "int", "times": "floats", "k_tilde": "floats", "d_tilde": "floats",
-    "k_std": "floats", "d_std": "floats", "h": "ints", "tau_k": "float", "tau_d": "float", "h_max": "int",
-    "sample_count": "int", "field_digest": "str", "seeds": "ints", "created_by": "str",
+    "h": "ints", "tau_k": "float", "tau_d": "float", "h_max": "int", "sample_count": "int", "field_digest": "str",
+    "seeds": "ints", "created_by": "str",
 }
 BUNDLE_KEYS = tuple(BUNDLE_TABLE)
-_INDICATOR_KEYS = ("k_tilde", "d_tilde", "k_std", "d_std")
+# Each readable format's key table. A tacache-bundle/1 document also holds each step's spreads ``k_std`` and
+# ``d_std`` after ``d_tilde``; they are checked as columns and then ignored, since no rule reads them.
+_SPREADS = ("k_std", "d_std")
+_TABLES = {
+    BUNDLE_FORMAT: BUNDLE_TABLE,
+    "tacache-bundle/1": {k: BUNDLE_TABLE.get(k, "floats") for k in (*BUNDLE_KEYS[:5], *_SPREADS, *BUNDLE_KEYS[5:])},
+}
 
 
 def _payload(bundle: ScheduleBundle) -> dict:
     """The bundle as the JSON document ``write_bundle`` writes."""
     values = dict(vars(bundle), format_version=BUNDLE_FORMAT, n_steps=bundle.grid.n_steps, times=bundle.grid.times)
-    values.update((key, getattr(bundle.indicators, key)) for key in (*_INDICATOR_KEYS, "sample_count"))
+    values.update((key, getattr(bundle.indicators, key)) for key in ("k_tilde", "d_tilde", "sample_count"))
     return _write_json(BUNDLE_TABLE, dict(values, h=bundle.schedule))
 
 
@@ -200,13 +211,14 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if not isinstance(data, dict):
         raise BundleFormatError("document", "expected a JSON object")
     version = data.get("format_version")
-    if version != BUNDLE_FORMAT:
-        raise BundleFormatError("format_version", f"expected {BUNDLE_FORMAT!r}, got {version!r}")
-    values = _read_json(data, BUNDLE_TABLE, BundleFormatError, {"sample_count": 1})
+    table = _TABLES.get(version) if isinstance(version, str) else None
+    if table is None:
+        raise BundleFormatError("format_version", f"expected one of {', '.join(map(repr, _TABLES))}, got {version!r}")
+    values = _read_json(data, table, BundleFormatError, {"sample_count": 1})
     n = values["n_steps"]
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
-    for key in ("times", *_INDICATOR_KEYS, "h"):
+    for key in ("times", "k_tilde", "d_tilde", *(key for key in _SPREADS if key in table), "h"):
         length = n + 1 if key == "times" else n  # one time per grid node, one entry per step
         if len(values[key]) != length:
             reason = f"length mismatch: expected {length} entries to match n_steps, got {len(values[key])}"
@@ -215,7 +227,7 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     # the value ranges are the constructors' rules: a rejection names the field, which is the
     # document's key but for the schedule's ("h")
     try:
-        indicators = IndicatorTable(*(values[key] for key in _INDICATOR_KEYS), sample_count=values["sample_count"])
+        indicators = IndicatorTable(values["k_tilde"], values["d_tilde"], values["sample_count"])
         return ScheduleBundle(
             grid=TimeGrid(np.array(values["times"])),
             indicators=indicators,
@@ -234,14 +246,7 @@ def bundles_equal(a: ScheduleBundle, b: ScheduleBundle) -> bool:
 def write_indicator_csv(grid: TimeGrid, indicators: IndicatorTable, path: str | Path) -> None:
     """Indicator curves for external plotting: one row per step."""
     rows = [
-        (
-            n,
-            float(grid.times[n]),
-            float(indicators.k_tilde[n]),
-            float(indicators.d_tilde[n]),
-            float(indicators.k_std[n]),
-            float(indicators.d_std[n]),
-        )
+        (n, float(grid.times[n]), float(indicators.k_tilde[n]), float(indicators.d_tilde[n]))
         for n in range(grid.n_steps)
     ]
-    write_csv(path, ("n", "t", "k_tilde", "d_tilde", "k_std", "d_std"), rows)
+    write_csv(path, ("n", "t", "k_tilde", "d_tilde"), rows)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, _check_seeds, field_digest, initial_state
 from .ioutil import _check_count, _defaults, _json_value, _read_json, _write_json, write_csv
-from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, schedule_coverage
+from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, opening_coverage, skip_intervals
 from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
 
 # Reference norms below this are skipped when averaging relative drifts.
@@ -215,13 +214,13 @@ class ExperimentResult:
     ablation: tuple[dict, ...] = ()
     sweep: tuple[dict, ...] = ()
 
-    @cached_property  # read by every per-seed row, so the schedule's coverage is counted once per result
+    @property
     def cached_nfe(self) -> int:
-        return len(schedule_coverage(self.bundle.schedule, self.bundle.grid.n_steps)[1])
+        return len(opening_coverage(self.bundle.opening)[1])
 
     @property
     def skip_ratio(self) -> float:
-        return 1.0 - self.cached_nfe / self.bundle.grid.n_steps
+        return opening_coverage(self.bundle.opening)[0]
 
     @property
     def speedup(self) -> float:
@@ -331,19 +330,21 @@ def _cached_runs(result: ExperimentResult, ablation: bool, sweep_taus: Sequence)
     evaluation runs takes the reports' drifts. Only the evaluation rows keep
     records; the others yield terminal drift only.
     """
-    config, bundle = result.config, result.bundle
-    own = (config.use_mi, config.use_di)
+    config, bundle, n = result.config, result.bundle, result.bundle.grid.n_steps
+    own, key = (config.use_mi, config.use_di), bundle.schedule.tobytes()
     swept = [build_schedule(bundle.indicators, bundle.grid, *taus, config.h_max) for taus in sweep_taus]
-    settings = [(bundle.schedule, own)] + [(bundle.schedule, t) for t in ABLATION_ORDER if ablation]
-    groups: dict = {}  # (schedule bytes, toggles) -> (schedule, toggles), the evaluation runs' first
-    for schedule, setting in settings + [(schedule, own) for schedule in swept]:
-        groups.setdefault((schedule.tobytes(), setting), (schedule, setting))
+    openings = {key: bundle.opening}  # each distinct schedule's skip_intervals row, by its bytes
+    for schedule in swept:
+        if schedule.tobytes() not in openings:
+            openings[schedule.tobytes()] = skip_intervals(schedule, n)
+    settings = [(key, own)] + [(key, t) for t in ABLATION_ORDER if ablation] + [(s.tobytes(), own) for s in swept]
+    groups: dict = dict.fromkeys(settings)  # (schedule bytes, toggles), in walk order, the evaluation runs' first
     x0, conditions = _evaluation_batch(result)  # a row per evaluation seed for each group
-    kept, walked = len(conditions), list(groups.values())
-    schedules = [schedule for schedule, _ in walked for _ in conditions]
-    toggles = [CompensationToggles(*setting) for _, setting in walked for _ in conditions]
-    x0, conditions = np.tile(x0, (len(walked), 1)), conditions * len(walked)
-    walk = _cached_kernel(result.velocity_field, bundle, x0, conditions, toggles, kept, result.references, schedules)
+    kept = len(conditions)
+    opening = np.repeat([openings[schedule] for schedule, _ in groups], kept, axis=0)
+    toggles = [CompensationToggles(*setting) for _, setting in groups for _ in conditions]
+    x0, conditions = np.tile(x0, (len(groups), 1)), conditions * len(groups)
+    walk = _cached_kernel(result.velocity_field, bundle, x0, conditions, toggles, kept, result.references, opening)
     records, final, x0 = [], None, None  # the walk keeps its own copy of the start rows
     for run in walk:  # the record-free rows' steps, then the records
         if isinstance(run, TrajectoryRecord):
@@ -354,14 +355,14 @@ def _cached_runs(result: ExperimentResult, ablation: bool, sweep_taus: Sequence)
         groups.update(zip(list(groups)[1:], _final_drifts(result, final).reshape(-1, kept)))
         final = None
     result = replace(result, reports=tuple(map(compare_trajectories, result.references, records)))
-    groups[bundle.schedule.tobytes(), own] = result.final_drifts  # now each group's terminal drifts
+    groups[key, own] = result.final_drifts  # now each group's terminal drifts
     ablation_rows, sweep_rows = [], []
     for use_mi, use_di in ABLATION_ORDER if ablation else ():
-        mean, stderr = _mean_stderr(groups[bundle.schedule.tobytes(), (use_mi, use_di)])
+        mean, stderr = _mean_stderr(groups[key, (use_mi, use_di)])
         row = dict(use_mi=use_mi, use_di=use_di, nfe=result.cached_nfe, speedup=result.speedup)
         ablation_rows.append(dict(row, mean_final_drift=mean, stderr_final_drift=stderr))
     for (tau_k, tau_d), schedule in zip(sweep_taus, swept):
-        skip_ratio, anchors = schedule_coverage(schedule, bundle.grid.n_steps)
+        skip_ratio, anchors = opening_coverage(openings[schedule.tobytes()])
         row = dict(tau_k=tau_k, tau_d=tau_d, cached_nfe=len(anchors), skip_ratio=skip_ratio)
         sweep_rows.append(dict(row, final_drift=float(groups[schedule.tobytes(), own].mean())))
     return replace(result, ablation=tuple(ablation_rows), sweep=tuple(sweep_rows))
@@ -377,10 +378,9 @@ def write_drift_profile_csv(result: ExperimentResult, path: str | Path) -> None:
     grid = result.bundle.grid
     state = np.stack([r.state_drift for r in result.reports]).mean(axis=0)
     vel = np.stack([r.velocity_drift for r in result.reports]).mean(axis=0)
-    anchors = set(schedule_coverage(result.bundle.schedule, grid.n_steps)[1])
     rows: list[tuple] = []
-    for n in range(grid.n_steps):
-        rows.append((n, float(grid.times[n]), float(state[n]), float(vel[n]), n in anchors))
+    for n, anchor in enumerate((result.bundle.opening > 0).tolist()):
+        rows.append((n, float(grid.times[n]), float(state[n]), float(vel[n]), anchor))
     rows.append((grid.n_steps, float(grid.times[-1]), float(state[-1]), None, None))
     write_csv(path, ("n", "t", "state_drift", "vel_drift", "is_anchor"), rows)
 

@@ -55,25 +55,30 @@ def build_schedule(indicators: IndicatorTable, grid: TimeGrid, tau_k: float, tau
     return np.minimum(magnitude, _stable_intervals(indicators.d_tilde, tau_d, h_max))
 
 
-def skip_intervals(schedule: np.ndarray, n_steps: int) -> list[tuple[int, int]]:
-    """The ``(start, length)`` intervals the inference loop walks, in order.
+def skip_intervals(schedule: np.ndarray, n_steps: int) -> np.ndarray:
+    """The intervals the inference loop walks, as an (N,) row: each interval's length at its start, 0 elsewhere.
 
-    Each interval opens with one oracle evaluation at ``start``. Step 0 is
+    Each interval opens with one oracle evaluation at its start. Step 0 is
     always a length-1 standard update, since the direction anchor of a skip
     needs an earlier evaluated velocity; every later interval is
     ``min(schedule[n], N - n)`` steps long, so length 1 is a standard update
-    and a longer interval reconstructs its remaining steps.
+    and a longer interval reconstructs its remaining steps, where the row
+    holds 0.
     """
-    intervals: list[tuple[int, int]] = []
+    opening = [0] * n_steps
     n = 0
     while n < n_steps:
-        h = 1 if n == 0 else min(int(schedule[n]), n_steps - n)
-        intervals.append((n, h))
+        opening[n] = h = 1 if n == 0 else min(int(schedule[n]), n_steps - n)
         n += h
-    return intervals
+    return np.array(opening, dtype=int)
+
+
+def opening_coverage(opening: np.ndarray) -> tuple[float, list[int]]:
+    """Skip ratio and anchor (evaluated) step indices of a ``skip_intervals`` row: the interval starts."""
+    anchors = np.flatnonzero(opening).tolist()
+    return 1.0 - len(anchors) / len(opening), anchors
 
 
 def schedule_coverage(schedule: np.ndarray, n_steps: int) -> tuple[float, list[int]]:
-    """Skip ratio and anchor (evaluated) step indices: the interval starts."""
-    anchors = [start for start, _ in skip_intervals(schedule, n_steps)]
-    return 1.0 - len(anchors) / n_steps, anchors
+    """``opening_coverage`` of the schedule's ``skip_intervals`` row."""
+    return opening_coverage(skip_intervals(schedule, n_steps))

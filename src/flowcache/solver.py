@@ -22,7 +22,7 @@ import numpy as np
 from .decomposition import _row_dots, _shrunk
 from .errors import FieldError, InvalidArgumentError, NumericDomainError
 from .fields import Condition, VelocityField
-from .ioutil import _check_count, _is_int, write_csv
+from .ioutil import _check_count, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +53,6 @@ class TimeGrid:
 
 
 def make_uniform_grid(n_steps: int) -> TimeGrid:
-    if _is_int(n_steps) and n_steps < 1:
-        raise InvalidArgumentError(f"n_steps must be >= 1, got {n_steps}")
     _check_count("n_steps", n_steps, lambda key, reason: InvalidArgumentError(f"{key} {reason}"))
     return TimeGrid(np.linspace(1.0, 0.0, n_steps + 1))
 

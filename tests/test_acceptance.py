@@ -34,6 +34,7 @@ from flowcache.diagnostics import make_bundle, truncation_drifts
 from flowcache.verify import suite_bound, suite_povd, suite_ssc
 
 from conftest import GMM_COMPONENTS
+from test_calibration import version_1
 
 GMM_SPEC = FieldSpec(kind="gaussian-mixture", dimension=3, components=GMM_COMPONENTS)
 
@@ -199,13 +200,9 @@ def test_criterion_09_bundle_round_trip(tmp_path):
                 interior = np.unique(rng.uniform(0.0, 1.0, size=n - 1))[::-1]
             grid = TimeGrid(np.concatenate(([1.0], interior, [0.0])))
         scale = 10.0 ** rng.uniform(-3, 2)
-        indicators = IndicatorTable(
-            rng.normal(0.0, scale, size=n),
-            np.abs(rng.normal(0.0, scale, size=n)),
-            np.abs(rng.normal(0.0, scale, size=n)),
-            np.abs(rng.normal(0.0, scale, size=n)),
-            sample_count=int(rng.integers(1, 50)),
-        )
+        k_tilde = rng.normal(0.0, scale, size=n)
+        d_tilde, k_std, d_std = (np.abs(rng.normal(0.0, scale, size=n)) for _ in range(3))  # spreads: a /1 document's
+        indicators = IndicatorTable(k_tilde, d_tilde, sample_count=int(rng.integers(1, 50)))
         tau_k = float(rng.uniform(0.0, scale))
         tau_d = float(rng.uniform(0.0, scale))
         h_max = int(rng.integers(1, 16))
@@ -220,13 +217,14 @@ def test_criterion_09_bundle_round_trip(tmp_path):
             field_digest=hashlib.sha256(f"digest-{case}".encode()).hexdigest(),  # the form read_bundle accepts
             seeds=tuple(int(s) for s in rng.integers(0, 2**63, size=3)),
         )
-        path = tmp_path / f"bundle_{case}.json"
+        path, old = tmp_path / f"bundle_{case}.json", tmp_path / f"bundle_{case}_v1.json"
         write_bundle(bundle, path)
-        loaded = read_bundle(path)
-        rebuilt = build_schedule(loaded.indicators, loaded.grid, loaded.tau_k, loaded.tau_d, loaded.h_max)
-        np.testing.assert_array_equal(rebuilt, loaded.schedule)
-        np.testing.assert_array_equal(rebuilt, bundle.schedule)
-    print("PASS criterion 9 (bundle round-trip): 100 random bundles re-schedule bit-exactly after write/read")
+        old.write_text(json.dumps(version_1(json.loads(path.read_text()), k_std, d_std)))
+        for loaded in map(read_bundle, (path, old)):  # the written bundle, and the same bundle as a /1 document
+            rebuilt = build_schedule(loaded.indicators, loaded.grid, loaded.tau_k, loaded.tau_d, loaded.h_max)
+            np.testing.assert_array_equal(rebuilt, loaded.schedule)
+            np.testing.assert_array_equal(rebuilt, bundle.schedule)
+    print("PASS criterion 9 (bundle round-trip): 100 random bundles, as /2 and /1 documents, re-schedule bit-exactly")
 
 
 def test_criterion_10_manifest_reproducibility(tmp_path):

@@ -34,10 +34,9 @@ from flowcache import (
 from flowcache.cached_sampler import _cached_kernel
 from flowcache.diagnostics import ABLATION_ORDER, compare_trajectories
 from flowcache.fields import _Mixture
-from flowcache.schedule import skip_intervals
 from flowcache.solver import _full_kernel
 
-from test_kernels import KERNEL_FIELDS, _mixture, _setup
+from test_kernels import KERNEL_FIELDS, _intervals, _mixture, _setup
 
 
 def _starts(field, seeds):
@@ -190,7 +189,7 @@ class TestBatchedSamplers:
         # references serve the anchors up to and including the first skip's
         config = ExperimentConfig(_mixture(1024, 2, 5), 100, (1, 2, 3, 4), tuple(range(100, 106)), tau_k=0.3, tau_d=3.0)
         result = run_experiment(config)
-        intervals = skip_intervals(result.bundle.schedule, config.n_steps)
+        intervals = _intervals(result.bundle.schedule, config.n_steps)
         served = sum(n <= next(n for n, h in intervals if h > 1) for n, _ in intervals)
         assert result.cached_nfe - served > 1
         assert result.velocity_field.evaluations == config.n_steps + result.cached_nfe - served
@@ -219,14 +218,14 @@ class TestBatchedSamplers:
         records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
         field.reset_evaluations()
         steps = _cached_kernel(field, bundle, x0, conditions, toggles, False)
-        _assert_steps_equal_the_records(steps, records, x0, skip_intervals(bundle.schedule, bundle.grid.n_steps))
+        _assert_steps_equal_the_records(steps, records, x0, _intervals(bundle.schedule, bundle.grid.n_steps))
         assert field.evaluations == records[0].nfe < bundle.grid.n_steps  # one oracle call per anchor
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_a_record_free_cached_walk_yields_once_per_interval(self, name):
         field, _, bundle = _setup(name)
         x0, conditions = _starts(field, (100, 101))
-        intervals = skip_intervals(bundle.schedule, bundle.grid.n_steps)
+        intervals = _intervals(bundle.schedule, bundle.grid.n_steps)
         assert len(intervals) < bundle.grid.n_steps
         steps = _cached_kernel(field, bundle, x0, conditions, CompensationToggles(), records=False)
         assert sum(1 for _ in steps) == len(intervals)
@@ -240,7 +239,7 @@ class TestBatchedSamplers:
         x0, conditions = _starts(field, range(100, 100 + batch))
         references = list(_full_kernel(field, grid, x0, conditions))
         records = list(_cached_kernel(field, bundle, x0, conditions, toggles))
-        intervals = skip_intervals(bundle.schedule, grid.n_steps)
+        intervals = _intervals(bundle.schedule, grid.n_steps)
         n1 = next(n for n, h in intervals if h > 1)
         calls = records[0].nfe - sum(n <= n1 for n, _ in intervals)  # no oracle call up to the first skip's anchor
         field.reset_evaluations()
@@ -305,9 +304,7 @@ def _row_dependent_field(monkeypatch, fault_step=None, grid=None):
 
 def _skipping_bundle(n_steps=20, h=4):
     grid = make_uniform_grid(n_steps)
-    indicators = IndicatorTable(
-        np.full(n_steps, 0.1), np.full(n_steps, 0.5), np.zeros(n_steps), np.zeros(n_steps), sample_count=1
-    )
+    indicators = IndicatorTable(np.full(n_steps, 0.1), np.full(n_steps, 0.5), sample_count=1)
     schedule = [1] + [min(h, n_steps - i) for i in range(1, n_steps)]
     return ScheduleBundle(grid, indicators, schedule, 1.0, 1.0, h, "0" * 64, (1,))  # any digest of the form a bundle holds
 

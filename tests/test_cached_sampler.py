@@ -22,9 +22,8 @@ from flowcache import (
 )
 from flowcache.diagnostics import ExperimentConfig, make_bundle
 from flowcache.errors import FieldError
-from flowcache.schedule import skip_intervals
 
-from test_kernels import KERNEL_FIELDS, _reference_cached, _setup, ref_anchor, ref_direction, ref_reconstruct
+from test_kernels import KERNEL_FIELDS, _intervals, _reference_cached, _setup, ref_anchor, ref_direction, ref_reconstruct
 
 
 # The rules below are stated on the test-local reference, which the samplers'
@@ -46,7 +45,7 @@ class TestInitDirection:
     def test_zero_previous_velocity(self):
         # the oracle returns a zero velocity at one anchor: that interval and the next have no direction
         field, grid, bundle = _setup("rotation")
-        intervals = skip_intervals(bundle.schedule, grid.n_steps)
+        intervals = _intervals(bundle.schedule, grid.n_steps)
         j = next(j for j in range(1, len(intervals) - 1) if intervals[j][1] > 1 and intervals[j + 1][1] > 1)
         zero_t = float(grid.times[intervals[j][0]])
         field = VelocityField(KERNEL_FIELDS["rotation"][0])

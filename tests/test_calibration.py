@@ -24,10 +24,11 @@ from flowcache import (
     field_digest,
     make_uniform_grid,
     read_bundle,
+    sample_cached,
     write_bundle,
 )
 from flowcache import calibration
-from flowcache.calibration import BUNDLE_KEYS, bundles_equal, write_indicator_csv
+from flowcache.calibration import BUNDLE_FORMAT, BUNDLE_KEYS, bundles_equal, write_indicator_csv
 from flowcache.decomposition import _accel_rows, _decompose_rows
 from flowcache.errors import FieldError
 from flowcache.fields import initial_state
@@ -36,7 +37,19 @@ from flowcache.solver import sample_full
 from test_kernels import KERNEL_FIELDS, _mixture, ref_split
 
 
-BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "k_std", "d_std", "h")
+BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "h")
+# The per-step spreads a tacache-bundle/1 document also holds, after d_tilde.
+SPREADS = ("k_std", "d_std")
+
+
+def version_1(document, k_std=None, d_std=None):
+    """The tacache-bundle/1 form of the /2 bundle ``document``: ``k_std`` and ``d_std`` columns (zeros where not
+    given) after ``d_tilde``, in the /1 writer's key order."""
+    columns = [[0.0] * document["n_steps"] if column is None else list(column) for column in (k_std, d_std)]
+    items = list(document.items())
+    at = list(document).index("d_tilde") + 1
+    spreads = list(zip(SPREADS, columns))
+    return dict(items[:at] + spreads + items[at:], format_version="tacache-bundle/1")
 
 
 def _gmm_bundle(gmm_spec, n_steps=20, seeds=(1, 2, 3), tau_k=0.06, tau_d=0.6, h_max=12):
@@ -68,7 +81,6 @@ class TestCalibrate:
         ind = calibrate(vf, make_uniform_grid(10), [Condition(s) for s in range(5)])
         np.testing.assert_array_equal(ind.k_tilde, np.zeros(10))
         np.testing.assert_array_equal(ind.d_tilde, np.zeros(10))
-        np.testing.assert_array_equal(ind.k_std, np.zeros(10))
         assert ind.sample_count == 5
 
     def test_decay_field_matches_per_sample(self, decay_spec):
@@ -91,7 +103,6 @@ class TestCalibrate:
         splits = _own_splits(record)
         np.testing.assert_array_equal(ind.k_tilde[:-1], [k for k, _, _ in splits])
         np.testing.assert_array_equal(ind.d_tilde[:-1], [d for _, _, d in splits])
-        np.testing.assert_array_equal(ind.k_std, np.zeros(12))
 
     def test_hold_last_boundary_entry(self, gmm_spec):
         ind = calibrate(VelocityField(gmm_spec), make_uniform_grid(8), [Condition(3)])
@@ -104,12 +115,16 @@ class TestCalibrate:
 
     def test_cross_sample_stability_probe(self, gmm_spec):
         # coefficient of variation finite, and steps never jump by more than
-        # a multiple of the curve's typical level
+        # a multiple of the curve's typical level; the spread is that of the
+        # per-seed decomposition rows the table averages
         vf = VelocityField(gmm_spec)
-        ind = calibrate(vf, make_uniform_grid(50), [Condition(s) for s in range(1000, 1030)])
+        grid, conditions = make_uniform_grid(50), [Condition(s) for s in range(1000, 1030)]
+        ind = calibrate(vf, grid, conditions)
+        rows = _per_seed_rows(vf, grid, conditions)
+        _assert_curves(ind, _reference_curves(vf, grid, conditions))
         d = ind.d_tilde[:-1]  # estimated region, boundary entry excluded
         assert np.all(d > 0)
-        cov = ind.d_std[:-1] / d
+        cov = rows[1].std(axis=0, ddof=1) / d
         assert np.isfinite(cov).all()
         second = np.abs(np.diff(d, 2))
         assert second.max() <= 5.0 * np.median(d)
@@ -117,33 +132,40 @@ class TestCalibrate:
     def test_indicator_tables_stabilize_with_set_size(self, gmm_spec):
         vf = VelocityField(gmm_spec)
         grid = make_uniform_grid(50)
-        small = calibrate(vf, grid, [Condition(s) for s in range(1000, 1006)])
+        small_seeds = [Condition(s) for s in range(1000, 1006)]
+        small = calibrate(vf, grid, small_seeds)
         large = calibrate(vf, grid, [Condition(s) for s in range(3000, 3060)])
-        se_k = small.k_std / np.sqrt(small.sample_count)
-        se_d = small.d_std / np.sqrt(small.sample_count)
-        assert np.all(np.abs(small.k_tilde - large.k_tilde) < 4.0 * se_k)
-        assert np.all(np.abs(small.d_tilde - large.d_tilde) < 4.0 * se_d)
+        _assert_curves(small, _reference_curves(vf, grid, small_seeds))
+        # the standard error of each step's mean, from the spread of the per-seed rows the table averages
+        se_k, se_d = _per_seed_rows(vf, grid, small_seeds).std(axis=1, ddof=1) / np.sqrt(small.sample_count)
+        assert np.all(np.abs(small.k_tilde[:-1] - large.k_tilde[:-1]) < 4.0 * se_k)
+        assert np.all(np.abs(small.d_tilde[:-1] - large.d_tilde[:-1]) < 4.0 * se_d)
 
 
-def _reference_curves(field, grid, conditions):
-    """``(k_tilde, d_tilde, k_std, d_std)`` from per-seed ``sample_full`` records, each decomposed on its own."""
+def _per_seed_rows(field, grid, conditions):
+    """The (2, B, N - 1) per-seed ``k`` and ``d`` of each step with a look-ahead velocity, from per-seed
+    ``sample_full`` records, each decomposed on its own."""
     n = grid.n_steps
     dt = grid.dt[:-1]
     rows = np.empty((2, len(conditions), max(n - 1, 0)))
     for i, condition in enumerate(conditions):
         v = sample_full(field, grid, initial_state(condition, field.dimension), condition).velocities
         rows[0, i], _, rows[1, i] = _decompose_rows(v[:-1], _accel_rows(v[:-1], v[1:], dt), dt)
-    curves = np.zeros((4, n))
+    return rows
+
+
+def _reference_curves(field, grid, conditions):
+    """``(k_tilde, d_tilde)``: the means of ``_per_seed_rows``, the final step holding the last."""
+    n = grid.n_steps
+    curves = np.zeros((2, n))
     if n > 1:
-        curves[:2, : n - 1] = rows.mean(axis=1)
-        if len(conditions) > 1:
-            curves[2:, : n - 1] = rows.std(axis=1, ddof=1)
+        curves[:, : n - 1] = _per_seed_rows(field, grid, conditions).mean(axis=1)
         curves[:, n - 1] = curves[:, n - 2]
     return curves
 
 
 def _assert_curves(table, curves):
-    for name, want in zip(("k_tilde", "d_tilde", "k_std", "d_std"), curves, strict=True):
+    for name, want in zip(("k_tilde", "d_tilde"), curves, strict=True):
         assert np.array_equal(getattr(table, name), want), name
 
 
@@ -238,40 +260,36 @@ class TestStreamedCalibration:
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
                 huge = table(target)
-        for name in ("k_tilde", "d_tilde", "k_std", "d_std"):
+        for name in ("k_tilde", "d_tilde"):
             np.testing.assert_allclose(getattr(huge, name), getattr(unit, name), rtol=0.0, atol=tolerance)
 
 
 class TestIndicatorTable:
     def test_negative_direction_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            IndicatorTable(np.zeros(3), np.array([0.0, -0.1, 0.0]), np.zeros(3), np.zeros(3), 1)
+            IndicatorTable(np.zeros(3), np.array([0.0, -0.1, 0.0]), 1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            IndicatorTable(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1)
+            IndicatorTable(np.zeros(3), np.zeros(2), 1)
 
-    @pytest.mark.parametrize("column", ["d_tilde", "k_std", "d_std"])
-    def test_the_first_column_of_another_length_is_named(self, column):
-        names = ["k_tilde", "d_tilde", "k_std", "d_std"]
-        # every column from ``column`` on is shorter than k_tilde, so the rule must name the first of them
-        columns = {name: np.zeros(3 if names.index(name) >= names.index(column) else 4) for name in names}
-        with pytest.raises(FieldError, match=rf"^{column}: must be 1-d and as long as k_tilde, got shape \(3,\)$"):
-            IndicatorTable(**columns, sample_count=1)
+    def test_a_column_of_another_length_is_named(self):
+        with pytest.raises(FieldError, match=r"^d_tilde: must be 1-d and as long as k_tilde, got shape \(3,\)$"):
+            IndicatorTable(np.zeros(4), np.zeros(3), sample_count=1)
 
     def test_a_column_that_is_not_1d_is_named(self):
         with pytest.raises(FieldError, match=r"^k_tilde: must be 1-d and as long as k_tilde, got shape \(2, 2\)$"):
-            IndicatorTable(np.zeros((2, 2)), np.zeros(4), np.zeros(4), np.zeros(4), 1)
+            IndicatorTable(np.zeros((2, 2)), np.zeros(4), 1)
 
     @pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
     def test_a_sample_count_that_is_not_an_integer_is_named(self, bad):
         with pytest.raises(FieldError, match=rf"^sample_count: must be an integer, got {bad!r}$"):
-            IndicatorTable(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), bad)
+            IndicatorTable(np.zeros(3), np.zeros(3), bad)
 
-    @pytest.mark.parametrize("column", ["k_tilde", "d_tilde", "k_std", "d_std"])
+    @pytest.mark.parametrize("column", ["k_tilde", "d_tilde"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_named(self, column, bad):
-        columns = {name: np.zeros(4) for name in ("k_tilde", "d_tilde", "k_std", "d_std")}
+        columns = {name: np.zeros(4) for name in ("k_tilde", "d_tilde")}
         columns[column][2] = bad
         with pytest.raises(FieldError, match=rf"^{column}: entry 2 is not finite: {bad!r}$"):
             IndicatorTable(**columns, sample_count=1)
@@ -288,7 +306,9 @@ class TestBundleRoundTrip:
     def test_the_writer_emits_the_table_keys_in_order(self, tmp_path, gmm_spec):
         path = tmp_path / "bundle.json"
         write_bundle(_gmm_bundle(gmm_spec), path)
-        assert list(json.loads(path.read_text())) == list(BUNDLE_KEYS) and len(BUNDLE_KEYS) == 15
+        document = json.loads(path.read_text())
+        assert list(document) == list(BUNDLE_KEYS) and len(BUNDLE_KEYS) == 13
+        assert document["format_version"] == BUNDLE_FORMAT == "tacache-bundle/2"
 
     def test_reschedule_reproduces_stored_schedule(self, tmp_path, gmm_spec):
         bundle = _gmm_bundle(gmm_spec)
@@ -374,14 +394,16 @@ class TestBundleRoundTrip:
         with pytest.raises(BundleFormatError, match=f"^{key}: {reason}"):
             read_bundle(path)
 
-    def test_version_mismatch_rejected(self, tmp_path, gmm_spec):
+    @pytest.mark.parametrize("version", ["tacache-bundle/3", "tacache-bundle/0", "", None, ["tacache-bundle/2"], 2])
+    def test_an_unknown_version_is_named(self, tmp_path, gmm_spec, version):
         bundle = _gmm_bundle(gmm_spec)
         path = tmp_path / "bundle.json"
         write_bundle(bundle, path)
         data = json.loads(path.read_text())
-        data["format_version"] = "tacache-bundle/2"
+        data["format_version"] = version
         path.write_text(json.dumps(data))
-        with pytest.raises(BundleFormatError, match="format_version"):
+        reason = f"expected one of 'tacache-bundle/2', 'tacache-bundle/1', got {version!r}"
+        with pytest.raises(BundleFormatError, match=f"^format_version: {re.escape(reason)}$"):
             read_bundle(path)
 
     def test_missing_field_named(self, tmp_path, gmm_spec):
@@ -425,6 +447,88 @@ class TestBundleRoundTrip:
         np.testing.assert_array_equal(loaded.indicators.k_tilde, bundle.indicators.k_tilde)
         np.testing.assert_array_equal(loaded.indicators.d_tilde, bundle.indicators.d_tilde)
         np.testing.assert_array_equal(loaded.grid.times, bundle.grid.times)
+
+
+class TestVersion1Reader:
+    """A tacache-bundle/1 document: its ``k_std`` and ``d_std`` columns pass the column rule and are then ignored."""
+
+    def _documents(self, tmp_path, gmm_spec, **spreads):
+        """The bundle, its written /2 document and the /1 form of that document."""
+        bundle = _gmm_bundle(gmm_spec)
+        write_bundle(bundle, tmp_path / "bundle.json")
+        document = json.loads((tmp_path / "bundle.json").read_text())
+        return bundle, document, version_1(document, **spreads)
+
+    def _read(self, tmp_path, document):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        return read_bundle(path)
+
+    def test_a_version_1_bundle_reads_and_samples_as_its_version_2_bundle(self, tmp_path, gmm_spec):
+        rng = np.random.default_rng(5)
+        bundle, _, document = self._documents(tmp_path, gmm_spec, k_std=rng.uniform(0, 2, 20), d_std=[0.5] * 20)
+        assert list(document)[5:7] == list(SPREADS) and len(document) == len(BUNDLE_KEYS) + 2
+        loaded = self._read(tmp_path, document)
+        assert bundles_equal(loaded, bundle) and bundles_equal(loaded, read_bundle(tmp_path / "bundle.json"))
+        field = VelocityField(gmm_spec)
+        for seed in (7, 8):
+            condition = Condition(seed)
+            x0 = initial_state(condition, 3)
+            want, got = (sample_cached(field, b, x0, condition) for b in (bundle, loaded))
+            assert np.array_equal(got.states, want.states) and np.array_equal(got.velocities, want.velocities)
+            assert np.array_equal(got.evaluated, want.evaluated)
+
+    def test_a_rewritten_version_1_bundle_is_version_2(self, tmp_path, gmm_spec):
+        _, written, document = self._documents(tmp_path, gmm_spec)
+        write_bundle(self._read(tmp_path, document), tmp_path / "rewritten.json")
+        assert json.loads((tmp_path / "rewritten.json").read_text()) == written
+
+    @pytest.mark.parametrize("column", SPREADS)
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ("missing", "missing field"),
+            ("short", "length mismatch: expected 20 entries to match n_steps, got 19"),
+            ("long", "length mismatch: expected 20 entries to match n_steps, got 21"),
+            ("not a list", "expected a list of finite numbers, got 5"),
+            ("string entry", "entry 1 is not a finite number: '0.5'"),
+            ("bool entry", "entry 1 is not a finite number: True"),
+            ("null entry", "entry 1 is not a finite number: None"),
+            ("nan entry", "entry 1 is not a finite number: nan"),
+            ("inf entry", "entry 1 is not a finite number: inf"),
+        ],
+    )
+    def test_a_bad_spread_column_is_named(self, tmp_path, gmm_spec, column, fault, reason):
+        _, _, document = self._documents(tmp_path, gmm_spec)
+        values = document[column]
+        if fault == "missing":
+            del document[column]
+        elif fault in ("short", "long"):
+            document[column] = values[:-1] if fault == "short" else values + [0.0]
+        elif fault == "not a list":
+            document[column] = 5
+        else:
+            values[1] = {"string": "0.5", "bool": True, "null": None, "nan": math.nan, "inf": math.inf}[fault.split()[0]]
+        with pytest.raises(BundleFormatError, match=f"^{column}: {re.escape(reason)}$"):
+            self._read(tmp_path, document)
+
+    def test_negative_spreads_are_read(self, tmp_path, gmm_spec):
+        # the /1 reader held no range rule on the spreads beyond finiteness
+        bundle, _, document = self._documents(tmp_path, gmm_spec, k_std=[-1.0] * 20, d_std=[-2.5] * 20)
+        assert bundles_equal(self._read(tmp_path, document), bundle)
+
+    @pytest.mark.parametrize("column", SPREADS)
+    def test_a_version_2_bundle_with_a_spread_is_an_unknown_key(self, tmp_path, gmm_spec, column):
+        _, written, document = self._documents(tmp_path, gmm_spec)
+        with pytest.raises(BundleFormatError, match=f"^{column}: unknown key; expected one of "):
+            self._read(tmp_path, dict(written, **{column: document[column]}))
+
+    def test_a_version_1_bundle_keeps_the_other_rules(self, tmp_path, gmm_spec):
+        _, _, document = self._documents(tmp_path, gmm_spec)
+        with pytest.raises(BundleFormatError, match="^d_tilde: entries must be non-negative$"):
+            self._read(tmp_path, dict(document, d_tilde=[-1.0] * 20))
+        with pytest.raises(BundleFormatError, match="^extra: unknown key; expected one of "):
+            self._read(tmp_path, dict(document, extra=1))
 
 
 class TestScheduleBundleValidation:
@@ -510,5 +614,5 @@ def test_indicator_csv_shape(tmp_path, gmm_spec):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 15
-    assert list(rows[0].keys()) == ["n", "t", "k_tilde", "d_tilde", "k_std", "d_std"]
+    assert list(rows[0].keys()) == ["n", "t", "k_tilde", "d_tilde"]
     assert float(rows[0]["t"]) == 1.0

@@ -21,6 +21,7 @@ from flowcache.errors import InvalidArgumentError
 from flowcache.verify import SuiteResult, run_suite
 
 from conftest import GMM_COMPONENTS
+from test_calibration import version_1
 
 CONSTANT_CONFIG = {
     "field": {"kind": "constant", "dimension": 2, "target": [1.0, -1.0]},
@@ -463,7 +464,7 @@ class TestCurves:
         assert main(["curves", "--bundle", str(cal_out / "bundle.json"), "--out", str(out)]) == EXIT_OK
         rows = _read_rows(out / "curves.csv")
         assert len(rows) == 30
-        assert list(rows[0].keys()) == ["n", "t", "k_tilde", "d_tilde", "k_std", "d_std"]
+        assert list(rows[0].keys()) == ["n", "t", "k_tilde", "d_tilde"]
 
     def test_decay_bundle_curves(self, tmp_path):
         decay_config = {
@@ -985,6 +986,36 @@ class TestBundleBoundary:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err.getvalue()
 
+
+    def test_a_version_1_bundle_samples_and_exports_as_its_version_2_bundle(self, tmp_path, boundary_bundle):
+        config, valid = boundary_bundle
+        for version, document in (("2", valid), ("1", version_1(valid, k_std=[0.25] * 5))):
+            bundle = _write_config(tmp_path, document, name=f"bundle-{version}.json")
+            for argv in (
+                ["sample", "--config", str(config), "--out", str(tmp_path / f"s{version}"), "--mode", "cached"],
+                ["curves", "--out", str(tmp_path / f"c{version}")],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([*argv, "--bundle", str(bundle)]) == EXIT_OK
+        for name in ("s1/trajectory.csv", "c1/curves.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2", 1)).read_bytes(), name
+
+    @pytest.mark.parametrize("key", ["k_std", "d_std"])
+    @pytest.mark.parametrize("bad", [_DROP, [0.0] * 4, ["x"] * 5], ids=["missing", "short", "non-numeric"])
+    def test_a_bad_version_1_spread_is_named(self, tmp_path, boundary_bundle, key, bad):
+        config, valid = boundary_bundle
+        document = version_1(valid)
+        if bad is _DROP:
+            del document[key]
+        else:
+            document[key] = bad
+        bundle = _write_config(tmp_path, document, name="bundle.json")
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_CONFIG
+        assert f"{key}: " in err.getvalue() and len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert not (tmp_path / "s" / "trajectory.csv").exists()
 
     def test_a_malformed_field_digest_is_named(self, tmp_path, boundary_bundle):
         # curves has no field to compare the digest with, so read_bundle checks its form

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -35,11 +36,12 @@ from flowcache.diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
-from flowcache import calibration, diagnostics
+from flowcache import calibration, diagnostics, schedule
 from flowcache.calibration import bundles_equal, calibrate
+from flowcache.cli import main
 from flowcache.schedule import build_schedule, schedule_coverage, skip_intervals
 
-from test_kernels import KERNEL_FIELDS, _mixture, ref_anchor, ref_direction, ref_split
+from test_kernels import KERNEL_FIELDS, _intervals, _mixture, ref_anchor, ref_direction, ref_split
 
 
 def _gmm_config(gmm_spec, **kwargs):
@@ -308,18 +310,47 @@ class TestRunExperiment:
         assert trunc.size == len(config.evaluation_seeds)
         assert result.mean_final_drift < float(trunc.mean())
 
-    def test_the_cached_nfe_is_counted_once_per_result(self, gmm_spec, monkeypatch):
-        result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000, 2001)))
+    def test_a_bench_works_out_each_distinct_schedule_once(self, gmm_spec, tmp_path, monkeypatch):
+        # the README-config bench with the ablation and three swept pairs, one of them the config's own, walks three
+        # distinct schedules; each is worked out into intervals once, and the bundle's row serves the NFE, the
+        # skip ratio, the drift profile's anchors and the walk
         calls = []
-        monkeypatch.setattr(diagnostics, "schedule_coverage", lambda *args: calls.append(args) or schedule_coverage(*args))
-        first = (result.cached_nfe, result.skip_ratio, result.speedup)
-        assert [(result.cached_nfe, result.skip_ratio, result.speedup) for _ in range(3)] == [first] * 3
-        assert len(calls) == 1
-        assert first[0] == len(schedule_coverage(result.bundle.schedule, result.bundle.grid.n_steps)[1])
+
+        def counted(schedule, n_steps):
+            calls.append(np.asarray(schedule).tobytes())
+            return skip_intervals(schedule, n_steps)
+
+        for module in (diagnostics, schedule):  # the bundle's row imports it from schedule when first read
+            monkeypatch.setattr(module, "skip_intervals", counted)
+        config = _gmm_config(gmm_spec, calibration_seeds=tuple(range(1000, 1006)), evaluation_seeds=(2000, 2001, 2002, 2003))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        argv = ["bench", "--config", str(config_path), "--out", str(tmp_path / "bench"), "--ablation"]
+        assert main([*argv, "--sweep-taus", "0.03:0.3,0.04:0.4,0.06:0.6"]) == 0
+        assert len(calls) == len(set(calls)) == 3
+        with open(tmp_path / "bench" / "drift_profile.csv", newline="") as fh:
+            anchors = [int(row["n"]) for row in csv.DictReader(fh) if row["is_anchor"] == "1"]
+        schedule_h = json.loads((tmp_path / "bench" / "bundle.json").read_text())["h"]
+        assert anchors == schedule_coverage(np.array(schedule_h), config.n_steps)[1]
+
+        calls.clear()  # one cached sample works its bundle's schedule out once, as the walk reads it
+        _, _, bundle = make_bundle(config)
+        sample_cached(VelocityField(gmm_spec), bundle, initial_state(Condition(2000), 3), Condition(2000))
+        assert calls == [bundle.schedule.tobytes()]
+
+    def test_the_summary_figures_read_the_bundle_row(self, gmm_spec):
+        result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000, 2001)))
+        skip_ratio, anchors = schedule_coverage(result.bundle.schedule, result.bundle.grid.n_steps)
+        assert np.flatnonzero(result.bundle.opening).tolist() == anchors
+        assert (result.cached_nfe, result.skip_ratio, result.speedup) == (len(anchors), skip_ratio, 50 / len(anchors))
+        assert result.bundle.opening is result.bundle.opening and not result.bundle.opening.flags.writeable
+        # the row belongs to the bundle, so a result given another bundle reads that bundle's row
+        moved = replace(result, bundle=replace(result.bundle, schedule=np.ones(50, dtype=int)))
+        assert (moved.cached_nfe, moved.skip_ratio, moved.speedup) == (50, 0.0, 1.0)
 
     def test_a_non_positive_truncated_step_count_is_rejected_by_the_grid_rule(self, gmm_spec):
         result = run_experiment(_gmm_config(gmm_spec, evaluation_seeds=(2000,)))
-        with pytest.raises(InvalidArgumentError, match=r"^n_steps must be >= 1, got 0$"):
+        with pytest.raises(InvalidArgumentError, match=r"^n_steps must be positive, got 0$"):
             truncation_drifts(result, 0)
 
     def test_evaluated_steps_drift_less_than_cached(self, gmm_spec):
@@ -347,7 +378,7 @@ class TestRunExperiment:
         field, grid, bundle = make_bundle(config)
         assert bundles_equal(result.bundle, bundle)
         indicators = calibrate(field, grid, [Condition(seed) for seed in config.calibration_seeds])
-        for key in ("k_tilde", "d_tilde", "k_std", "d_std"):
+        for key in ("k_tilde", "d_tilde"):
             assert np.array_equal(getattr(result.bundle.indicators, key), getattr(indicators, key))
         for seed, full in zip(config.evaluation_seeds, result.references, strict=True):
             single = sample_full(field, grid, initial_state(Condition(seed), spec.dimension), Condition(seed))
@@ -419,14 +450,14 @@ def _reference_finals(result, bundle, toggles):
 
 def _asked_past_references(schedule, n_steps):
     """The anchors past n1, the anchor of the schedule's first interval longer than 1: the ones the oracle serves."""
-    intervals = skip_intervals(schedule, n_steps)
+    intervals = _intervals(schedule, n_steps)
     n1 = next((n for n, h in intervals if h > 1), n_steps - 1)
     return {n for n, _ in intervals if n > n1}
 
 
 def _served_by_references(schedule, n_steps):
     """The anchors at or before n1, the anchor of the schedule's first interval longer than 1 (all, if none is)."""
-    intervals = skip_intervals(schedule, n_steps)
+    intervals = _intervals(schedule, n_steps)
     n1 = next((n for n, h in intervals if h > 1), n_steps - 1)
     return sum(n <= n1 for n, _ in intervals)
 

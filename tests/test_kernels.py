@@ -45,6 +45,11 @@ from flowcache.schedule import skip_intervals
 from flowcache.solver import _full_kernel
 
 
+def _intervals(schedule, n_steps):
+    """The ``(start, length)`` intervals of a schedule's ``skip_intervals`` row, in order."""
+    return [(n, h) for n, h in enumerate(skip_intervals(schedule, n_steps).tolist()) if h]
+
+
 def ref_euler(state, velocity, dt):
     return state - dt * velocity
 
@@ -110,7 +115,7 @@ def _reference_cached(field, bundle, x0, condition, toggles):
     directions = np.full((n_steps, field.dimension), np.nan)
     states[0] = x0
     last = None
-    for n, h in skip_intervals(bundle.schedule, n_steps):
+    for n, h in _intervals(bundle.schedule, n_steps):
         v = field.evaluate(states[n], float(grid.times[n]), condition)
         evaluated[n] = True
         anchor = ref_anchor(last, v) if h > 1 else None
@@ -238,7 +243,7 @@ class TestNonFiniteOracle:
     @pytest.mark.parametrize("sampler", ["full", "cached"])
     def test_raises_numeric_domain_error(self, sampler, value):
         _, grid, bundle = _setup("mixture-d3")
-        anchors = [n for n, _ in skip_intervals(bundle.schedule, grid.n_steps)]
+        anchors = [n for n, _ in _intervals(bundle.schedule, grid.n_steps)]
         bad_step = anchors[len(anchors) // 2]  # an anchor, so both samplers evaluate it
         assert bad_step > 0
         field = _PoisonedField(KERNEL_FIELDS["mixture-d3"][0], float(grid.times[bad_step]), value)
@@ -278,7 +283,7 @@ class TestFloatingPointState:
         # checked at each interval's end, so it names the end of the interval in which the state left the range.
         # The rotation oracle ignores the state, so no non-finite oracle output at the next anchor comes first
         field, grid, bundle = _setup("rotation")
-        n, h = max(skip_intervals(bundle.schedule, grid.n_steps), key=lambda interval: interval[1])
+        n, h = max(_intervals(bundle.schedule, grid.n_steps), key=lambda interval: interval[1])
         assert h > 3
         d_tilde = bundle.indicators.d_tilde.copy()
         d_tilde[n : n + 2] = 1e308  # |v_{n+1}| is near 1e308, finite; v_{n+2} overflows, so state n + 3 does

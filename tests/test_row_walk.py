@@ -24,7 +24,7 @@ from flowcache.schedule import build_schedule, skip_intervals
 from flowcache.solver import _full_kernel
 
 from test_batch import _assert_same_run, _starts
-from test_kernels import KERNEL_FIELDS, _mixture, _setup
+from test_kernels import KERNEL_FIELDS, _intervals, _mixture, _setup
 
 # the seeds of a batch of B rows cycle with this period, so rows that share a start state ride beside each other
 PERIODS = {2: 1, 3: 2, 64: 4}
@@ -50,15 +50,20 @@ def _asked(schedules, n_steps, references):
     """The steps at which some run anchors, past those its references serve (up to its first skip's anchor)."""
     steps = set()
     for schedule in schedules:
-        intervals = skip_intervals(schedule, n_steps)
+        intervals = _intervals(schedule, n_steps)
         served = next((n for n, h in intervals if h > 1), n_steps - 1) if references else -1
         steps |= {n for n, _ in intervals if n > served}
     return steps
 
 
+def _opening(schedules, n_steps):
+    """The (B, N) ``skip_intervals`` rows of the runs' ``schedules``: the walk's input."""
+    return np.array([skip_intervals(schedule, n_steps) for schedule in schedules])
+
+
 def _common_ends(schedules, n_steps):
     """The steps after which every run ends an interval, where a walk with record-free rows hands its rows over."""
-    starts = [{n for n, _ in skip_intervals(schedule, n_steps)} for schedule in schedules]
+    starts = [{n for n, _ in _intervals(schedule, n_steps)} for schedule in schedules]
     return [m for m in range(n_steps) if m == n_steps - 1 or all(m + 1 in s for s in starts)]
 
 
@@ -82,15 +87,16 @@ class TestRowsEqualSingleRuns:
         calls = len(_asked(schedules, grid.n_steps, with_references))
         ends = _common_ends(schedules, grid.n_steps)
 
+        opening = _opening(schedules, grid.n_steps)
         field.reset_evaluations()
-        records = list(_cached_kernel(field, bundle, x0, conditions, toggles, None, references, schedules))
+        records = list(_cached_kernel(field, bundle, x0, conditions, toggles, None, references, opening))
         assert field.evaluations == calls  # one oracle call per step at which some run anchors
         for record, single in zip(records, singles, strict=True):
             _assert_same_run(record, single)
 
         for kept in (0, batch // 2):  # record-free, then the first half of the rows with records
             field.reset_evaluations()
-            walk = _cached_kernel(field, bundle, x0, conditions, toggles, kept, references, schedules)
+            walk = _cached_kernel(field, bundle, x0, conditions, toggles, kept, references, opening)
             for m, (velocities, states) in zip(ends, itertools.islice(walk, len(ends))):
                 for row, single in enumerate(singles):
                     assert np.array_equal(velocities[row], single.velocities[m])
@@ -119,13 +125,13 @@ class TestHugeRow:
         conditions = [Condition(100), Condition(100), Condition(101), Condition(100)]
         x0 = np.array([initial_state(c, 2) for c in conditions])
         x0[1] = np.ldexp(x0[1], 600)  # the huge row: the first row's start, 2**600 times as far out
-        schedules = [bundle.schedule, bundle.schedule, swept.schedule, swept.schedule]
+        opening = _opening([bundle.schedule, bundle.schedule, swept.schedule, swept.schedule], grid.n_steps)
         toggles = CompensationToggles()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                records = list(_cached_kernel(field, bundle, x0, conditions, toggles, None, (), schedules))
-                *_, (_, final) = _cached_kernel(field, bundle, x0, conditions, toggles, 0, (), schedules)
+                records = list(_cached_kernel(field, bundle, x0, conditions, toggles, None, (), opening))
+                *_, (_, final) = _cached_kernel(field, bundle, x0, conditions, toggles, 0, (), opening)
         unit, huge = records[:2]
         assert unit.nfe < 50 and np.isfinite(huge.velocities).all()
         assert np.array_equal(huge.velocities, np.ldexp(unit.velocities, 600))
@@ -145,10 +151,10 @@ class TestOneWalkPerExperiment:
         walks = []
         kernel = diagnostics._cached_kernel
 
-        def counted(field, bundle, x0, conditions, toggles, records, references, schedules):
+        def counted(field, bundle, x0, conditions, toggles, records, references, opening):
             before = field.evaluations
-            yield from kernel(field, bundle, x0, conditions, toggles, records, references, schedules)
-            walks.append((len(x0), records, field.evaluations - before, {s.tobytes() for s in schedules}))
+            yield from kernel(field, bundle, x0, conditions, toggles, records, references, opening)
+            walks.append((len(x0), records, field.evaluations - before, {row.tobytes() for row in opening}))
 
         monkeypatch.setattr(diagnostics, "_cached_kernel", counted)
         taus = [(0.03, 0.3), (0.0, 0.0), (0.06, 0.6), (0.03, 0.3)]  # the config's own pair, and one pair twice

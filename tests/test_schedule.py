@@ -20,7 +20,7 @@ from flowcache import schedule
 from flowcache.calibration import IndicatorTable
 from flowcache.diagnostics import make_bundle
 from flowcache.fields import Condition, VelocityField
-from flowcache.schedule import THRESHOLD_PRESETS, _stable_intervals
+from flowcache.schedule import THRESHOLD_PRESETS, _stable_intervals, skip_intervals
 from flowcache.solver import make_uniform_grid
 from flowcache.verify import _brute_force_interval, suite_ssc
 
@@ -109,7 +109,7 @@ class TestMaxStableInterval:
 class TestBuildSchedule:
     def _indicators(self, k, d):
         k = np.asarray(k, dtype=float)
-        return IndicatorTable(k, np.asarray(d, dtype=float), np.zeros_like(k), np.zeros_like(k), 1)
+        return IndicatorTable(k, np.asarray(d, dtype=float), 1)
 
     def test_zero_thresholds_force_single_steps(self):
         grid = make_uniform_grid(6)
@@ -188,6 +188,25 @@ class TestBuildSchedule:
         ind = calibrate(vf, grid, [Condition(s) for s in range(5)])
         h = build_schedule(ind, grid, DEFAULT_TAU_K, DEFAULT_TAU_D, DEFAULT_H_MAX)
         np.testing.assert_array_equal(h, [min(12, 50 - n) for n in range(50)])
+
+
+class TestSkipIntervals:
+    def test_the_row_holds_each_interval_length_at_its_start(self):
+        row = skip_intervals(np.array([min(12, 50 - n) for n in range(50)]), 50)
+        assert row.shape == (50,) and row.dtype.kind == "i" and row.sum() == 50
+        assert np.flatnonzero(row).tolist() == [0, 1, 13, 25, 37, 49]
+        assert row[[0, 1, 13, 25, 37, 49]].tolist() == [1, 12, 12, 12, 12, 1]
+
+    def test_random_schedules_match_a_step_by_step_walk(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n, h_max = int(rng.integers(1, 40)), int(rng.integers(1, 15))
+            schedule = np.array([rng.integers(1, min(h_max, n - i) + 1) for i in range(n)])
+            want, m = np.zeros(n, dtype=int), 0
+            while m < n:  # step 0 a standard update, then each schedule entry in turn
+                want[m] = 1 if m == 0 else schedule[m]
+                m += want[m]
+            assert np.array_equal(skip_intervals(schedule, n), want)
 
 
 class TestScheduleCoverage:
