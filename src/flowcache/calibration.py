@@ -23,6 +23,7 @@ from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, _check_seeds, initial_state
 from .ioutil import _check_count, _create, _integral, _read_json, _write_json, write_csv
+from .schedule import _check_thresholds, skip_intervals
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
 
@@ -110,18 +111,6 @@ def _indicators(grid: TimeGrid, shape: tuple[int, int], step_rows: Iterator[np.n
     return IndicatorTable(*curves, sample_count=b)
 
 
-def _check_thresholds(error=FieldError, **values: float) -> None:
-    """The threshold rule on the given keys: ``tau_k`` and ``tau_d`` finite and >= 0, ``h_max`` an integer >= 1.
-
-    NaN fails it, and so do a float or bool ``h_max``. The first breach raises ``error(key, reason)``.
-    """
-    for key, value in values.items():
-        if key == "h_max":
-            _check_count(key, value, error)
-        elif not (math.isfinite(value) and value >= 0):
-            raise error(key, f"thresholds must be non-negative and finite, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduleBundle:
     """The pre-computed calibration artifact: indicators + skip schedule.
@@ -169,7 +158,6 @@ class ScheduleBundle:
     @cached_property
     def opening(self) -> np.ndarray:
         """The schedule's read-only ``skip_intervals`` row, worked out once for every run and result that reads it."""
-        from .schedule import skip_intervals  # schedule imports this module
         opening = skip_intervals(self.schedule, self.grid.n_steps)
         opening.flags.writeable = False
         return opening

@@ -1,4 +1,4 @@
-"""Command-line surface: calibrate, sample, verify, bench, curves.
+"""Command-line surface: calibrate, sample, verify, bench.
 
 Every run resolves its configuration (file plus flag overrides), writes the
 requested outputs, and records a ``manifest.json`` embedding the resolved
@@ -10,6 +10,7 @@ configuration or I/O problems, 3 for verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cached_sampler import sample_cached
-from .calibration import _check_thresholds, read_bundle, write_bundle, write_indicator_csv
+from .calibration import read_bundle, write_bundle, write_indicator_csv
 from .diagnostics import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -36,7 +37,7 @@ from .diagnostics import (
 from .errors import FieldError, FlowCacheError, InvalidArgumentError
 from .fields import Condition, VelocityField, field_digest, initial_state
 from .ioutil import _create, _defaults, _finite, _json_value, write_csv
-from .schedule import schedule_coverage
+from .schedule import _check_thresholds, schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
 from .verify import SUITES, run_suite
 from .version import __version__
@@ -251,22 +252,12 @@ def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     return outputs
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
-    bundle = read_bundle(args.bundle)
-    out = _out_dir(args)
-    write_indicator_csv(bundle.grid, bundle.indicators, out / "curves.csv")
-    _write_manifest(out, "curves", {"bundle": os.path.abspath(args.bundle)}, ["curves.csv"])
-    print(f"wrote {bundle.grid.n_steps} indicator rows to {out / 'curves.csv'}")
-    return EXIT_OK
-
-
 # Each subcommand's handler and help; the experiment ones take (config, settings, out) and return their output names.
 SUBCOMMANDS = {
     "calibrate": (cmd_calibrate, "calibrate indicators and write a schedule bundle"),
     "sample": (cmd_sample, "run one trajectory and export it as CSV"),
     "verify": (cmd_verify, "run randomized property suites"),
     "bench": (cmd_bench, "full/cached/truncated comparison over the evaluation seeds"),
-    "curves": (cmd_curves, "export indicator curves from a bundle"),
 }
 
 
@@ -285,6 +276,7 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgumentError(message)
 
 
+@functools.cache  # one parser per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowcache", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flowcache {__version__}")
@@ -297,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cases", type=int, help="number of random cases (suite default otherwise)")
             p.add_argument("--seed", type=int, help="base seed for the sweep")
             p.add_argument("--out", help="directory for the bound audit CSV")
-        elif name == "curves":
-            p.add_argument("--bundle", required=True, help="schedule bundle path")
-            p.add_argument("--out", required=True, help="output directory")
         else:  # an experiment subcommand: its config, its output directory and the FLAGS rows that apply to it
             p.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
             p.add_argument("--out", required=True, help="output directory")
@@ -315,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         handler = SUBCOMMANDS[args.command][0]
-        if "config" not in args:  # verify and curves write their own outputs and manifests
+        if args.command == "verify":  # the one subcommand outside resolve -> handler -> manifest; it writes its own
             return handler(args)
         config, settings, resolved = _resolve(args)
         out = _out_dir(args)

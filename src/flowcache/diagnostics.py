@@ -24,12 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from .cached_sampler import CompensationToggles, _cached_kernel
-from .calibration import IndicatorTable, ScheduleBundle, _check_thresholds, _indicators, calibrate
+from .calibration import IndicatorTable, ScheduleBundle, _indicators, calibrate
 from .decomposition import _accel_rows, _decompose_rows, _row_dots
 from .errors import InvalidArgumentError
 from .fields import Condition, FieldSpec, VelocityField, _check_seeds, field_digest, initial_state
 from .ioutil import _check_count, _defaults, _json_value, _read_json, _write_json, write_csv
-from .schedule import DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, build_schedule, opening_coverage, skip_intervals
+from .schedule import (
+    DEFAULT_H_MAX, DEFAULT_TAU_D, DEFAULT_TAU_K, _check_thresholds, build_schedule, opening_coverage, skip_intervals
+)
 from .solver import TimeGrid, TrajectoryRecord, _full_kernel, make_uniform_grid
 
 # Reference norms below this are skipped when averaging relative drifts.

@@ -11,16 +11,34 @@ sequence is |k_tilde| * dt per step, the direction sequence is d_tilde itself
 
 from __future__ import annotations
 
+import math
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .calibration import IndicatorTable, _check_thresholds
-from .errors import InvalidArgumentError
+from .errors import FieldError, InvalidArgumentError
+from .ioutil import _check_count
 from .solver import TimeGrid
 
+if TYPE_CHECKING:
+    from .calibration import IndicatorTable
+
 DEFAULT_H_MAX = 12
-# (tau_k, tau_d) operating points; the first is the default.
-THRESHOLD_PRESETS = ((0.06, 0.6), (0.04, 0.4), (0.03, 0.3))
-DEFAULT_TAU_K, DEFAULT_TAU_D = THRESHOLD_PRESETS[0]
+DEFAULT_TAU_K, DEFAULT_TAU_D = 0.06, 0.6
+
+
+def _check_thresholds(error=FieldError, **values: float) -> None:
+    """The threshold rule on the given keys: ``tau_k`` and ``tau_d`` finite and >= 0, ``h_max`` an integer >= 1.
+
+    NaN fails it, and so do a float or bool ``h_max``. The first breach raises ``error(key, reason)``.
+    """
+    for key, value in values.items():
+        if key == "h_max":
+            _check_count(key, value, error)
+        elif not (math.isfinite(value) and value >= 0):
+            raise error(key, f"thresholds must be non-negative and finite, got {value!r}")
+
+
 # Most window entries ``_stable_intervals`` sums at once.
 _WINDOW_ENTRIES = 1 << 16
 

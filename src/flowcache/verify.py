@@ -173,87 +173,82 @@ def suite_bound(cases: int = 100_000, seed: int = 303, audit_path: str | None = 
     orthogonal to ``v`` to within ``ORTHO_TOL``. And it checks that
     weakening the magnitude envelope to min(k_t, k) breaks the bound
     somewhere, confirming the max is necessary. With ``audit_path``, each
-    draw's lhs, rhs and slack are written there as a CSV row.
+    draw's lhs, rhs and slack are written there as a CSV row, block by block,
+    so a run holds one block whatever its case count.
     """
     rng = np.random.default_rng(seed)
-    lhs_all, rhs_all = np.empty((2, cases))
     failures: list[str] = []
-    max_violation = -math.inf
-    max_split = max_qid = 0.0
-    envelope_violations = 0
+    stats = {"max_bound_violation": -math.inf, "max_split_error": 0.0, "max_q_identity_error": 0.0}
+    stats["min_envelope_violations"] = 0.0
 
-    for start in range(0, cases, _BLOCK):
-        stop = min(start + _BLOCK, cases)
-        _, rows = _draw_block(rng, stop - start)
-        v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
-        _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
-        lhs_all[start:stop] = lhs
-        rhs_all[start:stop] = rhs
-        violation = lhs - rhs
-        max_violation = max(max_violation, float(violation.max()))
+    def audit_rows():  # checks each block in turn, then yields its audit rows where an audit is written
+        for start in range(0, cases, _BLOCK):
+            stop = min(start + _BLOCK, cases)
+            _, rows = _draw_block(rng, stop - start)
+            v, k, d, u_perp, k_t, d_t, u_hat, dt = rows
+            _, mag_err, strength_err, cos_theta, lhs, rhs = _bound_rows(*rows)
+            violation = lhs - rhs
+            stats["max_bound_violation"] = max(stats["max_bound_violation"], float(violation.max()))
 
-        # parallel/orthogonal split must be additive and the orthogonal
-        # part an exact identity
-        v_norm = np.linalg.norm(v, axis=1)
-        p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
-        err_sq = (lhs * v_norm) ** 2
-        q_args = (v_norm, d, d_t, u_perp, u_hat)
-        q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
-        split_err = _relative_gap(err_sq, _row_dots(p, p) + q_sq)
-        max_split = max(max_split, float(split_err.max()))
+            # parallel/orthogonal split must be additive and the orthogonal
+            # part an exact identity
+            v_norm = np.linalg.norm(v, axis=1)
+            p = (np.exp(k_t * dt) - np.exp(k * dt))[:, None] * v
+            err_sq = (lhs * v_norm) ** 2
+            q_args = (v_norm, d, d_t, u_perp, u_hat)
+            q_sq, q_ref = _q_squared(*q_args), _q_reference(*q_args)
+            split_err = _relative_gap(err_sq, _row_dots(p, p) + q_sq)
+            stats["max_split_error"] = max(stats["max_split_error"], float(split_err.max()))
 
-        q_err = _relative_gap(q_sq, q_ref)
-        flagged = np.flatnonzero(q_err > Q_IDENTITY_TOL)
-        if flagged.size:
-            # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
-            # value leaves only the reference's own rounding in the gap
-            exact = _exact_q_squared(*(a[flagged] for a in q_args))
-            q_err[flagged] = _relative_gap(exact, q_ref[flagged])
-        max_qid = max(max_qid, float(q_err.max()))
-        # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
-        # orthogonal to v; the cosine to v is measured against |u| as drawn
-        norm_err, cos_v = {}, {}
-        for name, u in (("u_perp", u_perp), ("u_hat", u_hat)):
-            uu = _row_dots(u, u)
-            norm_err[name] = np.abs(uu - 1.0)
-            cos_v[name] = np.abs(_row_dots(u, v)) / (v_norm * np.sqrt(uu))
+            q_err = _relative_gap(q_sq, q_ref)
+            flagged = np.flatnonzero(q_err > Q_IDENTITY_TOL)
+            if flagged.size:
+                # near u_hat = u_perp and d = d_t, Q cancels in float64; its exact
+                # value leaves only the reference's own rounding in the gap
+                exact = _exact_q_squared(*(a[flagged] for a in q_args))
+                q_err[flagged] = _relative_gap(exact, q_ref[flagged])
+            stats["max_q_identity_error"] = max(stats["max_q_identity_error"], float(q_err.max()))
+            # the bound's rhs uses the paper's cos-theta form of the identity, which needs unit vectors
+            # orthogonal to v; the cosine to v is measured against |u| as drawn
+            norm_err, cos_v = {}, {}
+            for name, u in (("u_perp", u_perp), ("u_hat", u_hat)):
+                uu = _row_dots(u, u)
+                norm_err[name] = np.abs(uu - 1.0)
+                cos_v[name] = np.abs(_row_dots(u, v)) / (v_norm * np.sqrt(uu))
 
-        c_min = dt * np.exp(np.minimum(k_t, k) * dt)
-        rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
-        envelope_violations += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + BOUND_SLACK)))
+            c_min = dt * np.exp(np.minimum(k_t, k) * dt)
+            rhs_min = np.sqrt(c_min**2 * mag_err**2 + strength_err**2 + 2.0 * d_t * d * (1.0 - cos_theta))
+            stats["min_envelope_violations"] += int(np.count_nonzero((k != k_t) & (lhs > rhs_min + BOUND_SLACK)))
 
-        over_bound = violation > BOUND_SLACK
-        split_off = split_err > SPLIT_TOL
-        identity_off = q_err > Q_IDENTITY_TOL
-        premise_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
-        premise_off |= (cos_v["u_perp"] > ORTHO_TOL) | (cos_v["u_hat"] > ORTHO_TOL)
-        for row in np.flatnonzero(over_bound | split_off | identity_off | premise_off):
-            prefix = f"draw {start + row} (seed {seed}):"
-            if over_bound[row]:
-                failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
-            if split_off[row]:
-                failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
-            if identity_off[row]:
-                failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
-            for name, err in norm_err.items():
-                if err[row] > UNIT_NORM_TOL:
-                    failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
-                if cos_v[name][row] > ORTHO_TOL:
-                    failures.append(f"{prefix} {name} not orthogonal to v, cosine {float(cos_v[name][row])!r}")
+            over_bound = violation > BOUND_SLACK
+            split_off = split_err > SPLIT_TOL
+            identity_off = q_err > Q_IDENTITY_TOL
+            premise_off = (norm_err["u_perp"] > UNIT_NORM_TOL) | (norm_err["u_hat"] > UNIT_NORM_TOL)
+            premise_off |= (cos_v["u_perp"] > ORTHO_TOL) | (cos_v["u_hat"] > ORTHO_TOL)
+            for row in np.flatnonzero(over_bound | split_off | identity_off | premise_off):
+                prefix = f"draw {start + row} (seed {seed}):"
+                if over_bound[row]:
+                    failures.append(f"{prefix} lhs {float(lhs[row])!r} exceeds rhs {float(rhs[row])!r}")
+                if split_off[row]:
+                    failures.append(f"{prefix} additive split off by {float(split_err[row])!r}")
+                if identity_off[row]:
+                    failures.append(f"{prefix} orthogonal identity off by {float(q_err[row])!r}")
+                for name, err in norm_err.items():
+                    if err[row] > UNIT_NORM_TOL:
+                        failures.append(f"{prefix} |{name}|^2 off 1 by {float(err[row])!r}")
+                    if cos_v[name][row] > ORTHO_TOL:
+                        failures.append(f"{prefix} {name} not orthogonal to v, cosine {float(cos_v[name][row])!r}")
+            if audit_path is not None:
+                yield from zip(range(start, stop), lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist())
 
-    if envelope_violations == 0:
+    if audit_path is None:
+        next(audit_rows(), None)  # yields no row, so this runs every block
+    else:
+        write_csv(audit_path, ("draw", "lhs", "rhs", "slack"), audit_rows())
+    if stats["min_envelope_violations"] == 0:
         failures.append(
             f"seed {seed}: min-envelope bound never violated in {cases} draws; max envelope is not confirmed necessary"
         )
-    if audit_path is not None:
-        rows = ((i, float(lhs_all[i]), float(rhs_all[i]), float(rhs_all[i] - lhs_all[i])) for i in range(cases))
-        write_csv(audit_path, ("draw", "lhs", "rhs", "slack"), rows)
-    stats = {
-        "max_bound_violation": max_violation,
-        "max_split_error": max_split,
-        "max_q_identity_error": max_qid,
-        "min_envelope_violations": float(envelope_violations),
-    }
     return SuiteResult(name="bound", cases=cases, seed=seed, stats=stats, failures=failures)
 
 

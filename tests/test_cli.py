@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcache import VelocityField, read_bundle
-from flowcache.calibration import BUNDLE_KEYS
+from flowcache.calibration import BUNDLE_KEYS, write_indicator_csv
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, FLAGS, build_parser, main
 from flowcache.errors import InvalidArgumentError
 from flowcache.verify import SuiteResult, run_suite
@@ -175,13 +175,11 @@ class TestSample:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["calibrate", "--config", str(config), "--out", "cal"]) == EXIT_OK
             assert main(argv) == EXIT_OK
-            assert main(["curves", "--bundle", "cal/bundle.json", "--out", "c"]) == EXIT_OK
             (tmp_path / "elsewhere").mkdir()
             monkeypatch.chdir(tmp_path / "elsewhere")
             assert main(["sample", "--config", str(tmp_path / "s1" / "manifest.json"), "--out", "s2"]) == EXIT_OK
-        for run in ("s1", "c"):
-            recorded = json.loads((tmp_path / run / "manifest.json").read_text())["config"]["bundle"]
-            assert os.path.isabs(recorded) and os.path.samefile(recorded, tmp_path / "cal" / "bundle.json")
+        recorded = json.loads((tmp_path / "s1" / "manifest.json").read_text())["config"]["bundle"]
+        assert os.path.isabs(recorded) and os.path.samefile(recorded, tmp_path / "cal" / "bundle.json")
         rerun = tmp_path / "elsewhere" / "s2" / "trajectory.csv"
         assert (tmp_path / "s1" / "trajectory.csv").read_bytes() == rerun.read_bytes()
 
@@ -274,6 +272,21 @@ class TestVerify:
         assert main(["verify", "--suite", "bound", "--out", str(tmp_path / "o"), *flags]) == EXIT_OK
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"] == {"suite": "bound", "cases": cases, "seed": seed}
+
+    @pytest.mark.parametrize("audit", [False, True], ids=["no-audit", "audit"])
+    def test_a_huge_case_count_reaches_its_first_draw(self, tmp_path, monkeypatch, audit):
+        # the suite holds one block of draws at a time, so no allocation sized by the case count comes first
+        import flowcache.verify as verify_module
+
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(rng, n):
+            raise FirstDraw(n)
+
+        monkeypatch.setattr(verify_module, "_draw_block", first_draw)
+        with pytest.raises(FirstDraw):
+            verify_module.suite_bound(cases=10**12, audit_path=str(tmp_path / "audit.csv") if audit else None)
 
     def test_omitted_cases_take_the_suite_default(self, monkeypatch):
         import flowcache.verify as verify_module
@@ -460,11 +473,22 @@ class TestCurves:
         config = _write_config(tmp_path, GMM_CONFIG)
         cal_out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--out", str(cal_out)]) == EXIT_OK
-        out = tmp_path / "curves"
-        assert main(["curves", "--bundle", str(cal_out / "bundle.json"), "--out", str(out)]) == EXIT_OK
-        rows = _read_rows(out / "curves.csv")
+        rows = _read_rows(cal_out / "curves.csv")
         assert len(rows) == 30
         assert list(rows[0].keys()) == ["n", "t", "k_tilde", "d_tilde"]
+
+    def test_calibrate_on_a_bench_manifest_rewrites_its_bundle(self, tmp_path):
+        # curves.csv of a bench's bundle comes from calibrate on the bench's manifest; the bench-only keys
+        # (ablation, sweep_taus) are ignored
+        config = _write_config(tmp_path, GMM_CONFIG)
+        bench, cal = tmp_path / "bench", tmp_path / "cal"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["bench", "--config", str(config), "--out", str(bench), "--ablation", "--sweep-taus", "0.03:0.3"]) == EXIT_OK
+            assert main(["calibrate", "--config", str(bench / "manifest.json"), "--out", str(cal)]) == EXIT_OK
+        assert (cal / "bundle.json").read_bytes() == (bench / "bundle.json").read_bytes()
+        bundle = read_bundle(bench / "bundle.json")
+        write_indicator_csv(bundle.grid, bundle.indicators, tmp_path / "curves.csv")
+        assert (cal / "curves.csv").read_bytes() == (tmp_path / "curves.csv").read_bytes()
 
     def test_decay_bundle_curves(self, tmp_path):
         decay_config = {
@@ -476,16 +500,11 @@ class TestCurves:
         config = _write_config(tmp_path, decay_config)
         cal_out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--out", str(cal_out)]) == EXIT_OK
-        out = tmp_path / "curves"
-        assert main(["curves", "--bundle", str(cal_out / "bundle.json"), "--out", str(out)]) == EXIT_OK
-        rows = _read_rows(out / "curves.csv")
+        rows = _read_rows(cal_out / "curves.csv")
         k_values = np.array([float(r["k_tilde"]) for r in rows])
         np.testing.assert_allclose(k_values, k_values[0], rtol=1e-12)  # constant nonzero column
         assert np.all(k_values > 0.0)
         assert all(float(r["d_tilde"]) <= 1e-10 for r in rows)
-
-    def test_unreadable_bundle_errors(self, tmp_path):
-        assert main(["curves", "--bundle", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
 class TestErrors:
@@ -570,7 +589,6 @@ class TestErrors:
         capsys.readouterr()
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert f"h: schedule entry out of range at step 0: h={int(bad)}\n" in capsys.readouterr().err
-        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("bad", [-7, 2**64, 2**70])
     def test_bundle_seed_outside_the_condition_rule_rejected(self, tmp_path, capsys, bad):
@@ -581,7 +599,6 @@ class TestErrors:
         capsys.readouterr()
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert "seeds: entry 1: condition seed must be a 64-bit unsigned integer" in capsys.readouterr().err
-        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("key, bad", [("n_steps", None), ("seeds", 5), ("sample_count", [1]), ("tau_k", "x")])
     def test_malformed_bundle_scalar_rejected(self, tmp_path, capsys, key, bad):
@@ -658,9 +675,9 @@ class TestErrors:
         assert f"error: config file {path} is not valid JSON: " in capsys.readouterr().err
 
     def test_non_utf8_bundle_names_the_document(self, tmp_path, capsys):
-        bundle = tmp_path / "bundle.json"
+        config, bundle = _write_config(tmp_path, CONSTANT_CONFIG), tmp_path / "bundle.json"
         bundle.write_bytes(b"\xff{}")
-        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert "error: document: not valid JSON: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -706,7 +723,6 @@ class TestErrors:
         capsys.readouterr()
         assert self._sample_cached(tmp_path, config, bundle) == EXIT_CONFIG
         assert "colour: unknown key" in capsys.readouterr().err
-        assert main(["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -782,8 +798,9 @@ class TestUsageErrors:
             (["verify", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
             (["verify", "--suite", "x"], "argument --suite: invalid choice: 'x'"),
             (["sample", "{config}", "--out", "{out}", "--truncate-to", "13"], "unrecognized arguments: --truncate-to 13"),
+            (["curves", "--bundle", "bundle.json", "--out", "{out}"], "argument command: invalid choice: 'curves'"),
         ],
-        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite", "truncate-to"],
+        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite", "truncate-to", "curves"],
     )
     def test_an_argparse_rejection_returns_2(self, tmp_path, argv, message):
         config = str(_write_config(tmp_path, CONSTANT_CONFIG))
@@ -834,6 +851,16 @@ class TestUsageErrors:
         line = self._rejected(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert line == "error: config key 'field.components[0].mean': entry 1023 is not a finite number: nan"
         assert len(line) < 200
+
+    def test_a_rejected_run_leaves_the_next_run_working(self, tmp_path):
+        # main parses every call with one parser, so a rejection must leave nothing behind in it
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        argv = ["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]
+        self._rejected([*argv, "--steps", "x"])
+        self._rejected([*argv, "--bogus"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["n_steps"] == 50
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_still_exit_0(self, flag):
@@ -955,14 +982,11 @@ class TestBundleBoundary:
             payload[key] = value
         out = tmp_path_factory.mktemp("boundary")
         bundle = _write_config(out, payload, name="bundle.json")
-        for argv in (
-            ["sample", "--config", str(config), "--out", str(out / "s"), "--mode", "cached", "--bundle", str(bundle)],
-            ["curves", "--bundle", str(bundle), "--out", str(out / "c")],
-        ):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code == EXIT_OK or (code == EXIT_CONFIG and key in err.getvalue()), (argv[0], code, err.getvalue())
+        argv = ["sample", "--config", str(config), "--out", str(out / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_OK or (code == EXIT_CONFIG and key in err.getvalue()), (code, err.getvalue())
 
     @pytest.mark.parametrize(
         "key, named",
@@ -991,13 +1015,12 @@ class TestBundleBoundary:
         config, valid = boundary_bundle
         for version, document in (("2", valid), ("1", version_1(valid, k_std=[0.25] * 5))):
             bundle = _write_config(tmp_path, document, name=f"bundle-{version}.json")
-            for argv in (
-                ["sample", "--config", str(config), "--out", str(tmp_path / f"s{version}"), "--mode", "cached"],
-                ["curves", "--out", str(tmp_path / f"c{version}")],
-            ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert main([*argv, "--bundle", str(bundle)]) == EXIT_OK
-        for name in ("s1/trajectory.csv", "c1/curves.csv"):
+            argv = ["sample", "--config", str(config), "--out", str(tmp_path / f"s{version}"), "--mode", "cached"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--bundle", str(bundle)]) == EXIT_OK
+            read = read_bundle(bundle)
+            write_indicator_csv(read.grid, read.indicators, tmp_path / f"curves-{version}.csv")
+        for name in ("s1/trajectory.csv", "curves-1.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2", 1)).read_bytes(), name
 
     @pytest.mark.parametrize("key", ["k_std", "d_std"])
@@ -1018,17 +1041,14 @@ class TestBundleBoundary:
         assert not (tmp_path / "s" / "trajectory.csv").exists()
 
     def test_a_malformed_field_digest_is_named(self, tmp_path, boundary_bundle):
-        # curves has no field to compare the digest with, so read_bundle checks its form
+        # read_bundle checks the digest's form before sample compares it with the config field's
         config, valid = boundary_bundle
         bundle = _write_config(tmp_path, dict(valid, field_digest="stub"), name="bundle.json")
-        for argv in (
-            ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)],
-            ["curves", "--bundle", str(bundle), "--out", str(tmp_path / "c")],
-        ):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code == EXIT_CONFIG and "field_digest: expected 64 lowercase hex characters" in err.getvalue()
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EXIT_CONFIG and "field_digest: expected 64 lowercase hex characters" in err.getvalue()
 
 
 class TestOutputFiles:

@@ -36,7 +36,7 @@ from flowcache.diagnostics import (
     write_seed_summary_csv,
     write_sweep_csv,
 )
-from flowcache import calibration, diagnostics, schedule
+from flowcache import calibration, diagnostics
 from flowcache.calibration import bundles_equal, calibrate
 from flowcache.cli import main
 from flowcache.schedule import build_schedule, schedule_coverage, skip_intervals
@@ -320,7 +320,7 @@ class TestRunExperiment:
             calls.append(np.asarray(schedule).tobytes())
             return skip_intervals(schedule, n_steps)
 
-        for module in (diagnostics, schedule):  # the bundle's row imports it from schedule when first read
+        for module in (diagnostics, calibration):  # the sweep's rows and the bundle's row
             monkeypatch.setattr(module, "skip_intervals", counted)
         config = _gmm_config(gmm_spec, calibration_seeds=tuple(range(1000, 1006)), evaluation_seeds=(2000, 2001, 2002, 2003))
         config_path = tmp_path / "config.json"

@@ -148,6 +148,7 @@ class TestBoundSweep:
             "max_q_identity_error": 6.117831214572494e-16,
             "min_envelope_violations": 996.0,
         }
+        assert all(type(value) is float for value in result.stats.values())  # `verify` prints each one's repr
 
 
 class TestBlockSweep:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 from dataclasses import replace
 
@@ -16,11 +18,11 @@ from flowcache import (
     calibrate,
     schedule_coverage,
 )
-from flowcache import schedule
+from flowcache import calibration, schedule
 from flowcache.calibration import IndicatorTable
 from flowcache.diagnostics import make_bundle
 from flowcache.fields import Condition, VelocityField
-from flowcache.schedule import THRESHOLD_PRESETS, _stable_intervals, skip_intervals
+from flowcache.schedule import _stable_intervals, skip_intervals
 from flowcache.solver import make_uniform_grid
 from flowcache.verify import _brute_force_interval, suite_ssc
 
@@ -240,4 +242,12 @@ class TestScheduleCoverage:
 def test_default_hyperparameters():
     assert DEFAULT_H_MAX == 12
     assert (DEFAULT_TAU_K, DEFAULT_TAU_D) == (0.06, 0.6)
-    assert THRESHOLD_PRESETS == ((0.06, 0.6), (0.04, 0.4), (0.03, 0.3))
+
+
+def test_schedule_imports_no_calibration():
+    # calibration builds on schedule (the threshold rule, the interval row), not the other way round; schedule
+    # names IndicatorTable in annotations alone
+    def imported(module):
+        return {node.module for node in ast.parse(inspect.getsource(module)).body if isinstance(node, ast.ImportFrom)}
+
+    assert "calibration" not in imported(schedule) and "schedule" in imported(calibration)
