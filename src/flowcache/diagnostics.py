@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -274,26 +275,19 @@ def run_experiment(config: ExperimentConfig, ablation: bool = False, sweep_taus:
     """Calibrate, sample the full-step references, then run and compare cached sampling.
 
     This is the experiment's only calibration and its only set of reference
-    runs, which ride one record-free walk with the calibration seeds (each
-    step's rows copied into one block). The cached runs, and with
-    ``ablation`` or ``sweep_taus`` their follow-ups, then ride one walk
-    (``_cached_runs``).
+    runs, which ride one full-step walk: the evaluation seeds lead it and keep
+    its records (the references), and each step's calibration rows go to
+    ``calibrate``'s window. The cached runs, and with ``ablation`` or
+    ``sweep_taus`` their follow-ups, then ride one walk (``_cached_runs``).
     """
     velocity_field, grid = VelocityField(config.field), make_uniform_grid(config.n_steps)
-    b, n, dim = len(config.calibration_seeds), grid.n_steps, velocity_field.dimension
-    conditions = [Condition(seed) for seed in config.calibration_seeds + config.evaluation_seeds]
+    e, dim = len(config.evaluation_seeds), velocity_field.dimension
+    conditions = [Condition(seed) for seed in config.evaluation_seeds + config.calibration_seeds]
     x0 = np.array([initial_state(condition, dim) for condition in conditions])
-    states, velocities = np.split(np.empty((len(conditions) - b, 2 * n + 1, dim)), [n + 1], axis=1)  # one block
-    states[:, 0] = x0[b:]
-
-    def calibration_rows():
-        for step, (v, s) in enumerate(_full_kernel(velocity_field, grid, x0, conditions, records=False)):
-            velocities[:, step], states[:, step + 1] = v[b:], s[b:]
-            yield v[:b]
-
-    bundle = _bundle(config, grid, _indicators(grid, (b, dim), calibration_rows()))
-    references = tuple(TrajectoryRecord(grid, s, v, np.ones(n, dtype=bool)) for s, v in zip(states, velocities))
-    return _cached_runs(ExperimentResult(config, velocity_field, bundle, references), ablation, sweep_taus)
+    walk = _full_kernel(velocity_field, grid, x0, conditions, records=e)  # N steps' rows, then the records
+    indicators = _indicators(grid, (len(conditions) - e, dim), (v[e:] for v, _ in islice(walk, grid.n_steps)))
+    result = ExperimentResult(config, velocity_field, _bundle(config, grid, indicators), tuple(walk))
+    return _cached_runs(result, ablation, sweep_taus)
 
 
 def _evaluation_batch(result: ExperimentResult) -> tuple[np.ndarray, list[Condition]]:

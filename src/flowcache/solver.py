@@ -54,7 +54,10 @@ class TimeGrid:
 
 def make_uniform_grid(n_steps: int) -> TimeGrid:
     _check_count("n_steps", n_steps, lambda key, reason: InvalidArgumentError(f"{key} {reason}"))
-    return TimeGrid(np.linspace(1.0, 0.0, n_steps + 1))
+    try:
+        return TimeGrid(np.linspace(1.0, 0.0, n_steps + 1))
+    except (MemoryError, ValueError):  # numpy's own error names no key
+        raise InvalidArgumentError(f"n_steps {n_steps} is too large: its grid cannot be allocated") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +129,20 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
-def _oracle(field: VelocityField, states: np.ndarray, t: float, conditions, step: int) -> np.ndarray:
-    """``field.evaluate`` at ``states``, checked to be finite; a reference's rows passed this check in its own walk."""
-    v = field.evaluate(states, t, conditions)
+def _left_range(times: list, node: int, states: np.ndarray) -> NumericDomainError:
+    """The error of a run found non-finite at ``node``, named at any earlier non-finite node of its ``states``."""
+    node = next((k for k in range(1, node) if not _finite(states[..., k, :])), node)
+    return NumericDomainError(f"the trajectory left the finite range at step {node} (t={times[node]})")
+
+
+def _oracle(field: VelocityField, states: np.ndarray, times: list, conditions, step: int, recorded) -> np.ndarray:
+    """``field.evaluate`` at node ``step``, checked to be finite (a reference's rows were, in its own walk). A
+    non-finite output at a non-finite state is blamed on the run (``_left_range`` on its ``recorded`` states)."""
+    v = field.evaluate(states, times[step], conditions)
     if not _finite(v):
-        raise NumericDomainError(f"the oracle returned a non-finite velocity at step {step} (t={t})")
+        if not _finite(states):
+            raise _left_range(times, step, recorded)
+        raise NumericDomainError(f"the oracle returned a non-finite velocity at step {step} (t={times[step]})")
     return v
 
 
@@ -158,7 +170,7 @@ def _one_run(
     growth, turn = (f[0].tolist() for f in factors) if factors is not None else ((), ())
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is raised below, naming its step
         for n, h in intervals:
-            v = references[0].velocities[n] if n < seeded else _oracle(field, states[n], times[n], condition, n)
+            v = references[0].velocities[n] if n < seeded else _oracle(field, states[n], times, condition, n, states)
             velocities[n] = v
             if h > 1:  # the turning anchor p and its tolerance
                 v_p, v_n = last, v
@@ -194,8 +206,7 @@ def _one_run(
                                 u = np.divide(r, r_norm, out=directions[m])
                 np.subtract(states[m], dt[m] * velocities[m], out=states[m + 1])
         if not _finite(states[-1]):  # a non-finite entry persists to later states
-            bad = next(k for k in range(1, n_steps + 1) if not _finite(states[k]))
-            raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
+            raise _left_range(times, n_steps, states)
     return TrajectoryRecord(grid, states, velocities, evaluated, None if factors is None else directions)
 
 
@@ -275,12 +286,12 @@ def _walk(
     call a step, on the anchoring rows no reference serves. Where some run
     keeps no record, each step after which every run ends an interval first
     yields every run's ``(velocities, states)``, overwritten by the next. A run
-    leaving the finite range fails once all are walked: a recorded run names
-    its first non-finite state, another the first such hand-over step's next
-    state. numpy's warnings are silenced while the walk steps, not while a
-    caller holds a step.
+    leaving the finite range fails at the first check to find it (a hand-over's
+    state, the last state, or an oracle output at a non-finite state), named at
+    its first non-finite state if recorded, else at the node checked. numpy's
+    warnings are off while the walk steps, not while a caller holds a step.
     """
-    batch, kept = len(conditions), len(conditions) if records is None else records
+    batch, kept = len(conditions), len(conditions) if records is None else int(records)
     if kept == batch == 1:
         yield _one_run(field, grid, x0[0], conditions[0], opening[0], factors, references)
         return
@@ -302,13 +313,11 @@ def _walk(
     # where some run keeps no record, the walk checks and hands over after each step at which every run ends an interval
     cuts = [] if kept == batch else (np.flatnonzero(start[:, 1:].all(axis=0)) + 1).tolist()
     segments = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n_steps])]
-    if kept:
-        states, velocities, directions = _record_block(kept, n_steps, dim, factors is not None)
-        states[:, 0] = x0[:kept]
+    states, velocities, directions = _record_block(kept, n_steps, dim, factors is not None)  # empty if none is kept
+    states[:, 0] = x0[:kept]
     # the running rows: states, turning anchors p (NaN: none yet) and their tolerances, directions, an Euler term
     x, p, tol, u, step = x0.copy(), np.full_like(x0, np.nan), np.full(batch, np.inf), *np.empty((2, *x0.shape))
     del x0  # a caller's temporary start rows are freed while the walk runs
-    bad = None  # the first checked step whose state is not finite
     for segment in segments:
         with np.errstate(all="ignore"):  # masked rows compute too; a non-finite run is raised below
             for m, (anchor, ask, serve, open_, walk, turns) in zip(segment, plan):
@@ -320,9 +329,9 @@ def _walk(
                 else:  # v_{m-1} is spent: dropped before the oracle call, it is freed unless it is the last anchor
                     v = None if ask is _ALL else np.empty_like(x)
                 if ask is _ALL:
-                    v = _oracle(field, x, times[m], conditions, m)
+                    v = _oracle(field, x, times, conditions, m, states)
                 elif ask is not None:
-                    v[ask] = _oracle(field, x[ask], times[m], list(compress(conditions, ask)), m)
+                    v[ask] = _oracle(field, x[ask], times, list(compress(conditions, ask)), m, states)
                 if serve is not None:  # each run's reference row
                     v[serve] = np.stack([full.velocities[m] for full in references])[cycle[serve]]
                 if open_ is not None:  # the turning anchors p and their tolerances
@@ -338,15 +347,10 @@ def _walk(
                 np.subtract(x, np.multiply(v, dt[m], out=step), out=x)
                 if kept:
                     velocities[:, m], states[:, m + 1] = v[:kept], x[:kept]
-            if kept < batch and bad is None and not _finite(x):
-                bad = m + 1
-            if kept and m == n_steps - 1 and not _finite(states[:, -1]):  # a non-finite entry persists
-                first = next(k for k in range(1, n_steps + 1) if not _finite(states[:, k]))
-                bad = first if bad is None else min(bad, first)
+            if not _finite(x):  # a non-finite entry persists to later states
+                raise _left_range(times, m + 1, states)
         if kept < batch:
             yield v, x
-    if bad is not None:
-        raise NumericDomainError(f"the trajectory left the finite range at step {bad} (t={times[bad]})")
     for i in range(kept):
         yield TrajectoryRecord(grid, states[i], velocities[i], start[i], None if factors is None else directions[i])
 

@@ -433,9 +433,11 @@ class TestBench:
         # 6 calibration runs, 4 references and 4 truncated runs, none of them run twice
         assert len(runs) == 14
         assert len({(times, start) for times, start, _ in runs}) == 14
-        # two full-step walks, the calibration with the references and then the truncation; neither keeps records
+        # two full-step walks, the calibration with the references and then the truncation; the first keeps records
+        # for its 4 leading rows, the evaluation seeds' (the truncation's starts), and the truncation keeps none
         assert walks == [10, 4]
-        assert not any(records for *_, records in runs)
+        assert [records for *_, records in runs] == [4] * 10 + [0] * 4
+        assert [start for _, start, _ in runs[:4]] == [start for _, start, _ in runs[10:]]
         assert len(calibrations) == 1
 
     def test_readme_bench_oracle_calls(self, tmp_path, monkeypatch):

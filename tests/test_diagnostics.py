@@ -14,6 +14,7 @@ from flowcache import (
     ExperimentConfig,
     FieldSpec,
     InvalidArgumentError,
+    NumericDomainError,
     TrajectoryRecord,
     VelocityField,
     compare_trajectories,
@@ -309,6 +310,19 @@ class TestRunExperiment:
         trunc = truncation_drifts(result, result.cached_nfe)
         assert trunc.size == len(config.evaluation_seeds)
         assert result.mean_final_drift < float(trunc.mean())
+
+    @pytest.mark.parametrize("far", [2, 5], ids=["calibration", "evaluation"])
+    def test_an_overflowing_row_is_named(self, monkeypatch, far):
+        # one start far out on the first axis overflows at node 8 of 10, with finite velocities all along; a
+        # calibration row keeps no record and an evaluation row keeps one, and either is named at that node
+        def start(condition, dimension):
+            return np.array([1e308, 0.0]) if condition.seed == far else initial_state(condition, dimension)
+
+        monkeypatch.setattr(diagnostics, "initial_state", start)
+        spec = FieldSpec(kind="constant", dimension=2, target=(-1e308, 0.0))
+        config = ExperimentConfig(field=spec, n_steps=10, calibration_seeds=(1, 2, 3), evaluation_seeds=(4, 5))
+        with pytest.raises(NumericDomainError, match=r"^the trajectory left the finite range at step 8 \(t="):
+            run_experiment(config)
 
     def test_a_bench_works_out_each_distinct_schedule_once(self, gmm_spec, tmp_path, monkeypatch):
         # the README-config bench with the ablation and three swept pairs, one of them the config's own, walks three

@@ -27,6 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import GMM_COMPONENTS
 from flowcache import (
     CompensationToggles,
     Condition,
@@ -268,20 +269,53 @@ class TestNonFiniteOracle:
 
 class TestFloatingPointState:
     def test_overflow_is_named_not_warned(self):
-        # huge d_tilde entries: the rebuilt velocity overflows only with |v|, and the walk names a step instead
+        # huge d_tilde entries: the rebuilt velocity overflows only with |v|, and the walk names the run's first
+        # non-finite state instead, as the plain-numpy reference finds it
         field, grid, bundle = _setup("mixture-d3")
         d_tilde = bundle.indicators.d_tilde.copy()
         d_tilde[bundle.schedule > 1] = 1e308
         huge = replace(bundle, indicators=replace(bundle.indicators, d_tilde=d_tilde))
         condition = Condition(100)
+        x0 = initial_state(condition, field.dimension)
+        with np.errstate(all="ignore"):
+            states = _reference_cached(field, huge, x0, condition, CompensationToggles())[0]
+        first = next(k for k, state in enumerate(states) if not np.isfinite(state).all())
         with np.errstate(over="raise", invalid="raise"):
-            with pytest.raises(NumericDomainError, match=r"at step \d+ \(t="):
-                sample_cached(field, huge, initial_state(condition, field.dimension), condition)
+            with pytest.raises(NumericDomainError, match=rf"^the trajectory left the finite range at step {first} \(t="):
+                sample_cached(field, huge, x0, condition)
+
+    def test_a_huge_d_tilde_is_the_runs_fault_not_the_oracles(self):
+        # the README config's bundle with every d_tilde entry 1e308: the run's state is NaN from node 17, and the
+        # mixture oracle, handed that row at the next anchor (node 18), returns NaN for it. A run with a record names
+        # node 17, alone or in a batch; a record-free row is checked at its interval's end, node 18
+        config = ExperimentConfig(
+            field=FieldSpec(kind="gaussian-mixture", dimension=3, components=GMM_COMPONENTS),
+            n_steps=50,
+            calibration_seeds=tuple(range(1000, 1006)),
+            evaluation_seeds=(2000, 2001),
+            tau_k=0.06,
+            tau_d=0.6,
+            h_max=12,
+        )
+        field, grid, bundle = make_bundle(config)
+        huge = replace(bundle, indicators=replace(bundle.indicators, d_tilde=np.full(grid.n_steps, 1e308)))
+        assert bundle.opening[17] == 0 and bundle.opening[18] > 0  # node 17 is a rebuilt step, node 18 an anchor
+        conditions = [Condition(seed) for seed in config.evaluation_seeds]
+        x0 = np.array([initial_state(c, field.dimension) for c in conditions])
+        named = {17: "at step 17 (t=0.6599999999999999)", 18: "at step 18 (t=0.64)"}
+        with pytest.raises(NumericDomainError) as single:
+            sample_cached(field, huge, x0[0], conditions[0])
+        assert str(single.value) == f"the trajectory left the finite range {named[17]}"
+        for records, node in ((None, 17), (0, 18)):
+            with pytest.raises(NumericDomainError) as batched:
+                list(_cached_kernel(field, huge, x0, conditions, CompensationToggles(), records))
+            assert str(batched.value) == f"the trajectory left the finite range {named[node]}"
 
     def test_a_record_free_walk_names_the_end_of_the_interval(self):
         # the records walk searches back to the first non-finite state; a record-free walk holds one state row,
         # checked at each interval's end, so it names the end of the interval in which the state left the range.
-        # The rotation oracle ignores the state, so no non-finite oracle output at the next anchor comes first
+        # (An oracle handed a non-finite state is not blamed for its output, so a state-dependent field names the
+        # same steps.)
         field, grid, bundle = _setup("rotation")
         n, h = max(_intervals(bundle.schedule, grid.n_steps), key=lambda interval: interval[1])
         assert h > 3

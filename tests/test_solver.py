@@ -51,6 +51,12 @@ class TestTimeGrid:
         with pytest.raises(InvalidArgumentError, match=rf"^n_steps must be an integer, got {bad!r}$"):
             make_uniform_grid(bad)
 
+    @pytest.mark.parametrize("huge", [10**12, 99999999999999999999], ids=["memory", "size"])
+    def test_a_step_count_too_large_to_allocate_is_named(self, huge):
+        # numpy's own errors (a 7.28 TiB allocation; "Maximum allowed size exceeded") name no key
+        with pytest.raises(InvalidArgumentError, match=rf"^n_steps {huge} is too large: its grid cannot be allocated$"):
+            make_uniform_grid(huge)
+
     def test_a_numpy_integer_step_count_is_one(self):
         np.testing.assert_array_equal(make_uniform_grid(np.int64(4)).times, make_uniform_grid(4).times)
 
