@@ -170,13 +170,6 @@ BUNDLE_TABLE = {
     "seeds": "ints", "created_by": "str",
 }
 BUNDLE_KEYS = tuple(BUNDLE_TABLE)
-# Each readable format's key table. A tacache-bundle/1 document also holds each step's spreads ``k_std`` and
-# ``d_std`` after ``d_tilde``; they are checked as columns and then ignored, since no rule reads them.
-_SPREADS = ("k_std", "d_std")
-_TABLES = {
-    BUNDLE_FORMAT: BUNDLE_TABLE,
-    "tacache-bundle/1": {k: BUNDLE_TABLE.get(k, "floats") for k in (*BUNDLE_KEYS[:5], *_SPREADS, *BUNDLE_KEYS[5:])},
-}
 
 
 def _payload(bundle: ScheduleBundle) -> dict:
@@ -199,14 +192,14 @@ def read_bundle(path: str | Path) -> ScheduleBundle:
     if not isinstance(data, dict):
         raise BundleFormatError("document", "expected a JSON object")
     version = data.get("format_version")
-    table = _TABLES.get(version) if isinstance(version, str) else None
-    if table is None:
-        raise BundleFormatError("format_version", f"expected one of {', '.join(map(repr, _TABLES))}, got {version!r}")
-    values = _read_json(data, table, BundleFormatError, {"sample_count": 1})
+    if version != BUNDLE_FORMAT:  # an older bundle is not read; calibrate on its run's manifest writes it anew
+        reason = f"expected {BUNDLE_FORMAT!r}, got {version!r}; re-run flowcache calibrate to regenerate the bundle"
+        raise BundleFormatError("format_version", reason)
+    values = _read_json(data, BUNDLE_TABLE, BundleFormatError, {})
     n = values["n_steps"]
     if n < 1:
         raise BundleFormatError("n_steps", f"must be positive, got {n}")
-    for key in ("times", "k_tilde", "d_tilde", *(key for key in _SPREADS if key in table), "h"):
+    for key in ("times", "k_tilde", "d_tilde", "h"):
         length = n + 1 if key == "times" else n  # one time per grid node, one entry per step
         if len(values[key]) != length:
             reason = f"length mismatch: expected {length} entries to match n_steps, got {len(values[key])}"

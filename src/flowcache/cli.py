@@ -148,8 +148,8 @@ def _checked(key: str, value, error):
     return checked
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+def _out_dir(out: Path) -> Path:
+    """``out``, made once a handler's outputs are worked out, so a run the handler rejects leaves no directory."""
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -168,7 +168,7 @@ def _write_manifest(out: Path, subcommand: str, config: dict, outputs: list[str]
 
 def cmd_calibrate(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
     _, grid, bundle = make_bundle(config)
-    write_bundle(bundle, out / "bundle.json")
+    write_bundle(bundle, _out_dir(out) / "bundle.json")
     write_indicator_csv(bundle.grid, bundle.indicators, out / "curves.csv")
     skip_ratio, _ = schedule_coverage(bundle.schedule, grid.n_steps)
     print(f"wrote bundle ({grid.n_steps} steps, skip ratio {skip_ratio:.3f}) to {out}")
@@ -194,7 +194,7 @@ def cmd_sample(config: ExperimentConfig, settings: dict, out: Path) -> list[str]
     else:
         record = sample_full(velocity_field, make_uniform_grid(config.n_steps), x0, condition)
 
-    write_trajectory_csv(record, out / "trajectory.csv")
+    write_trajectory_csv(record, _out_dir(out) / "trajectory.csv")
     norm = float(np.linalg.norm(record.final_state))
     print(f"mode={settings['mode']} seed={condition.seed} nfe={record.nfe} final_state_norm={norm:.6g}")
     return ["trajectory.csv"]
@@ -208,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         audit_path = None
         if name == "bound" and args.out:
-            audit_path = str(_out_dir(args) / "bound_audit.csv")
+            audit_path = str(Path(args.out) / "bound_audit.csv")
         # with --suite all, --cases sizes the randomized suites; exactness has fixed checks
         cases = None if name == "exactness" and args.suite == "all" else args.cases
         result = run_suite(name, cases=cases, seed=args.seed, audit_path=audit_path)
@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = ok and result.passed
         if audit_path is not None:
             recorded = {"suite": name, "cases": result.cases, "seed": result.seed}
-            _write_manifest(_out_dir(args), "verify", recorded, ["bound_audit.csv"])
+            _write_manifest(Path(args.out), "verify", recorded, ["bound_audit.csv"])
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -232,6 +232,7 @@ def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
         ("truncated", *nfe_speedup, trunc_mean, trunc_stderr, result.skip_ratio),
     ]
     outputs = ["summary.csv", "per_seed.csv", "drift_profile.csv", "cos_theta.csv", "bundle.json"]
+    _out_dir(out)
     write_csv(out / "summary.csv", ("mode", "nfe", "speedup", "mean_final_drift", "stderr_final_drift", "skip_ratio"), rows)
     write_seed_summary_csv(result, out / "per_seed.csv")
     write_drift_profile_csv(result, out / "drift_profile.csv")
@@ -307,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":  # the one subcommand outside resolve -> handler -> manifest; it writes its own
             return handler(args)
         config, settings, resolved = _resolve(args)
-        out = _out_dir(args)
+        out = Path(args.out)
         _write_manifest(out, args.command, resolved, handler(config, settings, out))
         return EXIT_OK
     except (FlowCacheError, OSError, ValueError) as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -324,5 +325,7 @@ def run_suite(
         raise InvalidArgumentError("--cases does not apply to the exactness suite, which runs 3 fixed checks")
     if audit_path is not None and name != "bound":
         raise InvalidArgumentError(f"--out does not apply to the {name} suite; only the bound suite writes an audit")
+    if audit_path is not None:  # the audit's directory is made once the arguments pass, so a rejected run makes none
+        Path(audit_path).parent.mkdir(parents=True, exist_ok=True)
     given = {"cases": cases, "seed": seed, "audit_path": audit_path}
     return SUITES[name](**{key: value for key, value in given.items() if value is not None})

@@ -24,7 +24,6 @@ from flowcache import (
     field_digest,
     make_uniform_grid,
     read_bundle,
-    sample_cached,
     write_bundle,
 )
 from flowcache import calibration
@@ -38,18 +37,6 @@ from test_kernels import KERNEL_FIELDS, _mixture, ref_split
 
 
 BUNDLE_COLUMNS = ("times", "k_tilde", "d_tilde", "h")
-# The per-step spreads a tacache-bundle/1 document also holds, after d_tilde.
-SPREADS = ("k_std", "d_std")
-
-
-def version_1(document, k_std=None, d_std=None):
-    """The tacache-bundle/1 form of the /2 bundle ``document``: ``k_std`` and ``d_std`` columns (zeros where not
-    given) after ``d_tilde``, in the /1 writer's key order."""
-    columns = [[0.0] * document["n_steps"] if column is None else list(column) for column in (k_std, d_std)]
-    items = list(document.items())
-    at = list(document).index("d_tilde") + 1
-    spreads = list(zip(SPREADS, columns))
-    return dict(items[:at] + spreads + items[at:], format_version="tacache-bundle/1")
 
 
 def _gmm_bundle(gmm_spec, n_steps=20, seeds=(1, 2, 3), tau_k=0.06, tau_d=0.6, h_max=12):
@@ -394,26 +381,52 @@ class TestBundleRoundTrip:
         with pytest.raises(BundleFormatError, match=f"^{key}: {reason}"):
             read_bundle(path)
 
-    @pytest.mark.parametrize("version", ["tacache-bundle/3", "tacache-bundle/0", "", None, ["tacache-bundle/2"], 2])
+    @pytest.mark.parametrize(
+        "version", ["tacache-bundle/1", "tacache-bundle/3", "tacache-bundle/0", "", None, ["tacache-bundle/2"], 2]
+    )
     def test_an_unknown_version_is_named(self, tmp_path, gmm_spec, version):
+        # only the written format reads; an older bundle is regenerated by calibrate
         bundle = _gmm_bundle(gmm_spec)
         path = tmp_path / "bundle.json"
         write_bundle(bundle, path)
         data = json.loads(path.read_text())
         data["format_version"] = version
         path.write_text(json.dumps(data))
-        reason = f"expected one of 'tacache-bundle/2', 'tacache-bundle/1', got {version!r}"
+        reason = f"expected 'tacache-bundle/2', got {version!r}; re-run flowcache calibrate to regenerate the bundle"
         with pytest.raises(BundleFormatError, match=f"^format_version: {re.escape(reason)}$"):
             read_bundle(path)
 
-    def test_missing_field_named(self, tmp_path, gmm_spec):
-        bundle = _gmm_bundle(gmm_spec)
+    @pytest.mark.parametrize("key", BUNDLE_KEYS)
+    def test_missing_field_named(self, tmp_path, gmm_spec, key):
+        # every key is required; none takes a default
         path = tmp_path / "bundle.json"
-        write_bundle(bundle, path)
+        write_bundle(_gmm_bundle(gmm_spec), path)
         data = json.loads(path.read_text())
-        del data["tau_k"]
+        del data[key]
         path.write_text(json.dumps(data))
-        with pytest.raises(BundleFormatError, match="tau_k"):
+        reason = "expected 'tacache-bundle/2', got None" if key == "format_version" else "missing field$"
+        with pytest.raises(BundleFormatError, match=f"^{key}: {reason}"):
+            read_bundle(path)
+
+    def test_a_negative_d_tilde_entry_is_named(self, tmp_path, gmm_spec):
+        # the constructor's range rule, named by the document's key
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data["d_tilde"][3] = -1.0
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match="^d_tilde: entries must be non-negative$"):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("key", ["k_std", "d_std", "extra"])
+    def test_an_extra_key_is_named(self, tmp_path, gmm_spec, key):
+        # the per-step spreads an older format held are unknown keys, as any other is
+        path = tmp_path / "bundle.json"
+        write_bundle(_gmm_bundle(gmm_spec), path)
+        data = json.loads(path.read_text())
+        data[key] = [0.0] * data["n_steps"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(BundleFormatError, match=f"^{key}: unknown key; expected one of "):
             read_bundle(path)
 
     @pytest.mark.parametrize("bad", ["stub", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "g", "0" * 64 + "\n"])
@@ -447,88 +460,6 @@ class TestBundleRoundTrip:
         np.testing.assert_array_equal(loaded.indicators.k_tilde, bundle.indicators.k_tilde)
         np.testing.assert_array_equal(loaded.indicators.d_tilde, bundle.indicators.d_tilde)
         np.testing.assert_array_equal(loaded.grid.times, bundle.grid.times)
-
-
-class TestVersion1Reader:
-    """A tacache-bundle/1 document: its ``k_std`` and ``d_std`` columns pass the column rule and are then ignored."""
-
-    def _documents(self, tmp_path, gmm_spec, **spreads):
-        """The bundle, its written /2 document and the /1 form of that document."""
-        bundle = _gmm_bundle(gmm_spec)
-        write_bundle(bundle, tmp_path / "bundle.json")
-        document = json.loads((tmp_path / "bundle.json").read_text())
-        return bundle, document, version_1(document, **spreads)
-
-    def _read(self, tmp_path, document):
-        path = tmp_path / "document.json"
-        path.write_text(json.dumps(document))
-        return read_bundle(path)
-
-    def test_a_version_1_bundle_reads_and_samples_as_its_version_2_bundle(self, tmp_path, gmm_spec):
-        rng = np.random.default_rng(5)
-        bundle, _, document = self._documents(tmp_path, gmm_spec, k_std=rng.uniform(0, 2, 20), d_std=[0.5] * 20)
-        assert list(document)[5:7] == list(SPREADS) and len(document) == len(BUNDLE_KEYS) + 2
-        loaded = self._read(tmp_path, document)
-        assert bundles_equal(loaded, bundle) and bundles_equal(loaded, read_bundle(tmp_path / "bundle.json"))
-        field = VelocityField(gmm_spec)
-        for seed in (7, 8):
-            condition = Condition(seed)
-            x0 = initial_state(condition, 3)
-            want, got = (sample_cached(field, b, x0, condition) for b in (bundle, loaded))
-            assert np.array_equal(got.states, want.states) and np.array_equal(got.velocities, want.velocities)
-            assert np.array_equal(got.evaluated, want.evaluated)
-
-    def test_a_rewritten_version_1_bundle_is_version_2(self, tmp_path, gmm_spec):
-        _, written, document = self._documents(tmp_path, gmm_spec)
-        write_bundle(self._read(tmp_path, document), tmp_path / "rewritten.json")
-        assert json.loads((tmp_path / "rewritten.json").read_text()) == written
-
-    @pytest.mark.parametrize("column", SPREADS)
-    @pytest.mark.parametrize(
-        "fault, reason",
-        [
-            ("missing", "missing field"),
-            ("short", "length mismatch: expected 20 entries to match n_steps, got 19"),
-            ("long", "length mismatch: expected 20 entries to match n_steps, got 21"),
-            ("not a list", "expected a list of finite numbers, got 5"),
-            ("string entry", "entry 1 is not a finite number: '0.5'"),
-            ("bool entry", "entry 1 is not a finite number: True"),
-            ("null entry", "entry 1 is not a finite number: None"),
-            ("nan entry", "entry 1 is not a finite number: nan"),
-            ("inf entry", "entry 1 is not a finite number: inf"),
-        ],
-    )
-    def test_a_bad_spread_column_is_named(self, tmp_path, gmm_spec, column, fault, reason):
-        _, _, document = self._documents(tmp_path, gmm_spec)
-        values = document[column]
-        if fault == "missing":
-            del document[column]
-        elif fault in ("short", "long"):
-            document[column] = values[:-1] if fault == "short" else values + [0.0]
-        elif fault == "not a list":
-            document[column] = 5
-        else:
-            values[1] = {"string": "0.5", "bool": True, "null": None, "nan": math.nan, "inf": math.inf}[fault.split()[0]]
-        with pytest.raises(BundleFormatError, match=f"^{column}: {re.escape(reason)}$"):
-            self._read(tmp_path, document)
-
-    def test_negative_spreads_are_read(self, tmp_path, gmm_spec):
-        # the /1 reader held no range rule on the spreads beyond finiteness
-        bundle, _, document = self._documents(tmp_path, gmm_spec, k_std=[-1.0] * 20, d_std=[-2.5] * 20)
-        assert bundles_equal(self._read(tmp_path, document), bundle)
-
-    @pytest.mark.parametrize("column", SPREADS)
-    def test_a_version_2_bundle_with_a_spread_is_an_unknown_key(self, tmp_path, gmm_spec, column):
-        _, written, document = self._documents(tmp_path, gmm_spec)
-        with pytest.raises(BundleFormatError, match=f"^{column}: unknown key; expected one of "):
-            self._read(tmp_path, dict(written, **{column: document[column]}))
-
-    def test_a_version_1_bundle_keeps_the_other_rules(self, tmp_path, gmm_spec):
-        _, _, document = self._documents(tmp_path, gmm_spec)
-        with pytest.raises(BundleFormatError, match="^d_tilde: entries must be non-negative$"):
-            self._read(tmp_path, dict(document, d_tilde=[-1.0] * 20))
-        with pytest.raises(BundleFormatError, match="^extra: unknown key; expected one of "):
-            self._read(tmp_path, dict(document, extra=1))
 
 
 class TestScheduleBundleValidation:

@@ -21,7 +21,6 @@ from flowcache.errors import InvalidArgumentError
 from flowcache.verify import SuiteResult, run_suite
 
 from conftest import GMM_COMPONENTS
-from test_calibration import version_1
 
 CONSTANT_CONFIG = {
     "field": {"kind": "constant", "dimension": 2, "target": [1.0, -1.0]},
@@ -314,6 +313,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert f"--out does not apply to the {suite} suite" in captured.err
         assert "PASS" not in captured.out and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--cases", "0"), ("--seed", "-1")])
+    def test_a_rejected_audit_run_makes_no_directory(self, tmp_path, capsys, flag, value):
+        assert main(["verify", "--suite", "bound", flag, value, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{flag} must be" in capsys.readouterr().err and not (tmp_path / "o").exists()
 
     def test_out_with_all_writes_the_bound_audit(self, tmp_path):
         assert main(["verify", "--suite", "all", "--cases", "40", "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -1012,36 +1016,6 @@ class TestBundleBoundary:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err.getvalue()
 
-
-    def test_a_version_1_bundle_samples_and_exports_as_its_version_2_bundle(self, tmp_path, boundary_bundle):
-        config, valid = boundary_bundle
-        for version, document in (("2", valid), ("1", version_1(valid, k_std=[0.25] * 5))):
-            bundle = _write_config(tmp_path, document, name=f"bundle-{version}.json")
-            argv = ["sample", "--config", str(config), "--out", str(tmp_path / f"s{version}"), "--mode", "cached"]
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main([*argv, "--bundle", str(bundle)]) == EXIT_OK
-            read = read_bundle(bundle)
-            write_indicator_csv(read.grid, read.indicators, tmp_path / f"curves-{version}.csv")
-        for name in ("s1/trajectory.csv", "curves-1.csv"):
-            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("1", "2", 1)).read_bytes(), name
-
-    @pytest.mark.parametrize("key", ["k_std", "d_std"])
-    @pytest.mark.parametrize("bad", [_DROP, [0.0] * 4, ["x"] * 5], ids=["missing", "short", "non-numeric"])
-    def test_a_bad_version_1_spread_is_named(self, tmp_path, boundary_bundle, key, bad):
-        config, valid = boundary_bundle
-        document = version_1(valid)
-        if bad is _DROP:
-            del document[key]
-        else:
-            document[key] = bad
-        bundle = _write_config(tmp_path, document, name="bundle.json")
-        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert main(argv) == EXIT_CONFIG
-        assert f"{key}: " in err.getvalue() and len(err.getvalue().splitlines()) == 1, err.getvalue()
-        assert not (tmp_path / "s" / "trajectory.csv").exists()
-
     def test_a_malformed_field_digest_is_named(self, tmp_path, boundary_bundle):
         # read_bundle checks the digest's form before sample compares it with the config field's
         config, valid = boundary_bundle
@@ -1054,6 +1028,44 @@ class TestBundleBoundary:
 
 
 class TestOutputFiles:
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "argv, document, named",
+        [
+            (["calibrate", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
+            (["bench", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
+            (["sample", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
+            (["sample", "--mode", "cached"], {"format_version": "tacache-bundle/0"}, "format_version: "),
+            (["sample", "--mode", "cached"], {"format_version": "tacache-bundle/1"}, "format_version: "),
+            (["sample", "--mode", "cached"], {"sample_count": None}, "sample_count: "),
+            (
+                ["sample", "--mode", "cached"],
+                {"d_tilde": [1e308] * 5, "h": [5, 4, 3, 2, 1]},
+                "the trajectory left the finite range at step ",
+            ),
+        ],
+        ids=["calibrate-steps", "bench-steps", "sample-steps", "bundle-v0", "bundle-v1", "no-sample-count", "overflow"],
+    )
+    def test_a_rejected_run_leaves_no_new_directory(self, tmp_path, boundary_bundle, argv, document, named, existing):
+        # the handler makes --out only once its outputs are worked out; a directory that was there stays as it was
+        config, valid = boundary_bundle
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "kept.txt").write_text("kept\n")
+        if document is not None:
+            document = {key: value for key, value in dict(valid, **document).items() if value is not None}
+            argv = [*argv, "--bundle", str(_write_config(tmp_path, document, name="bundle.json"))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}"), lines
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["kept.txt"] and (out / "kept.txt").read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     def test_an_output_hard_linked_to_another_file_leaves_that_file(self, tmp_path):
         config = _write_config(tmp_path, README_CONFIG)
         out, fresh = tmp_path / "out", tmp_path / "fresh"
