@@ -22,7 +22,7 @@ import numpy as np
 from .decomposition import _accel_rows, _decompose_rows
 from .errors import BundleFormatError, FieldError, InvalidArgumentError
 from .fields import Condition, VelocityField, _check_seeds, initial_state
-from .ioutil import _check_count, _create, _integral, _read_json, _write_json, write_csv
+from .ioutil import _check_count, _create, _integral, _read_json, _unique_keys, _write_json, write_csv
 from .schedule import _check_thresholds, skip_intervals
 from .solver import TimeGrid, _full_kernel
 from .version import __version__
@@ -186,7 +186,7 @@ def write_bundle(bundle: ScheduleBundle, path: str | Path) -> None:
 
 def read_bundle(path: str | Path) -> ScheduleBundle:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys(BundleFormatError))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleFormatError("document", f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .errors import FieldError, FlowCacheError, InvalidArgumentError
 from .fields import Condition, VelocityField, field_digest, initial_state
-from .ioutil import _create, _defaults, _finite, _json_value, write_csv
+from .ioutil import _create, _defaults, _finite, _json_value, _unique_keys, write_csv
 from .schedule import _check_thresholds, schedule_coverage
 from .solver import make_uniform_grid, sample_full, write_trajectory_csv
 from .verify import SUITES, run_suite
@@ -46,12 +46,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
-SAMPLE_MODES = ("full", "cached")
 # The sample and bench settings a run reads besides its experiment config, each with its JSON kind.
-SETTING_KEYS = {"mode": "str", "bundle": "str", "ablation": "bool", "sweep_taus": "list"}
+SETTING_KEYS = {"bundle": "str", "ablation": "bool", "sweep_taus": "list"}
 # Every experiment subcommand flag but --config and --out, by argparse dest: the config key it sets, its default (None
-# where ExperimentConfig holds it), where it applies (every experiment subcommand (None), bench, sample, or sample in
-# one mode) and its help. A setting whose default is None is required where it applies.
+# where ExperimentConfig holds it, or for a setting a run may go without), the subcommand it applies to (None for
+# every experiment subcommand) and its help.
 FLAGS = {
     "steps": ("n_steps", None, None, "grid size override"),
     "tau_k": ("tau_k", None, None, "magnitude threshold override"),
@@ -60,16 +59,16 @@ FLAGS = {
     "seeds": ("evaluation_seeds", None, None, "comma-separated evaluation seed override"),
     "no_mi": ("use_mi", None, None, "disable the magnitude correction"),
     "no_di": ("use_di", None, None, "disable the direction correction"),
-    "mode": ("mode", "full", "sample", "sampling mode: full or cached (default full)"),
-    "bundle": ("bundle", None, "cached", "schedule bundle path (cached mode)"),
+    "bundle": ("bundle", None, "sample", "schedule bundle path; a sample given one is the cached run"),
     "ablation": ("ablation", False, "bench", "also emit the 4-row toggle ablation table"),
     "sweep_taus": ("sweep_taus", [], "bench", "threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6"),
 }
 
 
 def _load_config_dict(path: str) -> dict:
+    hook = _unique_keys(lambda key, reason: InvalidArgumentError(f"config file {path}: key {key!r} {reason}"))
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(data, dict) and "config" in data and "subcommand" in data:
@@ -84,28 +83,24 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
     """The run's experiment config, its sample or bench settings, and the resolved dict its manifest records.
 
     The config file (or a manifest) is merged with each flag that is set, and
-    each setting the run uses is read once; a bad value names the flag that
-    set it, or else its key. A flag set where it does not apply exits 2
-    naming it. A file key outside its mode is ignored, since a manifest of
-    one mode may be re-run in another.
+    each setting of the run's subcommand is read once; a bad value names the
+    flag that set it, or else its key. A setting of another subcommand is
+    ignored, since a manifest of one subcommand may be re-run as another, and
+    a setting left unset with no default (a sample's bundle) is not recorded.
     """
     raw = _load_config_dict(args.config) if args.config else {}
     settings: dict = {}
     for dest, (key, default, where, _) in FLAGS.items():
         flag, set_to = "--" + dest.replace("_", "-"), getattr(args, dest, None)
         kind = CONFIG_KEYS.get(key) or SETTING_KEYS[key]
-        applies = where in (None, args.command, settings.get("mode"))
         if set_to is not None:
-            if not applies:
-                raise InvalidArgumentError(f"{flag} applies only to --mode {where}; this run is {settings['mode']}")
             raw[key] = _flag_json(flag, kind, set_to)
-        if where is None or not applies:
+        if where != args.command:
             continue
         error = _config_error if set_to is None else lambda _, reason: InvalidArgumentError(f"{flag}: {reason}")
         value = _json_value(raw, key, kind, default, error=error)
-        if value is None:
-            raise InvalidArgumentError(f"{where} mode needs {flag}")
-        settings[key] = _checked(key, value, error)
+        if value is not None:
+            settings[key] = _checked(key, value, error)
     config = ExperimentConfig.from_dict({k: v for k, v in raw.items() if k not in SETTING_KEYS})
     return config, settings, {**config.to_dict(), **settings}
 
@@ -127,8 +122,6 @@ def _checked(key: str, value, error):
 
     Sweep pairs come back as tuples, each two finite numbers that pass the threshold rule.
     """
-    if key == "mode" and value not in SAMPLE_MODES:
-        raise error(key, f"unknown mode {value!r}; expected one of {', '.join(SAMPLE_MODES)}")
     if key == "bundle":  # recorded absolute, so a manifest re-runs from any working directory
         value = os.path.abspath(value)
         if not os.path.isfile(value):
@@ -180,7 +173,8 @@ def cmd_sample(config: ExperimentConfig, settings: dict, out: Path) -> list[str]
     condition = Condition(config.evaluation_seeds[0])
     x0 = initial_state(condition, velocity_field.dimension)
 
-    if settings["mode"] == "cached":
+    mode = "cached" if "bundle" in settings else "full"
+    if mode == "cached":
         bundle = read_bundle(settings["bundle"])
         if bundle.grid.n_steps != config.n_steps:
             raise InvalidArgumentError(f"bundle grid has {bundle.grid.n_steps} steps, config asks for {config.n_steps}")
@@ -196,18 +190,17 @@ def cmd_sample(config: ExperimentConfig, settings: dict, out: Path) -> list[str]
 
     write_trajectory_csv(record, _out_dir(out) / "trajectory.csv")
     norm = float(np.linalg.norm(record.final_state))
-    print(f"mode={settings['mode']} seed={condition.seed} nfe={record.nfe} final_state_norm={norm:.6g}")
+    print(f"mode={mode} seed={condition.seed} nfe={record.nfe} final_state_norm={norm:.6g}")
     return ["trajectory.csv"]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.out and args.suite not in ("bound", "all"):
-        raise InvalidArgumentError(f"--out does not apply to the {args.suite} suite; only the bound suite writes an audit")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:
+        # --out goes to the suite named, which rejects it unless it is bound, or under --suite all to bound alone
         audit_path = None
-        if name == "bound" and args.out:
+        if args.out and name in (args.suite, "bound"):
             audit_path = str(Path(args.out) / "bound_audit.csv")
         # with --suite all, --cases sizes the randomized suites; exactness has fixed checks
         cases = None if name == "exactness" and args.suite == "all" else args.cases
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
             p.add_argument("--out", required=True, help="output directory")
             for dest, (key, default, where, text) in FLAGS.items():
-                if where in (None, name) or name == "sample" and where in SAMPLE_MODES:
+                if where in (None, name):
                     default = defaults.get(key, default)  # a bool default: a switch, None until set to the other bool
                     switch = {"action": "store_const", "const": not default} if isinstance(default, bool) else {}
                     p.add_argument("--" + dest.replace("_", "-"), help=text, **switch)

@@ -4,9 +4,10 @@ Every file this package writes must be byte-reproducible from the same
 inputs, so floats are always rendered as their shortest round-trip decimal
 (Python ``repr``) and CSVs use a fixed '\\n' line terminator. Every JSON
 value this package reads (configs, field specs, bundles) is checked by
-``_json_value``, which names the bad key. Each JSON document has one key
-table, its keys in write order with each key's kind, and ``_read_json`` and
-``_write_json`` read and write the document from it.
+``_json_value``, which names the bad key, after ``_unique_keys`` has named
+any repeated one. Each JSON document has one key table, its keys in write
+order with each key's kind, and ``_read_json`` and ``_write_json`` read and
+write the document from it.
 """
 
 from __future__ import annotations
@@ -113,6 +114,20 @@ def _json_value(data: dict, key: str, kind: str, default: object = _MISSING, err
             raise error(key, f"entry {i} is not {expected}: {value[i]!r}")
         value = map(convert_entry, value)
     return convert(value)
+
+
+def _unique_keys(error):
+    """A ``json.loads`` object hook: a key repeated in one object, whose last value ``json`` would keep without a
+    word, raises ``error(key, reason)``."""
+
+    def hook(pairs: list) -> dict:
+        document = dict(pairs)
+        if len(document) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise error(next(key for key in document if keys.count(key) > 1), "repeated in one JSON object")
+        return document
+
+    return hook
 
 
 def _read_json(data: dict, table: dict[str, str], error, defaults: dict) -> dict:

@@ -101,13 +101,16 @@ class TestCalibrate:
 
 
 class TestSample:
-    def test_full_mode_nfe(self, tmp_path):
+    def test_full_mode_nfe(self, tmp_path, capsys):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         out = tmp_path / "full"
-        assert main(["sample", "--config", str(config), "--out", str(out), "--mode", "full"]) == EXIT_OK
+        assert main(["sample", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("mode=full seed=100 nfe=50 ")
         rows = _read_rows(out / "trajectory.csv")
         assert len(rows) == 50
         assert all(r["evaluated"] == "1" for r in rows)
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert "bundle" not in recorded and "mode" not in recorded
 
     def test_a_truncated_run_is_a_steps_override(self, tmp_path):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
@@ -124,21 +127,9 @@ class TestSample:
 
         full_out = tmp_path / "full"
         cached_out = tmp_path / "cached"
-        assert main(["sample", "--config", str(config), "--out", str(full_out), "--mode", "full"]) == EXIT_OK
-        code = main(
-            [
-                "sample",
-                "--config",
-                str(config),
-                "--out",
-                str(cached_out),
-                "--mode",
-                "cached",
-                "--bundle",
-                str(cal_out / "bundle.json"),
-            ]
-        )
-        assert code == EXIT_OK
+        assert main(["sample", "--config", str(config), "--out", str(full_out)]) == EXIT_OK
+        bundle = str(cal_out / "bundle.json")
+        assert main(["sample", "--config", str(config), "--out", str(cached_out), "--bundle", bundle]) == EXIT_OK
         assert (full_out / "trajectory.csv").read_bytes() == (cached_out / "trajectory.csv").read_bytes()
 
     def test_cached_manifest_rerun_keeps_mode(self, tmp_path):
@@ -146,31 +137,19 @@ class TestSample:
         cal_out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--out", str(cal_out)]) == EXIT_OK
         out1 = tmp_path / "s1"
-        code = main(
-            [
-                "sample",
-                "--config",
-                str(config),
-                "--out",
-                str(out1),
-                "--mode",
-                "cached",
-                "--bundle",
-                str(cal_out / "bundle.json"),
-            ]
-        )
-        assert code == EXIT_OK
+        bundle = str(cal_out / "bundle.json")
+        assert main(["sample", "--config", str(config), "--out", str(out1), "--bundle", bundle]) == EXIT_OK
         out2 = tmp_path / "s2"
         assert main(["sample", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == EXIT_OK
         manifest = json.loads((out2 / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "cached"
+        assert manifest["config"]["bundle"] == bundle and "mode" not in manifest["config"]
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
     def test_a_relative_bundle_reruns_from_another_directory(self, tmp_path, monkeypatch):
         # the manifest records the bundle's absolute path, so the re-run does not depend on its working directory
         config = _write_config(tmp_path, GMM_CONFIG)
         monkeypatch.chdir(tmp_path)
-        argv = ["sample", "--config", str(config), "--out", "s1", "--mode", "cached", "--bundle", "cal/bundle.json"]
+        argv = ["sample", "--config", str(config), "--out", "s1", "--bundle", "cal/bundle.json"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["calibrate", "--config", str(config), "--out", "cal"]) == EXIT_OK
             assert main(argv) == EXIT_OK
@@ -184,41 +163,39 @@ class TestSample:
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
     def test_an_unreadable_bundle_is_named(self, tmp_path, capsys, from_file):
-        cached = {"mode": "cached", "bundle": str(tmp_path / "missing.json")}
+        cached = {"bundle": str(tmp_path / "missing.json")}
         config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **cached) if from_file else CONSTANT_CONFIG)
-        flags = [] if from_file else ["--mode", "cached", "--bundle", cached["bundle"]]
+        flags = [] if from_file else ["--bundle", cached["bundle"]]
         assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
         named = "experiment config key 'bundle'" if from_file else "--bundle"
         err = capsys.readouterr().err
         assert err == f"error: {named}: no bundle file at {cached['bundle']}\n"
 
-    def test_cached_mode_requires_bundle(self, tmp_path):
-        config = _write_config(tmp_path, GMM_CONFIG)
-        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "x"), "--mode", "cached"]) == EXIT_CONFIG
-
-    def test_a_flag_outside_its_mode_is_named(self, tmp_path, capsys):
-        # the bundle is valid, so the flag outside its mode is the only fault
+    def test_a_config_bundle_key_alone_gives_the_cached_run(self, tmp_path, capsys):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == EXIT_OK
         bundle = str(tmp_path / "cal" / "bundle.json")
-        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--bundle", bundle]) == EXIT_CONFIG
-        assert "error: --bundle applies only to --mode cached; this run is full" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        keyed = _write_config(tmp_path, dict(CONSTANT_CONFIG, bundle=bundle), name="keyed.json")
+        capsys.readouterr()
+        assert main(["sample", "--config", str(keyed), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("mode=cached seed=100 nfe=6 ")
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "flag"), "--bundle", bundle]) == EXIT_OK
+        assert main(["sample", "--config", str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]["bundle"] == bundle
+        for name in ("trajectory.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (tmp_path / "flag" / "trajectory.csv").read_bytes()
 
-    def test_a_bad_flag_outside_its_mode_is_named_first(self, tmp_path, capsys):
-        config = _write_config(tmp_path, CONSTANT_CONFIG)
-        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", "full"]
-        assert main(argv + ["--bundle", "/nonexistent"]) == EXIT_CONFIG
-        assert "error: --bundle applies only to --mode cached; this run is full" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "manifest.json").exists()
-
-    def test_a_file_key_outside_its_mode_is_ignored(self, tmp_path):
-        # a manifest of one mode may be re-run in another
-        config = _write_config(tmp_path, dict(CONSTANT_CONFIG, bundle="b.json"))
-        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_OK
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "full" and "bundle" not in manifest["config"]
-        assert len(_read_rows(tmp_path / "o" / "trajectory.csv")) == 50
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_a_mode_key_is_an_unknown_key(self, tmp_path, source):
+        # a sample manifest records no mode, so a mode key, as older manifests held, is named like any unknown key
+        payload = dict(CONSTANT_CONFIG, mode="full")
+        if source == "manifest":
+            payload = {"tool": "flowcache", "subcommand": "sample", "config": payload, "outputs": ["trajectory.csv"]}
+        config = _write_config(tmp_path, payload)
+        line = TestUsageErrors._rejected(["sample", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert line.startswith("error: experiment config key 'mode': unknown key; expected one of ")
+        assert not (tmp_path / "o").exists()
 
     def test_bundle_grid_mismatch_rejected(self, tmp_path):
         config = _write_config(tmp_path, GMM_CONFIG)
@@ -233,8 +210,6 @@ class TestSample:
                 str(bad_config),
                 "--out",
                 str(tmp_path / "x"),
-                "--mode",
-                "cached",
                 "--bundle",
                 str(cal_out / "bundle.json"),
             ]
@@ -311,7 +286,7 @@ class TestVerify:
     def test_out_rejected_for_a_suite_that_writes_no_audit(self, tmp_path, capsys, suite):
         assert main(["verify", "--suite", suite, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert f"--out does not apply to the {suite} suite" in captured.err
+        assert captured.err == f"error: --out does not apply to the {suite} suite; only the bound suite writes an audit\n"
         assert "PASS" not in captured.out and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value", [("--cases", "0"), ("--seed", "-1")])
@@ -564,7 +539,7 @@ class TestErrors:
 
     @staticmethod
     def _sample_cached(tmp_path, config, bundle):
-        return main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--mode", "cached", "--bundle", str(bundle)])
+        return main(["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--bundle", str(bundle)])
 
     def test_bundle_from_another_field_rejected(self, tmp_path, capsys):
         _, bundle = self._calibrate_constant(tmp_path)
@@ -723,6 +698,36 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config key 'field.kind': unknown field kind 'spline'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, repeated, key",
+        [
+            ('"tau_k": 0.06', '"tau_k": 0.06, "tau_k": 0.5', "tau_k"),
+            ('"dimension": 3', '"dimension": 3, "dimension": 3', "dimension"),
+            ('"scale": 1.1', '"scale": 1.1, "scale": 2.0', "scale"),
+        ],
+        ids=["top-level", "field", "component"],
+    )
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_a_repeated_config_key_is_named(self, tmp_path, source, text, repeated, key):
+        # json keeps a repeated key's last value, so without the check the run would go ahead on it
+        document = json.dumps(README_CONFIG)
+        if source == "manifest":
+            document = json.dumps({"tool": "flowcache", "subcommand": "calibrate", "config": README_CONFIG})
+        config = tmp_path / "config.json"
+        config.write_text(document.replace(text, repeated, 1))
+        argv = ["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]
+        line = TestUsageErrors._rejected(argv)
+        assert line == f"error: config file {config}: key {key!r} repeated in one JSON object"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_repeated_bundle_key_is_named(self, tmp_path):
+        config, bundle = self._calibrate_constant(tmp_path)
+        text = bundle.read_text()
+        bundle.write_text(text.replace('"tau_k": ', '"tau_k": 0.5,\n  "tau_k": ', 1))
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "o"), "--bundle", str(bundle)]
+        assert TestUsageErrors._rejected(argv) == "error: tau_k: repeated in one JSON object"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_bundle_key_rejected(self, tmp_path, capsys):
         config, bundle = self._calibrate_constant(tmp_path)
         bundle.write_text(json.dumps(dict(json.loads(bundle.read_text()), colour=1)))
@@ -738,15 +743,9 @@ class TestErrors:
             ("bench", {"sweep_taus": [[0.1]]}, "sweep_taus"),
             ("bench", {"sweep_taus": [["a", 0.3]]}, "sweep_taus"),
             ("bench", {"ablation": "no"}, "ablation"),
-            ("sample", {"mode": 5}, "mode"),
-            ("sample", {"mode": "x"}, "mode"),
-            ("sample", {"mode": "truncated"}, "mode"),
-            ("sample", {"mode": "cached", "bundle": 5}, "bundle"),
+            ("sample", {"bundle": 5}, "bundle"),
         ],
-        ids=[
-            "sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "mode", "mode-unknown",
-            "mode-truncated", "bundle",
-        ],
+        ids=["sweep-int", "sweep-negative", "sweep-half-pair", "sweep-string", "ablation", "bundle"],
     )
     def test_bad_subcommand_key_named(self, tmp_path, capsys, command, extra, key):
         config = _write_config(tmp_path, dict(CONSTANT_CONFIG, **extra))
@@ -805,8 +804,16 @@ class TestUsageErrors:
             (["verify", "--suite", "x"], "argument --suite: invalid choice: 'x'"),
             (["sample", "{config}", "--out", "{out}", "--truncate-to", "13"], "unrecognized arguments: --truncate-to 13"),
             (["curves", "--bundle", "bundle.json", "--out", "{out}"], "argument command: invalid choice: 'curves'"),
+            # the bundle alone selects the cached run
+            (
+                ["sample", "{config}", "--out", "{out}", "--mode", "cached", "--bundle", "b.json"],
+                "unrecognized arguments: --mode cached",
+            ),
         ],
-        ids=["unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite", "truncate-to", "curves"],
+        ids=[
+            "unknown-flag", "missing-out", "missing-subcommand", "verify-cases", "verify-suite", "truncate-to", "curves",
+            "mode",
+        ],
     )
     def test_an_argparse_rejection_returns_2(self, tmp_path, argv, message):
         config = str(_write_config(tmp_path, CONSTANT_CONFIG))
@@ -820,12 +827,10 @@ class TestUsageErrors:
             (["bench", "--steps", "x"], "experiment config key 'n_steps': expected an integer, got 'x'"),
             (["bench", "--h-max", "1.5"], "experiment config key 'h_max': expected an integer, got 1.5"),
             (["bench", "--tau-k", "nan"], "experiment config key 'tau_k': expected a finite number, got nan"),
-            (["sample", "--mode", "x"], "--mode: unknown mode 'x'; expected one of full, cached"),
-            (["sample", "--mode", "truncated"], "--mode: unknown mode 'truncated'; expected one of full, cached"),
         ],
-        ids=["steps", "h_max", "tau_k", "mode", "mode-truncated"],
+        ids=["steps", "h_max", "tau_k"],
     )
-    def test_a_bad_number_or_mode_flag_is_named_by_its_rule(self, tmp_path, flags, message):
+    def test_a_bad_number_flag_is_named_by_its_rule(self, tmp_path, flags, message):
         config = _write_config(tmp_path, CONSTANT_CONFIG)
         command, *rest = flags
         assert self._rejected([command, "--config", str(config), "--out", str(tmp_path / "o"), *rest]) == f"error: {message}"
@@ -885,8 +890,7 @@ _FLAG_RUNS = {
     "seeds": (["bench", "--seeds", "7,8"], "evaluation_seeds", [7, 8]),
     "no_mi": (["bench", "--no-mi"], "use_mi", False),
     "no_di": (["bench", "--no-di"], "use_di", False),
-    "mode": (["sample", "--mode", "full"], "mode", "full"),
-    "bundle": (["sample", "--mode", "cached", "--bundle", "{bundle}"], "bundle", "{bundle}"),
+    "bundle": (["sample", "--bundle", "{bundle}"], "bundle", "{bundle}"),
     "ablation": (["bench", "--ablation"], "ablation", True),
     "sweep_taus": (["bench", "--sweep-taus", "0:0,0.1:1"], "sweep_taus", [[0.0, 0.0], [0.1, 1.0]]),
 }
@@ -897,7 +901,7 @@ class TestFlagTable:
         assert set(_FLAG_RUNS) == set(FLAGS)
 
     @pytest.mark.parametrize(
-        "command, own", [("calibrate", []), ("sample", ["mode", "bundle"]), ("bench", ["ablation", "sweep_taus"])]
+        "command, own", [("calibrate", []), ("sample", ["bundle"]), ("bench", ["ablation", "sweep_taus"])]
     )
     def test_an_experiment_subcommand_accepts_exactly_its_flag_rows(self, command, own):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -931,7 +935,6 @@ _DROP = object()
 _BOUNDARY_CONFIG = dict(
     README_CONFIG,
     n_steps=5,
-    mode="full",
     bundle="bundle.json",
     ablation=True,
     sweep_taus=[[0.03, 0.3]],
@@ -988,7 +991,7 @@ class TestBundleBoundary:
             payload[key] = value
         out = tmp_path_factory.mktemp("boundary")
         bundle = _write_config(out, payload, name="bundle.json")
-        argv = ["sample", "--config", str(config), "--out", str(out / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        argv = ["sample", "--config", str(config), "--out", str(out / "s"), "--bundle", str(bundle)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1006,7 +1009,7 @@ class TestBundleBoundary:
         huge = [1e308 if i in (1, 2) else v for i, v in enumerate(valid[key])]
         payload = dict(valid, h=[5, 4, 3, 2, 1], **{key: huge})
         bundle = _write_config(tmp_path, payload, name="bundle.json")
-        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--bundle", str(bundle)]
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1020,7 +1023,7 @@ class TestBundleBoundary:
         # read_bundle checks the digest's form before sample compares it with the config field's
         config, valid = boundary_bundle
         bundle = _write_config(tmp_path, dict(valid, field_digest="stub"), name="bundle.json")
-        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--mode", "cached", "--bundle", str(bundle)]
+        argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s"), "--bundle", str(bundle)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1035,11 +1038,11 @@ class TestOutputFiles:
             (["calibrate", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
             (["bench", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
             (["sample", "--steps", "1000000000000"], None, "n_steps 1000000000000 is too large"),
-            (["sample", "--mode", "cached"], {"format_version": "tacache-bundle/0"}, "format_version: "),
-            (["sample", "--mode", "cached"], {"format_version": "tacache-bundle/1"}, "format_version: "),
-            (["sample", "--mode", "cached"], {"sample_count": None}, "sample_count: "),
+            (["sample"], {"format_version": "tacache-bundle/0"}, "format_version: "),
+            (["sample"], {"format_version": "tacache-bundle/1"}, "format_version: "),
+            (["sample"], {"sample_count": None}, "sample_count: "),
             (
-                ["sample", "--mode", "cached"],
+                ["sample"],
                 {"d_tilde": [1e308] * 5, "h": [5, 4, 3, 2, 1]},
                 "the trajectory left the finite range at step ",
             ),
