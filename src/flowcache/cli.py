@@ -49,19 +49,19 @@ EXIT_VERIFY = 3
 # The sample and bench settings a run reads besides its experiment config, each with its JSON kind.
 SETTING_KEYS = {"bundle": "str", "ablation": "bool", "sweep_taus": "list"}
 # Every experiment subcommand flag but --config and --out, by argparse dest: the config key it sets, its default (None
-# where ExperimentConfig holds it, or for a setting a run may go without), the subcommand it applies to (None for
-# every experiment subcommand) and its help.
+# where ExperimentConfig holds it, or for a setting a run may go without), the subcommands that read it, the only ones
+# that accept it (calibrate fixes the schedule by the thresholds, a sample takes it from its bundle), and its help.
 FLAGS = {
-    "steps": ("n_steps", None, None, "grid size override"),
-    "tau_k": ("tau_k", None, None, "magnitude threshold override"),
-    "tau_d": ("tau_d", None, None, "direction threshold override"),
-    "h_max": ("h_max", None, None, "maximum skip length override"),
-    "seeds": ("evaluation_seeds", None, None, "comma-separated evaluation seed override"),
-    "no_mi": ("use_mi", None, None, "disable the magnitude correction"),
-    "no_di": ("use_di", None, None, "disable the direction correction"),
-    "bundle": ("bundle", None, "sample", "schedule bundle path; a sample given one is the cached run"),
-    "ablation": ("ablation", False, "bench", "also emit the 4-row toggle ablation table"),
-    "sweep_taus": ("sweep_taus", [], "bench", "threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6"),
+    "steps": ("n_steps", None, ("calibrate", "sample", "bench"), "grid size override"),
+    "tau_k": ("tau_k", None, ("calibrate", "bench"), "magnitude threshold override"),
+    "tau_d": ("tau_d", None, ("calibrate", "bench"), "direction threshold override"),
+    "h_max": ("h_max", None, ("calibrate", "bench"), "maximum skip length override"),
+    "seeds": ("evaluation_seeds", None, ("sample", "bench"), "comma-separated evaluation seed override"),
+    "no_mi": ("use_mi", None, ("sample", "bench"), "disable the magnitude correction"),
+    "no_di": ("use_di", None, ("sample", "bench"), "disable the direction correction"),
+    "bundle": ("bundle", None, ("sample",), "schedule bundle path; a sample given one is the cached run"),
+    "ablation": ("ablation", False, ("bench",), "also emit the 4-row toggle ablation table"),
+    "sweep_taus": ("sweep_taus", [], ("bench",), "threshold sweep pairs, e.g. 0.03:0.3,0.06:0.6"),
 }
 
 
@@ -83,10 +83,11 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
     """The run's experiment config, its sample or bench settings, and the resolved dict its manifest records.
 
     The config file (or a manifest) is merged with each flag that is set, and
-    each setting of the run's subcommand is read once; a bad value names the
-    flag that set it, or else its key. A setting of another subcommand is
-    ignored, since a manifest of one subcommand may be re-run as another, and
-    a setting left unset with no default (a sample's bundle) is not recorded.
+    each setting (a key outside ``CONFIG_KEYS``) of the run's subcommand is
+    read once; a bad value names the flag that set it, or else its key. A
+    setting of another subcommand is ignored, since a manifest of one
+    subcommand may be re-run as another, and a setting left unset with no
+    default (a sample's bundle) is not recorded.
     """
     raw = _load_config_dict(args.config) if args.config else {}
     settings: dict = {}
@@ -95,7 +96,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, dict, dict]:
         kind = CONFIG_KEYS.get(key) or SETTING_KEYS[key]
         if set_to is not None:
             raw[key] = _flag_json(flag, kind, set_to)
-        if where != args.command:
+        if key in CONFIG_KEYS or args.command not in where:
             continue
         error = _config_error if set_to is None else lambda _, reason: InvalidArgumentError(f"{flag}: {reason}")
         value = _json_value(raw, key, kind, default, error=error)
@@ -249,7 +250,7 @@ def cmd_bench(config: ExperimentConfig, settings: dict, out: Path) -> list[str]:
 # Each subcommand's handler and help; the experiment ones take (config, settings, out) and return their output names.
 SUBCOMMANDS = {
     "calibrate": (cmd_calibrate, "calibrate indicators and write a schedule bundle"),
-    "sample": (cmd_sample, "run one trajectory and export it as CSV"),
+    "sample": (cmd_sample, "sample the first evaluation seed alone to CSV; a full run (no bundle) ignores use_mi/use_di"),
     "verify": (cmd_verify, "run randomized property suites"),
     "bench": (cmd_bench, "full/cached/truncated comparison over the evaluation seeds"),
 }
@@ -277,17 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = _defaults(ExperimentConfig)
     for name, (_, summary) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, description=summary)
         if name == "verify":
             p.add_argument("--suite", default="all", choices=(*SUITES, "all"), help="which suite to run")
             p.add_argument("--cases", type=int, help="number of random cases (suite default otherwise)")
-            p.add_argument("--seed", type=int, help="base seed for the sweep")
+            p.add_argument("--seed", type=int, help="each suite's seed, default povd 101, ssc 202, bound 303, exactness 404")
             p.add_argument("--out", help="directory for the bound audit CSV")
         else:  # an experiment subcommand: its config, its output directory and the FLAGS rows that apply to it
             p.add_argument("--config", help="experiment config JSON (or a manifest to re-run)")
             p.add_argument("--out", required=True, help="output directory")
             for dest, (key, default, where, text) in FLAGS.items():
-                if where in (None, name):
+                if name in where:
                     default = defaults.get(key, default)  # a bool default: a switch, None until set to the other bool
                     switch = {"action": "store_const", "const": not default} if isinstance(default, bool) else {}
                     p.add_argument("--" + dest.replace("_", "-"), help=text, **switch)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from flowcache import VelocityField, read_bundle
 from flowcache.calibration import BUNDLE_KEYS, write_indicator_csv
 from flowcache.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, FLAGS, build_parser, main
 from flowcache.errors import InvalidArgumentError
-from flowcache.verify import SuiteResult, run_suite
+from flowcache.verify import SUITES, SuiteResult, run_suite
 
 from conftest import GMM_COMPONENTS
 
@@ -53,6 +54,11 @@ README_CONFIG = dict(
     tau_d=0.6,
     h_max=12,
 )
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -119,6 +125,16 @@ class TestSample:
         rows = _read_rows(out / "trajectory.csv")
         assert len(rows) == 13
         assert all(r["evaluated"] == "1" for r in rows)
+
+    def test_only_the_first_evaluation_seed_is_run(self, tmp_path, capsys):
+        # the manifest records every seed it was given, and the run reads the first
+        config = _write_config(tmp_path, GMM_CONFIG)
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "one"), "--seeds", "7"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["sample", "--config", str(config), "--out", str(tmp_path / "two"), "--seeds", "7,8"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("mode=full seed=7 nfe=30 ")
+        assert (tmp_path / "one" / "trajectory.csv").read_bytes() == (tmp_path / "two" / "trajectory.csv").read_bytes()
+        assert json.loads((tmp_path / "two" / "manifest.json").read_text())["config"]["evaluation_seeds"] == [7, 8]
 
     def test_cached_all_single_steps_byte_identical_to_full(self, tmp_path):
         config = _write_config(tmp_path, GMM_CONFIG)
@@ -332,6 +348,11 @@ class TestVerify:
         assert "evaluation_seeds" not in captured.err
         assert "PASS" not in captured.out
 
+    def test_seed_help_names_each_suite_default(self):
+        seed_help = next(action.help for action in _subparser("verify")._actions if action.dest == "seed")
+        for name, suite in SUITES.items():
+            assert f"{name} {inspect.signature(suite).parameters['seed'].default}" in seed_help
+
     def test_largest_seed_runs(self, capsys):
         assert main(["verify", "--suite", "exactness", "--seed", str(2**64 - 201)]) == EXIT_OK
         assert "PASS exactness: 3 fixed checks" in capsys.readouterr().out
@@ -470,6 +491,19 @@ class TestCurves:
         bundle = read_bundle(bench / "bundle.json")
         write_indicator_csv(bundle.grid, bundle.indicators, tmp_path / "curves.csv")
         assert (cal / "curves.csv").read_bytes() == (tmp_path / "curves.csv").read_bytes()
+
+    def test_calibrate_on_a_bench_manifest_with_sample_flags_rewrites_its_bundle(self, tmp_path):
+        # calibrate accepts no --seeds or --no-di, yet a bench manifest that records them (under evaluation_seeds
+        # and use_di) re-runs as calibrate, which reads neither
+        config = _write_config(tmp_path, README_CONFIG)
+        bench, cal = tmp_path / "bench", tmp_path / "cal"
+        flags = ["--ablation", "--sweep-taus", "0.03:0.3,0.06:0.6", "--no-di", "--seeds", "2000,2001"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["bench", "--config", str(config), "--out", str(bench), *flags]) == EXIT_OK
+            assert main(["calibrate", "--config", str(bench / "manifest.json"), "--out", str(cal)]) == EXIT_OK
+        recorded = json.loads((bench / "manifest.json").read_text())["config"]
+        assert recorded["use_di"] is False and recorded["evaluation_seeds"] == [2000, 2001]
+        assert (cal / "bundle.json").read_bytes() == (bench / "bundle.json").read_bytes()
 
     def test_decay_bundle_curves(self, tmp_path):
         decay_config = {
@@ -900,15 +934,31 @@ class TestFlagTable:
     def test_every_flag_is_covered(self):
         assert set(_FLAG_RUNS) == set(FLAGS)
 
-    @pytest.mark.parametrize(
-        "command, own", [("calibrate", []), ("sample", ["bundle"]), ("bench", ["ablation", "sweep_taus"])]
-    )
-    def test_an_experiment_subcommand_accepts_exactly_its_flag_rows(self, command, own):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        accepted = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
-        common = [dest for dest, (_, _, where, _) in FLAGS.items() if where is None]
-        expected = {"--config", "--out", *("--" + dest.replace("_", "-") for dest in common + own)}
+    @pytest.mark.parametrize("command", ["calibrate", "sample", "bench"])
+    def test_an_experiment_subcommand_accepts_exactly_its_flag_rows(self, command):
+        accepted = {flag for action in _subparser(command)._actions for flag in action.option_strings}
+        own = [dest for dest, (_, _, where, _) in FLAGS.items() if command in where]
+        expected = {"--config", "--out", *("--" + dest.replace("_", "-") for dest in own)}
         assert accepted - {"-h", "--help"} == expected
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("calibrate", ["--seeds", "7,8"]),
+            ("calibrate", ["--no-mi"]),
+            ("calibrate", ["--no-di"]),
+            ("sample", ["--tau-k", "0.5"]),
+            ("sample", ["--tau-d", "9"]),
+            ("sample", ["--h-max", "2"]),
+        ],
+        ids=["calibrate-seeds", "calibrate-no_mi", "calibrate-no_di", "sample-tau_k", "sample-tau_d", "sample-h_max"],
+    )
+    def test_a_flag_its_subcommand_does_not_read_is_unrecognized(self, tmp_path, command, flag):
+        # calibrate runs no evaluation seed and no toggle, and a sample takes its thresholds from its bundle
+        config = _write_config(tmp_path, CONSTANT_CONFIG)
+        line = TestUsageErrors._rejected([command, "--config", str(config), "--out", str(tmp_path / "o"), *flag])
+        assert line == f"error: unrecognized arguments: {' '.join(flag)}"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dest", list(_FLAG_RUNS))
     def test_a_set_flag_lands_in_the_manifest_and_reruns_byte_identical(self, tmp_path, dest):
